@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -212,8 +213,8 @@ def cmd_simulate(o) -> int:
         raise _UsageError(f"--loss must lie in [0, 1], got {o.loss}")
     if o.latency < 0:
         raise _UsageError(f"--latency must be non-negative, got {o.latency}")
-    if o.noise < 0:
-        raise _UsageError(f"--noise must be non-negative, got {o.noise}")
+    if not 0.0 <= o.noise < math.inf:
+        raise _UsageError(f"--noise must be finite and non-negative, got {o.noise}")
     if not 0.0 < o.attenuation <= 1.0:
         raise _UsageError(f"--attenuation must lie in (0, 1], got {o.attenuation}")
     pir_at = None if o.no_pir else o.pir_at
@@ -261,7 +262,7 @@ def cmd_ber(o) -> int:
         raise _UsageError(f"--points must be >= 1, got {o.points}")
     if o.bits < 1:
         raise _UsageError(f"--bits must be >= 1, got {o.bits}")
-    if o.sigma_min < 0 or o.sigma_max < o.sigma_min:
+    if not 0.0 <= o.sigma_min <= o.sigma_max < math.inf:
         raise _UsageError(
             f"invalid sweep range [{o.sigma_min}, {o.sigma_max}]"
         )

@@ -5,8 +5,11 @@ debounced classifier actions against a named appliance. `run_pipeline` wires
 the whole chain over virtual time: access-point start, ACC-mode streaming of
 each trace sample through the frame codec and FSK channel, Bernoulli-loss
 delivery, a sliding window over delivered samples, classification, debounce,
-and gated appliance switching. Everything is seeded, so identical inputs
-produce byte-identical logs.
+and gated appliance switching. The radio path gets no feedback from the
+link, so it runs ahead of the per-sample event loop: each sample is
+encoded on its own, and the modem and decoder take blocks of
+PHY_BLOCK_FRAMES frames. Everything is seeded, so identical inputs produce
+byte-identical logs.
 """
 from __future__ import annotations
 
@@ -14,11 +17,18 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+import numpy as np
+
 from .classify import Action, CalibrationProfile, Debouncer, classify_window
-from .framing import CodecFrame, DecodeError, Fifo, WatchMode, deserialize, serialize
+from .framing import CodecFrame, WatchMode, deserialize, serialize
 from .link import EventKind, LinkConfig, LinkEvent, LinkSimulator
 from .modem import ModemConfig, channel_apply, demodulate, modulate
 from .sensor import AccelSample, Trace
+
+# Frames per radio-path block. Outputs do not depend on it, but peak memory
+# grows with it (a frame is 768 float64 waveform samples at the modem
+# defaults, held in a few copies), so it stays small.
+PHY_BLOCK_FRAMES = 64
 
 
 class PirState(Enum):
@@ -90,7 +100,7 @@ class PipelineResult:
     frames_delivered: int
     frames_lost: int
     frames_corrupted: int
-    fifo_dropped: int
+    fifo_dropped: int  # always 0 (no transmit queue); kept for summary.csv
     windows_classified: int
     actions: list[tuple[int, Action]]
     sensor_resets: int
@@ -104,19 +114,22 @@ def run_pipeline(
     modem_cfg: ModemConfig | None = None,
     pir_at: int | None = 0,
     appliance_name: str = "light",
-    tx_fifo_capacity: int = 64,
 ) -> PipelineResult:
     """Drive a trace through the complete sensing-to-appliance chain.
 
-    Per sample: the watch queues an ACC frame, serializes it, sends the FSK
-    waveform through the channel, and the decoded frame (when its integrity
-    check passes) goes over the lossy link. A sliding window advances over
-    delivered samples only, so losses shrink window fill instead of stalling
-    progress: once window_size samples have arrived, every further delivery
-    completes a window and yields a verdict for the debounce stage. `pir_at`
-    is the presence-trigger time in ms; None, or a time past the end of the
-    run, means the sensor never fires. Protocol violations propagate; nothing
-    is silently dropped.
+    Radio path, in blocks of PHY_BLOCK_FRAMES samples: each sample is
+    serialized as an ACC frame, and the block is sent as FSK waveforms
+    through the channel (frame i of the trace with noise seed
+    modem_cfg.seed + i) and decoded, re-verifying sync and CRC per frame.
+    Then, per sample of the block in order: virtual time advances to the
+    sample, and its decoded frame (when the integrity check passed) goes
+    over the lossy link, or a FRAME_CORRUPTED line is logged. A sliding
+    window advances over delivered samples only, so losses shrink window
+    fill instead of stalling progress: once window_size samples have
+    arrived, every further delivery completes a window and yields a verdict
+    for the debounce stage. `pir_at` is the presence-trigger time in ms;
+    None, or a time past the end of the run, means the sensor never fires.
+    Protocol violations propagate; nothing is silently dropped.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
@@ -130,7 +143,6 @@ def run_pipeline(
     sim = LinkSimulator(link_cfg, log=log)
     ctrl = HomeController(appliance_name=appliance_name, log=log)
     gate = Debouncer(profile.debounce_n)
-    tx_fifo = Fifo(tx_fifo_capacity)
 
     frames_corrupted = 0
     windows_classified = 0
@@ -166,28 +178,28 @@ def run_pipeline(
     sim.ap_start()
     sim.watch_set_mode(WatchMode.ACC)
 
-    for i, sample in enumerate(trace):
-        advance(sample.t)
-        frame = CodecFrame(mode=WatchMode.ACC, x=sample.x, y=sample.y, z=sample.z)
-        if not tx_fifo.push(frame):
-            continue  # queue overrun: frame dropped and counted by the fifo
-        queued = tx_fifo.pop()
-        # each frame gets its own noise stream, still fully seed-determined
-        hop_cfg = replace(modem_cfg, seed=(modem_cfg.seed + i) % 2**64)
+    samples = trace.samples
+    for start in range(0, len(samples), PHY_BLOCK_FRAMES):
+        block = samples[start : start + PHY_BLOCK_FRAMES]
+        tx_bits = np.array(
+            [serialize(CodecFrame(WatchMode.ACC, s.x, s.y, s.z)) for s in block],
+            dtype=np.uint8,
+        )
+        # frame i of the trace gets noise stream seed + i, whatever the block
+        block_cfg = replace(modem_cfg, seed=(modem_cfg.seed + start) % 2**64)
         rx_bits = demodulate(
-            channel_apply(modulate(serialize(queued), modem_cfg), hop_cfg), modem_cfg
+            channel_apply(modulate(tx_bits, modem_cfg), block_cfg), modem_cfg
         )
-        try:
-            decoded = deserialize(rx_bits)
-        except DecodeError:
-            frames_corrupted += 1
-            log.append(f"[t={sample.t}] FRAME_CORRUPTED codec integrity check failed")
-            continue
-        sim.transmit_sample(
-            AccelSample(t=sample.t, x=decoded.x, y=decoded.y, z=decoded.z)
-        )
+        ok, received = deserialize(rx_bits)
+        for sample, frame_ok, (_, x, y, z) in zip(block, ok.tolist(), received.tolist()):
+            advance(sample.t)
+            if not frame_ok:
+                frames_corrupted += 1
+                log.append(f"[t={sample.t}] FRAME_CORRUPTED codec integrity check failed")
+                continue
+            sim.transmit_sample(AccelSample(t=sample.t, x=x, y=y, z=z))
 
-    advance(trace.samples[-1].t + link_cfg.latency)
+    advance(samples[-1].t + link_cfg.latency)
 
     return PipelineResult(
         appliance=ctrl.appliance,
@@ -196,7 +208,7 @@ def run_pipeline(
         frames_delivered=sim.delivered_count,
         frames_lost=sim.lost_count,
         frames_corrupted=frames_corrupted,
-        fifo_dropped=tx_fifo.dropped,
+        fifo_dropped=0,
         windows_classified=windows_classified,
         actions=actions,
         sensor_resets=sim.acc_resets,

@@ -1,4 +1,4 @@
-"""Fixed 48-bit frame codec and FIFO buffering for the wearable's radio path.
+"""Fixed 48-bit frame codec for the wearable's radio path, and a bounded FIFO.
 
 Wire layout, most significant bit first:
 
@@ -9,14 +9,25 @@ Wire layout, most significant bit first:
     bits 30..39  z axis, 10-bit unsigned
     bits 40..47  CRC-8 over bits 8..39 (poly 0x07, init 0x00, MSB first)
 
-A bit sequence is a list of 0/1 ints. The CRC polynomial detects every
-single-bit corruption of the protected region.
+The codec works on one frame or on a block of frames. A frame block is an
+(n, 4) integer array whose rows are (mode, x, y, z); its wire form is an
+(n, 48) array of 0/1 bits, one frame per row. One frame is the same
+computation on plain ints: `serialize` of a CodecFrame gives a list of 48
+ints, and `deserialize` of one 48-bit sequence gives a CodecFrame or
+raises. The CRC is table-driven (Sarwate, "Computation of CRCs via table
+look-up", CACM 1988) and detects every single-bit corruption of the
+protected region.
+
+`Fifo` is a bounded frame buffer with drop counting; the radio path in
+`controller.run_pipeline` does not queue frames.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
+
+import numpy as np
 
 from .sensor import COUNT_MAX, COUNT_MIN
 
@@ -27,6 +38,33 @@ AXIS_BITS = 10
 PAYLOAD_BITS = 3 * AXIS_BITS
 CRC_BITS = 8
 FRAME_BITS = SYNC_BITS + MODE_BITS + PAYLOAD_BITS + CRC_BITS
+CRC8_POLY = 0x07
+
+
+def _crc8_table() -> tuple[int, ...]:
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = ((crc << 1) ^ CRC8_POLY) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        table.append(crc)
+    return tuple(table)
+
+
+# CRC8_TABLE[b] is the CRC-8 of the single byte b. Plain ints index the
+# tuple; byte arrays index the same table as an int64 array, so that its
+# entries mix with wide words without overflow.
+CRC8_TABLE = _crc8_table()
+_CRC8_ARRAY = np.array(CRC8_TABLE, dtype=np.int64)
+# maps the ASCII digits of a binary numeral to bit values 0 and 1
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+# shift placing each frame-block column (mode, x, y, z) in the 32-bit
+# protected word, and the largest value each column may hold
+_FIELD_SHIFTS = np.array([3 * AXIS_BITS, 2 * AXIS_BITS, AXIS_BITS, 0])
+_FIELD_MAX = np.array([(1 << MODE_BITS) - 1, COUNT_MAX, COUNT_MAX, COUNT_MAX])
+_PROTECTED_MASK = (1 << (MODE_BITS + PAYLOAD_BITS)) - 1
+_BIT_SHIFTS = np.arange(FRAME_BITS - 1, -1, -1)  # wire bit i is word bit 47 - i
 
 
 class WatchMode(IntEnum):
@@ -50,13 +88,17 @@ class CrcMismatchError(DecodeError):
     """Integrity check failed; the transmission was corrupted."""
 
 
-def crc8(data: bytes, poly: int = 0x07, init: int = 0x00) -> int:
-    """CRC-8 over bytes, MSB first, no reflection, no final xor."""
+def crc8(data, *, init: int = 0x00):
+    """CRC-8 (poly 0x07), MSB first, no reflection, no final xor.
+
+    `data` is a byte sequence and the CRC comes back as an integer. Its
+    items may also be integer arrays, each holding the same byte position
+    of many equal-length messages; the result is then the array of their
+    CRCs.
+    """
     crc = init
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            crc = ((crc << 1) ^ poly) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        crc = (_CRC8_ARRAY if isinstance(byte, np.ndarray) else CRC8_TABLE)[crc ^ byte]
     return crc
 
 
@@ -77,59 +119,69 @@ class CodecFrame:
                 raise ValueError(f"{name}={v} outside {COUNT_MIN}..{COUNT_MAX}")
 
 
-def _protected_bytes(mode: int, x: int, y: int, z: int) -> bytes:
-    # mode(2) x(10) y(10) z(10) packed MSB-first into 4 bytes
-    return bytes(
-        (
-            (mode << 6) | (x >> 4),
-            ((x & 0xF) << 4) | (y >> 6),
-            ((y & 0x3F) << 2) | (z >> 8),
-            z & 0xFF,
-        )
-    )
+def _protected_crc(protected):
+    """CRC-8 of 32-bit protected word(s), most significant byte first."""
+    return crc8((protected >> shift) & 0xFF for shift in (24, 16, 8, 0))
 
 
-def serialize(frame: CodecFrame) -> list[int]:
-    """Encode a frame into its 48-bit wire sequence."""
-    crc = crc8(_protected_bytes(frame.mode, frame.x, frame.y, frame.z))
-    word = (
-        (SYNC_PATTERN << 40)
-        | (frame.mode << 38)
-        | (frame.x << 28)
-        | (frame.y << 18)
-        | (frame.z << 8)
-        | crc
-    )
-    return [(word >> (FRAME_BITS - 1 - i)) & 1 for i in range(FRAME_BITS)]
+def _wire_word(mode, x, y, z):
+    """48-bit wire word of in-range frame fields.
 
-
-def deserialize(bits) -> CodecFrame:
-    """Decode a 48-bit wire sequence, re-verifying sync and CRC.
-
-    Raises DecodeError on wrong length, SyncMismatchError on a bad preamble,
-    and CrcMismatchError when the integrity check fails.
+    The fields are ints for one frame, or equal-length int64 arrays for a
+    block, and the word comes back in the same form.
     """
-    bits = list(bits)
-    if len(bits) != FRAME_BITS:
-        raise DecodeError(f"expected {FRAME_BITS} bits, got {len(bits)}")
-    word = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise DecodeError(f"bit sequence contains non-bit value {b!r}")
-        word = (word << 1) | int(b)
-    sync = word >> 40
+    protected = (mode << 3 * AXIS_BITS) | (x << 2 * AXIS_BITS) | (y << AXIS_BITS) | z
+    return (SYNC_PATTERN << 40) | (protected << CRC_BITS) | _protected_crc(protected)
+
+
+def serialize(frames):
+    """Encode frames into their 48-bit wire sequences.
+
+    A CodecFrame gives one list of 48 ints. An (n, 4) frame block of
+    (mode, x, y, z) rows gives an (n, 48) uint8 array, one frame per row;
+    fields outside their wire range raise ValueError.
+    """
+    if isinstance(frames, CodecFrame):
+        word = _wire_word(frames.mode, frames.x, frames.y, frames.z)
+        return list(f"{word:0{FRAME_BITS}b}".encode().translate(_DIGIT_BITS))
+    fields = np.asarray(frames)
+    if fields.ndim != 2 or fields.shape[1] != 4:
+        raise ValueError(f"frame block must have shape (n, 4), got {fields.shape}")
+    if np.any((fields < 0) | (fields > _FIELD_MAX)):
+        raise ValueError("frame block field outside its wire range")
+    word = _wire_word(*fields.T.astype(np.int64))
+    return ((word[:, None] >> _BIT_SHIFTS) & 1).astype(np.uint8)
+
+
+def deserialize(bits):
+    """Decode wire bits, re-verifying sync and CRC of every frame.
+
+    One 48-bit sequence gives a CodecFrame, or raises SyncMismatchError on a
+    bad preamble and CrcMismatchError when the integrity check fails. An
+    (n, 48) array gives `(ok, fields)`: a boolean mask of the frames whose
+    sync and CRC both hold, and the (n, 4) frame block read from every row.
+    Either form raises DecodeError on a wrong length or a non-bit value.
+    """
+    rows = bits if isinstance(bits, np.ndarray) else np.asarray(list(bits))
+    width = rows.shape[-1] if rows.ndim else 0
+    if rows.ndim not in (1, 2) or width != FRAME_BITS:
+        raise DecodeError(f"expected {FRAME_BITS} bits, got {width}")
+    bad = rows[(rows != 0) & (rows != 1)]
+    if bad.size:
+        raise DecodeError(f"bit sequence contains non-bit value {bad[0].item()!r}")
+    word = rows.astype(np.uint8, copy=False) @ (1 << _BIT_SHIFTS)
+    protected = (word >> CRC_BITS) & _PROTECTED_MASK
+    sync, crc_rx, crc_want = word >> 40, word & 0xFF, _protected_crc(protected)
+    fields = (protected[..., None] >> _FIELD_SHIFTS) & _FIELD_MAX
+    if rows.ndim == 2:
+        return (sync == SYNC_PATTERN) & (crc_rx == crc_want), fields
     if sync != SYNC_PATTERN:
         raise SyncMismatchError(f"sync 0x{sync:02X} != 0x{SYNC_PATTERN:02X}")
-    mode = (word >> 38) & 0x3
-    x = (word >> 28) & 0x3FF
-    y = (word >> 18) & 0x3FF
-    z = (word >> 8) & 0x3FF
-    crc_rx = word & 0xFF
-    crc_want = crc8(_protected_bytes(mode, x, y, z))
     if crc_rx != crc_want:
         raise CrcMismatchError(
             f"crc 0x{crc_rx:02X} != 0x{crc_want:02X}: corrupted transmission"
         )
+    mode, x, y, z = fields.tolist()
     return CodecFrame(mode=WatchMode(mode), x=x, y=y, z=z)
 
 

@@ -9,6 +9,12 @@ in every bit window, so the probes are exactly orthogonal on clean input.
 
 The channel is a scalar gain plus seeded additive white Gaussian noise;
 every operation here is a pure function of its arguments.
+
+Every stage takes an optional leading frame axis. A 1-D bit sequence or
+waveform is one transmission; a 2-D array holds one frame per row, and each
+row is its own transmission: its phase starts at 0, and row i draws its
+noise from the generator seeded with (seed + i) mod 2**64, so a block of n
+frames gives exactly what n single-frame calls with those seeds give.
 """
 from __future__ import annotations
 
@@ -29,6 +35,9 @@ class ModemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("f0", "f1", "sample_rate", "channel_attenuation", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.f0 == self.f1:
             raise ValueError("f0 and f1 must differ")
         nyquist = self.sample_rate / 2
@@ -51,53 +60,64 @@ def noise_sigma_for_snr_db(snr_db: float, amplitude: float = 1.0) -> float:
 
 
 def modulate(bits, cfg: ModemConfig) -> np.ndarray:
-    """Emit a unit-amplitude continuous-phase FSK waveform for a bit sequence.
+    """Emit a unit-amplitude continuous-phase FSK waveform for bit sequences.
 
-    Output length is len(bits) * samples_per_bit; the phase starts at 0 and
-    advances by 2*pi*f/sample_rate per sample, where f follows the bit value.
+    The waveform is samples_per_bit times as long as the last axis of
+    `bits`; along that axis the phase starts at 0 and advances by
+    2*pi*f/sample_rate per sample, where f follows the bit value.
     """
-    bits = np.asarray(list(bits), dtype=np.int64)
-    if bits.size == 0:
-        return np.zeros(0)
+    bits = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bit sequence must contain only 0 and 1")
-    freqs = np.where(bits == 1, cfg.f1, cfg.f0)
-    per_sample = np.repeat(freqs, cfg.samples_per_bit)
-    inc = 2.0 * np.pi * per_sample / cfg.sample_rate
-    phase = np.cumsum(inc) - inc  # exclusive prefix sum: first sample at phase 0
-    return np.sin(phase)
+    inc0 = 2.0 * np.pi * cfg.f0 / cfg.sample_rate
+    inc1 = 2.0 * np.pi * cfg.f1 / cfg.sample_rate
+    inc = np.repeat(np.where(bits == 1, inc1, inc0), cfg.samples_per_bit, axis=-1)
+    phase = np.cumsum(inc, axis=-1)
+    phase -= inc  # exclusive prefix sum: first sample at phase 0
+    return np.sin(phase, out=phase)
 
 
 def channel_apply(waveform, cfg: ModemConfig) -> np.ndarray:
-    """Scale by channel_attenuation and add seeded zero-mean Gaussian noise."""
+    """Scale by channel_attenuation and add seeded zero-mean Gaussian noise.
+
+    Row i of a 2-D waveform (the whole of a 1-D one, as row 0) draws its
+    noise from default_rng((seed + i) % 2**64).
+    """
     out = np.asarray(waveform, dtype=float) * cfg.channel_attenuation
-    if cfg.noise_sigma > 0:
-        rng = np.random.default_rng(cfg.seed)
-        out = out + rng.normal(0.0, cfg.noise_sigma, out.shape)
+    if cfg.noise_sigma > 0 and out.size:
+        noise = np.empty_like(out)
+        for i, row in enumerate(noise.reshape(-1, out.shape[-1] if out.ndim else 1)):
+            np.random.default_rng((cfg.seed + i) % 2**64).standard_normal(out=row)
+        noise *= cfg.noise_sigma
+        out += noise
     return out
 
 
-def demodulate(waveform, cfg: ModemConfig) -> list[int]:
+def _tone_probes(cfg: ModemConfig) -> np.ndarray:
+    """(samples_per_bit, 4) real and imaginary parts of the f0 and f1 probes."""
+    n = np.arange(cfg.samples_per_bit)
+    probes = [np.exp(-2j * np.pi * f * n / cfg.sample_rate) for f in (cfg.f0, cfg.f1)]
+    return np.stack([part for p in probes for part in (p.real, p.imag)], axis=1)
+
+
+def demodulate(waveform, cfg: ModemConfig):
     """Decide each bit by comparing single-bin tone energies at f0 and f1.
 
-    The waveform length must be a multiple of samples_per_bit. A tie in
-    energy (including an all-zero window) decodes as 0.
+    The last axis of the waveform must be a multiple of samples_per_bit. A
+    tie in energy (including an all-zero window) decodes as 0. A 1-D
+    waveform gives a list of ints; a 2-D one gives a uint8 array with one
+    row of bits per waveform row.
     """
     wave = np.asarray(waveform, dtype=float)
     spb = cfg.samples_per_bit
-    if wave.size % spb:
+    if wave.ndim == 0 or wave.shape[-1] % spb:
         raise ValueError(
             f"waveform length {wave.size} not divisible by samples_per_bit {spb}"
         )
-    if wave.size == 0:
-        return []
-    windows = wave.reshape(-1, spb)
-    n = np.arange(spb)
-    probe0 = np.exp(-2j * np.pi * cfg.f0 * n / cfg.sample_rate)
-    probe1 = np.exp(-2j * np.pi * cfg.f1 * n / cfg.sample_rate)
-    e0 = np.abs(windows @ probe0) ** 2
-    e1 = np.abs(windows @ probe1) ** 2
-    return [int(b) for b in e1 > e0]
+    energy = np.square(wave.reshape(-1, spb) @ _tone_probes(cfg))
+    bits = (energy[:, 2] + energy[:, 3] > energy[:, 0] + energy[:, 1]).view(np.uint8)
+    bits = bits.reshape(*wave.shape[:-1], -1)
+    return bits if wave.ndim == 2 else bits.tolist()
 
 
 def measure_ber(cfg: ModemConfig, n_bits: int) -> float:
@@ -109,8 +129,8 @@ def measure_ber(cfg: ModemConfig, n_bits: int) -> float:
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
     bit_ss, noise_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    bits = np.random.default_rng(bit_ss).integers(0, 2, n_bits)
+    # one transmission, sent as a one-row block so that bits stay an array
+    bits = np.random.default_rng(bit_ss).integers(0, 2, (1, n_bits))
     noise_cfg = replace(cfg, seed=int(noise_ss.generate_state(1, np.uint64)[0]))
     rx = channel_apply(modulate(bits, cfg), noise_cfg)
-    decoded = np.asarray(demodulate(rx, cfg))
-    return float(np.mean(decoded != bits))
+    return float(np.mean(demodulate(rx, cfg) != bits))

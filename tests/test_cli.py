@@ -88,6 +88,16 @@ class TestSimulate:
         assert code == 2
         assert "--loss" in err
 
+    def test_non_finite_noise_rejected(self, tmp_path, capsys):
+        # a NaN sigma must not pass as "noiseless"
+        code, _, err = run(
+            capsys, "simulate", "--demo", "on", "--noise", "nan",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "--noise" in err
+        assert not (tmp_path / "simulation.log").exists()
+
     def test_no_pir_leaves_appliance_off(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "simulate", "--demo", "on", "--no-pir", "--out", str(tmp_path),
@@ -158,6 +168,16 @@ class TestBer:
         )
         assert code == 2
         assert "sweep" in err
+
+
+    def test_infinite_sweep_bound_rejected(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "ber", "--sigma-max", "inf", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "sweep" in err
+        assert out == ""
+        assert not (tmp_path / "ber.csv").exists()
 
 
 class TestClassify:

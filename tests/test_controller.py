@@ -1,16 +1,20 @@
+from collections import deque
+from dataclasses import replace
 from random import Random
 
 import pytest
 
-from wristlink.classify import Action
+from wristlink.classify import Action, CalibrationProfile, Debouncer, classify_window
 from wristlink.controller import (
+    PHY_BLOCK_FRAMES,
     ApplianceState,
     HomeController,
     PirState,
     run_pipeline,
 )
-from wristlink.link import EventKind, LinkConfig
-from wristlink.modem import ModemConfig
+from wristlink.framing import CodecFrame, DecodeError, WatchMode, deserialize, serialize
+from wristlink.link import EventKind, LinkConfig, LinkSimulator
+from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
 from wristlink.sensor import AccelSample, GestureKind, Trace, generate_gesture
 
 
@@ -229,3 +233,97 @@ class TestRunPipeline:
         emitted = [f"[t={t}] APPLIANCE light -> {a.value}" for t, a in result.actions]
         it = iter(emitted)
         assert all(any(tr == e for e in it) for tr in transitions)
+
+
+def per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=0):
+    """Reference pipeline: one frame at a time through the scalar PHY calls,
+    frame i with noise seed modem_cfg.seed + i, then the same event loop."""
+    profile = CalibrationProfile()
+    log = []
+    sim = LinkSimulator(link_cfg, log=log)
+    ctrl = HomeController(log=log)
+    gate = Debouncer(profile.debounce_n)
+    window = deque(maxlen=profile.window_size)
+    actions = []
+    counts = {"corrupted": 0, "windows": 0}
+    pir_pending = pir_at is not None
+
+    def consume(events):
+        for ev in events:
+            if ev.kind is not EventKind.FRAME_DELIVERED:
+                continue
+            window.append(AccelSample(t=ev.t, x=ev.frame.x, y=ev.frame.y, z=ev.frame.z))
+            if len(window) < profile.window_size:
+                continue
+            verdict = classify_window(window, profile)
+            counts["windows"] += 1
+            log.append(f"[t={ev.t}] ACTION {verdict.value}")
+            emitted = gate.push(verdict)
+            if emitted is not None:
+                actions.append((ev.t, emitted))
+                ctrl.apply_action(emitted, ev.t)
+
+    def advance(t):
+        nonlocal pir_pending
+        if pir_pending and pir_at <= t:
+            consume(sim.run_until(max(pir_at, sim.now)))
+            ctrl.pir_trigger(pir_at)
+            pir_pending = False
+        consume(sim.run_until(t))
+
+    sim.ap_start()
+    sim.watch_set_mode(WatchMode.ACC)
+    for i, sample in enumerate(trace):
+        advance(sample.t)
+        bits = serialize(CodecFrame(WatchMode.ACC, sample.x, sample.y, sample.z))
+        hop_cfg = replace(modem_cfg, seed=(modem_cfg.seed + i) % 2**64)
+        rx_bits = demodulate(channel_apply(modulate(bits, modem_cfg), hop_cfg), modem_cfg)
+        try:
+            decoded = deserialize(rx_bits)
+        except DecodeError:
+            counts["corrupted"] += 1
+            log.append(f"[t={sample.t}] FRAME_CORRUPTED codec integrity check failed")
+            continue
+        sim.transmit_sample(AccelSample(t=sample.t, x=decoded.x, y=decoded.y, z=decoded.z))
+    advance(trace.samples[-1].t + link_cfg.latency)
+    return {
+        "log": log,
+        "actions": actions,
+        "appliance": ctrl.appliance,
+        "frames_sent": sim.sent_count,
+        "frames_delivered": sim.delivered_count,
+        "frames_lost": sim.lost_count,
+        "frames_corrupted": counts["corrupted"],
+        "windows_classified": counts["windows"],
+        "sensor_resets": sim.acc_resets,
+    }
+
+
+class TestBlockPhyMatchesPerFrameReference:
+    """Block batching of the radio path must not change any output."""
+
+    LENGTHS = (1, PHY_BLOCK_FRAMES, PHY_BLOCK_FRAMES + 1, 2 * PHY_BLOCK_FRAMES + 22)
+
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 2])
+    def test_identical_to_per_frame_reference(self, seed, sigma, loss):
+        link_cfg = LinkConfig(loss_probability=loss, seed=seed)
+        modem_cfg = ModemConfig(noise_sigma=sigma, seed=seed)
+        for n in self.LENGTHS:
+            trace = generate_gesture(GestureKind.VERTICAL_UP_DOWN, n, seed=seed % 100)
+            result = run_pipeline(trace, link_cfg=link_cfg, modem_cfg=modem_cfg)
+            expected = per_frame_pipeline(trace, link_cfg, modem_cfg)
+            assert result.log == expected["log"], n
+            assert result.actions == expected["actions"]
+            assert result.appliance == expected["appliance"]
+            assert result.fifo_dropped == 0
+            for name in (
+                "frames_sent",
+                "frames_delivered",
+                "frames_lost",
+                "frames_corrupted",
+                "windows_classified",
+                "sensor_resets",
+            ):
+                assert getattr(result, name) == expected[name], (n, name)

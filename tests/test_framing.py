@@ -1,10 +1,12 @@
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wristlink.framing import (
+    CRC8_TABLE,
     FRAME_BITS,
     SYNC_PATTERN,
     CodecFrame,
@@ -33,9 +35,39 @@ frames = st.builds(
 )
 
 
+def bitwise_crc8(data: bytes) -> int:
+    """Reference CRC-8: poly 0x07, MSB first, one bit at a time."""
+    crc = 0
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+    return crc
+
+
 def test_crc8_known_vector():
     # standard check value for this polynomial over ascii "123456789"
     assert crc8(b"123456789") == 0xF4
+    assert bitwise_crc8(b"123456789") == 0xF4
+
+
+def test_crc8_init_is_keyword_only():
+    # the polynomial is fixed; a second positional argument is refused
+    # rather than read as the initial register value
+    with pytest.raises(TypeError):
+        crc8(b"123456789", 0x07)
+    assert crc8(b"", init=0x5A) == 0x5A
+
+
+def test_crc8_table_matches_bitwise_definition():
+    assert len(CRC8_TABLE) == 256
+    for byte in range(256):
+        assert CRC8_TABLE[byte] == bitwise_crc8(bytes([byte]))
+    words = np.random.default_rng(8).integers(0, 256, (10_000, 4), dtype=np.uint8)
+    expected = [bitwise_crc8(bytes(w)) for w in words.tolist()]
+    assert [crc8(bytes(w)) for w in words.tolist()] == expected
+    # the array form: one CRC per row, fed one byte position at a time
+    assert crc8(words.T).tolist() == expected
 
 
 def test_serialize_is_48_bits_and_starts_with_sync():
@@ -75,6 +107,12 @@ def test_round_trip_mode_by_boundary_payloads():
 @given(frames)
 def test_round_trip_random_frames(frame):
     assert deserialize(serialize(frame)) == frame
+
+
+def test_deserialize_accepts_any_iterable():
+    frame = CodecFrame(WatchMode.PPT, 7, 8, 9)
+    assert deserialize(iter(serialize(frame))) == frame
+    assert deserialize(tuple(serialize(frame))) == frame
 
 
 def test_wrong_length_rejected():
@@ -129,6 +167,70 @@ def test_frame_rejects_out_of_range_payload():
         CodecFrame(WatchMode.ACC, 0, -1, 0)
     with pytest.raises(ValueError):
         CodecFrame(5, 0, 0, 0)
+
+
+class TestFrameBlocks:
+    """An (n, 4) block of (mode, x, y, z) rows is n frames at once."""
+
+    def random_frames(self, n, seed=3):
+        rng = Random(seed)
+        return [
+            CodecFrame(
+                WatchMode(rng.randrange(4)),
+                rng.randrange(1024),
+                rng.randrange(1024),
+                rng.randrange(1024),
+            )
+            for _ in range(n)
+        ]
+
+    def test_block_rows_equal_single_frames(self):
+        frames = self.random_frames(50)
+        block = serialize(np.array([(f.mode, f.x, f.y, f.z) for f in frames]))
+        assert block.shape == (50, FRAME_BITS)
+        assert block.tolist() == [serialize(f) for f in frames]
+
+    def test_block_round_trip(self):
+        frames = self.random_frames(50)
+        fields = np.array([(f.mode, f.x, f.y, f.z) for f in frames])
+        ok, decoded = deserialize(serialize(fields))
+        assert ok.tolist() == [True] * 50
+        np.testing.assert_array_equal(decoded, fields)
+
+    def test_block_flags_exactly_the_corrupted_rows(self):
+        frames = self.random_frames(48)
+        bits = serialize(np.array([(f.mode, f.x, f.y, f.z) for f in frames]))
+        for row in range(48):
+            bits[row, row] ^= 1  # row i flips bit i: sync, mode, payload, crc
+        bits[5] = serialize(frames[5])  # one clean row
+        ok, _ = deserialize(bits)
+        for row, frame_ok in enumerate(ok.tolist()):
+            assert frame_ok == (row == 5)
+            if row != 5:
+                error = SyncMismatchError if row < 8 else CrcMismatchError
+                with pytest.raises(error):
+                    deserialize(bits[row].tolist())
+
+    def test_empty_block(self):
+        bits = serialize(np.zeros((0, 4), dtype=int))
+        assert bits.shape == (0, FRAME_BITS)
+        ok, fields = deserialize(bits)
+        assert ok.shape == (0,) and fields.shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "fields", [[(4, 0, 0, 0)], [(1, 1024, 0, 0)], [(1, 0, -1, 0)], [(1, 2, 3)]]
+    )
+    def test_block_fields_validated(self, fields):
+        with pytest.raises(ValueError):
+            serialize(np.array(fields))
+
+    def test_block_bits_validated(self):
+        with pytest.raises(DecodeError, match="47"):
+            deserialize(np.zeros((3, 47), dtype=np.uint8))
+        bits = np.zeros((3, FRAME_BITS), dtype=np.uint8)
+        bits[1, 4] = 2
+        with pytest.raises(DecodeError):
+            deserialize(bits)
 
 
 class TestFifo:

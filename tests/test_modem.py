@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wristlink.modem import (
 )
 
 CLEAN = ModemConfig()  # attenuation 1.0, noise 0
+NOISY = ModemConfig(noise_sigma=0.6, seed=3)
 
 # sweep pinned by a pre-build Monte Carlo run: these sigmas give error rates
 # near 0.0002 / 0.07 / 0.21 / 0.30 / 0.41, far enough apart that monotonicity
@@ -44,6 +46,14 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ModemConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["f0", "f1", "sample_rate", "channel_attenuation", "noise_sigma"]
+    )
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ModemConfig(**{name: value})
 
 
 class TestModulate:
@@ -87,6 +97,10 @@ class TestModulate:
         with pytest.raises(ValueError):
             modulate([0, 2], CLEAN)
 
+    def test_accepts_any_iterable(self):
+        bits = [0, 1, 1, 0]
+        np.testing.assert_array_equal(modulate(iter(bits), CLEAN), modulate(bits, CLEAN))
+
 
 class TestChannel:
     def test_identity_when_clean(self):
@@ -111,6 +125,15 @@ class TestChannel:
         wave = modulate([1, 0], base)
         assert not np.array_equal(channel_apply(wave, base), channel_apply(wave, other))
 
+    def test_empty_waveform_with_noise(self):
+        assert channel_apply(np.zeros(0), NOISY).size == 0
+        assert channel_apply(np.zeros((3, 0)), NOISY).shape == (3, 0)
+
+    def test_scalar_waveform_with_noise(self):
+        out = channel_apply(0.5, NOISY)
+        expected = 0.5 + np.random.default_rng(NOISY.seed).normal(0.0, NOISY.noise_sigma)
+        assert out.shape == () and out == expected
+
 
 class TestDemodulate:
     def test_noiseless_inverse_on_frame(self):
@@ -130,6 +153,10 @@ class TestDemodulate:
     def test_length_must_divide_samples_per_bit(self):
         with pytest.raises(ValueError):
             demodulate(np.zeros(17), CLEAN)
+
+    def test_scalar_waveform_rejected(self):
+        with pytest.raises(ValueError):
+            demodulate(1.0, CLEAN)
 
     def test_empty_waveform(self):
         assert demodulate(np.zeros(0), CLEAN) == []
@@ -169,3 +196,33 @@ class TestMeasureBer:
     def test_n_bits_validated(self):
         with pytest.raises(ValueError):
             measure_ber(CLEAN, 0)
+
+
+class TestFrameBlocks:
+    """A 2-D call is n single-frame calls, row i using noise seed seed + i."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 2])
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    def test_rows_equal_single_frame_calls(self, seed, sigma):
+        cfg = ModemConfig(noise_sigma=sigma, seed=seed)
+        rng = np.random.default_rng(seed % 1000)
+        block = rng.integers(0, 2, (5, 48))
+        waves = modulate(block, cfg)
+        rx = channel_apply(waves, cfg)
+        decided = demodulate(rx, cfg)
+        assert waves.shape == rx.shape == (5, 48 * cfg.samples_per_bit)
+        assert decided.shape == (5, 48)
+        for i, bits in enumerate(block):
+            hop = replace(cfg, seed=(seed + i) % 2**64)
+            wave = modulate(list(bits), cfg)
+            np.testing.assert_array_equal(waves[i], wave)
+            np.testing.assert_array_equal(rx[i], channel_apply(wave, hop))
+            assert decided[i].tolist() == demodulate(channel_apply(wave, hop), cfg)
+
+    def test_noise_draws_match_the_normal_stream(self):
+        # the per-row stream is exactly default_rng(seed + i).normal(0, sigma)
+        cfg = ModemConfig(noise_sigma=0.7, seed=41)
+        out = channel_apply(np.zeros((2, 32)), cfg)
+        for i in range(2):
+            expected = np.random.default_rng(41 + i).normal(0.0, 0.7, 32)
+            np.testing.assert_array_equal(out[i], expected)
