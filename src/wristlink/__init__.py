@@ -32,7 +32,6 @@ from .framing import (
     CodecFrame,
     CrcMismatchError,
     DecodeError,
-    Fifo,
     SyncMismatchError,
     WatchMode,
     crc8,
@@ -83,7 +82,6 @@ __all__ = [
     "Debouncer",
     "DecodeError",
     "EventKind",
-    "Fifo",
     "GestureKind",
     "HomeController",
     "LinkConfig",

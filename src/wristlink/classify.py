@@ -2,8 +2,9 @@
 
 A window of samples maps to one of three verdicts: a z-axis window mean
 inside the on band turns the appliance ON, else a y-axis mean inside the
-off band turns it OFF, else DO NOTHING. Means stay in exact rational form
-until the band comparison so boundary values are unambiguous. A debounce
+off band turns it OFF, else DO NOTHING. A window of w samples is compared
+on its integer axis sum, lo*w <= sum <= hi*w, which is the band test on the
+exact mean, so boundary values are unambiguous. A debounce
 stage requires N consecutive identical verdicts before acting.
 """
 from __future__ import annotations
@@ -85,17 +86,19 @@ def window_mean(samples, axis: str) -> Fraction:
 
 
 def classify_window(samples, profile: CalibrationProfile) -> Action:
-    """Map one full window to a verdict via inclusive band membership."""
+    """Map one full window to a verdict via inclusive band membership of the
+    exact axis means, tested on integer sums."""
     samples = list(samples)
     if len(samples) != profile.window_size:
         raise ValueError(
             f"window has {len(samples)} samples, profile expects {profile.window_size}"
         )
-    z_mean = window_mean(samples, "z")
-    if profile.on_band[0] <= z_mean <= profile.on_band[1]:
+    w = len(samples)
+    lo, hi = profile.on_band
+    if lo * w <= sum(s.z for s in samples) <= hi * w:
         return Action.ON
-    y_mean = window_mean(samples, "y")
-    if profile.off_band[0] <= y_mean <= profile.off_band[1]:
+    lo, hi = profile.off_band
+    if lo * w <= sum(s.y for s in samples) <= hi * w:
         return Action.OFF
     return Action.DO_NOTHING
 

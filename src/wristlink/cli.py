@@ -45,10 +45,10 @@ _DEFAULTS = {
         "demo": None,
         "profile": None,
         "seed": 0,
-        "loss": 0.0,
-        "latency": 10,
-        "noise": 0.0,
-        "attenuation": 1.0,
+        "loss": LinkConfig.loss_probability,
+        "latency": LinkConfig.latency,
+        "noise": ModemConfig.noise_sigma,
+        "attenuation": ModemConfig.channel_attenuation,
         "pir_at": 0,
         "no_pir": False,
         "out": "out",
@@ -72,8 +72,27 @@ _DEFAULTS = {
 }
 
 
+# the simulate flag that sets each LinkConfig / ModemConfig field
+_FIELD_FLAGS = {
+    "loss_probability": "--loss",
+    "latency": "--latency",
+    "noise_sigma": "--noise",
+    "channel_attenuation": "--attenuation",
+}
+
+
 class _UsageError(Exception):
     """Bad flag or configuration value; maps to exit code 2."""
+
+
+def _config(cls, **fields):
+    """Build a config dataclass, whose checks own the flag values; a value it
+    rejects is a usage error that names the flag setting it."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        flags = [flag for name, flag in _FIELD_FLAGS.items() if name in str(exc)]
+        raise _UsageError(f"{'/'.join(flags)}: {exc}") from None
 
 
 def _subseed(seed: int, stage: str) -> int:
@@ -209,43 +228,39 @@ def cmd_gen(o) -> int:
 def cmd_simulate(o) -> int:
     trace = _input_trace(o)
     profile = _input_profile(o)
-    if not 0.0 <= o.loss <= 1.0:
-        raise _UsageError(f"--loss must lie in [0, 1], got {o.loss}")
-    if o.latency < 0:
-        raise _UsageError(f"--latency must be non-negative, got {o.latency}")
-    if not 0.0 <= o.noise < math.inf:
-        raise _UsageError(f"--noise must be finite and non-negative, got {o.noise}")
-    if not 0.0 < o.attenuation <= 1.0:
-        raise _UsageError(f"--attenuation must lie in (0, 1], got {o.attenuation}")
+    link_cfg = _config(
+        LinkConfig,
+        loss_probability=o.loss,
+        latency=o.latency,
+        seed=_subseed(o.seed, "link"),
+    )
+    modem_cfg = _config(
+        ModemConfig,
+        channel_attenuation=o.attenuation,
+        noise_sigma=o.noise,
+        seed=_subseed(o.seed, "modem"),
+    )
     pir_at = None if o.no_pir else o.pir_at
     if pir_at is not None and pir_at < 0:
         raise _UsageError(f"--pir-at must be non-negative, got {pir_at}")
 
     result = run_pipeline(
-        trace,
-        profile=profile,
-        link_cfg=LinkConfig(
-            loss_probability=o.loss, latency=o.latency, seed=_subseed(o.seed, "link")
-        ),
-        modem_cfg=ModemConfig(
-            channel_attenuation=o.attenuation,
-            noise_sigma=o.noise,
-            seed=_subseed(o.seed, "modem"),
-        ),
-        pir_at=pir_at,
+        trace, profile=profile, link_cfg=link_cfg, modem_cfg=modem_cfg, pir_at=pir_at
     )
 
     out = _out_dir(o)
     log_path = out / "simulation.log"
     log_path.write_text("\n".join(result.log) + "\n", encoding="ascii")
     final_state = "ON" if result.appliance.powered else "OFF"
+    # fifo_dropped is always 0 (there is no transmit queue); dropping the
+    # column would change the summary.csv format
     header = (
         "samples,frames_sent,frames_delivered,frames_lost,frames_corrupted,"
         "fifo_dropped,windows,actions_emitted,final_state,sensor_resets"
     )
     row = (
         f"{len(trace)},{result.frames_sent},{result.frames_delivered},"
-        f"{result.frames_lost},{result.frames_corrupted},{result.fifo_dropped},"
+        f"{result.frames_lost},{result.frames_corrupted},0,"
         f"{result.windows_classified},{len(result.actions)},{final_state},"
         f"{result.sensor_resets}"
     )

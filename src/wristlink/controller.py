@@ -100,7 +100,6 @@ class PipelineResult:
     frames_delivered: int
     frames_lost: int
     frames_corrupted: int
-    fifo_dropped: int  # always 0 (no transmit queue); kept for summary.csv
     windows_classified: int
     actions: list[tuple[int, Action]]
     sensor_resets: int
@@ -113,7 +112,6 @@ def run_pipeline(
     link_cfg: LinkConfig | None = None,
     modem_cfg: ModemConfig | None = None,
     pir_at: int | None = 0,
-    appliance_name: str = "light",
 ) -> PipelineResult:
     """Drive a trace through the complete sensing-to-appliance chain.
 
@@ -141,13 +139,13 @@ def run_pipeline(
 
     log: list[str] = []
     sim = LinkSimulator(link_cfg, log=log)
-    ctrl = HomeController(appliance_name=appliance_name, log=log)
+    ctrl = HomeController(log=log)
     gate = Debouncer(profile.debounce_n)
 
     frames_corrupted = 0
     windows_classified = 0
     actions: list[tuple[int, Action]] = []
-    window: deque[AccelSample] = deque(maxlen=profile.window_size)
+    window: deque[CodecFrame] = deque(maxlen=profile.window_size)
     pir_pending = pir_at is not None
 
     def consume(events: list[LinkEvent]) -> None:
@@ -155,8 +153,7 @@ def run_pipeline(
         for ev in events:
             if ev.kind is not EventKind.FRAME_DELIVERED:
                 continue
-            f = ev.frame
-            window.append(AccelSample(t=ev.t, x=f.x, y=f.y, z=f.z))
+            window.append(ev.frame)
             if len(window) < profile.window_size:
                 continue
             verdict = classify_window(window, profile)
@@ -208,7 +205,6 @@ def run_pipeline(
         frames_delivered=sim.delivered_count,
         frames_lost=sim.lost_count,
         frames_corrupted=frames_corrupted,
-        fifo_dropped=0,
         windows_classified=windows_classified,
         actions=actions,
         sensor_resets=sim.acc_resets,

@@ -1,4 +1,4 @@
-"""Fixed 48-bit frame codec for the wearable's radio path, and a bounded FIFO.
+"""Fixed 48-bit frame codec for the wearable's radio path.
 
 Wire layout, most significant bit first:
 
@@ -17,19 +17,15 @@ ints, and `deserialize` of one 48-bit sequence gives a CodecFrame or
 raises. The CRC is table-driven (Sarwate, "Computation of CRCs via table
 look-up", CACM 1988) and detects every single-bit corruption of the
 protected region.
-
-`Fifo` is a bounded frame buffer with drop counting; the radio path in
-`controller.run_pipeline` does not queue frames.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .sensor import COUNT_MAX, COUNT_MIN
+from .sensor import COUNT_MAX, check_counts
 
 SYNC_PATTERN = 0xA5
 SYNC_BITS = 8
@@ -113,10 +109,7 @@ class CodecFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", WatchMode(self.mode))
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if not COUNT_MIN <= v <= COUNT_MAX:
-                raise ValueError(f"{name}={v} outside {COUNT_MIN}..{COUNT_MAX}")
+        check_counts(self.x, self.y, self.z)
 
 
 def _protected_crc(protected):
@@ -184,34 +177,3 @@ def deserialize(bits):
     mode, x, y, z = fields.tolist()
     return CodecFrame(mode=WatchMode(mode), x=x, y=y, z=z)
 
-
-class Fifo:
-    """Bounded first-in-first-out frame buffer.
-
-    A push onto a full buffer drops the frame and increments `dropped`;
-    ordering is never violated.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.dropped = 0
-        self._items: deque[CodecFrame] = deque()
-
-    def __len__(self):
-        return len(self._items)
-
-    def push(self, frame: CodecFrame) -> bool:
-        """Append a frame; returns False (and counts a drop) when full."""
-        if len(self._items) >= self.capacity:
-            self.dropped += 1
-            return False
-        self._items.append(frame)
-        return True
-
-    def pop(self) -> CodecFrame:
-        """Remove and return the oldest frame; IndexError when empty."""
-        if not self._items:
-            raise IndexError("pop from empty fifo")
-        return self._items.popleft()

@@ -3,7 +3,7 @@
 The access point bridges the watch's RF side to the host control center. The
 watch streams 3-axis frames only in ACC mode; PPT and SYNC are accepted but
 inert. Frames suffer independent Bernoulli loss and a fixed per-frame latency
-over virtual time (milliseconds). The nominal 900 MHz carrier is an
+over virtual time (milliseconds). The nominal 900 MHz carrier is a fixed
 informational label; no RF waveform is sampled at this layer.
 
 Half-duplex rule: the access point transmits control acknowledgments only
@@ -22,6 +22,7 @@ from .sensor import AccelSample
 
 AP_STARTED_MESSAGE = "Access point started. Now start watch in ACC, PPT or Synch mode."
 ACQUIRING_MESSAGE = "Acquiring data from accelerometer sensor"
+CARRIER_LABEL = "900 MHz"
 
 
 class AccessPointState(Enum):
@@ -48,13 +49,15 @@ class LinkConfig:
     loss_probability: float = 0.0
     latency: int = 10
     seed: int = 0
-    carrier_label: str = "900 MHz"
 
     def __post_init__(self):
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError(
                 f"loss_probability must lie in [0, 1], got {self.loss_probability}"
             )
+        # timestamps are integer ms; bool is an int subclass but not a latency
+        if isinstance(self.latency, bool) or not isinstance(self.latency, int):
+            raise ValueError(f"latency must be an int, got {self.latency!r}")
         if self.latency < 0:
             raise ValueError(f"latency must be non-negative, got {self.latency}")
 
@@ -125,7 +128,7 @@ class LinkSimulator:
             raise ProtocolError("access point already started")
         self.ap_state = AccessPointState.STARTED
         return self._record(
-            LinkEvent(self.now, EventKind.AP_STARTED, f"carrier={self.cfg.carrier_label}"),
+            LinkEvent(self.now, EventKind.AP_STARTED, f"carrier={CARRIER_LABEL}"),
             extra_line=AP_STARTED_MESSAGE,
         )
 

@@ -7,6 +7,7 @@ matched to the reference captures below.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -17,6 +18,8 @@ COUNT_MAX = 1023  # 10-bit ADC
 SAMPLE_PERIOD_MS = 20  # 50 Hz
 
 TRACE_HEADER = "t_ms,x,y,z"
+# a data row is four decimal integers: digits only, no sign, space or "_"
+_TRACE_ROW = re.compile(r"([0-9]+),([0-9]+),([0-9]+),([0-9]+)")
 
 # Reference captures from the wrist-worn sensor: raw counts seen on the active
 # axis during vertical wrist motion (z axis), horizontal wrist motion (y axis),
@@ -52,6 +55,13 @@ class TraceFormatError(ValueError):
     """A trace file violates the CSV trace format."""
 
 
+def check_counts(x: int, y: int, z: int) -> None:
+    """Raise ValueError unless every axis is a raw count in COUNT_MIN..COUNT_MAX."""
+    for name, v in (("x", x), ("y", y), ("z", z)):
+        if not COUNT_MIN <= v <= COUNT_MAX:
+            raise ValueError(f"{name}={v} outside {COUNT_MIN}..{COUNT_MAX}")
+
+
 @dataclass(frozen=True)
 class AccelSample:
     """One timestamped 3-axis reading in raw counts."""
@@ -64,12 +74,7 @@ class AccelSample:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError(f"t must be non-negative, got {self.t}")
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if not COUNT_MIN <= v <= COUNT_MAX:
-                raise ValueError(
-                    f"{name}={v} outside {COUNT_MIN}..{COUNT_MAX}"
-                )
+        check_counts(self.x, self.y, self.z)
 
 
 @dataclass(frozen=True)
@@ -109,12 +114,13 @@ class Trace:
 def load_trace(path, label: GestureKind | None = None) -> Trace:
     """Parse a CSV trace file (`t_ms,x,y,z` header, one sample per row).
 
-    An empty file yields an empty trace. Errors report the offending data
-    row as a 1-based line number. The optional label is attached in memory;
-    the file carries none.
+    Each field is ASCII decimal digits only. An empty file yields an empty
+    trace. Errors report the offending data row as a 1-based line number.
+    The optional label is attached in memory; the file carries none.
     """
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    # a non-ASCII byte decodes to U+FFFD, which no row or header matches
+    lines = path.read_text(encoding="ascii", errors="replace").splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -125,31 +131,20 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
     samples = []
     prev_t = -1
     for row, line in enumerate(lines[1:], start=1):
-        parts = line.split(",")
-        if len(parts) != 4:
+        match = _TRACE_ROW.fullmatch(line)
+        if match is None:
             raise TraceFormatError(
                 f"{path}: line {row}: expected 4 comma-separated integers, got {line!r}"
             )
-        try:
-            t, x, y, z = (int(p) for p in parts)
-        except ValueError:
-            raise TraceFormatError(
-                f"{path}: line {row}: expected 4 comma-separated integers, got {line!r}"
-            ) from None
-        if t < 0:
-            raise TraceFormatError(
-                f"{path}: line {row}: t_ms must be non-negative, got {t}"
-            )
+        t, x, y, z = map(int, match.groups())
         if t <= prev_t:
             raise TraceFormatError(
                 f"{path}: line {row}: t_ms {t} not greater than previous {prev_t}"
             )
-        for name, v in (("x", x), ("y", y), ("z", z)):
-            if not COUNT_MIN <= v <= COUNT_MAX:
-                raise TraceFormatError(
-                    f"{path}: line {row}: {name}={v} outside {COUNT_MIN}..{COUNT_MAX}"
-                )
-        samples.append(AccelSample(t=t, x=x, y=y, z=z))
+        try:
+            samples.append(AccelSample(t=t, x=x, y=y, z=z))
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}: line {row}: {exc}") from None
         prev_t = t
     return Trace(tuple(samples), label=label)
 

@@ -170,6 +170,71 @@ def test_oracle_equivalence_randomized_100k():
         )
 
 
+def fraction_mean_verdict(window, on_band, off_band):
+    """Reference route: band membership of the exact rational axis means."""
+    z_mean = Fraction(sum(s.z for s in window), len(window))
+    if on_band[0] <= z_mean <= on_band[1]:
+        return Action.ON
+    y_mean = Fraction(sum(s.y for s in window), len(window))
+    if off_band[0] <= y_mean <= off_band[1]:
+        return Action.OFF
+    return Action.DO_NOTHING
+
+
+def with_sum(values, target):
+    """`values` changed element by element, within 0..1023, to sum to `target`."""
+    out = list(values)
+    diff = target - sum(out)
+    for i, v in enumerate(out):
+        step = max(-v, min(1023 - v, diff))
+        out[i] = v + step
+        diff -= step
+    return out
+
+
+@st.composite
+def windows_and_bands(draw):
+    w = draw(st.integers(1, 32))
+    b, c = sorted(draw(st.lists(st.integers(0, 1023), min_size=2, max_size=2, unique=True)))
+    low, high = (draw(st.integers(0, b)), b), (c, draw(st.integers(c, 1023)))
+    on_band, off_band = (low, high) if draw(st.booleans()) else (high, low)
+    counts = st.lists(st.integers(0, 1023), min_size=w, max_size=w)
+    axes = {"z": draw(counts), "y": draw(counts)}
+    # optionally land one axis sum on a band edge times w, or one off it
+    pin = draw(st.sampled_from([None, ("z", on_band), ("y", off_band)]))
+    if pin is not None:
+        axis, band = pin
+        edge = draw(st.sampled_from(band)) * w + draw(st.sampled_from([-1, 0, 1]))
+        axes[axis] = with_sum(axes[axis], min(max(edge, 0), 1023 * w))
+    window = [
+        AccelSample(t=i, x=0, y=y, z=z) for i, (y, z) in enumerate(zip(axes["y"], axes["z"]))
+    ]
+    return window, on_band, off_band
+
+
+@settings(max_examples=500, deadline=None)
+@given(windows_and_bands())
+def test_integer_classifier_matches_fraction_means(case):
+    window, on_band, off_band = case
+    profile = CalibrationProfile(
+        on_band=on_band, off_band=off_band, window_size=len(window)
+    )
+    assert classify_window(window, profile) is fraction_mean_verdict(
+        window, on_band, off_band
+    )
+
+
+@pytest.mark.parametrize("w", [1, 3, 16, 32])
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+def test_sum_exactly_on_band_edge_is_inside(w, edge):
+    lo, hi = DEFAULT_ON_BAND
+    z = with_sum([0] * w, (lo if edge == "lo" else hi) * w)
+    window = [AccelSample(t=i, x=0, y=0, z=v) for i, v in enumerate(z)]
+    profile = CalibrationProfile(window_size=w)
+    assert fraction_mean_verdict(window, DEFAULT_ON_BAND, DEFAULT_OFF_BAND) is Action.ON
+    assert classify_window(window, profile) is Action.ON
+
+
 class TestCalibrate:
     def on_trace(self):
         return Trace(tuple(ON_WINDOW), label=GestureKind.VERTICAL_UP_DOWN)

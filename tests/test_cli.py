@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wristlink.cli import main
 from wristlink.classify import CalibrationProfile, load_profile, save_profile
 from wristlink.sensor import GestureKind, generate_gesture, load_trace, save_trace
@@ -96,6 +98,18 @@ class TestSimulate:
         )
         assert code == 2
         assert "--noise" in err
+        assert not (tmp_path / "simulation.log").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--latency", "-1"), ("--attenuation", "0"), ("--attenuation", "1.5"), ("--loss", "-0.1")],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        code, _, err = run(
+            capsys, "simulate", "--demo", "on", flag, value, "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert flag in err
         assert not (tmp_path / "simulation.log").exists()
 
     def test_no_pir_leaves_appliance_off(self, tmp_path, capsys):

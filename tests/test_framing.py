@@ -12,7 +12,6 @@ from wristlink.framing import (
     CodecFrame,
     CrcMismatchError,
     DecodeError,
-    Fifo,
     SyncMismatchError,
     WatchMode,
     crc8,
@@ -232,54 +231,3 @@ class TestFrameBlocks:
         with pytest.raises(DecodeError):
             deserialize(bits)
 
-
-class TestFifo:
-    def test_push_then_len(self):
-        f = Fifo(4)
-        assert f.push(CodecFrame(WatchMode.ACC, 1, 1, 1))
-        assert len(f) == 1
-
-    def test_overflow_drops_and_counts(self):
-        f = Fifo(4)
-        frames_in = [CodecFrame(WatchMode.ACC, i, i, i) for i in range(5)]
-        results = [f.push(fr) for fr in frames_in]
-        assert results == [True, True, True, True, False]
-        assert len(f) == 4
-        assert f.dropped == 1
-        # contents unchanged: the first four come out in order
-        assert [f.pop() for _ in range(4)] == frames_in[:4]
-
-    def test_fifo_order(self):
-        f = Fifo(2)
-        a = CodecFrame(WatchMode.ACC, 1, 0, 0)
-        b = CodecFrame(WatchMode.ACC, 2, 0, 0)
-        f.push(a)
-        f.push(b)
-        assert f.pop() == a
-        assert f.pop() == b
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            Fifo(1).pop()
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Fifo(0)
-
-    def test_never_reorders_never_exceeds_capacity(self):
-        rng = Random(42)
-        f = Fifo(8)
-        pushed, popped = [], []
-        counter = 0
-        for _ in range(500):
-            if rng.random() < 0.6:
-                frame = CodecFrame(WatchMode.ACC, counter % 1024, 0, 0)
-                counter += 1
-                if f.push(frame):
-                    pushed.append(frame)
-            elif len(f):
-                popped.append(f.pop())
-            assert len(f) <= 8
-        popped.extend(f.pop() for _ in range(len(f)))
-        assert popped == pushed
-        assert f.dropped == counter - len(pushed)

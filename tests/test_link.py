@@ -250,3 +250,10 @@ def test_event_log_line_format():
     assert "[t=0] FRAME_SENT frame=0 mode=ACC x=100 y=200 z=277" in sim.log
     assert "[t=10] FRAME_DELIVERED frame=0 mode=ACC x=100 y=200 z=277" in sim.log
     assert sim.log[-1] == ACQUIRING_MESSAGE
+
+
+@pytest.mark.parametrize("latency", [1.5, 10.0, True])
+def test_latency_must_be_plain_int(latency):
+    # a float latency would put float timestamps into the [t=...] log lines
+    with pytest.raises(ValueError, match="latency"):
+        LinkConfig(latency=latency)

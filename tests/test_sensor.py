@@ -84,6 +84,21 @@ class TestLoadTrace:
         with pytest.raises(TraceFormatError, match="line 2"):
             load_trace(p)
 
+    @pytest.mark.parametrize(
+        "row", ["20,1_0,2,3", "20,+20,2,3", "20, 30,2,3", "20,1,2,3 ", "1_0,+20, 30,4"]
+    )
+    def test_fields_must_be_plain_digits(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"t_ms,x,y,z\n0,1,2,3\n{row}\n")
+        with pytest.raises(TraceFormatError, match="line 2"):
+            load_trace(p)
+
+    def test_non_ascii_byte_reports_line_number(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes("t_ms,x,y,z\n0,1,2,3\n20,1,2,3\n40,1,2,\u00e9\n".encode("utf-8"))
+        with pytest.raises(TraceFormatError, match="line 3"):
+            load_trace(p)
+
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("0,100,200,277\n")
