@@ -179,12 +179,31 @@ def _resolve_options(ns: argparse.Namespace) -> argparse.Namespace:
             raise _UsageError(
                 f"config file {path} has unknown keys: {', '.join(unknown)}"
             )
-        merged.update(loaded)
+        for key, value in loaded.items():
+            merged[key] = _config_value(path, key, value, merged[key])
     provided = {
         k: v for k, v in vars(ns).items() if k not in ("func", "command", "config")
     }
     merged.update(provided)
     return argparse.Namespace(command=ns.command, **merged)
+
+
+def _config_value(path: Path, key: str, value, default):
+    """A config-file value, held to the type of the flag it stands for: the
+    type of the flag's default (str where that is None). An int is accepted
+    as a float; a bool is never read as a number."""
+    want = str if default is None else type(default)
+    if want is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:  # too large for a float: reported as a mismatch
+            pass
+    if type(value) is not want:
+        raise _UsageError(
+            f"config file {path}: key {key!r} must be {want.__name__}, "
+            f"got {json.dumps(value)}"
+        )
+    return value
 
 
 def _out_dir(o) -> Path:

@@ -15,13 +15,20 @@ waveform is one transmission; a 2-D array holds one frame per row, and each
 row is its own transmission: its phase starts at 0, and row i draws its
 noise from the generator seeded with (seed + i) mod 2**64, so a block of n
 frames gives exactly what n single-frame calls with those seeds give.
+`modulate(phase=)` and `channel_apply(rng=)` instead carry a transmission's
+phase and noise stream across calls, which is how measure_ber sends one long
+row in fixed-size blocks.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+# bits per block of a measure_ber transmission: 65,536 samples (512 KiB of
+# float64) at the default 16 samples per bit
+BER_BLOCK_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -59,35 +66,60 @@ def noise_sigma_for_snr_db(snr_db: float, amplitude: float = 1.0) -> float:
     return math.sqrt((amplitude**2 / 2) / 10 ** (snr_db / 10))
 
 
-def modulate(bits, cfg: ModemConfig) -> np.ndarray:
+def modulate(bits, cfg: ModemConfig, phase=None) -> np.ndarray:
     """Emit a unit-amplitude continuous-phase FSK waveform for bit sequences.
 
     The waveform is samples_per_bit times as long as the last axis of
     `bits`; along that axis the phase starts at 0 and advances by
     2*pi*f/sample_rate per sample, where f follows the bit value.
+
+    `phase`, when given, carries the phase sum from one call to the next: a
+    float64 array of shape bits.shape[:-1] (one entry per row), added to the
+    first sample's increment and advanced in place to the row's running sum,
+    so a row sent in pieces with one carry array (starting at zeros) gives
+    exactly the waveform of the whole row.
     """
     bits = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bit sequence must contain only 0 and 1")
+    if phase is not None and (
+        not isinstance(phase, np.ndarray)
+        or phase.dtype != np.float64
+        or phase.shape != bits.shape[:-1]
+    ):
+        raise ValueError(f"phase must be a float64 array of shape {bits.shape[:-1]}")
     inc0 = 2.0 * np.pi * cfg.f0 / cfg.sample_rate
     inc1 = 2.0 * np.pi * cfg.f1 / cfg.sample_rate
-    inc = np.repeat(np.where(bits == 1, inc1, inc0), cfg.samples_per_bit, axis=-1)
-    phase = np.cumsum(inc, axis=-1)
-    phase -= inc  # exclusive prefix sum: first sample at phase 0
-    return np.sin(phase, out=phase)
+    bit_inc = np.where(bits == 1, inc1, inc0)
+    ph = np.repeat(bit_inc, cfg.samples_per_bit, axis=-1)
+    carry = phase is not None and ph.shape[-1] > 0
+    if carry:
+        ph[..., 0] += phase
+    np.cumsum(ph, axis=-1, out=ph)
+    if carry:
+        phase[...] = ph[..., -1]
+    # exclusive prefix sum: each bit's first sample sits at the phase so far
+    per_bit = ph.reshape(*bit_inc.shape, cfg.samples_per_bit)
+    per_bit -= bit_inc[..., None]
+    return np.sin(ph, out=ph)
 
 
-def channel_apply(waveform, cfg: ModemConfig) -> np.ndarray:
+def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
     """Scale by channel_attenuation and add seeded zero-mean Gaussian noise.
 
     Row i of a 2-D waveform (the whole of a 1-D one, as row 0) draws its
-    noise from default_rng((seed + i) % 2**64).
+    noise from default_rng((seed + i) % 2**64). Given a Generator `rng`, the
+    rows instead draw from it in order, so a waveform sent in pieces with one
+    generator gets exactly the noise of one draw over the whole.
     """
     out = np.asarray(waveform, dtype=float) * cfg.channel_attenuation
     if cfg.noise_sigma > 0 and out.size:
         noise = np.empty_like(out)
-        for i, row in enumerate(noise.reshape(-1, out.shape[-1] if out.ndim else 1)):
-            np.random.default_rng((cfg.seed + i) % 2**64).standard_normal(out=row)
+        if rng is not None:
+            rng.standard_normal(out=noise)
+        else:
+            for i, row in enumerate(noise.reshape(-1, out.shape[-1] if out.ndim else 1)):
+                np.random.default_rng((cfg.seed + i) % 2**64).standard_normal(out=row)
         noise *= cfg.noise_sigma
         out += noise
     return out
@@ -124,13 +156,21 @@ def measure_ber(cfg: ModemConfig, n_bits: int) -> float:
     """Bit error rate of modulate -> channel -> demodulate on random bits.
 
     Deterministic in cfg.seed: the bit stream and the channel noise use
-    independent substreams derived from it.
+    independent substreams derived from it. The bits are one transmission,
+    sent in blocks of BER_BLOCK_BITS that carry the phase sum and the noise
+    generator from block to block, so the rate is exactly that of one call
+    over the whole row while memory stays bounded by the block size.
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
     bit_ss, noise_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    # one transmission, sent as a one-row block so that bits stay an array
-    bits = np.random.default_rng(bit_ss).integers(0, 2, (1, n_bits))
-    noise_cfg = replace(cfg, seed=int(noise_ss.generate_state(1, np.uint64)[0]))
-    rx = channel_apply(modulate(bits, cfg), noise_cfg)
-    return float(np.mean(demodulate(rx, cfg) != bits))
+    bit_rng = np.random.default_rng(bit_ss)
+    # the generator a one-row channel_apply call would seed for row 0
+    noise_rng = np.random.default_rng(int(noise_ss.generate_state(1, np.uint64)[0]))
+    phase = np.zeros(1)
+    errors = 0
+    for start in range(0, n_bits, BER_BLOCK_BITS):
+        bits = bit_rng.integers(0, 2, (1, min(BER_BLOCK_BITS, n_bits - start)))
+        rx = channel_apply(modulate(bits, cfg, phase), cfg, noise_rng)
+        errors += int(np.count_nonzero(demodulate(rx, cfg) != bits))
+    return errors / n_bits

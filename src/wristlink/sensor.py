@@ -119,8 +119,10 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
     The optional label is attached in memory; the file carries none.
     """
     path = Path(path)
-    # a non-ASCII byte decodes to U+FFFD, which no row or header matches
-    lines = path.read_text(encoding="ascii", errors="replace").splitlines()
+    # a non-ASCII byte decodes to U+FFFD, which no row or header matches;
+    # read_text has turned \r\n and \r into \n, and splitting on \n alone
+    # keeps a form feed or other line-like control character inside its row
+    lines = path.read_text(encoding="ascii", errors="replace").split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wristlink
 from wristlink.cli import main
 from wristlink.classify import CalibrationProfile, load_profile, save_profile
 from wristlink.sensor import GestureKind, generate_gesture, load_trace, save_trace
@@ -193,6 +198,28 @@ class TestBer:
         assert out == ""
         assert not (tmp_path / "ber.csv").exists()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_memory_does_not_grow_with_bits(self, tmp_path):
+        # a fresh parent process, so RUSAGE_CHILDREN sees only the ber run;
+        # sending 2M bits as one row would peak at over 500 MiB
+        probe = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = str(Path(wristlink.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", probe,
+                sys.executable, "-m", "wristlink", "ber", "--points", "1",
+                "--bits", "2000000", "--out", str(tmp_path),
+            ],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert int(proc.stdout) / 1024 < 150  # MiB
+
 
 class TestClassify:
     def test_demo_on_window_17(self, capsys):
@@ -314,3 +341,40 @@ class TestMisc:
         code, _, err = run(capsys, "classify", "--trace", str(p))
         assert code == 1
         assert "line 1" in err
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "command, keys, bad",
+        [
+            ("simulate", {"demo": "on", "loss": "0.1"}, "loss"),
+            ("simulate", {"demo": "on", "noise": True}, "noise"),
+            ("simulate", {"demo": "on", "seed": True}, "seed"),
+            ("simulate", {"demo": "on", "latency": 10.0}, "latency"),
+            ("simulate", {"demo": "on", "no_pir": 1}, "no_pir"),
+            ("simulate", {"demo": ["on"]}, "demo"),
+            ("classify", {"demo": "on", "window": 2.5}, "window"),
+            ("ber", {"bits": 2.5}, "bits"),
+            ("ber", {"sigma_max": "2"}, "sigma_max"),
+            ("gen", {"kind": 3}, "kind"),
+            ("calibrate", {"margin_lo": None}, "margin_lo"),
+        ],
+    )
+    def test_mismatched_type_is_usage_error(self, tmp_path, capsys, command, keys, bad):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(keys))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command != "classify":
+            argv += ["--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert repr(bad) in err
+        assert not out.exists()
+
+    def test_int_accepted_as_float(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"sigma_min": 0, "sigma_max": 0, "points": 1, "bits": 500}))
+        code, _, _ = run(capsys, "ber", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "ber.csv").read_text().splitlines() == ["noise_sigma,ber", "0,0"]

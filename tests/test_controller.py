@@ -1,3 +1,4 @@
+import math
 from collections import deque
 from dataclasses import replace
 from random import Random
@@ -189,6 +190,22 @@ class TestRunPipeline:
         # mean stays inside the vertical capture range
         for t, action in result.actions:
             assert action is Action.ON
+
+    @pytest.mark.parametrize("sigma", [0.6, 0.8, 1.0])
+    def test_frames_corrupted_matches_frame_error_rate(self, sigma):
+        # a frame is corrupted when any of its 48 bits flips; bits flip
+        # independently at the noncoherent BFSK rate 1/2 exp(-2/sigma^2).
+        # The few corrupted frames that pass the CRC bias this low by far
+        # less than the tolerance.
+        n = 3000
+        result = run_pipeline(
+            vertical_trace(n, seed=5),
+            modem_cfg=ModemConfig(noise_sigma=sigma, seed=2017),
+            pir_at=None,
+        )
+        p = 1 - (1 - 0.5 * math.exp(-2.0 / sigma**2)) ** 48
+        z = (result.frames_corrupted - n * p) / math.sqrt(n * p * (1 - p))
+        assert abs(z) < 3, f"{result.frames_corrupted} of {n} vs {n * p:.1f}: z={z:.2f}"
 
     def test_pir_after_debounced_emission_misses_the_action(self):
         # the gesture's single debounced ON fires at t=330, before the

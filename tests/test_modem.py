@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wristlink.framing import CodecFrame, WatchMode, serialize
 from wristlink.modem import (
+    BER_BLOCK_BITS,
     ModemConfig,
     channel_apply,
     demodulate,
@@ -23,6 +24,23 @@ NOISY = ModemConfig(noise_sigma=0.6, seed=3)
 # near 0.0002 / 0.07 / 0.21 / 0.30 / 0.41, far enough apart that monotonicity
 # is robust at 10^4 bits
 SWEEP_SIGMAS = (0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+def whole_row_ber(cfg: ModemConfig, n_bits: int) -> float:
+    """measure_ber as one call per stage over the whole transmission: the
+    bits as one row, its noise from the noise sub-seed as row 0's seed."""
+    bit_ss, noise_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    bits = np.random.default_rng(bit_ss).integers(0, 2, (1, n_bits))
+    noise_cfg = replace(cfg, seed=int(noise_ss.generate_state(1, np.uint64)[0]))
+    rx = channel_apply(modulate(bits, cfg), noise_cfg)
+    return float(np.mean(demodulate(rx, cfg) != bits))
+
+
+def bfsk_ber(sigma: float) -> float:
+    """Noncoherent orthogonal BFSK bit error rate, 1/2 exp(-Eb/2N0) (Proakis,
+    Digital Communications): Eb = 8 for a unit tone over 16 samples, and
+    N0 = 2 sigma^2, so 1/2 exp(-2/sigma^2) at the modem defaults."""
+    return 0.5 * math.exp(-2.0 / sigma**2)
 
 
 class TestConfig:
@@ -101,6 +119,31 @@ class TestModulate:
         bits = [0, 1, 1, 0]
         np.testing.assert_array_equal(modulate(iter(bits), CLEAN), modulate(bits, CLEAN))
 
+    @pytest.mark.parametrize("spb", [13, 16, 17])
+    def test_phase_carry_splits_exactly(self, spb):
+        # pieces of uneven length, one of them empty, with one carry array
+        cfg = ModemConfig(samples_per_bit=spb)
+        bits = np.random.default_rng(spb).integers(0, 2, (3, 5000))
+        whole = modulate(bits, cfg)
+        phase = np.zeros(3)
+        cuts = [0, 1, 1, 2048, 2049, 4096, 5000]
+        pieces = [modulate(bits[:, a:b], cfg, phase) for a, b in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole)
+
+    def test_phase_carry_on_one_row(self):
+        bits = np.random.default_rng(2).integers(0, 2, 9000)
+        phase = np.zeros(())
+        pieces = [modulate(bits[a : a + 4096], CLEAN, phase) for a in range(0, 9000, 4096)]
+        np.testing.assert_array_equal(np.concatenate(pieces), modulate(bits, CLEAN))
+        assert phase > 0
+
+    @pytest.mark.parametrize(
+        "phase", [np.zeros(2), np.zeros(3, dtype=np.float32), [0.0, 0.0, 0.0]]
+    )
+    def test_phase_must_be_float64_row_array(self, phase):
+        with pytest.raises(ValueError, match="phase"):
+            modulate(np.zeros((3, 4), dtype=int), CLEAN, phase)
+
 
 class TestChannel:
     def test_identity_when_clean(self):
@@ -128,6 +171,22 @@ class TestChannel:
     def test_empty_waveform_with_noise(self):
         assert channel_apply(np.zeros(0), NOISY).size == 0
         assert channel_apply(np.zeros((3, 0)), NOISY).shape == (3, 0)
+
+    def test_rng_draws_chunks_in_order(self):
+        # one generator over pieces of a row gives the noise of one draw,
+        # which is row 0's noise for that generator's seed
+        cfg = ModemConfig(noise_sigma=0.9, channel_attenuation=0.6, seed=77)
+        wave = modulate(np.random.default_rng(4).integers(0, 2, (1, 700)), cfg)
+        rng = np.random.default_rng(77)
+        cuts = [0, 5, 5, 4096, 6000, wave.shape[1]]
+        pieces = [channel_apply(wave[:, a:b], cfg, rng) for a, b in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), channel_apply(wave, cfg))
+
+    def test_rng_rows_draw_in_order(self):
+        cfg = ModemConfig(noise_sigma=0.4, seed=3)
+        out = channel_apply(np.zeros((3, 20)), cfg, np.random.default_rng(8))
+        expected = np.random.default_rng(8).normal(0.0, 0.4, 60).reshape(3, 20)
+        np.testing.assert_array_equal(out, expected)
 
     def test_scalar_waveform_with_noise(self):
         out = channel_apply(0.5, NOISY)
@@ -196,6 +255,25 @@ class TestMeasureBer:
     def test_n_bits_validated(self):
         with pytest.raises(ValueError):
             measure_ber(CLEAN, 0)
+
+    @pytest.mark.parametrize(
+        "n_bits",
+        [1, BER_BLOCK_BITS - 1, BER_BLOCK_BITS, BER_BLOCK_BITS + 1, 3 * BER_BLOCK_BITS + 7, 50_000],
+    )
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("attenuation", [1.0, 0.6])
+    def test_blocks_equal_the_whole_row(self, n_bits, seed, sigma, attenuation):
+        cfg = ModemConfig(noise_sigma=sigma, channel_attenuation=attenuation, seed=seed)
+        assert measure_ber(cfg, n_bits) == whole_row_ber(cfg, n_bits)
+
+    @pytest.mark.parametrize("sigma", [0.6, 0.8, 1.0, 1.5, 2.0])
+    def test_matches_noncoherent_bfsk_rate(self, sigma):
+        n = 400_000
+        p = bfsk_ber(sigma)
+        rate = measure_ber(ModemConfig(noise_sigma=sigma, seed=2017), n)
+        z = (rate - p) / math.sqrt(p * (1 - p) / n)
+        assert abs(z) < 3, f"rate {rate} vs {p:.6g}: z={z:.2f}"
 
 
 class TestFrameBlocks:

@@ -99,6 +99,19 @@ class TestLoadTrace:
         with pytest.raises(TraceFormatError, match="line 3"):
             load_trace(p)
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    @pytest.mark.parametrize("tail", ["", "20,1,2,3\n"])
+    def test_line_like_control_character_stays_in_its_row(self, tmp_path, char, tail):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(f"t_ms,x,y,z\n0,1,2,3{char}\n{tail}".encode("utf-8"))
+        with pytest.raises(TraceFormatError, match="line 1: .*got '0,1,2,3"):
+            load_trace(p)
+
+    def test_crlf_file_loads(self, tmp_path):
+        p = tmp_path / "crlf.csv"
+        p.write_bytes(b"t_ms,x,y,z\r\n0,100,200,277\r\n20,101,199,279\r\n")
+        assert [s.t for s in load_trace(p)] == [0, 20]
+
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("0,100,200,277\n")
