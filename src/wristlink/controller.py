@@ -23,7 +23,7 @@ from .classify import Action, CalibrationProfile, Debouncer, classify_window
 from .framing import CodecFrame, WatchMode, deserialize, serialize
 from .link import EventKind, LinkConfig, LinkEvent, LinkSimulator
 from .modem import ModemConfig, channel_apply, demodulate, modulate
-from .sensor import AccelSample, Trace
+from .sensor import Trace
 
 # Frames per radio-path block. Outputs do not depend on it, but peak memory
 # grows with it (a frame is 768 float64 waveform samples at the modem
@@ -194,7 +194,7 @@ def run_pipeline(
                 frames_corrupted += 1
                 log.append(f"[t={sample.t}] FRAME_CORRUPTED codec integrity check failed")
                 continue
-            sim.transmit_sample(AccelSample(t=sample.t, x=x, y=y, z=z))
+            sim.transmit_sample(CodecFrame(WatchMode.ACC, x, y, z))
 
     advance(samples[-1].t + link_cfg.latency)
 

@@ -113,8 +113,16 @@ class CodecFrame:
 
 
 def _protected_crc(protected):
-    """CRC-8 of 32-bit protected word(s), most significant byte first."""
-    return crc8((protected >> shift) & 0xFF for shift in (24, 16, 8, 0))
+    """CRC-8 of 32-bit protected word(s), most significant byte first.
+
+    The same loop as crc8, with the table picked once per word rather than
+    once per byte.
+    """
+    table = _CRC8_ARRAY if isinstance(protected, np.ndarray) else CRC8_TABLE
+    crc = 0
+    for shift in (24, 16, 8, 0):
+        crc = table[crc ^ ((protected >> shift) & 0xFF)]
+    return crc
 
 
 def _wire_word(mode, x, y, z):

@@ -153,12 +153,14 @@ class LinkSimulator:
         self.watch_mode = mode
         return self._record(LinkEvent(self.now, EventKind.MODE_SET, mode.name))
 
-    def transmit_sample(self, sample: AccelSample) -> LinkEvent:
+    def transmit_sample(self, sample: AccelSample | CodecFrame) -> LinkEvent:
         """Send one accelerometer sample as an ACC frame.
 
-        Requires a started access point and ACC mode. The frame is delivered
-        after the configured latency, or lost with the configured
-        probability; the returned event is FRAME_LOST in that case.
+        `sample` is an AccelSample, or the ACC CodecFrame already built from
+        one, which goes on the link as it is. Requires a started access
+        point and ACC mode. The frame is delivered after the configured
+        latency, or lost with the configured probability; the returned event
+        is FRAME_LOST in that case.
         """
         if self.ap_state is AccessPointState.NOT_STARTED:
             raise ProtocolError("access point not started: frame rejected")
@@ -167,7 +169,12 @@ class LinkSimulator:
                 f"watch mode {self.watch_mode.name} does not stream data;"
                 " set ACC mode first"
             )
-        frame = CodecFrame(mode=WatchMode.ACC, x=sample.x, y=sample.y, z=sample.z)
+        if isinstance(sample, CodecFrame):
+            if sample.mode is not WatchMode.ACC:
+                raise ValueError(f"only ACC frames carry samples, got {sample.mode.name}")
+            frame = sample
+        else:
+            frame = CodecFrame(mode=WatchMode.ACC, x=sample.x, y=sample.y, z=sample.z)
         frame_id = self._next_frame_id
         self._next_frame_id += 1
         self.sent_count += 1

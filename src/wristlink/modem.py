@@ -21,6 +21,7 @@ row in fixed-size blocks.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,84 @@ import numpy as np
 # bits per block of a measure_ber transmission: 65,536 samples (512 KiB of
 # float64) at the default 16 samples per bit
 BER_BLOCK_BITS = 4096
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..n, as uint32."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# numpy.random.SeedSequence's uint32 hash (numpy/random/bit_generator.pyx).
+# Its hash constant advances on every call whatever the data, so the
+# sequence is fixed: mixing the 4-word entropy pool takes 4 + 4 * 3 hashmix
+# calls, and generate_state(4, np.uint64) draws 8 uint32 words.
+_MIX_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _seed_state_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for every uint64 seed s.
+
+    Returns a C-contiguous (n, 4) uint64 array, one row per seed, computed
+    with array operations instead of one SeedSequence per seed. A seed below
+    2**32 is one entropy word and a larger one two, but SeedSequence hashes
+    a missing pool word exactly as a zero word, so every seed is hashed as
+    the pool (low 32 bits, high 32 bits, 0, 0).
+    """
+    c = _MIX_CONSTANTS
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = (seeds & 0xFFFFFFFF).astype(np.uint32)
+    pool[1] = (seeds >> 32).astype(np.uint32)
+    # hashmix(v) with constants k, k + 1: v ^= c[k]; v *= c[k + 1]; v ^= v >> 16
+    pool ^= c[:4, None]
+    pool *= c[1:5, None]
+    pool ^= pool >> 16
+    # then each word is mixed into the other three, in order; the three
+    # updates of one source word read only it and their own word, so they
+    # run as one (3, n) step with hash constants k, k + 1, k + 2
+    for src in range(4):
+        k = 4 + 3 * src
+        dst = [d for d in range(4) if d != src]
+        h = pool[src] ^ c[k : k + 3, None]
+        h *= c[k + 1 : k + 4, None]
+        h ^= h >> 16
+        # mix(x, y) = (L * x - R * y) ^ ((L * x - R * y) >> 16)
+        mixed = pool[dst] * _MIX_MULT_L
+        mixed -= h * _MIX_MULT_R
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    state = pool[[0, 1, 2, 3, 0, 1, 2, 3]]
+    state ^= _STATE_CONSTANTS[:8, None]
+    state *= _STATE_CONSTANTS[1:, None]
+    state ^= state >> 16
+    # uint32 words 2j and 2j + 1 are the low and high halves of uint64 word j
+    state = state.astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+@functools.cache
+def _state_words_type():
+    """The seed sequence type that hands PCG64 precomputed state words.
+
+    Defined on first use: its base class lives in numpy.random, which
+    importing wristlink does not load.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for 4 uint64 words and seeds its 128-bit LCG from them
+            return self.words
+
+    return StateWords
 
 
 @dataclass(frozen=True)
@@ -108,9 +187,11 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
     """Scale by channel_attenuation and add seeded zero-mean Gaussian noise.
 
     Row i of a 2-D waveform (the whole of a 1-D one, as row 0) draws its
-    noise from default_rng((seed + i) % 2**64). Given a Generator `rng`, the
-    rows instead draw from it in order, so a waveform sent in pieces with one
-    generator gets exactly the noise of one draw over the whole.
+    noise from default_rng((seed + i) % 2**64); the rows' seed words are
+    hashed in one pass (_seed_state_words), so no SeedSequence is built per
+    row. Given a Generator `rng`, the rows instead draw from it in order, so
+    a waveform sent in pieces with one generator gets exactly the noise of
+    one draw over the whole.
     """
     out = np.asarray(waveform, dtype=float) * cfg.channel_attenuation
     if cfg.noise_sigma > 0 and out.size:
@@ -118,8 +199,14 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
         if rng is not None:
             rng.standard_normal(out=noise)
         else:
-            for i, row in enumerate(noise.reshape(-1, out.shape[-1] if out.ndim else 1)):
-                np.random.default_rng((cfg.seed + i) % 2**64).standard_normal(out=row)
+            from numpy.random import PCG64, Generator
+
+            rows = noise.reshape(-1, out.shape[-1] if out.ndim else 1)
+            seeds = np.uint64(cfg.seed % 2**64) + np.arange(len(rows), dtype=np.uint64)
+            state_words = _state_words_type()
+            # default_rng(s) is Generator(PCG64(SeedSequence(s)))
+            for row, words in zip(rows, _seed_state_words(seeds)):
+                Generator(PCG64(state_words(words))).standard_normal(out=row)
         noise *= cfg.noise_sigma
         out += noise
     return out

@@ -115,15 +115,17 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
     """Parse a CSV trace file (`t_ms,x,y,z` header, one sample per row).
 
     Each field is ASCII decimal digits only. An empty file yields an empty
-    trace. Errors report the offending data row as a 1-based line number.
-    The optional label is attached in memory; the file carries none.
+    trace. Empty lines at the end of the file are ignored; any other line,
+    whitespace-only ones included, must be a data row. Errors report the
+    offending data row as a 1-based line number. The optional label is
+    attached in memory; the file carries none.
     """
     path = Path(path)
     # a non-ASCII byte decodes to U+FFFD, which no row or header matches;
     # read_text has turned \r\n and \r into \n, and splitting on \n alone
     # keeps a form feed or other line-like control character inside its row
     lines = path.read_text(encoding="ascii", errors="replace").split("\n")
-    while lines and not lines[-1].strip():
+    while lines and not lines[-1]:
         lines.pop()
     if not lines:
         return Trace((), label=label)

@@ -16,7 +16,7 @@ from wristlink.controller import (
 from wristlink.framing import CodecFrame, DecodeError, WatchMode, deserialize, serialize
 from wristlink.link import EventKind, LinkConfig, LinkSimulator
 from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
-from wristlink.sensor import AccelSample, GestureKind, Trace, generate_gesture
+from wristlink.sensor import AccelSample, GestureKind, Trace, check_counts, generate_gesture
 
 
 class TestHomeController:
@@ -147,6 +147,22 @@ class TestRunPipeline:
             if e.kind is EventKind.FRAME_DELIVERED
         ]
         assert delivered == [(s.x, s.y, s.z) for s in trace]
+
+    def test_each_frame_range_checked_once(self, monkeypatch):
+        # one check for the frame encoded from each sample and one for the
+        # frame decoded from its bits, which goes on the link as it is
+        trace = vertical_trace(200, seed=9)
+        calls = []
+
+        def counting_check(x, y, z):
+            calls.append((x, y, z))
+            return check_counts(x, y, z)
+
+        monkeypatch.setattr("wristlink.framing.check_counts", counting_check)
+        monkeypatch.setattr("wristlink.sensor.check_counts", counting_check)
+        result = run_pipeline(trace, pir_at=0)
+        assert result.frames_sent == 200
+        assert len(calls) == 2 * 200
 
     def test_idle_trace_never_acts(self):
         result = run_pipeline(generate_gesture(GestureKind.OTHER, 32, seed=3), pir_at=0)

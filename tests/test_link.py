@@ -12,7 +12,7 @@ from wristlink.link import (
     LinkSimulator,
     ProtocolError,
 )
-from wristlink.framing import WatchMode
+from wristlink.framing import CodecFrame, WatchMode
 from wristlink.sensor import AccelSample
 
 
@@ -107,6 +107,21 @@ class TestTransmit:
         assert len(delivered) == 1
         assert delivered[0].t == 10
         assert delivered[0].frame.z == 277
+
+    def test_frame_goes_on_the_link_as_given(self):
+        sim = started_sim(latency=10)
+        frame = CodecFrame(WatchMode.ACC, 100, 200, 277)
+        sent = sim.transmit_sample(frame)
+        (delivered,) = [e for e in sim.run_until(10) if e.kind is EventKind.FRAME_DELIVERED]
+        assert sent.frame is frame and delivered.frame is frame
+        assert sent.log_line() == "[t=0] FRAME_SENT frame=0 mode=ACC x=100 y=200 z=277"
+
+    @pytest.mark.parametrize("mode", [WatchMode.IDLE, WatchMode.PPT, WatchMode.SYNC])
+    def test_non_acc_frame_rejected(self, mode):
+        sim = started_sim()
+        with pytest.raises(ValueError, match=mode.name):
+            sim.transmit_sample(CodecFrame(mode, 1, 2, 3))
+        assert sim.sent_count == 0 and sim.events[-1].kind is EventKind.MODE_SET
 
     def test_certain_loss_delivers_nothing(self):
         sim = started_sim(loss_probability=1.0, latency=10)

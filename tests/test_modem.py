@@ -1,15 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wristlink
 from wristlink.framing import CodecFrame, WatchMode, serialize
 from wristlink.modem import (
     BER_BLOCK_BITS,
     ModemConfig,
+    _seed_state_words,
     channel_apply,
     demodulate,
     measure_ber,
@@ -304,3 +310,51 @@ class TestFrameBlocks:
         for i in range(2):
             expected = np.random.default_rng(41 + i).normal(0.0, 0.7, 32)
             np.testing.assert_array_equal(out[i], expected)
+
+
+# seeds at the edges of the one- and two-word SeedSequence entropy forms
+BOUNDARY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1)
+
+
+class TestBlockSeeding:
+    """The rows' seed words are hashed in one pass, as SeedSequence would."""
+
+    def test_seed_words_equal_seed_sequence(self):
+        rng = np.random.default_rng(2017)
+        # random seeds of every width, so one- and two-word entropy both occur
+        full = rng.integers(0, 2**64, 2000, dtype=np.uint64)
+        shifted = full >> rng.integers(0, 64, 2000).astype(np.uint64)
+        seeds = [*BOUNDARY_SEEDS, *shifted.tolist()]
+        words = _seed_state_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        assert words.flags.c_contiguous
+        for s, row in zip(seeds, words):
+            expected = np.random.SeedSequence(s).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, expected, err_msg=f"seed {s}")
+
+    @pytest.mark.parametrize("seed", [2**32 - 3, 2**64 - 3])
+    def test_rows_equal_default_rng_across_word_boundaries(self, seed):
+        # rows 0..5 cross 2**32 (one entropy word to two) or wrap past 2**64
+        cfg = ModemConfig(noise_sigma=0.9, seed=seed)
+        out = channel_apply(np.zeros((6, 40)), cfg)
+        for i in range(6):
+            rng = np.random.default_rng((seed + i) % 2**64)
+            np.testing.assert_array_equal(out[i], rng.standard_normal(40) * 0.9)
+
+    def test_import_does_not_load_numpy_random(self):
+        # numpy.random is imported on the first noisy channel_apply, so the
+        # package import costs no more than numpy's own; numpy releases
+        # before 2.0 load numpy.random with numpy itself
+        src = str(Path(wristlink.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+        def loads_numpy_random(module):
+            code = f"import sys, {module}; print('numpy.random' in sys.modules)"
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            return proc.stdout.strip() == "True"
+
+        assert loads_numpy_random("wristlink") == loads_numpy_random("numpy")

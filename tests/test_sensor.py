@@ -107,6 +107,19 @@ class TestLoadTrace:
         with pytest.raises(TraceFormatError, match="line 1: .*got '0,1,2,3"):
             load_trace(p)
 
+    @pytest.mark.parametrize("last", ["\x0c", "\t", " "])
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_whitespace_last_line_rejected(self, tmp_path, last, end):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(f"t_ms,x,y,z\n0,1,2,3\n{last}{end}".encode("ascii"))
+        with pytest.raises(TraceFormatError, match="line 2"):
+            load_trace(p)
+
+    def test_trailing_empty_lines_ignored(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("t_ms,x,y,z\n0,1,2,3\n\n\n")
+        assert [s.t for s in load_trace(p)] == [0]
+
     def test_crlf_file_loads(self, tmp_path):
         p = tmp_path / "crlf.csv"
         p.write_bytes(b"t_ms,x,y,z\r\n0,100,200,277\r\n20,101,199,279\r\n")
