@@ -27,7 +27,7 @@ from .controller import (
     PirState,
     run_pipeline,
 )
-from .demo import demo_csv_path, demo_trace, write_demo_traces
+from .demo import demo_csv_path, demo_trace
 from .framing import (
     CodecFrame,
     CrcMismatchError,
@@ -116,5 +116,4 @@ __all__ = [
     "save_trace",
     "serialize",
     "window_mean",
-    "write_demo_traces",
 ]

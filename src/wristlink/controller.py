@@ -45,39 +45,21 @@ class ApplianceState:
 class HomeController:
     """Appliance state machine gated on passive-infrared presence detection.
 
-    Arming is sticky by default; pass `arm_timeout_ms` to drop back to
-    unarmed when an action arrives more than that long after the last
-    trigger.
+    Arming is sticky: once triggered, the controller stays armed.
     """
 
-    def __init__(
-        self,
-        appliance_name: str = "light",
-        log: list[str] | None = None,
-        arm_timeout_ms: int | None = None,
-    ):
+    def __init__(self, log: list[str] | None = None):
         self.pir = PirState.UNARMED
-        self.last_trigger_t: int | None = None
-        self.appliance = ApplianceState(name=appliance_name)
+        self.appliance = ApplianceState()
         self.log = log if log is not None else []
-        self.arm_timeout_ms = arm_timeout_ms
 
     def pir_trigger(self, t: int) -> None:
-        """Arm the controller; re-triggering refreshes the timestamp."""
+        """Arm the controller; re-triggering keeps it armed."""
         self.pir = PirState.ARMED
-        self.last_trigger_t = t
         self.log.append(f"[t={t}] PIR TRIGGERED")
 
     def apply_action(self, action: Action, t: int) -> ApplianceState:
         """Honor a debounced action while armed; log real transitions only."""
-        if (
-            self.pir is PirState.ARMED
-            and self.arm_timeout_ms is not None
-            and self.last_trigger_t is not None
-            and t - self.last_trigger_t > self.arm_timeout_ms
-        ):
-            self.pir = PirState.UNARMED
-            self.log.append(f"[t={t}] PIR DISARMED")
         if self.pir is not PirState.ARMED:
             return self.appliance
         if action is Action.ON and not self.appliance.powered:

@@ -23,7 +23,6 @@ from .sensor import (
     AccelSample,
     GestureKind,
     Trace,
-    save_trace,
 )
 
 INACTIVE_COUNT = 200
@@ -61,15 +60,3 @@ def demo_csv_path(name: str) -> Path:
     if name not in DEMO_NAMES:
         raise ValueError(f"unknown demo trace {name!r}; choose from {DEMO_NAMES}")
     return Path(str(resources.files("wristlink").joinpath("data", f"demo_{name}.csv")))
-
-
-def write_demo_traces(out_dir) -> list[Path]:
-    """Write all three fixtures into a directory; returns the paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name in DEMO_NAMES:
-        path = out_dir / f"demo_{name}.csv"
-        save_trace(demo_trace(name), path)
-        paths.append(path)
-    return paths

@@ -12,7 +12,7 @@ flight, so watch->AP and AP->watch transmissions can never overlap.
 """
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -78,13 +78,6 @@ class LinkEvent:
         return f"[t={self.t}] {self.kind.value}"
 
 
-def _frame_detail(frame_id: int, frame: CodecFrame) -> str:
-    return (
-        f"frame={frame_id} mode={frame.mode.name}"
-        f" x={frame.x} y={frame.y} z={frame.z}"
-    )
-
-
 class LinkSimulator:
     """Single-owner discrete-event simulation of the watch/access-point link.
 
@@ -105,10 +98,7 @@ class LinkSimulator:
         self.lost_count = 0
         self.acc_resets = 0  # re-entries into ACC mode after leaving it
         self._rng = Random(self.cfg.seed)
-        self._pending: list[tuple[int, int, int, CodecFrame]] = []  # (deliver_t, seq, id, frame)
-        self._seq = 0
-        self._next_frame_id = 0
-        self._acquire_announced = False
+        self._in_flight: deque[LinkEvent] = deque()  # FRAME_SENT events, in send order
         self._acc_seen = False
 
     def _record(self, event: LinkEvent, extra_line: str | None = None) -> LinkEvent:
@@ -120,7 +110,7 @@ class LinkSimulator:
 
     @property
     def frames_in_flight(self) -> int:
-        return len(self._pending)
+        return len(self._in_flight)
 
     def ap_start(self) -> LinkEvent:
         """Start the access point; valid exactly once per session."""
@@ -140,7 +130,7 @@ class LinkSimulator:
         """
         if self.ap_state is AccessPointState.NOT_STARTED:
             raise ProtocolError("access point not started")
-        if self._pending:
+        if self._in_flight:
             raise ProtocolError(
                 "half-duplex violation: cannot acknowledge a mode change"
                 " while a frame is in flight"
@@ -175,17 +165,17 @@ class LinkSimulator:
             frame = sample
         else:
             frame = CodecFrame(mode=WatchMode.ACC, x=sample.x, y=sample.y, z=sample.z)
-        frame_id = self._next_frame_id
-        self._next_frame_id += 1
+        frame_id = self.sent_count
         self.sent_count += 1
-        sent = LinkEvent(
-            self.now,
-            EventKind.FRAME_SENT,
-            _frame_detail(frame_id, frame),
-            frame_id=frame_id,
-            frame=frame,
+        sent = self._record(
+            LinkEvent(
+                self.now,
+                EventKind.FRAME_SENT,
+                f"frame={frame_id} mode=ACC x={frame.x} y={frame.y} z={frame.z}",
+                frame_id=frame_id,
+                frame=frame,
+            )
         )
-        self._record(sent)
         if self._rng.random() < self.cfg.loss_probability:
             self.lost_count += 1
             return self._record(
@@ -197,38 +187,39 @@ class LinkSimulator:
                     frame=frame,
                 )
             )
-        self._seq += 1
-        heapq.heappush(
-            self._pending, (self.now + self.cfg.latency, self._seq, frame_id, frame)
-        )
+        self._in_flight.append(sent)
         return sent
 
     def run_until(self, t: int) -> list[LinkEvent]:
-        """Advance virtual time to t, processing due deliveries in order."""
+        """Advance virtual time to t, delivering the frames due by then.
+
+        Time never runs backwards and latency is fixed, so the frames in
+        flight are due in send order, each at its send time + latency.
+        """
         if t < self.now:
             raise ValueError(f"cannot run backwards: t={t} < now={self.now}")
         emitted: list[LinkEvent] = []
-        while self._pending and self._pending[0][0] <= t:
-            deliver_t, _, frame_id, frame = heapq.heappop(self._pending)
-            self.now = deliver_t
+        latency = self.cfg.latency
+        while self._in_flight and self._in_flight[0].t + latency <= t:
+            sent = self._in_flight.popleft()
+            self.now = sent.t + latency
             self.delivered_count += 1
             emitted.append(
                 self._record(
                     LinkEvent(
-                        deliver_t,
+                        self.now,
                         EventKind.FRAME_DELIVERED,
-                        _frame_detail(frame_id, frame),
-                        frame_id=frame_id,
-                        frame=frame,
+                        sent.detail,
+                        frame_id=sent.frame_id,
+                        frame=sent.frame,
                     )
                 )
             )
-            if not self._acquire_announced:
-                self._acquire_announced = True
+            if self.ap_state is not AccessPointState.ACQUIRING:
                 self.ap_state = AccessPointState.ACQUIRING
                 emitted.append(
                     self._record(
-                        LinkEvent(deliver_t, EventKind.ACQUIRE_ANNOUNCED),
+                        LinkEvent(self.now, EventKind.ACQUIRE_ANNOUNCED),
                         extra_line=ACQUIRING_MESSAGE,
                     )
                 )

@@ -117,6 +117,23 @@ class TestSimulate:
         assert flag in err
         assert not (tmp_path / "simulation.log").exists()
 
+    def test_negative_pir_at_flag_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--demo", "on", "--pir-at", "-1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "--pir-at" in err
+        assert not (tmp_path / "simulation.log").exists()
+
+    def test_negative_pir_at_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"demo": "on", "pir_at": -1}))
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert "--pir-at" in err
+        assert not (out_dir / "simulation.log").exists()
+
     def test_no_pir_leaves_appliance_off(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "simulate", "--demo", "on", "--no-pir", "--out", str(tmp_path),

@@ -8,7 +8,6 @@ import pytest
 from wristlink.classify import Action, CalibrationProfile, Debouncer, classify_window
 from wristlink.controller import (
     PHY_BLOCK_FRAMES,
-    ApplianceState,
     HomeController,
     PirState,
     run_pipeline,
@@ -25,7 +24,6 @@ class TestHomeController:
         assert ctrl.pir is PirState.UNARMED
         ctrl.pir_trigger(5)
         assert ctrl.pir is PirState.ARMED
-        assert ctrl.last_trigger_t == 5
         assert ctrl.log == ["[t=5] PIR TRIGGERED"]
 
     def test_retrigger_refreshes_timestamp(self):
@@ -33,7 +31,6 @@ class TestHomeController:
         ctrl.pir_trigger(5)
         ctrl.pir_trigger(9)
         assert ctrl.pir is PirState.ARMED
-        assert ctrl.last_trigger_t == 9
 
     def test_armed_on_powers_appliance(self):
         ctrl = HomeController()
@@ -71,21 +68,6 @@ class TestHomeController:
         ctrl.apply_action(Action.ON, 10)
         ctrl.apply_action(Action.DO_NOTHING, 20)
         assert ctrl.appliance.powered is True
-
-    def test_optional_arm_timeout(self):
-        ctrl = HomeController(arm_timeout_ms=100)
-        ctrl.pir_trigger(0)
-        ctrl.apply_action(Action.ON, 50)
-        assert ctrl.appliance.powered is True
-        ctrl.apply_action(Action.OFF, 200)  # stale arming: ignored
-        assert ctrl.appliance.powered is True
-        assert ctrl.pir is PirState.UNARMED
-
-    def test_custom_appliance_name(self):
-        ctrl = HomeController(appliance_name="fan")
-        ctrl.pir_trigger(0)
-        ctrl.apply_action(Action.ON, 1)
-        assert ctrl.appliance == ApplianceState(name="fan", powered=True)
 
 
 def vertical_trace(n=32, seed=1):

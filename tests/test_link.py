@@ -2,6 +2,9 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from wristlink.link import (
     ACQUIRING_MESSAGE,
@@ -272,3 +275,155 @@ def test_latency_must_be_plain_int(latency):
     # a float latency would put float timestamps into the [t=...] log lines
     with pytest.raises(ValueError, match="latency"):
         LinkConfig(latency=latency)
+
+
+class LinkMachine(RuleBasedStateMachine):
+    """Drive LinkSimulator against a plain model of the fixed-latency link.
+
+    On each advance the model delivers every frame in flight that is due
+    (send time + latency) by the new time, ordered by due time and then by
+    send order. Loss mirrors the simulator's one `Random(seed).random()`
+    draw per transmitted frame.
+    """
+
+    @initialize(
+        latency=st.integers(0, 40),
+        loss=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**32),
+        streaming=st.booleans(),
+    )
+    def setup(self, latency, loss, seed, streaming):
+        self.cfg = LinkConfig(loss_probability=loss, latency=latency, seed=seed)
+        self.sim = LinkSimulator(self.cfg)
+        self.loss_rng = Random(seed)
+        self.started = False
+        self.mode = WatchMode.IDLE
+        self.acc_seen = False
+        self.acc_resets = 0
+        self.announced = False
+        self.sent = self.delivered = self.lost = 0
+        self.in_flight = []  # (send_t, frame_id, frame)
+        self.events = []  # (t, kind, frame_id) expected in sim.events
+        if streaming:  # else sends are mostly refused until start and ACC
+            self.start()
+            self.set_mode(WatchMode.ACC)
+
+    def advance(self, dt):
+        t = self.sim.now + dt
+        latency = self.cfg.latency
+        due = sorted(f for f in self.in_flight if f[0] + latency <= t)
+        self.in_flight = [f for f in self.in_flight if f[0] + latency > t]
+        expected = []
+        for send_t, frame_id, frame in due:
+            due_t = send_t + latency
+            self.delivered += 1
+            expected.append((due_t, EventKind.FRAME_DELIVERED, frame_id, frame))
+            if not self.announced:
+                self.announced = True
+                expected.append((due_t, EventKind.ACQUIRE_ANNOUNCED, None, None))
+        emitted = self.sim.run_until(t)
+        assert [(e.t, e.kind, e.frame_id, e.frame) for e in emitted] == expected
+        for ev in emitted:
+            if ev.kind is EventKind.FRAME_DELIVERED:
+                f = ev.frame
+                assert ev.detail == (
+                    f"frame={ev.frame_id} mode=ACC x={f.x} y={f.y} z={f.z}"
+                )
+        self.events += [(t_, kind, fid) for t_, kind, fid, _ in expected]
+        assert self.sim.now == t
+
+    @rule()
+    def start(self):
+        if self.started:
+            with pytest.raises(ProtocolError):
+                self.sim.ap_start()
+            return
+        ev = self.sim.ap_start()
+        self.started = True
+        self.events.append((ev.t, EventKind.AP_STARTED, None))
+
+    @rule(dt=st.integers(0, 60))
+    def run(self, dt):
+        self.advance(dt)
+
+    @rule(back=st.integers(1, 50))
+    def run_backwards_rejected(self, back):
+        if self.sim.now == 0:
+            return
+        with pytest.raises(ValueError):
+            self.sim.run_until(self.sim.now - back)
+
+    @rule(mode=st.sampled_from(list(WatchMode)))
+    def set_mode(self, mode):
+        if not self.started or self.in_flight:
+            # unstarted access point, or half-duplex: a frame is in flight
+            with pytest.raises(ProtocolError):
+                self.sim.watch_set_mode(mode)
+            return
+        if mode is WatchMode.ACC:
+            if self.acc_seen and self.mode is not WatchMode.ACC:
+                self.acc_resets += 1
+            self.acc_seen = True
+        self.mode = mode
+        ev = self.sim.watch_set_mode(mode)
+        self.events.append((ev.t, EventKind.MODE_SET, None))
+
+    @rule(
+        dt=st.integers(0, 30) | st.just(0),
+        counts=st.tuples(*[st.integers(0, 1023)] * 3),
+        as_frame=st.booleans(),
+    )
+    def send(self, dt, counts, as_frame):
+        self.advance(dt)
+        x, y, z = counts
+        if as_frame:
+            item = CodecFrame(WatchMode.ACC, x, y, z)
+        else:
+            item = AccelSample(t=self.sim.now, x=x, y=y, z=z)
+        if not self.started or self.mode is not WatchMode.ACC:
+            with pytest.raises(ProtocolError):
+                self.sim.transmit_sample(item)
+            return
+        frame_id = self.sent
+        self.sent += 1
+        ev = self.sim.transmit_sample(item)
+        frame = CodecFrame(WatchMode.ACC, x, y, z)
+        assert ev.frame_id == frame_id and ev.frame == frame
+        t = self.sim.now
+        self.events.append((t, EventKind.FRAME_SENT, frame_id))
+        if self.loss_rng.random() < self.cfg.loss_probability:
+            self.lost += 1
+            assert ev.kind is EventKind.FRAME_LOST
+            self.events.append((t, EventKind.FRAME_LOST, frame_id))
+        else:
+            assert ev.kind is EventKind.FRAME_SENT
+            self.in_flight.append((t, frame_id, frame))
+
+    @invariant()
+    def counters_match(self):
+        sim = self.sim
+        assert (sim.sent_count, sim.delivered_count, sim.lost_count) == (
+            self.sent, self.delivered, self.lost
+        )
+        assert sim.delivered_count + sim.lost_count + sim.frames_in_flight == sim.sent_count
+        assert sim.frames_in_flight == len(self.in_flight)
+        assert sim.acc_resets == self.acc_resets
+        assert sim.watch_mode is self.mode
+
+    @invariant()
+    def state_and_events_match(self):
+        if self.announced:
+            state = AccessPointState.ACQUIRING
+        elif self.started:
+            state = AccessPointState.STARTED
+        else:
+            state = AccessPointState.NOT_STARTED
+        assert self.sim.ap_state is state
+        assert [(e.t, e.kind, e.frame_id) for e in self.sim.events] == self.events
+        assert self.sim.log.count(ACQUIRING_MESSAGE) == int(self.announced)
+
+
+LinkMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestLinkStateMachine = LinkMachine.TestCase

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wristlink.classify import Action, CalibrationProfile, classify_window
+from wristlink.demo import DEMO_NAMES, demo_csv_path, demo_trace
 from wristlink.sensor import (
     HORIZONTAL_Y_RANGE,
     IDLE_RANGE,
@@ -236,3 +237,9 @@ def test_generated_gestures_classify_correctly_across_seeds(kind):
     for seed in range(100):
         trace = generate_gesture(kind, 16, seed)
         assert classify_window(trace.samples, profile) is _EXPECTED_ACTION[kind]
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_shipped_demo_csv_matches_in_memory_fixture(name):
+    # `simulate --demo` runs the in-memory fixture; the CSV ships beside it
+    assert load_trace(demo_csv_path(name)).samples == demo_trace(name).samples
