@@ -108,8 +108,6 @@ def calibrate(
     off_traces,
     margin_lo: int = 0,
     margin_hi: int = 0,
-    window_size: int = DEFAULT_WINDOW_SIZE,
-    debounce_n: int = DEFAULT_DEBOUNCE_N,
 ) -> CalibrationProfile:
     """Fit decision bands to labeled training traces.
 
@@ -117,7 +115,8 @@ def calibrate(
     the margins; the off band spans the y values of the horizontal-motion
     traces likewise. Raises CalibrationError when input is missing, labels
     are wrong, or the widened bands overlap (the gestures are not separable
-    at these margins).
+    at these margins). The profile keeps the default window size and
+    debounce count.
     """
     on_traces = list(on_traces)
     off_traces = list(off_traces)
@@ -140,12 +139,7 @@ def calibrate(
         raise CalibrationError(
             f"bands overlap: on_band={list(on_band)} off_band={list(off_band)}"
         )
-    return CalibrationProfile(
-        on_band=on_band,
-        off_band=off_band,
-        window_size=window_size,
-        debounce_n=debounce_n,
-    )
+    return CalibrationProfile(on_band=on_band, off_band=off_band)
 
 
 class Debouncer:
@@ -214,6 +208,8 @@ def load_profile(path) -> CalibrationProfile:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="ascii"))
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"{path}: not ASCII: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -38,40 +38,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-_DEFAULTS = {
-    "gen": {"kind": "vertical", "n": 64, "seed": 0, "out": "out"},
-    "simulate": {
-        "trace": None,
-        "demo": None,
-        "profile": None,
-        "seed": 0,
-        "loss": LinkConfig.loss_probability,
-        "latency": LinkConfig.latency,
-        "noise": ModemConfig.noise_sigma,
-        "attenuation": ModemConfig.channel_attenuation,
-        "pir_at": 0,
-        "no_pir": False,
-        "out": "out",
-    },
-    "ber": {
-        "sigma_min": 0.0,
-        "sigma_max": 2.0,
-        "points": 5,
-        "bits": 10000,
-        "seed": 0,
-        "out": "out",
-    },
-    "classify": {"trace": None, "demo": None, "profile": None, "window": 0},
-    "calibrate": {
-        "on_dir": None,
-        "off_dir": None,
-        "margin_lo": 0,
-        "margin_hi": 0,
-        "out": "out",
-    },
-}
-
-
 # the simulate flag that sets each LinkConfig / ModemConfig field
 _FIELD_FLAGS = {
     "loss_probability": "--loss",
@@ -101,91 +67,114 @@ def _subseed(seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The wristlink parser, and its subcommand parsers by name. Each flag's
+    default is declared here, once; a --config file replaces defaults."""
     parser = argparse.ArgumentParser(
         prog="wristlink",
         description="Deterministic wearable-gesture home-automation simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
+
+    def config(p):
+        p.add_argument("--config", help="JSON config file keyed by dest names; flags win over its keys")
+
+    def output(p):
+        p.add_argument("--out", default="out", help="output directory (default %(default)s)")
+        config(p)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=S, help="master random seed (default 0)")
-        p.add_argument("--out", default=S, help="output directory (default ./out)")
-        p.add_argument("--config", default=None, help="JSON config file; flags win over its keys")
+        p.add_argument("--seed", type=int, default=0, help="master random seed (default %(default)s)")
+        output(p)
+
+    def trace_input(p):
+        p.add_argument("--trace", help="input trace CSV")
+        p.add_argument("--demo", choices=DEMO_NAMES, help="use a bundled demo trace")
+        p.add_argument("--profile", help="calibration profile JSON (default: built-in)")
 
     p = sub.add_parser("gen", help="generate a synthetic gesture trace")
-    p.add_argument("--kind", choices=[k.value for k in GestureKind], default=S)
-    p.add_argument("--n", type=int, default=S, help="sample count (default 64)")
+    kinds = [k.value for k in GestureKind]
+    p.add_argument("--kind", choices=kinds, default="vertical", help="gesture kind (default %(default)s)")
+    p.add_argument("--n", type=int, default=64, help="sample count (default %(default)s)")
     common(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("simulate", help="run the full pipeline on a trace")
-    p.add_argument("--trace", default=S, help="input trace CSV")
-    p.add_argument("--demo", choices=DEMO_NAMES, default=S, help="use a bundled demo trace")
-    p.add_argument("--profile", default=S, help="calibration profile JSON (default: built-in)")
-    p.add_argument("--loss", type=float, default=S, help="frame loss probability (default 0)")
-    p.add_argument("--latency", type=int, default=S, help="per-frame latency in ms (default 10)")
-    p.add_argument("--noise", type=float, default=S, help="channel noise sigma (default 0)")
-    p.add_argument("--attenuation", type=float, default=S, help="channel gain in (0,1] (default 1)")
-    p.add_argument("--pir-at", dest="pir_at", type=int, default=S, help="presence trigger time ms (default 0)")
-    p.add_argument("--no-pir", dest="no_pir", action="store_true", default=S, help="never trigger presence")
+    trace_input(p)
+    p.add_argument("--loss", type=float, default=LinkConfig.loss_probability,
+                   help="frame loss probability (default %(default)s)")
+    p.add_argument("--latency", type=int, default=LinkConfig.latency,
+                   help="per-frame latency in ms (default %(default)s)")
+    p.add_argument("--noise", type=float, default=ModemConfig.noise_sigma,
+                   help="channel noise sigma (default %(default)s)")
+    p.add_argument("--attenuation", type=float, default=ModemConfig.channel_attenuation,
+                   help="channel gain in (0,1] (default %(default)s)")
+    p.add_argument("--pir-at", dest="pir_at", type=int, default=0,
+                   help="presence trigger time ms (default %(default)s)")
+    p.add_argument("--no-pir", dest="no_pir", action="store_true", help="never trigger presence")
     common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ber", help="sweep channel noise and report bit error rates")
-    p.add_argument("--sigma-min", dest="sigma_min", type=float, default=S)
-    p.add_argument("--sigma-max", dest="sigma_max", type=float, default=S)
-    p.add_argument("--points", type=int, default=S, help="sweep points (default 5)")
-    p.add_argument("--bits", type=int, default=S, help="bits per point (default 10000)")
+    p.add_argument("--sigma-min", dest="sigma_min", type=float, default=0.0, help="(default %(default)s)")
+    p.add_argument("--sigma-max", dest="sigma_max", type=float, default=2.0, help="(default %(default)s)")
+    p.add_argument("--points", type=int, default=5, help="sweep points (default %(default)s)")
+    p.add_argument("--bits", type=int, default=10000, help="bits per point (default %(default)s)")
     common(p)
     p.set_defaults(func=cmd_ber)
 
     p = sub.add_parser("classify", help="print the verdict for each trace window")
-    p.add_argument("--trace", default=S, help="input trace CSV")
-    p.add_argument("--demo", choices=DEMO_NAMES, default=S, help="use a bundled demo trace")
-    p.add_argument("--profile", default=S, help="calibration profile JSON (default: built-in)")
-    p.add_argument("--window", type=int, default=S, help="window length override (0 = profile value)")
-    p.add_argument("--config", default=None, help="JSON config file; flags win over its keys")
+    trace_input(p)
+    p.add_argument("--window", type=int, default=0,
+                   help="window length override, 0 = profile value (default %(default)s)")
+    config(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("calibrate", help="fit decision bands from labeled trace directories")
-    p.add_argument("--on-dir", dest="on_dir", default=S, help="directory of vertical-motion traces")
-    p.add_argument("--off-dir", dest="off_dir", default=S, help="directory of horizontal-motion traces")
-    p.add_argument("--margin-lo", dest="margin_lo", type=int, default=S)
-    p.add_argument("--margin-hi", dest="margin_hi", type=int, default=S)
-    common(p)
+    p.add_argument("--on-dir", dest="on_dir", help="directory of vertical-motion traces")
+    p.add_argument("--off-dir", dest="off_dir", help="directory of horizontal-motion traces")
+    p.add_argument("--margin-lo", dest="margin_lo", type=int, default=0, help="(default %(default)s)")
+    p.add_argument("--margin-hi", dest="margin_hi", type=int, default=0, help="(default %(default)s)")
+    output(p)  # calibration draws no random numbers: no --seed
     p.set_defaults(func=cmd_calibrate)
 
-    return parser
+    return parser, sub.choices
 
 
-def _resolve_options(ns: argparse.Namespace) -> argparse.Namespace:
-    """Merge defaults, then config-file keys, then explicit flags."""
-    merged = dict(_DEFAULTS[ns.command])
-    config_path = getattr(ns, "config", None)
-    if config_path:
-        path = Path(config_path)
-        if not path.is_file():
-            raise _UsageError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"config file {path} is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise _UsageError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(loaded) - set(merged))
-        if unknown:
-            raise _UsageError(
-                f"config file {path} has unknown keys: {', '.join(unknown)}"
-            )
-        for key, value in loaded.items():
-            merged[key] = _config_value(path, key, value, merged[key])
-    provided = {
-        k: v for k, v in vars(ns).items() if k not in ("func", "command", "config")
+def _config_defaults(ns: argparse.Namespace, sub: argparse.ArgumentParser) -> dict:
+    """The defaults that the --config file of a parsed command line sets for
+    its subcommand: a JSON object keyed by the subcommand's dests (other
+    than config), each value held to the type of the default it replaces."""
+    path = Path(ns.config)
+    if not path.is_file():
+        raise _UsageError(f"config file not found: {path}")
+    try:
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"config file {path} is not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(loaded, dict):
+        raise _UsageError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(loaded) - (set(vars(ns)) - {"command", "func", "config"}))
+    if unknown:
+        raise _UsageError(
+            f"config file {path} has unknown keys: {', '.join(unknown)}"
+        )
+    values = {
+        key: _config_value(path, key, value, sub.get_default(key))
+        for key, value in loaded.items()
     }
-    merged.update(provided)
-    return argparse.Namespace(command=ns.command, **merged)
+    # argparse checks choices on flags, not on the defaults they replace;
+    # its public API does not list a parser's actions, so _actions is read
+    for action in sub._actions:
+        choices = action.choices
+        if action.dest in values and choices is not None and values[action.dest] not in choices:
+            raise _UsageError(
+                f"config file {path}: key {action.dest!r} must be one of "
+                f"{', '.join(choices)}, got {json.dumps(values[action.dest])}"
+            )
+    return values
 
 
 def _config_value(path: Path, key: str, value, default):
@@ -364,13 +353,19 @@ def cmd_calibrate(o) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return ns.func(_resolve_options(ns))
+        if ns.config:
+            # precedence defaults < config < flags: the file's keys replace
+            # the subcommand's defaults, and the flags are parsed again
+            sub = commands[ns.command]
+            sub.set_defaults(**_config_defaults(ns, sub))
+            ns = parser.parse_args(argv)
+        return ns.func(ns)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,11 +1,12 @@
 """Binary FSK modem over an abstract attenuating, noisy channel.
 
-Bits map to tones (0 -> f0, 1 -> f1) with phase kept continuous across bit
+Bits map to tones (0 -> F0, 1 -> F1) with phase kept continuous across bit
 boundaries. Detection is non-coherent: each bit window is correlated against
 a single-bin discrete-frequency probe at each tone frequency and the larger
-energy wins, ties decoding as 0. The defaults (f0 1 kHz, f1 2 kHz, 16 kHz
-sampling, 16 samples per bit) place a whole number of cycles of either tone
-in every bit window, so the probes are exactly orthogonal on clean input.
+energy wins, ties decoding as 0. The fixed tones (F0 1 kHz, F1 2 kHz at 16
+kHz SAMPLE_RATE) and the default 16 samples per bit place a whole number of
+cycles of either tone in every bit window, so the probes are exactly
+orthogonal on clean input.
 
 The channel is a scalar gain plus seeded additive white Gaussian noise;
 every operation here is a pure function of its arguments.
@@ -26,6 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# the tone plan, in Hz
+F0 = 1000.0
+F1 = 2000.0
+SAMPLE_RATE = 16000.0
 
 # bits per block of a measure_ber transmission: 65,536 samples (512 KiB of
 # float64) at the default 16 samples per bit
@@ -112,25 +118,15 @@ def _state_words_type():
 
 @dataclass(frozen=True)
 class ModemConfig:
-    f0: float = 1000.0
-    f1: float = 2000.0
-    sample_rate: float = 16000.0
     samples_per_bit: int = 16
     channel_attenuation: float = 1.0
     noise_sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("f0", "f1", "sample_rate", "channel_attenuation", "noise_sigma"):
+        for name in ("channel_attenuation", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.f0 == self.f1:
-            raise ValueError("f0 and f1 must differ")
-        nyquist = self.sample_rate / 2
-        for name in ("f0", "f1"):
-            f = getattr(self, name)
-            if not 0 < f < nyquist:
-                raise ValueError(f"{name}={f} must lie in (0, sample_rate/2)")
         if self.samples_per_bit < 4:
             raise ValueError(f"samples_per_bit must be >= 4, got {self.samples_per_bit}")
         if not 0 < self.channel_attenuation <= 1:
@@ -139,10 +135,10 @@ class ModemConfig:
             raise ValueError("noise_sigma must be non-negative")
 
 
-def noise_sigma_for_snr_db(snr_db: float, amplitude: float = 1.0) -> float:
-    """Noise sigma at which tone power (amplitude^2 / 2) over noise power
+def noise_sigma_for_snr_db(snr_db: float) -> float:
+    """Noise sigma at which the unit tone's power (1/2) over noise power
     equals the given SNR."""
-    return math.sqrt((amplitude**2 / 2) / 10 ** (snr_db / 10))
+    return math.sqrt(0.5 / 10 ** (snr_db / 10))
 
 
 def modulate(bits, cfg: ModemConfig, phase=None) -> np.ndarray:
@@ -150,7 +146,7 @@ def modulate(bits, cfg: ModemConfig, phase=None) -> np.ndarray:
 
     The waveform is samples_per_bit times as long as the last axis of
     `bits`; along that axis the phase starts at 0 and advances by
-    2*pi*f/sample_rate per sample, where f follows the bit value.
+    2*pi*f/SAMPLE_RATE per sample, where f follows the bit value.
 
     `phase`, when given, carries the phase sum from one call to the next: a
     float64 array of shape bits.shape[:-1] (one entry per row), added to the
@@ -167,8 +163,8 @@ def modulate(bits, cfg: ModemConfig, phase=None) -> np.ndarray:
         or phase.shape != bits.shape[:-1]
     ):
         raise ValueError(f"phase must be a float64 array of shape {bits.shape[:-1]}")
-    inc0 = 2.0 * np.pi * cfg.f0 / cfg.sample_rate
-    inc1 = 2.0 * np.pi * cfg.f1 / cfg.sample_rate
+    inc0 = 2.0 * np.pi * F0 / SAMPLE_RATE
+    inc1 = 2.0 * np.pi * F1 / SAMPLE_RATE
     bit_inc = np.where(bits == 1, inc1, inc0)
     ph = np.repeat(bit_inc, cfg.samples_per_bit, axis=-1)
     carry = phase is not None and ph.shape[-1] > 0
@@ -213,14 +209,14 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
 
 
 def _tone_probes(cfg: ModemConfig) -> np.ndarray:
-    """(samples_per_bit, 4) real and imaginary parts of the f0 and f1 probes."""
+    """(samples_per_bit, 4) real and imaginary parts of the F0 and F1 probes."""
     n = np.arange(cfg.samples_per_bit)
-    probes = [np.exp(-2j * np.pi * f * n / cfg.sample_rate) for f in (cfg.f0, cfg.f1)]
+    probes = [np.exp(-2j * np.pi * f * n / SAMPLE_RATE) for f in (F0, F1)]
     return np.stack([part for p in probes for part in (p.real, p.imag)], axis=1)
 
 
 def demodulate(waveform, cfg: ModemConfig):
-    """Decide each bit by comparing single-bin tone energies at f0 and f1.
+    """Decide each bit by comparing single-bin tone energies at F0 and F1.
 
     The last axis of the waveform must be a multiple of samples_per_bit. A
     tie in energy (including an all-zero window) decodes as 0. A 1-D

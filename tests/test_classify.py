@@ -376,3 +376,10 @@ class TestProfile:
         path.write_text("{nope")
         with pytest.raises(ProfileError):
             load_profile(path)
+
+    def test_non_ascii_bytes_rejected_naming_the_path(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_bytes('{"on_band": [240, 286], "note": "caf\u00e9"}'.encode("utf-8"))
+        with pytest.raises(ProfileError, match="not ASCII") as info:
+            load_profile(path)
+        assert str(path) in str(info.value)

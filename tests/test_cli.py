@@ -9,6 +9,7 @@ import pytest
 import wristlink
 from wristlink.cli import main
 from wristlink.classify import CalibrationProfile, load_profile, save_profile
+from wristlink.link import LinkConfig
 from wristlink.sensor import GestureKind, generate_gesture, load_trace, save_trace
 
 
@@ -158,12 +159,43 @@ class TestSimulate:
             out_c / "simulation.log"
         ).read_bytes()
 
-    def test_config_unknown_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra", [{"bogus": 1}, {"config": "x"}])
+    def test_config_unknown_key_rejected(self, tmp_path, capsys, extra):
         cfg = tmp_path / "run.json"
-        cfg.write_text('{"demo": "on", "bogus": 1}')
+        cfg.write_text(json.dumps({"demo": "on", **extra}))
         code, _, err = run(capsys, "simulate", "--config", str(cfg))
         assert code == 2
-        assert "bogus" in err
+        assert f"unknown keys: {', '.join(extra)}" in err
+
+    def test_non_utf8_config_is_usage_error_naming_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'{"demo": "on", "out": "caf\xff"}')
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert str(cfg) in err
+        assert not out_dir.exists()
+
+    def test_config_does_not_outlive_its_run(self, tmp_path, capsys):
+        # the config's keys replace defaults for that invocation only
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"no_pir": True, "latency": 25}))
+        code, out, _ = run(
+            capsys, "simulate", "--demo", "on", "--config", str(cfg),
+            "--out", str(tmp_path / "a"),
+        )
+        assert code == 0
+        assert "final_state=OFF" in out
+        code, out, _ = run(capsys, "simulate", "--demo", "on", "--out", str(tmp_path / "b"))
+        assert code == 0
+        assert "final_state=ON" in out
+        run(
+            capsys, "simulate", "--demo", "on", "--latency", str(LinkConfig.latency),
+            "--out", str(tmp_path / "c"),
+        )
+        assert (tmp_path / "b" / "simulation.log").read_bytes() == (
+            tmp_path / "c" / "simulation.log"
+        ).read_bytes()
 
 
 class TestBer:
@@ -330,10 +362,28 @@ class TestCalibrate:
         code, _, _ = run(capsys, "calibrate")
         assert code == 2
 
+    def test_seed_not_accepted(self, tmp_path, capsys):
+        # calibration draws no random numbers, so it takes no seed
+        on_dir, off_dir = self.write_training_dirs(tmp_path)
+        dirs = ["--on-dir", str(on_dir), "--off-dir", str(off_dir), "--out", str(tmp_path / "out")]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        code, _, err = run(capsys, "calibrate", *dirs, "--config", str(cfg))
+        assert code == 2
+        assert "unknown keys: seed" in err
+        assert run(capsys, "calibrate", *dirs, "--seed", "1")[0] == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestMisc:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_simulate_help_shows_declared_defaults(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--help")
+        assert code == 0
+        help_text = " ".join(out.split())
+        assert f"--latency LATENCY per-frame latency in ms (default {LinkConfig.latency})" in help_text
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -395,3 +445,39 @@ class TestConfigTypes:
         code, _, _ = run(capsys, "ber", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "ber.csv").read_text().splitlines() == ["noise_sigma,ber", "0,0"]
+
+    @pytest.mark.parametrize(
+        "command, keys, bad",
+        [
+            ("gen", {"kind": "sideways"}, "kind"),
+            ("simulate", {"demo": "bogus"}, "demo"),
+            ("classify", {"demo": "bogus"}, "demo"),
+        ],
+    )
+    def test_value_outside_choices_is_usage_error(self, tmp_path, capsys, command, keys, bad):
+        # the flag's choices hold for a config value as they do on the command line
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(keys))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command != "classify":
+            argv += ["--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert str(cfg) in err
+        assert repr(bad) in err
+        assert not out.exists()
+
+    def test_kind_inside_choices_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"kind": "horizontal", "n": 8}))
+        code, _, _ = run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "trace_horizontal.csv").is_file()
+
+    def test_demo_inside_choices_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"demo": "off"}))
+        code, out, _ = run(capsys, "classify", "--config", str(cfg))
+        assert code == 0
+        assert "action=OFF" in out
