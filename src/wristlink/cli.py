@@ -260,8 +260,9 @@ def cmd_simulate(o) -> int:
     log_path = out / "simulation.log"
     log_path.write_text("\n".join(result.log) + "\n", encoding="ascii")
     final_state = "ON" if result.appliance.powered else "OFF"
-    # fifo_dropped is always 0 (there is no transmit queue); dropping the
-    # column would change the summary.csv format
+    # fifo_dropped (there is no transmit queue) and sensor_resets (ACC mode is
+    # set once per run) are always 0; dropping the columns would change the
+    # summary.csv format
     header = (
         "samples,frames_sent,frames_delivered,frames_lost,frames_corrupted,"
         "fifo_dropped,windows,actions_emitted,final_state,sensor_resets"
@@ -269,8 +270,7 @@ def cmd_simulate(o) -> int:
     row = (
         f"{len(trace)},{result.frames_sent},{result.frames_delivered},"
         f"{result.frames_lost},{result.frames_corrupted},0,"
-        f"{result.windows_classified},{len(result.actions)},{final_state},"
-        f"{result.sensor_resets}"
+        f"{result.windows_classified},{len(result.actions)},{final_state},0"
     )
     (out / "summary.csv").write_text(header + "\n" + row + "\n", encoding="ascii")
     print(

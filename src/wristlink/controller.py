@@ -26,8 +26,8 @@ from .modem import ModemConfig, channel_apply, demodulate, modulate
 from .sensor import Trace
 
 # Frames per radio-path block. Outputs do not depend on it, but peak memory
-# grows with it (a frame is 768 float64 waveform samples at the modem
-# defaults, held in a few copies), so it stays small.
+# grows with it (a frame is 768 float64 waveform samples, held in a few
+# copies), so it stays small.
 PHY_BLOCK_FRAMES = 64
 
 
@@ -84,7 +84,6 @@ class PipelineResult:
     frames_corrupted: int
     windows_classified: int
     actions: list[tuple[int, Action]]
-    sensor_resets: int
     events: list[LinkEvent] = field(repr=False, default_factory=list)
 
 
@@ -166,9 +165,7 @@ def run_pipeline(
         )
         # frame i of the trace gets noise stream seed + i, whatever the block
         block_cfg = replace(modem_cfg, seed=(modem_cfg.seed + start) % 2**64)
-        rx_bits = demodulate(
-            channel_apply(modulate(tx_bits, modem_cfg), block_cfg), modem_cfg
-        )
+        rx_bits = demodulate(channel_apply(modulate(tx_bits), block_cfg))
         ok, received = deserialize(rx_bits)
         for sample, frame_ok, (_, x, y, z) in zip(block, ok.tolist(), received.tolist()):
             advance(sample.t)
@@ -189,6 +186,5 @@ def run_pipeline(
         frames_corrupted=frames_corrupted,
         windows_classified=windows_classified,
         actions=actions,
-        sensor_resets=sim.acc_resets,
         events=sim.events,
     )

@@ -48,8 +48,8 @@ def _crc8_table() -> tuple[int, ...]:
 
 
 # CRC8_TABLE[b] is the CRC-8 of the single byte b. Plain ints index the
-# tuple; byte arrays index the same table as an int64 array, so that its
-# entries mix with wide words without overflow.
+# tuple; _protected_crc's word arrays index the same table as an int64
+# array, so that its entries mix with wide words without overflow.
 CRC8_TABLE = _crc8_table()
 _CRC8_ARRAY = np.array(CRC8_TABLE, dtype=np.int64)
 # maps the ASCII digits of a binary numeral to bit values 0 and 1
@@ -84,17 +84,12 @@ class CrcMismatchError(DecodeError):
     """Integrity check failed; the transmission was corrupted."""
 
 
-def crc8(data, *, init: int = 0x00):
-    """CRC-8 (poly 0x07), MSB first, no reflection, no final xor.
-
-    `data` is a byte sequence and the CRC comes back as an integer. Its
-    items may also be integer arrays, each holding the same byte position
-    of many equal-length messages; the result is then the array of their
-    CRCs.
-    """
-    crc = init
+def crc8(data) -> int:
+    """CRC-8 of a byte sequence: poly 0x07, init 0x00, MSB first, no
+    reflection, no final xor."""
+    crc = 0
     for byte in data:
-        crc = (_CRC8_ARRAY if isinstance(byte, np.ndarray) else CRC8_TABLE)[crc ^ byte]
+        crc = CRC8_TABLE[crc ^ byte]
     return crc
 
 
@@ -115,8 +110,8 @@ class CodecFrame:
 def _protected_crc(protected):
     """CRC-8 of 32-bit protected word(s), most significant byte first.
 
-    The same loop as crc8, with the table picked once per word rather than
-    once per byte.
+    The same table walk as crc8 over the word's four bytes. An int64 array
+    of words walks the table as an array and gives one CRC per word.
     """
     table = _CRC8_ARRAY if isinstance(protected, np.ndarray) else CRC8_TABLE
     crc = 0

@@ -18,7 +18,7 @@ from enum import Enum
 from random import Random
 
 from .framing import CodecFrame, WatchMode
-from .sensor import AccelSample
+from .sensor import AccelSample, check_seed
 
 AP_STARTED_MESSAGE = "Access point started. Now start watch in ACC, PPT or Synch mode."
 ACQUIRING_MESSAGE = "Acquiring data from accelerometer sensor"
@@ -60,6 +60,7 @@ class LinkConfig:
             raise ValueError(f"latency must be an int, got {self.latency!r}")
         if self.latency < 0:
             raise ValueError(f"latency must be non-negative, got {self.latency}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Bits map to tones (0 -> F0, 1 -> F1) with phase kept continuous across bit
 boundaries. Detection is non-coherent: each bit window is correlated against
 a single-bin discrete-frequency probe at each tone frequency and the larger
 energy wins, ties decoding as 0. The fixed tones (F0 1 kHz, F1 2 kHz at 16
-kHz SAMPLE_RATE) and the default 16 samples per bit place a whole number of
+kHz SAMPLE_RATE) and the fixed SAMPLES_PER_BIT of 16 place a whole number of
 cycles of either tone in every bit window, so the probes are exactly
 orthogonal on clean input.
 
@@ -28,13 +28,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sensor import check_seed
+
 # the tone plan, in Hz
 F0 = 1000.0
 F1 = 2000.0
 SAMPLE_RATE = 16000.0
+SAMPLES_PER_BIT = 16
+
+# phase advance per sample of the F0 and F1 tones
+_INC0, _INC1 = 2.0 * np.pi * np.array([F0, F1]) / SAMPLE_RATE
+# the single-bin F0 and F1 probes over one bit window, and their real and
+# imaginary parts as the (SAMPLES_PER_BIT, 4) matrix that demodulate applies
+_F0_PROBE, _F1_PROBE = np.exp(
+    -2j * np.pi * np.array([[F0], [F1]]) * np.arange(SAMPLES_PER_BIT) / SAMPLE_RATE
+)
+_PROBES = np.stack([_F0_PROBE.real, _F0_PROBE.imag, _F1_PROBE.real, _F1_PROBE.imag], axis=1)
 
 # bits per block of a measure_ber transmission: 65,536 samples (512 KiB of
-# float64) at the default 16 samples per bit
+# float64)
 BER_BLOCK_BITS = 4096
 
 
@@ -118,7 +130,6 @@ def _state_words_type():
 
 @dataclass(frozen=True)
 class ModemConfig:
-    samples_per_bit: int = 16
     channel_attenuation: float = 1.0
     noise_sigma: float = 0.0
     seed: int = 0
@@ -127,12 +138,11 @@ class ModemConfig:
         for name in ("channel_attenuation", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.samples_per_bit < 4:
-            raise ValueError(f"samples_per_bit must be >= 4, got {self.samples_per_bit}")
         if not 0 < self.channel_attenuation <= 1:
             raise ValueError("channel_attenuation must lie in (0, 1]")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
+        check_seed(self.seed)
 
 
 def noise_sigma_for_snr_db(snr_db: float) -> float:
@@ -141,10 +151,10 @@ def noise_sigma_for_snr_db(snr_db: float) -> float:
     return math.sqrt(0.5 / 10 ** (snr_db / 10))
 
 
-def modulate(bits, cfg: ModemConfig, phase=None) -> np.ndarray:
+def modulate(bits, phase=None) -> np.ndarray:
     """Emit a unit-amplitude continuous-phase FSK waveform for bit sequences.
 
-    The waveform is samples_per_bit times as long as the last axis of
+    The waveform is SAMPLES_PER_BIT times as long as the last axis of
     `bits`; along that axis the phase starts at 0 and advances by
     2*pi*f/SAMPLE_RATE per sample, where f follows the bit value.
 
@@ -163,10 +173,8 @@ def modulate(bits, cfg: ModemConfig, phase=None) -> np.ndarray:
         or phase.shape != bits.shape[:-1]
     ):
         raise ValueError(f"phase must be a float64 array of shape {bits.shape[:-1]}")
-    inc0 = 2.0 * np.pi * F0 / SAMPLE_RATE
-    inc1 = 2.0 * np.pi * F1 / SAMPLE_RATE
-    bit_inc = np.where(bits == 1, inc1, inc0)
-    ph = np.repeat(bit_inc, cfg.samples_per_bit, axis=-1)
+    bit_inc = np.where(bits == 1, _INC1, _INC0)
+    ph = np.repeat(bit_inc, SAMPLES_PER_BIT, axis=-1)
     carry = phase is not None and ph.shape[-1] > 0
     if carry:
         ph[..., 0] += phase
@@ -174,7 +182,7 @@ def modulate(bits, cfg: ModemConfig, phase=None) -> np.ndarray:
     if carry:
         phase[...] = ph[..., -1]
     # exclusive prefix sum: each bit's first sample sits at the phase so far
-    per_bit = ph.reshape(*bit_inc.shape, cfg.samples_per_bit)
+    per_bit = ph.reshape(*bit_inc.shape, SAMPLES_PER_BIT)
     per_bit -= bit_inc[..., None]
     return np.sin(ph, out=ph)
 
@@ -198,7 +206,7 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
             from numpy.random import PCG64, Generator
 
             rows = noise.reshape(-1, out.shape[-1] if out.ndim else 1)
-            seeds = np.uint64(cfg.seed % 2**64) + np.arange(len(rows), dtype=np.uint64)
+            seeds = np.uint64(cfg.seed) + np.arange(len(rows), dtype=np.uint64)
             state_words = _state_words_type()
             # default_rng(s) is Generator(PCG64(SeedSequence(s)))
             for row, words in zip(rows, _seed_state_words(seeds)):
@@ -208,28 +216,22 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
     return out
 
 
-def _tone_probes(cfg: ModemConfig) -> np.ndarray:
-    """(samples_per_bit, 4) real and imaginary parts of the F0 and F1 probes."""
-    n = np.arange(cfg.samples_per_bit)
-    probes = [np.exp(-2j * np.pi * f * n / SAMPLE_RATE) for f in (F0, F1)]
-    return np.stack([part for p in probes for part in (p.real, p.imag)], axis=1)
-
-
-def demodulate(waveform, cfg: ModemConfig):
+def demodulate(waveform):
     """Decide each bit by comparing single-bin tone energies at F0 and F1.
 
-    The last axis of the waveform must be a multiple of samples_per_bit. A
-    tie in energy (including an all-zero window) decodes as 0. A 1-D
-    waveform gives a list of ints; a 2-D one gives a uint8 array with one
-    row of bits per waveform row.
+    The last axis of the waveform must be a multiple of SAMPLES_PER_BIT, and
+    every sample finite. A tie in energy (including an all-zero window)
+    decodes as 0. A 1-D waveform gives a list of ints; a 2-D one gives a
+    uint8 array with one row of bits per waveform row.
     """
     wave = np.asarray(waveform, dtype=float)
-    spb = cfg.samples_per_bit
-    if wave.ndim == 0 or wave.shape[-1] % spb:
+    if wave.ndim == 0 or wave.shape[-1] % SAMPLES_PER_BIT:
         raise ValueError(
-            f"waveform length {wave.size} not divisible by samples_per_bit {spb}"
+            f"waveform length {wave.size} not divisible by {SAMPLES_PER_BIT} samples per bit"
         )
-    energy = np.square(wave.reshape(-1, spb) @ _tone_probes(cfg))
+    if not np.isfinite(wave).all():
+        raise ValueError("waveform must be finite")
+    energy = np.square(wave.reshape(-1, SAMPLES_PER_BIT) @ _PROBES)
     bits = (energy[:, 2] + energy[:, 3] > energy[:, 0] + energy[:, 1]).view(np.uint8)
     bits = bits.reshape(*wave.shape[:-1], -1)
     return bits if wave.ndim == 2 else bits.tolist()
@@ -254,6 +256,6 @@ def measure_ber(cfg: ModemConfig, n_bits: int) -> float:
     errors = 0
     for start in range(0, n_bits, BER_BLOCK_BITS):
         bits = bit_rng.integers(0, 2, (1, min(BER_BLOCK_BITS, n_bits - start)))
-        rx = channel_apply(modulate(bits, cfg, phase), cfg, noise_rng)
-        errors += int(np.count_nonzero(demodulate(rx, cfg) != bits))
+        rx = channel_apply(modulate(bits, phase), cfg, noise_rng)
+        errors += int(np.count_nonzero(demodulate(rx) != bits))
     return errors / n_bits

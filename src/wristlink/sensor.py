@@ -62,6 +62,16 @@ def check_counts(x: int, y: int, z: int) -> None:
             raise ValueError(f"{name}={v} outside {COUNT_MIN}..{COUNT_MAX}")
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError unless seed is a plain int in 0..2**64 - 1.
+
+    This is the seed of a LinkConfig or ModemConfig. Their generators would
+    silently coerce a bool, a float or an out-of-range int to another seed.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an int in 0..2**64-1, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class AccelSample:
     """One timestamped 3-axis reading in raw counts."""

@@ -125,7 +125,7 @@ def test_c3_modem_identity_and_ber():
         )
     ]
     bits = [b for f in frames for b in serialize(f)]
-    assert demodulate(channel_apply(modulate(bits, clean), clean), clean) == bits
+    assert demodulate(channel_apply(modulate(bits), clean)) == bits
 
     sigma_20db = noise_sigma_for_snr_db(20.0)
     assert measure_ber(ModemConfig(noise_sigma=sigma_20db, seed=1), 10_000) < 1e-3

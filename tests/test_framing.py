@@ -14,6 +14,7 @@ from wristlink.framing import (
     DecodeError,
     SyncMismatchError,
     WatchMode,
+    _protected_crc,
     crc8,
     deserialize,
     serialize,
@@ -50,14 +51,6 @@ def test_crc8_known_vector():
     assert bitwise_crc8(b"123456789") == 0xF4
 
 
-def test_crc8_init_is_keyword_only():
-    # the polynomial is fixed; a second positional argument is refused
-    # rather than read as the initial register value
-    with pytest.raises(TypeError):
-        crc8(b"123456789", 0x07)
-    assert crc8(b"", init=0x5A) == 0x5A
-
-
 def test_crc8_table_matches_bitwise_definition():
     assert len(CRC8_TABLE) == 256
     for byte in range(256):
@@ -65,8 +58,11 @@ def test_crc8_table_matches_bitwise_definition():
     words = np.random.default_rng(8).integers(0, 256, (10_000, 4), dtype=np.uint8)
     expected = [bitwise_crc8(bytes(w)) for w in words.tolist()]
     assert [crc8(bytes(w)) for w in words.tolist()] == expected
-    # the array form: one CRC per row, fed one byte position at a time
-    assert crc8(words.T).tolist() == expected
+    # the frame codec's CRC of 32-bit protected words, one word as an int
+    # and a block of words as an int64 array
+    protected = [int.from_bytes(bytes(w), "big") for w in words.tolist()]
+    assert [_protected_crc(p) for p in protected] == expected
+    assert _protected_crc(np.array(protected, dtype=np.int64)).tolist() == expected
 
 
 def test_serialize_is_48_bits_and_starts_with_sync():

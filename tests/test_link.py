@@ -277,6 +277,18 @@ def test_latency_must_be_plain_int(latency):
         LinkConfig(latency=latency)
 
 
+@pytest.mark.parametrize("seed", [-3, 1.5, True, 2**64])
+def test_seed_must_be_an_int_word(seed):
+    # Random(-3) draws exactly as Random(3): a negative seed is not a new stream
+    with pytest.raises(ValueError, match="seed"):
+        LinkConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_accepted(seed):
+    assert LinkConfig(seed=seed).seed == seed
+
+
 class LinkMachine(RuleBasedStateMachine):
     """Drive LinkSimulator against a plain model of the fixed-latency link.
 

@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,10 @@ from wristlink.modem import (
     F0,
     F1,
     SAMPLE_RATE,
+    SAMPLES_PER_BIT,
     ModemConfig,
+    _PROBES,
     _seed_state_words,
-    _tone_probes,
     channel_apply,
     demodulate,
     measure_ber,
@@ -42,8 +43,8 @@ def whole_row_ber(cfg: ModemConfig, n_bits: int) -> float:
     bit_ss, noise_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     bits = np.random.default_rng(bit_ss).integers(0, 2, (1, n_bits))
     noise_cfg = replace(cfg, seed=int(noise_ss.generate_state(1, np.uint64)[0]))
-    rx = channel_apply(modulate(bits, cfg), noise_cfg)
-    return float(np.mean(demodulate(rx, cfg) != bits))
+    rx = channel_apply(modulate(bits), noise_cfg)
+    return float(np.mean(demodulate(rx) != bits))
 
 
 def bfsk_ber(sigma: float) -> float:
@@ -56,27 +57,34 @@ def bfsk_ber(sigma: float) -> float:
 class TestConfig:
     def test_defaults_valid(self):
         assert F0 == 1000.0 and F1 == 2000.0
-        assert SAMPLE_RATE == 16000.0 and ModemConfig().samples_per_bit == 16
+        assert SAMPLE_RATE == 16000.0 and SAMPLES_PER_BIT == 16
+
+    def test_config_is_the_channel_only(self):
+        names = [f.name for f in fields(ModemConfig)]
+        assert names == ["channel_attenuation", "noise_sigma", "seed"]
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_default_probes_orthogonal_on_clean_tone(self, bit):
         # a whole number of cycles of either tone per bit window: a clean tone
         # leaves no energy in the other tone's probe
-        cfg = ModemConfig()
-        wave = modulate([bit], cfg)
-        probes = _tone_probes(cfg)
-        other = probes[:, 2:] if bit == 0 else probes[:, :2]
-        own = probes[:, :2] if bit == 0 else probes[:, 2:]
+        wave = modulate([bit])
+        other = _PROBES[:, 2:] if bit == 0 else _PROBES[:, :2]
+        own = _PROBES[:, :2] if bit == 0 else _PROBES[:, 2:]
         assert np.max(np.abs(wave @ other)) < 1e-9
-        assert np.hypot(*(wave @ own)) == pytest.approx(cfg.samples_per_bit / 2)
+        assert np.hypot(*(wave @ own)) == pytest.approx(SAMPLES_PER_BIT / 2)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"samples_per_bit": 3},
             {"channel_attenuation": 0.0},
             {"channel_attenuation": 1.5},
             {"noise_sigma": -0.1},
+            # seeds that were once coerced to another seed's noise stream
+            {"seed": 1.5},
+            {"seed": -1},
+            {"seed": True},
+            {"seed": 2**64},
+            {"seed": np.uint64(1)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -92,65 +100,66 @@ class TestConfig:
 
 class TestModulate:
     def test_empty_bits_empty_waveform(self):
-        assert modulate([], CLEAN).size == 0
+        assert modulate([]).size == 0
 
     def test_single_one_is_f1_tone(self):
-        cfg = ModemConfig(samples_per_bit=8)
-        wave = modulate([1], cfg)
-        n = np.arange(8)
+        wave = modulate([1])
+        n = np.arange(SAMPLES_PER_BIT)
         expected = np.sin(2 * np.pi * F1 * n / SAMPLE_RATE)
-        assert wave.shape == (8,)
+        assert wave.shape == (SAMPLES_PER_BIT,)
         np.testing.assert_allclose(wave, expected, atol=1e-12)
 
     def test_single_zero_is_f0_tone(self):
-        cfg = ModemConfig(samples_per_bit=8)
-        wave = modulate([0], cfg)
-        n = np.arange(8)
+        wave = modulate([0])
+        n = np.arange(SAMPLES_PER_BIT)
         expected = np.sin(2 * np.pi * F0 * n / SAMPLE_RATE)
         np.testing.assert_allclose(wave, expected, atol=1e-12)
 
     def test_frame_length_contract(self):
         bits = serialize(CodecFrame(WatchMode.ACC, 100, 360, 277))
-        wave = modulate(bits, CLEAN)
-        assert wave.size == 48 * CLEAN.samples_per_bit
+        wave = modulate(bits)
+        assert wave.size == 48 * SAMPLES_PER_BIT
 
     def test_amplitude_bounded_by_one(self):
-        wave = modulate([0, 1] * 32, CLEAN)
+        wave = modulate([0, 1] * 32)
         assert np.max(np.abs(wave)) <= 1.0 + 1e-12
 
     def test_phase_continuous_across_bit_boundary(self):
-        # an odd samples-per-bit config leaves a fractional cycle per bit, so
-        # any phase jump at the boundary would show as a sample discontinuity
-        cfg = ModemConfig(samples_per_bit=13)
-        wave = modulate([0, 1, 0], cfg)
-        diffs = np.abs(np.diff(wave))
+        # either tone completes a whole number of cycles per bit, so the
+        # continuous phase is back at 0 mod 2 pi at every bit boundary: each
+        # bit's window is its tone from phase 0, and no step between samples
+        # exceeds the F1 tone's
+        bits = np.random.default_rng(5).integers(0, 2, 48)
+        wave = modulate(bits)
+        n = np.arange(SAMPLES_PER_BIT)
+        for bit, window in zip(bits, wave.reshape(48, SAMPLES_PER_BIT)):
+            expected = np.sin(2 * np.pi * (F1 if bit else F0) * n / SAMPLE_RATE)
+            np.testing.assert_allclose(window, expected, atol=1e-9)
         max_step = 2 * np.pi * F1 / SAMPLE_RATE  # bound on |d sin(phase)|
-        assert np.max(diffs) <= max_step + 1e-9
+        assert np.max(np.abs(np.diff(wave))) <= max_step + 1e-9
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            modulate([0, 2], CLEAN)
+            modulate([0, 2])
 
     def test_accepts_any_iterable(self):
         bits = [0, 1, 1, 0]
-        np.testing.assert_array_equal(modulate(iter(bits), CLEAN), modulate(bits, CLEAN))
+        np.testing.assert_array_equal(modulate(iter(bits)), modulate(bits))
 
-    @pytest.mark.parametrize("spb", [13, 16, 17])
-    def test_phase_carry_splits_exactly(self, spb):
+    def test_phase_carry_splits_exactly(self):
         # pieces of uneven length, one of them empty, with one carry array
-        cfg = ModemConfig(samples_per_bit=spb)
-        bits = np.random.default_rng(spb).integers(0, 2, (3, 5000))
-        whole = modulate(bits, cfg)
+        bits = np.random.default_rng(16).integers(0, 2, (3, 5000))
+        whole = modulate(bits)
         phase = np.zeros(3)
         cuts = [0, 1, 1, 2048, 2049, 4096, 5000]
-        pieces = [modulate(bits[:, a:b], cfg, phase) for a, b in zip(cuts, cuts[1:])]
+        pieces = [modulate(bits[:, a:b], phase) for a, b in zip(cuts, cuts[1:])]
         np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole)
 
     def test_phase_carry_on_one_row(self):
         bits = np.random.default_rng(2).integers(0, 2, 9000)
         phase = np.zeros(())
-        pieces = [modulate(bits[a : a + 4096], CLEAN, phase) for a in range(0, 9000, 4096)]
-        np.testing.assert_array_equal(np.concatenate(pieces), modulate(bits, CLEAN))
+        pieces = [modulate(bits[a : a + 4096], phase) for a in range(0, 9000, 4096)]
+        np.testing.assert_array_equal(np.concatenate(pieces), modulate(bits))
         assert phase > 0
 
     @pytest.mark.parametrize(
@@ -158,30 +167,30 @@ class TestModulate:
     )
     def test_phase_must_be_float64_row_array(self, phase):
         with pytest.raises(ValueError, match="phase"):
-            modulate(np.zeros((3, 4), dtype=int), CLEAN, phase)
+            modulate(np.zeros((3, 4), dtype=int), phase)
 
 
 class TestChannel:
     def test_identity_when_clean(self):
-        wave = modulate([1, 0, 1], CLEAN)
+        wave = modulate([1, 0, 1])
         out = channel_apply(wave, CLEAN)
         np.testing.assert_array_equal(out, wave)
 
     def test_attenuation_halves_every_sample(self):
         cfg = ModemConfig(channel_attenuation=0.5)
-        wave = modulate([1, 0], cfg)
+        wave = modulate([1, 0])
         out = channel_apply(wave, cfg)
         np.testing.assert_array_equal(out, wave * 0.5)
 
     def test_noise_deterministic_for_fixed_seed(self):
         cfg = ModemConfig(noise_sigma=0.3, seed=99)
-        wave = modulate([1, 1, 0, 0], cfg)
+        wave = modulate([1, 1, 0, 0])
         np.testing.assert_array_equal(channel_apply(wave, cfg), channel_apply(wave, cfg))
 
     def test_different_seeds_differ(self):
         base = ModemConfig(noise_sigma=0.3, seed=1)
         other = ModemConfig(noise_sigma=0.3, seed=2)
-        wave = modulate([1, 0], base)
+        wave = modulate([1, 0])
         assert not np.array_equal(channel_apply(wave, base), channel_apply(wave, other))
 
     def test_empty_waveform_with_noise(self):
@@ -192,7 +201,7 @@ class TestChannel:
         # one generator over pieces of a row gives the noise of one draw,
         # which is row 0's noise for that generator's seed
         cfg = ModemConfig(noise_sigma=0.9, channel_attenuation=0.6, seed=77)
-        wave = modulate(np.random.default_rng(4).integers(0, 2, (1, 700)), cfg)
+        wave = modulate(np.random.default_rng(4).integers(0, 2, (1, 700)))
         rng = np.random.default_rng(77)
         cuts = [0, 5, 5, 4096, 6000, wave.shape[1]]
         pieces = [channel_apply(wave[:, a:b], cfg, rng) for a, b in zip(cuts, cuts[1:])]
@@ -213,33 +222,42 @@ class TestChannel:
 class TestDemodulate:
     def test_noiseless_inverse_on_frame(self):
         bits = serialize(CodecFrame(WatchMode.SYNC, 7, 700, 77))
-        assert demodulate(channel_apply(modulate(bits, CLEAN), CLEAN), CLEAN) == bits
+        assert demodulate(channel_apply(modulate(bits), CLEAN)) == bits
 
     @settings(max_examples=120, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=48))
     def test_noiseless_inverse_random_bits(self, bits):
-        assert demodulate(modulate(bits, CLEAN), CLEAN) == bits
+        assert demodulate(modulate(bits)) == bits
 
     def test_all_zero_waveform_decodes_to_zeros(self):
         # energy tie at both tones resolves to bit 0
-        wave = np.zeros(5 * CLEAN.samples_per_bit)
-        assert demodulate(wave, CLEAN) == [0] * 5
+        wave = np.zeros(5 * SAMPLES_PER_BIT)
+        assert demodulate(wave) == [0] * 5
 
     def test_length_must_divide_samples_per_bit(self):
         with pytest.raises(ValueError):
-            demodulate(np.zeros(17), CLEAN)
+            demodulate(np.zeros(17))
 
     def test_scalar_waveform_rejected(self):
         with pytest.raises(ValueError):
-            demodulate(1.0, CLEAN)
+            demodulate(1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [(SAMPLES_PER_BIT,), (3, 2 * SAMPLES_PER_BIT)])
+    def test_non_finite_samples_rejected(self, shape, value):
+        # NaN energies compare False, which would decode the bit as a 0
+        wave = np.zeros(shape)
+        wave[(0,) * len(shape)] = value
+        with pytest.raises(ValueError, match="finite"):
+            demodulate(wave)
 
     def test_empty_waveform(self):
-        assert demodulate(np.zeros(0), CLEAN) == []
+        assert demodulate(np.zeros(0)) == []
 
     def test_survives_strong_attenuation(self):
         cfg = ModemConfig(channel_attenuation=0.01)
         bits = [1, 0, 0, 1, 1, 1, 0]
-        assert demodulate(channel_apply(modulate(bits, cfg), cfg), cfg) == bits
+        assert demodulate(channel_apply(modulate(bits), cfg)) == bits
 
 
 class TestMeasureBer:
@@ -301,17 +319,17 @@ class TestFrameBlocks:
         cfg = ModemConfig(noise_sigma=sigma, seed=seed)
         rng = np.random.default_rng(seed % 1000)
         block = rng.integers(0, 2, (5, 48))
-        waves = modulate(block, cfg)
+        waves = modulate(block)
         rx = channel_apply(waves, cfg)
-        decided = demodulate(rx, cfg)
-        assert waves.shape == rx.shape == (5, 48 * cfg.samples_per_bit)
+        decided = demodulate(rx)
+        assert waves.shape == rx.shape == (5, 48 * SAMPLES_PER_BIT)
         assert decided.shape == (5, 48)
         for i, bits in enumerate(block):
             hop = replace(cfg, seed=(seed + i) % 2**64)
-            wave = modulate(list(bits), cfg)
+            wave = modulate(list(bits))
             np.testing.assert_array_equal(waves[i], wave)
             np.testing.assert_array_equal(rx[i], channel_apply(wave, hop))
-            assert decided[i].tolist() == demodulate(channel_apply(wave, hop), cfg)
+            assert decided[i].tolist() == demodulate(channel_apply(wave, hop))
 
     def test_noise_draws_match_the_normal_stream(self):
         # the per-row stream is exactly default_rng(seed + i).normal(0, sigma)
