@@ -20,13 +20,7 @@ from .classify import (
     save_profile,
     window_mean,
 )
-from .controller import (
-    ApplianceState,
-    HomeController,
-    PipelineResult,
-    PirState,
-    run_pipeline,
-)
+from .controller import HomeController, PipelineResult, run_pipeline
 from .demo import demo_csv_path, demo_trace
 from .framing import (
     CodecFrame,
@@ -34,7 +28,6 @@ from .framing import (
     DecodeError,
     SyncMismatchError,
     WatchMode,
-    crc8,
     deserialize,
     serialize,
 )
@@ -72,7 +65,6 @@ __all__ = [
     "AccelSample",
     "AccessPointState",
     "Action",
-    "ApplianceState",
     "ACQUIRING_MESSAGE",
     "AP_STARTED_MESSAGE",
     "CalibrationError",
@@ -89,7 +81,6 @@ __all__ = [
     "LinkSimulator",
     "ModemConfig",
     "PipelineResult",
-    "PirState",
     "ProfileError",
     "ProtocolError",
     "SyncMismatchError",
@@ -99,7 +90,6 @@ __all__ = [
     "calibrate",
     "channel_apply",
     "classify_window",
-    "crc8",
     "debounced_stream",
     "demo_csv_path",
     "demo_trace",

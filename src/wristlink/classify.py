@@ -10,7 +10,7 @@ stage requires N consecutive identical verdicts before acting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from enum import Enum
@@ -24,7 +24,7 @@ DEFAULT_OFF_BAND = (323, 384)
 DEFAULT_WINDOW_SIZE = 16
 DEFAULT_DEBOUNCE_N = 2
 
-_PROFILE_KEYS = ("on_band", "off_band", "window_size", "debounce_n")
+_BANDS = ("on_band", "off_band")
 
 
 class Action(Enum):
@@ -49,7 +49,8 @@ def _bands_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 @dataclass(frozen=True)
 class CalibrationProfile:
-    """Per-action decision bands plus window and debounce parameters."""
+    """Per-action decision bands plus window and debounce parameters, all
+    plain integers."""
 
     on_band: tuple[int, int] = DEFAULT_ON_BAND
     off_band: tuple[int, int] = DEFAULT_OFF_BAND
@@ -57,9 +58,17 @@ class CalibrationProfile:
     debounce_n: int = DEFAULT_DEBOUNCE_N
 
     def __post_init__(self):
-        object.__setattr__(self, "on_band", tuple(self.on_band))
-        object.__setattr__(self, "off_band", tuple(self.off_band))
-        for name in ("on_band", "off_band"):
+        values = []
+        for name in _BANDS:
+            band = tuple(getattr(self, name))
+            object.__setattr__(self, name, band)
+            values += [(f"{name}[{i}]", end) for i, end in enumerate(band)]
+        values += [("window_size", self.window_size), ("debounce_n", self.debounce_n)]
+        for name, value in values:
+            # bool is an int subclass; a profile holds plain integers only
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _BANDS:
             band = getattr(self, name)
             if len(band) != 2 or band[0] > band[1]:
                 raise ValueError(f"{name} must be an interval [lo, hi], got {band}")
@@ -187,24 +196,13 @@ def debounced_stream(verdicts, debounce_n: int) -> list[Action]:
 
 def save_profile(profile: CalibrationProfile, path) -> None:
     """Persist a profile as the JSON profile document."""
-    doc = {
-        "on_band": list(profile.on_band),
-        "off_band": list(profile.off_band),
-        "window_size": profile.window_size,
-        "debounce_n": profile.debounce_n,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
-
-
-def _require_int(doc_key: str, value) -> int:
-    # bool is an int subclass; a profile holds plain integers only
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProfileError(f"{doc_key} must be an integer, got {value!r}")
-    return value
+    Path(path).write_text(json.dumps(asdict(profile), indent=2) + "\n", encoding="ascii")
 
 
 def load_profile(path) -> CalibrationProfile:
-    """Load and validate a JSON profile document; unknown keys are rejected."""
+    """Load a JSON profile document: an object holding exactly the fields of
+    CalibrationProfile, bands as two-element lists. CalibrationProfile
+    checks the values."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="ascii"))
@@ -214,27 +212,18 @@ def load_profile(path) -> CalibrationProfile:
         raise ProfileError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ProfileError(f"{path}: profile document must be a JSON object")
-    unknown = sorted(set(doc) - set(_PROFILE_KEYS))
+    keys = {f.name for f in fields(CalibrationProfile)}
+    unknown = sorted(set(doc) - keys)
     if unknown:
         raise ProfileError(f"{path}: unknown profile keys: {', '.join(unknown)}")
-    missing = sorted(set(_PROFILE_KEYS) - set(doc))
+    missing = sorted(keys - set(doc))
     if missing:
         raise ProfileError(f"{path}: missing profile keys: {', '.join(missing)}")
-    bands = {}
-    for key in ("on_band", "off_band"):
+    for key in _BANDS:
         band = doc[key]
         if not isinstance(band, list) or len(band) != 2:
             raise ProfileError(f"{path}: {key} must be a two-element list")
-        bands[key] = (
-            _require_int(f"{key}[0]", band[0]),
-            _require_int(f"{key}[1]", band[1]),
-        )
     try:
-        return CalibrationProfile(
-            on_band=bands["on_band"],
-            off_band=bands["off_band"],
-            window_size=_require_int("window_size", doc["window_size"]),
-            debounce_n=_require_int("debounce_n", doc["debounce_n"]),
-        )
+        return CalibrationProfile(**doc)
     except ValueError as exc:
         raise ProfileError(f"{path}: {exc}") from None

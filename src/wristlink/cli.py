@@ -259,7 +259,7 @@ def cmd_simulate(o) -> int:
     out = _out_dir(o)
     log_path = out / "simulation.log"
     log_path.write_text("\n".join(result.log) + "\n", encoding="ascii")
-    final_state = "ON" if result.appliance.powered else "OFF"
+    final_state = "ON" if result.powered else "OFF"
     # fifo_dropped (there is no transmit queue) and sensor_resets (ACC mode is
     # set once per run) are always 0; dropping the columns would change the
     # summary.csv format

@@ -1,7 +1,7 @@
 """PIR-gated home-automation controller and the end-to-end pipeline.
 
 The controller arms when a presence sensor fires and from then on honors
-debounced classifier actions against a named appliance. `run_pipeline` wires
+debounced classifier actions against one appliance. `run_pipeline` wires
 the whole chain over virtual time: access-point start, ACC-mode streaming of
 each trace sample through the frame codec and FSK channel, Bernoulli-loss
 delivery, a sliding window over delivered samples, classification, debounce,
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -30,16 +29,8 @@ from .sensor import Trace
 # copies), so it stays small.
 PHY_BLOCK_FRAMES = 64
 
-
-class PirState(Enum):
-    UNARMED = "unarmed"
-    ARMED = "armed"
-
-
-@dataclass
-class ApplianceState:
-    name: str = "light"
-    powered: bool = False
+# the one appliance the controller switches, as the log names it
+APPLIANCE = "light"
 
 
 class HomeController:
@@ -49,34 +40,33 @@ class HomeController:
     """
 
     def __init__(self, log: list[str] | None = None):
-        self.pir = PirState.UNARMED
-        self.appliance = ApplianceState()
+        self.armed = False
+        self.powered = False
         self.log = log if log is not None else []
 
     def pir_trigger(self, t: int) -> None:
         """Arm the controller; re-triggering keeps it armed."""
-        self.pir = PirState.ARMED
+        self.armed = True
         self.log.append(f"[t={t}] PIR TRIGGERED")
 
-    def apply_action(self, action: Action, t: int) -> ApplianceState:
+    def apply_action(self, action: Action, t: int) -> None:
         """Honor a debounced action while armed; log real transitions only."""
-        if self.pir is not PirState.ARMED:
-            return self.appliance
-        if action is Action.ON and not self.appliance.powered:
-            self.appliance.powered = True
-            self.log.append(f"[t={t}] APPLIANCE {self.appliance.name} -> ON")
-        elif action is Action.OFF and self.appliance.powered:
-            self.appliance.powered = False
-            self.log.append(f"[t={t}] APPLIANCE {self.appliance.name} -> OFF")
-        return self.appliance
+        if not self.armed:
+            return
+        if action is Action.ON and not self.powered:
+            self.powered = True
+            self.log.append(f"[t={t}] APPLIANCE {APPLIANCE} -> ON")
+        elif action is Action.OFF and self.powered:
+            self.powered = False
+            self.log.append(f"[t={t}] APPLIANCE {APPLIANCE} -> OFF")
 
 
 @dataclass
 class PipelineResult:
-    """Outcome of one end-to-end run: final appliance state, the full
-    chronological log, and per-stage counters."""
+    """Outcome of one end-to-end run: whether the appliance ends powered,
+    the full chronological log, and per-stage counters."""
 
-    appliance: ApplianceState
+    powered: bool
     log: list[str]
     frames_sent: int
     frames_delivered: int
@@ -178,7 +168,7 @@ def run_pipeline(
     advance(samples[-1].t + link_cfg.latency)
 
     return PipelineResult(
-        appliance=ctrl.appliance,
+        powered=ctrl.powered,
         log=log,
         frames_sent=sim.sent_count,
         frames_delivered=sim.delivered_count,

@@ -84,15 +84,6 @@ class CrcMismatchError(DecodeError):
     """Integrity check failed; the transmission was corrupted."""
 
 
-def crc8(data) -> int:
-    """CRC-8 of a byte sequence: poly 0x07, init 0x00, MSB first, no
-    reflection, no final xor."""
-    crc = 0
-    for byte in data:
-        crc = CRC8_TABLE[crc ^ byte]
-    return crc
-
-
 @dataclass(frozen=True)
 class CodecFrame:
     """One over-the-air packet: mode tag plus a 3-axis payload."""
@@ -108,10 +99,11 @@ class CodecFrame:
 
 
 def _protected_crc(protected):
-    """CRC-8 of 32-bit protected word(s), most significant byte first.
+    """CRC-8 of 32-bit protected word(s) over their four bytes, most
+    significant first: poly 0x07, init 0x00, no reflection, no final xor.
 
-    The same table walk as crc8 over the word's four bytes. An int64 array
-    of words walks the table as an array and gives one CRC per word.
+    An int64 array of words walks the table as an array and gives one CRC
+    per word.
     """
     table = _CRC8_ARRAY if isinstance(protected, np.ndarray) else CRC8_TABLE
     crc = 0

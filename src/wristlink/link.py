@@ -18,7 +18,7 @@ from enum import Enum
 from random import Random
 
 from .framing import CodecFrame, WatchMode
-from .sensor import AccelSample, check_seed
+from .sensor import check_seed
 
 AP_STARTED_MESSAGE = "Access point started. Now start watch in ACC, PPT or Synch mode."
 ACQUIRING_MESSAGE = "Acquiring data from accelerometer sensor"
@@ -144,14 +144,12 @@ class LinkSimulator:
         self.watch_mode = mode
         return self._record(LinkEvent(self.now, EventKind.MODE_SET, mode.name))
 
-    def transmit_sample(self, sample: AccelSample | CodecFrame) -> LinkEvent:
-        """Send one accelerometer sample as an ACC frame.
+    def transmit_sample(self, frame: CodecFrame) -> LinkEvent:
+        """Send one accelerometer sample, as its ACC frame, at the current time.
 
-        `sample` is an AccelSample, or the ACC CodecFrame already built from
-        one, which goes on the link as it is. Requires a started access
-        point and ACC mode. The frame is delivered after the configured
-        latency, or lost with the configured probability; the returned event
-        is FRAME_LOST in that case.
+        Requires a started access point and ACC mode. The frame is delivered
+        after the configured latency, or lost with the configured
+        probability; the returned event is FRAME_LOST in that case.
         """
         if self.ap_state is AccessPointState.NOT_STARTED:
             raise ProtocolError("access point not started: frame rejected")
@@ -160,12 +158,8 @@ class LinkSimulator:
                 f"watch mode {self.watch_mode.name} does not stream data;"
                 " set ACC mode first"
             )
-        if isinstance(sample, CodecFrame):
-            if sample.mode is not WatchMode.ACC:
-                raise ValueError(f"only ACC frames carry samples, got {sample.mode.name}")
-            frame = sample
-        else:
-            frame = CodecFrame(mode=WatchMode.ACC, x=sample.x, y=sample.y, z=sample.z)
+        if frame.mode is not WatchMode.ACC:
+            raise ValueError(f"only ACC frames carry samples, got {frame.mode.name}")
         frame_id = self.sent_count
         self.sent_count += 1
         sent = self._record(

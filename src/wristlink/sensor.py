@@ -65,8 +65,9 @@ def check_counts(x: int, y: int, z: int) -> None:
 def check_seed(seed) -> None:
     """Raise ValueError unless seed is a plain int in 0..2**64 - 1.
 
-    This is the seed of a LinkConfig or ModemConfig. Their generators would
-    silently coerce a bool, a float or an out-of-range int to another seed.
+    This is the seed of a LinkConfig, a ModemConfig or generate_gesture.
+    Their generators would silently coerce a bool, a float or an
+    out-of-range int to another seed.
     """
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an int in 0..2**64-1, got {seed!r}")
@@ -91,13 +92,12 @@ class AccelSample:
 class Trace:
     """Ordered sample sequence with an optional gesture label.
 
-    The label and generator seed are in-memory annotations; the CSV file
-    format persists samples only.
+    The label is an in-memory annotation; the CSV file format persists
+    samples only.
     """
 
     samples: tuple[AccelSample, ...]
     label: GestureKind | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
@@ -183,10 +183,12 @@ def generate_gesture(kind: GestureKind | str, n: int, seed: int) -> Trace:
 
     The gesture's active axis draws uniformly from the reference capture
     range for that motion; inactive axes draw from the idle range. Samples
-    are spaced SAMPLE_PERIOD_MS apart starting at t=0.
+    are spaced SAMPLE_PERIOD_MS apart starting at t=0. `n` is a plain int
+    >= 1, and `seed` passes check_seed.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    check_seed(seed)
     kind = GestureKind(kind)
     rx, ry, rz = _GESTURE_AXIS_RANGES[kind]
     rng = Random(seed)
@@ -199,4 +201,4 @@ def generate_gesture(kind: GestureKind | str, n: int, seed: int) -> Trace:
         )
         for i in range(n)
     )
-    return Trace(samples, label=kind, seed=seed)
+    return Trace(samples, label=kind)

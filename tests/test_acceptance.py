@@ -39,7 +39,7 @@ from wristlink.modem import (
     modulate,
     noise_sigma_for_snr_db,
 )
-from wristlink.sensor import AccelSample, GestureKind, generate_gesture, load_trace
+from wristlink.sensor import GestureKind, generate_gesture, load_trace
 
 
 def criterion(label):
@@ -155,8 +155,8 @@ def _drive_random_session(seed, n_ops):
                 sim.watch_set_mode(rng.choice(list(WatchMode)))
             elif op == "send":
                 sim.transmit_sample(
-                    AccelSample(
-                        t=t,
+                    CodecFrame(
+                        WatchMode.ACC,
                         x=rng.randrange(1024),
                         y=rng.randrange(1024),
                         z=rng.randrange(1024),
@@ -251,7 +251,7 @@ def test_c5_gate_soundness():
             if "APPLIANCE" in line:
                 assert pir_seen, "appliance transition without preceding trigger"
         if pir_at is None:
-            assert result.appliance.powered is False
+            assert result.powered is False
 
 
 @criterion("criterion 6: loss robustness, 95/100 at loss 0.2 and 100/100 at loss 0")
@@ -262,7 +262,7 @@ def test_c6_loss_robustness():
             trace,
             link_cfg=LinkConfig(loss_probability=0.2, seed=s),
             pir_at=0,
-        ).appliance.powered
+        ).powered
         for s in range(100)
     )
     assert powered_lossy >= 95, f"only {powered_lossy}/100 lossy runs powered on"
@@ -271,7 +271,7 @@ def test_c6_loss_robustness():
             trace,
             link_cfg=LinkConfig(loss_probability=0.0, seed=s),
             pir_at=0,
-        ).appliance.powered
+        ).powered
         for s in range(100)
     )
     assert powered_clean == 100

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -332,11 +333,35 @@ class TestProfile:
         with pytest.raises(ValueError):
             CalibrationProfile(on_band=(286, 240))
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"window_size": 2.5}, "window_size"),
+            ({"window_size": True}, "window_size"),
+            ({"debounce_n": 1.5}, "debounce_n"),
+            ({"on_band": (240.5, 286)}, "on_band[0]"),
+            ({"on_band": (True, 286)}, "on_band[0]"),
+            ({"off_band": (323, 384.0)}, "off_band[1]"),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer"):
+            CalibrationProfile(**kwargs)
+
     def test_json_round_trip(self, tmp_path):
         p = CalibrationProfile(on_band=(250, 280), off_band=(330, 370), window_size=8, debounce_n=3)
         path = tmp_path / "profile.json"
         save_profile(p, path)
         assert load_profile(path) == p
+
+    def test_saved_document_bytes(self, tmp_path):
+        path = tmp_path / "profile.json"
+        save_profile(CalibrationProfile(), path)
+        assert path.read_text(encoding="ascii") == (
+            '{\n  "on_band": [\n    240,\n    286\n  ],\n'
+            '  "off_band": [\n    323,\n    384\n  ],\n'
+            '  "window_size": 16,\n  "debounce_n": 2\n}\n'
+        )
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "profile.json"

@@ -6,12 +6,7 @@ from random import Random
 import pytest
 
 from wristlink.classify import Action, CalibrationProfile, Debouncer, classify_window
-from wristlink.controller import (
-    PHY_BLOCK_FRAMES,
-    HomeController,
-    PirState,
-    run_pipeline,
-)
+from wristlink.controller import PHY_BLOCK_FRAMES, HomeController, run_pipeline
 from wristlink.framing import CodecFrame, DecodeError, WatchMode, deserialize, serialize
 from wristlink.link import EventKind, LinkConfig, LinkSimulator
 from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
@@ -21,22 +16,22 @@ from wristlink.sensor import AccelSample, GestureKind, Trace, check_counts, gene
 class TestHomeController:
     def test_trigger_arms(self):
         ctrl = HomeController()
-        assert ctrl.pir is PirState.UNARMED
+        assert ctrl.armed is False
         ctrl.pir_trigger(5)
-        assert ctrl.pir is PirState.ARMED
+        assert ctrl.armed is True
         assert ctrl.log == ["[t=5] PIR TRIGGERED"]
 
     def test_retrigger_refreshes_timestamp(self):
         ctrl = HomeController()
         ctrl.pir_trigger(5)
         ctrl.pir_trigger(9)
-        assert ctrl.pir is PirState.ARMED
+        assert ctrl.armed is True
 
     def test_armed_on_powers_appliance(self):
         ctrl = HomeController()
         ctrl.pir_trigger(0)
-        state = ctrl.apply_action(Action.ON, 10)
-        assert state.powered is True
+        assert ctrl.apply_action(Action.ON, 10) is None
+        assert ctrl.powered is True
         assert "[t=10] APPLIANCE light -> ON" in ctrl.log
 
     def test_armed_on_when_already_on_logs_nothing(self):
@@ -46,20 +41,20 @@ class TestHomeController:
         before = list(ctrl.log)
         ctrl.apply_action(Action.ON, 20)
         assert ctrl.log == before
-        assert ctrl.appliance.powered is True
+        assert ctrl.powered is True
 
     def test_unarmed_actions_ignored(self):
         ctrl = HomeController()
-        state = ctrl.apply_action(Action.ON, 10)
-        assert state.powered is False
+        ctrl.apply_action(Action.ON, 10)
+        assert ctrl.powered is False
         assert ctrl.log == []
 
     def test_armed_off_cuts_power(self):
         ctrl = HomeController()
         ctrl.pir_trigger(0)
         ctrl.apply_action(Action.ON, 10)
-        state = ctrl.apply_action(Action.OFF, 20)
-        assert state.powered is False
+        ctrl.apply_action(Action.OFF, 20)
+        assert ctrl.powered is False
         assert "[t=20] APPLIANCE light -> OFF" in ctrl.log
 
     def test_do_nothing_changes_nothing(self):
@@ -67,7 +62,7 @@ class TestHomeController:
         ctrl.pir_trigger(0)
         ctrl.apply_action(Action.ON, 10)
         ctrl.apply_action(Action.DO_NOTHING, 20)
-        assert ctrl.appliance.powered is True
+        assert ctrl.powered is True
 
 
 def vertical_trace(n=32, seed=1):
@@ -77,7 +72,7 @@ def vertical_trace(n=32, seed=1):
 class TestRunPipeline:
     def test_vertical_trace_powers_on(self):
         result = run_pipeline(vertical_trace(), link_cfg=LinkConfig(loss_probability=0.0), pir_at=0)
-        assert result.appliance.powered is True
+        assert result.powered is True
         assert result.frames_sent == 32
         assert result.frames_delivered == 32
         assert result.frames_lost == 0
@@ -89,14 +84,14 @@ class TestRunPipeline:
 
     def test_without_pir_power_stays_off(self):
         result = run_pipeline(vertical_trace(), pir_at=None)
-        assert result.appliance.powered is False
+        assert result.powered is False
         assert not any("APPLIANCE" in line for line in result.log)
         # the classifier still ran; only the gate blocked the transition
         assert any("ACTION ON" in line for line in result.log)
 
     def test_horizontal_after_on_turns_off(self):
         on = run_pipeline(vertical_trace(), pir_at=0)
-        assert on.appliance.powered is True
+        assert on.powered is True
         off = run_pipeline(
             generate_gesture(GestureKind.HORIZONTAL, 32, seed=2), pir_at=0
         )
@@ -119,7 +114,7 @@ class TestRunPipeline:
         transitions = [l for l in result.log if "APPLIANCE" in l]
         assert transitions[0].endswith("light -> ON")
         assert transitions[-1].endswith("light -> OFF")
-        assert result.appliance.powered is False
+        assert result.powered is False
 
     def test_delivered_payloads_equal_transmitted_samples_when_clean(self):
         trace = vertical_trace(24, seed=9)
@@ -150,7 +145,7 @@ class TestRunPipeline:
     def test_idle_trace_never_acts(self):
         result = run_pipeline(generate_gesture(GestureKind.OTHER, 32, seed=3), pir_at=0)
         assert result.actions == []
-        assert result.appliance.powered is False
+        assert result.powered is False
         assert result.windows_classified == 32 - 16 + 1
 
     def test_empty_trace_rejected(self):
@@ -167,7 +162,7 @@ class TestRunPipeline:
         a = run_pipeline(vertical_trace(), link_cfg=link_cfg, modem_cfg=modem_cfg)
         b = run_pipeline(vertical_trace(), link_cfg=link_cfg, modem_cfg=modem_cfg)
         assert a.log == b.log
-        assert a.appliance == b.appliance
+        assert a.powered == b.powered
 
     def test_losses_shrink_window_fill_not_progress(self):
         result = run_pipeline(
@@ -206,6 +201,20 @@ class TestRunPipeline:
         z = (result.frames_corrupted - n * p) / math.sqrt(n * p * (1 - p))
         assert abs(z) < 3, f"{result.frames_corrupted} of {n} vs {n * p:.1f}: z={z:.2f}"
 
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
+    def test_frames_lost_matches_loss_probability(self, p):
+        # on a noiseless channel every frame reaches the link, and each is
+        # lost independently with probability p: Binomial(n, p)
+        n = 3000
+        result = run_pipeline(
+            vertical_trace(n, seed=5),
+            link_cfg=LinkConfig(loss_probability=p, seed=2017),
+            pir_at=None,
+        )
+        assert result.frames_corrupted == 0 and result.frames_sent == n
+        z = (result.frames_lost - n * p) / math.sqrt(n * p * (1 - p))
+        assert abs(z) < 3, f"{result.frames_lost} of {n} vs {n * p:.1f}: z={z:.2f}"
+
     def test_pir_after_debounced_emission_misses_the_action(self):
         # the gesture's single debounced ON fires at t=330, before the
         # presence trigger; unarmed emissions are ignored and the debouncer
@@ -215,11 +224,11 @@ class TestRunPipeline:
         assert result.actions == [(330, Action.ON)]
         assert "[t=400] PIR TRIGGERED" in result.log
         assert not any("APPLIANCE" in line for line in result.log)
-        assert result.appliance.powered is False
+        assert result.powered is False
 
     def test_pir_before_streaming_honors_the_action(self):
         result = run_pipeline(vertical_trace(64, seed=8), pir_at=100)
-        assert result.appliance.powered is True
+        assert result.powered is True
         pir_idx = result.log.index("[t=100] PIR TRIGGERED")
         assert not any("APPLIANCE" in line for line in result.log[:pir_idx])
 
@@ -241,7 +250,7 @@ class TestRunPipeline:
                 if "APPLIANCE" in line:
                     assert pir_seen
             if pir_at is None:
-                assert result.appliance.powered is False
+                assert result.powered is False
 
     def test_transitions_subsequence_of_debounced_actions(self):
         result = run_pipeline(vertical_trace(64, seed=10), pir_at=0)
@@ -300,12 +309,12 @@ def per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=0):
             counts["corrupted"] += 1
             log.append(f"[t={sample.t}] FRAME_CORRUPTED codec integrity check failed")
             continue
-        sim.transmit_sample(AccelSample(t=sample.t, x=decoded.x, y=decoded.y, z=decoded.z))
+        sim.transmit_sample(decoded)
     advance(trace.samples[-1].t + link_cfg.latency)
     return {
         "log": log,
         "actions": actions,
-        "appliance": ctrl.appliance,
+        "powered": ctrl.powered,
         "frames_sent": sim.sent_count,
         "frames_delivered": sim.delivered_count,
         "frames_lost": sim.lost_count,
@@ -331,7 +340,7 @@ class TestBlockPhyMatchesPerFrameReference:
             expected = per_frame_pipeline(trace, link_cfg, modem_cfg)
             assert result.log == expected["log"], n
             assert result.actions == expected["actions"]
-            assert result.appliance == expected["appliance"]
+            assert result.powered == expected["powered"]
             for name in (
                 "frames_sent",
                 "frames_delivered",

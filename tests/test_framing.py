@@ -15,7 +15,6 @@ from wristlink.framing import (
     SyncMismatchError,
     WatchMode,
     _protected_crc,
-    crc8,
     deserialize,
     serialize,
 )
@@ -46,8 +45,8 @@ def bitwise_crc8(data: bytes) -> int:
 
 
 def test_crc8_known_vector():
-    # standard check value for this polynomial over ascii "123456789"
-    assert crc8(b"123456789") == 0xF4
+    # standard check value for this polynomial over ascii "123456789": it
+    # pins the reference that the table and the codec's CRC are held to
     assert bitwise_crc8(b"123456789") == 0xF4
 
 
@@ -57,7 +56,6 @@ def test_crc8_table_matches_bitwise_definition():
         assert CRC8_TABLE[byte] == bitwise_crc8(bytes([byte]))
     words = np.random.default_rng(8).integers(0, 256, (10_000, 4), dtype=np.uint8)
     expected = [bitwise_crc8(bytes(w)) for w in words.tolist()]
-    assert [crc8(bytes(w)) for w in words.tolist()] == expected
     # the frame codec's CRC of 32-bit protected words, one word as an int
     # and a block of words as an int64 array
     protected = [int.from_bytes(bytes(w), "big") for w in words.tolist()]

@@ -16,11 +16,11 @@ from wristlink.link import (
     ProtocolError,
 )
 from wristlink.framing import CodecFrame, WatchMode
-from wristlink.sensor import AccelSample
 
 
-def sample(t, z=277):
-    return AccelSample(t=t, x=100, y=200, z=z)
+def sample(z=277):
+    """An ACC frame; the link stamps it with its current time."""
+    return CodecFrame(WatchMode.ACC, 100, 200, z)
 
 
 def started_sim(**cfg_kwargs):
@@ -52,7 +52,7 @@ class TestApStart:
     def test_transmit_before_start_rejected(self):
         sim = LinkSimulator()
         with pytest.raises(ProtocolError):
-            sim.transmit_sample(sample(0))
+            sim.transmit_sample(sample())
         assert sim.sent_count == 0
 
 
@@ -71,11 +71,11 @@ class TestWatchMode:
 
     def test_idle_stops_streaming(self):
         sim = started_sim()
-        sim.transmit_sample(sample(0))
+        sim.transmit_sample(sample())
         sim.run_until(50)
         sim.watch_set_mode(WatchMode.IDLE)
         with pytest.raises(ProtocolError):
-            sim.transmit_sample(sample(60))
+            sim.transmit_sample(sample())
 
     @pytest.mark.parametrize("mode", [WatchMode.PPT, WatchMode.SYNC])
     def test_inert_modes_accepted_but_carry_no_payload(self, mode):
@@ -83,11 +83,11 @@ class TestWatchMode:
         sim.ap_start()
         sim.watch_set_mode(mode)
         with pytest.raises(ProtocolError):
-            sim.transmit_sample(sample(0))
+            sim.transmit_sample(sample())
 
     def test_mode_ack_refused_while_frame_in_flight(self):
         sim = started_sim(latency=10)
-        sim.transmit_sample(sample(0))
+        sim.transmit_sample(sample())
         with pytest.raises(ProtocolError, match="half-duplex"):
             sim.watch_set_mode(WatchMode.PPT)
         sim.run_until(10)
@@ -104,7 +104,7 @@ class TestWatchMode:
 class TestTransmit:
     def test_lossless_delivery_carries_payload(self):
         sim = started_sim(loss_probability=0.0, latency=10)
-        sim.transmit_sample(sample(0, z=277))
+        sim.transmit_sample(sample(z=277))
         events = sim.run_until(10)
         delivered = [e for e in events if e.kind is EventKind.FRAME_DELIVERED]
         assert len(delivered) == 1
@@ -128,7 +128,7 @@ class TestTransmit:
 
     def test_certain_loss_delivers_nothing(self):
         sim = started_sim(loss_probability=1.0, latency=10)
-        ev = sim.transmit_sample(sample(0))
+        ev = sim.transmit_sample(sample())
         assert ev.kind is EventKind.FRAME_LOST
         assert sim.run_until(100) == []
         assert sim.delivered_count == 0
@@ -138,7 +138,7 @@ class TestTransmit:
         def run():
             sim = started_sim(loss_probability=0.2, latency=1, seed=77)
             for i in range(100):
-                sim.transmit_sample(sample(i * 20))
+                sim.transmit_sample(sample())
                 sim.run_until(i * 20 + 1)
             return sim.delivered_count
 
@@ -153,7 +153,7 @@ class TestAcquiring:
     def test_announced_exactly_once(self):
         sim = started_sim(latency=5)
         for i in range(10):
-            sim.transmit_sample(sample(i * 20))
+            sim.transmit_sample(sample())
             sim.run_until(i * 20 + 5)
         assert sim.ap_state is AccessPointState.ACQUIRING
         assert sim.log.count(ACQUIRING_MESSAGE) == 1
@@ -163,14 +163,14 @@ class TestAcquiring:
     def test_not_announced_when_everything_lost(self):
         sim = started_sim(loss_probability=1.0)
         for i in range(5):
-            sim.transmit_sample(sample(i * 20))
+            sim.transmit_sample(sample())
         sim.run_until(1000)
         assert ACQUIRING_MESSAGE not in sim.log
         assert sim.ap_state is AccessPointState.STARTED
 
     def test_announce_follows_first_delivery(self):
         sim = started_sim(latency=10)
-        sim.transmit_sample(sample(0))
+        sim.transmit_sample(sample())
         events = sim.run_until(10)
         kinds = [e.kind for e in events]
         assert kinds == [EventKind.FRAME_DELIVERED, EventKind.ACQUIRE_ANNOUNCED]
@@ -184,7 +184,7 @@ class TestRunUntil:
 
     def test_single_scheduled_delivery(self):
         sim = started_sim(latency=10)
-        sim.transmit_sample(sample(0))
+        sim.transmit_sample(sample())
         events = sim.run_until(10)
         assert [e.kind for e in events] == [
             EventKind.FRAME_DELIVERED,
@@ -194,7 +194,7 @@ class TestRunUntil:
 
     def test_early_run_leaves_frame_in_flight(self):
         sim = started_sim(latency=10)
-        sim.transmit_sample(sample(0))
+        sim.transmit_sample(sample())
         assert sim.run_until(9) == []
         assert sim.frames_in_flight == 1
 
@@ -208,7 +208,7 @@ class TestRunUntil:
         def run():
             sim = started_sim(loss_probability=0.5, latency=7, seed=123)
             for i in range(50):
-                sim.transmit_sample(sample(i * 20, z=(261 + i) % 1024))
+                sim.transmit_sample(sample(z=(261 + i) % 1024))
                 sim.run_until(i * 20 + 10)
             sim.run_until(2000)
             return [(e.t, e.kind, e.detail) for e in sim.events], list(sim.log)
@@ -237,7 +237,7 @@ def test_half_duplex_intervals_never_overlap_ap_transmissions():
         sim.run_until(t)
         if sim.frames_in_flight == 0 and rng.random() < 0.2:
             sim.watch_set_mode(WatchMode.ACC)
-        sim.transmit_sample(sample(t))
+        sim.transmit_sample(sample())
     sim.run_until(t + 100)
     assert_half_duplex(sim.events)
     # events are totally ordered: non-decreasing t, ties by emission order
@@ -260,7 +260,7 @@ def test_half_duplex_intervals_never_overlap_ap_transmissions():
 
 def test_event_log_line_format():
     sim = started_sim(latency=10)
-    sim.transmit_sample(sample(0, z=277))
+    sim.transmit_sample(sample(z=277))
     sim.run_until(10)
     assert sim.log[0].startswith("[t=0] AP_STARTED")
     assert sim.log[1] == AP_STARTED_MESSAGE
@@ -383,24 +383,18 @@ class LinkMachine(RuleBasedStateMachine):
     @rule(
         dt=st.integers(0, 30) | st.just(0),
         counts=st.tuples(*[st.integers(0, 1023)] * 3),
-        as_frame=st.booleans(),
     )
-    def send(self, dt, counts, as_frame):
+    def send(self, dt, counts):
         self.advance(dt)
-        x, y, z = counts
-        if as_frame:
-            item = CodecFrame(WatchMode.ACC, x, y, z)
-        else:
-            item = AccelSample(t=self.sim.now, x=x, y=y, z=z)
+        frame = CodecFrame(WatchMode.ACC, *counts)
         if not self.started or self.mode is not WatchMode.ACC:
             with pytest.raises(ProtocolError):
-                self.sim.transmit_sample(item)
+                self.sim.transmit_sample(frame)
             return
         frame_id = self.sent
         self.sent += 1
-        ev = self.sim.transmit_sample(item)
-        frame = CodecFrame(WatchMode.ACC, x, y, z)
-        assert ev.frame_id == frame_id and ev.frame == frame
+        ev = self.sim.transmit_sample(frame)
+        assert ev.frame_id == frame_id and ev.frame is frame
         t = self.sim.now
         self.events.append((t, EventKind.FRAME_SENT, frame_id))
         if self.loss_rng.random() < self.cfg.loss_probability:

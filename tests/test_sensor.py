@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 from wristlink.classify import Action, CalibrationProfile, classify_window
 from wristlink.demo import DEMO_NAMES, demo_csv_path, demo_trace
 from wristlink.sensor import (
+    HORIZONTAL_Y_COUNTS,
     HORIZONTAL_Y_RANGE,
+    IDLE_COUNTS,
     IDLE_RANGE,
     SAMPLE_PERIOD_MS,
+    VERTICAL_Z_COUNTS,
     VERTICAL_Z_RANGE,
     AccelSample,
     GestureKind,
@@ -217,10 +220,25 @@ class TestGenerateGesture:
         with pytest.raises(ValueError):
             generate_gesture(GestureKind.OTHER, 0, seed=1)
 
-    def test_label_and_seed_recorded(self):
+    @pytest.mark.parametrize("n", [True, 2.5, -1])
+    def test_n_not_a_plain_positive_int_rejected(self, n):
+        # True would give one sample, and 2.5 a bare TypeError from range()
+        with pytest.raises(ValueError, match="n must be an int"):
+            generate_gesture(GestureKind.OTHER, n, seed=1)
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, True, 2**64, "abc"])
+    def test_seed_outside_the_shared_check_rejected(self, seed):
+        # random.Random would take -3 as seed 3 and hash the others
+        with pytest.raises(ValueError, match="seed must be an int"):
+            generate_gesture(GestureKind.OTHER, 4, seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        assert len(generate_gesture(GestureKind.OTHER, 4, seed=0)) == 4
+        assert len(generate_gesture(GestureKind.OTHER, 4, seed=2**64 - 1)) == 4
+
+    def test_label_recorded(self):
         trace = generate_gesture("horizontal", 4, seed=9)
         assert trace.label is GestureKind.HORIZONTAL
-        assert trace.seed == 9
 
 
 _EXPECTED_ACTION = {
@@ -239,7 +257,40 @@ def test_generated_gestures_classify_correctly_across_seeds(kind):
         assert classify_window(trace.samples, profile) is _EXPECTED_ACTION[kind]
 
 
+_DEMO_ACTIVE = {
+    "on": ("z", VERTICAL_Z_COUNTS),
+    "off": ("y", HORIZONTAL_Y_COUNTS),
+    "nothing": ("xyz", IDLE_COUNTS),
+}
+
+
 @pytest.mark.parametrize("name", DEMO_NAMES)
-def test_shipped_demo_csv_matches_in_memory_fixture(name):
-    # `simulate --demo` runs the in-memory fixture; the CSV ships beside it
-    assert load_trace(demo_csv_path(name)).samples == demo_trace(name).samples
+def test_shipped_demo_csv_matches_reference_captures(name):
+    # `--demo` loads the shipped CSV: its active axis replays the reference
+    # capture, inactive axes read 200, and samples are 20 ms apart
+    trace = load_trace(demo_csv_path(name))
+    active, counts = _DEMO_ACTIVE[name]
+    assert len(trace) == len(counts)
+    for i, (s, count) in enumerate(zip(trace, counts)):
+        assert s.t == 20 * i
+        for axis in "xyz":
+            assert getattr(s, axis) == (count if axis in active else 200)
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [
+        ("on", GestureKind.VERTICAL_UP_DOWN),
+        ("off", GestureKind.HORIZONTAL),
+        ("nothing", GestureKind.OTHER),
+    ],
+)
+def test_demo_trace_is_the_labeled_csv(name, label):
+    trace = demo_trace(name)
+    assert trace.samples == load_trace(demo_csv_path(name)).samples
+    assert trace.label is label
+
+
+def test_unknown_demo_name_rejected():
+    with pytest.raises(ValueError, match="unknown demo trace"):
+        demo_trace("sideways")
