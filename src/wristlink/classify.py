@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from enum import Enum
 
-from .sensor import GestureKind
+from .sensor import GestureKind, check_int
 
 # Factory default decision bands (raw z / y window means), window length,
 # and consecutive-verdict count.
@@ -58,29 +58,20 @@ class CalibrationProfile:
     debounce_n: int = DEFAULT_DEBOUNCE_N
 
     def __post_init__(self):
-        values = []
         for name in _BANDS:
             band = tuple(getattr(self, name))
             object.__setattr__(self, name, band)
-            values += [(f"{name}[{i}]", end) for i, end in enumerate(band)]
-        values += [("window_size", self.window_size), ("debounce_n", self.debounce_n)]
-        for name, value in values:
-            # bool is an int subclass; a profile holds plain integers only
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in _BANDS:
-            band = getattr(self, name)
+            for i, end in enumerate(band):
+                check_int(f"{name}[{i}]", end)
             if len(band) != 2 or band[0] > band[1]:
                 raise ValueError(f"{name} must be an interval [lo, hi], got {band}")
+        check_int("window_size", self.window_size, 1)
+        check_int("debounce_n", self.debounce_n, 1)
         if _bands_overlap(self.on_band, self.off_band):
             raise ValueError(
                 f"bands overlap: on_band={list(self.on_band)}"
                 f" off_band={list(self.off_band)}"
             )
-        if self.window_size < 1:
-            raise ValueError(f"window_size must be >= 1, got {self.window_size}")
-        if self.debounce_n < 1:
-            raise ValueError(f"debounce_n must be >= 1, got {self.debounce_n}")
 
 
 def window_mean(samples, axis: str) -> Fraction:
@@ -127,6 +118,8 @@ def calibrate(
     at these margins). The profile keeps the default window size and
     debounce count.
     """
+    check_int("margin_lo", margin_lo)
+    check_int("margin_hi", margin_hi)
     on_traces = list(on_traces)
     off_traces = list(off_traces)
     if not on_traces or not off_traces:
@@ -160,8 +153,7 @@ class Debouncer:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"debounce_n must be >= 1, got {n}")
+        check_int("debounce_n", n, 1)
         self.n = n
         self._run_action: Action | None = None
         self._run_len = 0

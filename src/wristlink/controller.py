@@ -22,7 +22,7 @@ from .classify import Action, CalibrationProfile, Debouncer, classify_window
 from .framing import CodecFrame, WatchMode, deserialize, serialize
 from .link import EventKind, LinkConfig, LinkEvent, LinkSimulator
 from .modem import ModemConfig, channel_apply, demodulate, modulate
-from .sensor import Trace
+from .sensor import Trace, check_int
 
 # Frames per radio-path block. Outputs do not depend on it, but peak memory
 # grows with it (a frame is 768 float64 waveform samples, held in a few
@@ -96,14 +96,14 @@ def run_pipeline(
     window advances over delivered samples only, so losses shrink window
     fill instead of stalling progress: once window_size samples have
     arrived, every further delivery completes a window and yields a verdict
-    for the debounce stage. `pir_at` is the presence-trigger time in ms;
+    for the debounce stage. `pir_at` is the presence-trigger time in int ms;
     None, or a time past the end of the run, means the sensor never fires.
     Protocol violations propagate; nothing is silently dropped.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    if pir_at is not None and pir_at < 0:
-        raise ValueError(f"pir_at must be non-negative, got {pir_at}")
+    if pir_at is not None:
+        check_int("pir_at", pir_at, 0)
     profile = profile if profile is not None else CalibrationProfile()
     link_cfg = link_cfg if link_cfg is not None else LinkConfig()
     modem_cfg = modem_cfg if modem_cfg is not None else ModemConfig()

@@ -125,9 +125,9 @@ def _wire_word(mode, x, y, z):
 def serialize(frames):
     """Encode frames into their 48-bit wire sequences.
 
-    A CodecFrame gives one list of 48 ints. An (n, 4) frame block of
-    (mode, x, y, z) rows gives an (n, 48) uint8 array, one frame per row;
-    fields outside their wire range raise ValueError.
+    A CodecFrame gives one list of 48 ints. An (n, 4) integer frame block of
+    (mode, x, y, z) rows gives an (n, 48) uint8 array, one frame per row; a
+    non-integer dtype or a field outside its wire range raises ValueError.
     """
     if isinstance(frames, CodecFrame):
         word = _wire_word(frames.mode, frames.x, frames.y, frames.z)
@@ -135,6 +135,9 @@ def serialize(frames):
     fields = np.asarray(frames)
     if fields.ndim != 2 or fields.shape[1] != 4:
         raise ValueError(f"frame block must have shape (n, 4), got {fields.shape}")
+    # bool is not a NumPy integer type; a float block would be truncated
+    if not np.issubdtype(fields.dtype, np.integer):
+        raise ValueError(f"frame block must have an integer dtype, got {fields.dtype}")
     if np.any((fields < 0) | (fields > _FIELD_MAX)):
         raise ValueError("frame block field outside its wire range")
     word = _wire_word(*fields.T.astype(np.int64))

@@ -18,7 +18,7 @@ from enum import Enum
 from random import Random
 
 from .framing import CodecFrame, WatchMode
-from .sensor import check_seed
+from .sensor import check_int, check_seed
 
 AP_STARTED_MESSAGE = "Access point started. Now start watch in ACC, PPT or Synch mode."
 ACQUIRING_MESSAGE = "Acquiring data from accelerometer sensor"
@@ -51,15 +51,11 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError(
-                f"loss_probability must lie in [0, 1], got {self.loss_probability}"
-            )
-        # timestamps are integer ms; bool is an int subclass but not a latency
-        if isinstance(self.latency, bool) or not isinstance(self.latency, int):
-            raise ValueError(f"latency must be an int, got {self.latency!r}")
-        if self.latency < 0:
-            raise ValueError(f"latency must be non-negative, got {self.latency}")
+        # a bool is an int subclass but not a probability
+        p = self.loss_probability
+        if isinstance(p, bool) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"loss_probability must lie in [0, 1], got {p!r}")
+        check_int("latency", self.latency, 0)  # timestamps are integer ms
         check_seed(self.seed)
 
 
@@ -186,13 +182,12 @@ class LinkSimulator:
         return sent
 
     def run_until(self, t: int) -> list[LinkEvent]:
-        """Advance virtual time to t, delivering the frames due by then.
+        """Advance virtual time to t (an int >= now), delivering frames due.
 
         Time never runs backwards and latency is fixed, so the frames in
         flight are due in send order, each at its send time + latency.
         """
-        if t < self.now:
-            raise ValueError(f"cannot run backwards: t={t} < now={self.now}")
+        check_int("t", t, self.now)
         emitted: list[LinkEvent] = []
         latency = self.cfg.latency
         while self._in_flight and self._in_flight[0].t + latency <= t:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensor import check_seed
+from .sensor import check_int, check_seed
 
 # the tone plan, in Hz
 F0 = 1000.0
@@ -136,8 +136,10 @@ class ModemConfig:
 
     def __post_init__(self):
         for name in ("channel_attenuation", "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # a bool is an int subclass but not a channel quantity
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0 < self.channel_attenuation <= 1:
             raise ValueError("channel_attenuation must lie in (0, 1]")
         if self.noise_sigma < 0:
@@ -246,8 +248,7 @@ def measure_ber(cfg: ModemConfig, n_bits: int) -> float:
     generator from block to block, so the rate is exactly that of one call
     over the whole row while memory stays bounded by the block size.
     """
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
+    check_int("n_bits", n_bits, 1)
     bit_ss, noise_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     bit_rng = np.random.default_rng(bit_ss)
     # the generator a one-row channel_apply call would seed for row 0

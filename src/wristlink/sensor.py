@@ -55,27 +55,35 @@ class TraceFormatError(ValueError):
     """A trace file violates the CSV trace format."""
 
 
+def check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
+    """Raise ValueError naming the parameter and the value unless value is a
+    plain int in lo..hi, an end given as None being open. This is the one
+    integer rule: a bool, a float or a NumPy integer never passes."""
+    if type(value) is not int or (lo is not None and value < lo) or (hi is not None and value > hi):
+        if lo is None:
+            span = "" if hi is None else f" <= {hi}"
+        else:
+            span = f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
 def check_counts(x: int, y: int, z: int) -> None:
     """Raise ValueError unless every axis is a raw count in COUNT_MIN..COUNT_MAX."""
-    for name, v in (("x", x), ("y", y), ("z", z)):
-        if not COUNT_MIN <= v <= COUNT_MAX:
-            raise ValueError(f"{name}={v} outside {COUNT_MIN}..{COUNT_MAX}")
+    check_int("x", x, COUNT_MIN, COUNT_MAX)
+    check_int("y", y, COUNT_MIN, COUNT_MAX)
+    check_int("z", z, COUNT_MIN, COUNT_MAX)
 
 
 def check_seed(seed) -> None:
-    """Raise ValueError unless seed is a plain int in 0..2**64 - 1.
-
-    This is the seed of a LinkConfig, a ModemConfig or generate_gesture.
-    Their generators would silently coerce a bool, a float or an
-    out-of-range int to another seed.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an int in 0..2**64-1, got {seed!r}")
+    """Raise ValueError unless seed is an int in 0..2**64 - 1: the seed of a
+    LinkConfig, a ModemConfig or generate_gesture, whose generators would
+    silently coerce an out-of-range int to another seed."""
+    check_int("seed", seed, 0, 2**64 - 1)
 
 
 @dataclass(frozen=True)
 class AccelSample:
-    """One timestamped 3-axis reading in raw counts."""
+    """One timestamped 3-axis reading in raw counts; t is an int >= 0 (ms)."""
 
     t: int
     x: int
@@ -83,8 +91,7 @@ class AccelSample:
     z: int
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"t must be non-negative, got {self.t}")
+        check_int("t", self.t, 0)
         check_counts(self.x, self.y, self.z)
 
 
@@ -183,11 +190,10 @@ def generate_gesture(kind: GestureKind | str, n: int, seed: int) -> Trace:
 
     The gesture's active axis draws uniformly from the reference capture
     range for that motion; inactive axes draw from the idle range. Samples
-    are spaced SAMPLE_PERIOD_MS apart starting at t=0. `n` is a plain int
-    >= 1, and `seed` passes check_seed.
+    are spaced SAMPLE_PERIOD_MS apart starting at t=0. `n` is an int >= 1,
+    and `seed` passes check_seed.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    check_int("n", n, 1)
     check_seed(seed)
     kind = GestureKind(kind)
     rx, ry, rz = _GESTURE_AXIS_RANGES[kind]

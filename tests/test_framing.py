@@ -211,11 +211,27 @@ class TestFrameBlocks:
         assert ok.shape == (0,) and fields.shape == (0, 4)
 
     @pytest.mark.parametrize(
-        "fields", [[(4, 0, 0, 0)], [(1, 1024, 0, 0)], [(1, 0, -1, 0)], [(1, 2, 3)]]
+        "fields",
+        [
+            [(4, 0, 0, 0)],
+            [(1, 1024, 0, 0)],
+            [(1, 0, -1, 0)],
+            [(1, 2, 3)],
+            # a float block would be truncated (x = 1.5 sent as 1), a bool
+            # one read as counts 0 and 1
+            [(1, 1.5, 2, 3)],
+            [(1.0, 1.0, 2.0, 3.0)],
+            [(True, True, False, True)],
+        ],
     )
     def test_block_fields_validated(self, fields):
         with pytest.raises(ValueError):
             serialize(np.array(fields))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
+    def test_every_integer_dtype_encodes_alike(self, dtype):
+        fields = np.array([(1, 100, 200, 255)])
+        assert serialize(fields.astype(dtype)).tolist() == serialize(fields).tolist()
 
     def test_block_bits_validated(self):
         with pytest.raises(DecodeError, match="47"):

@@ -277,6 +277,13 @@ def test_latency_must_be_plain_int(latency):
         LinkConfig(latency=latency)
 
 
+@pytest.mark.parametrize("loss", [True, False])
+def test_loss_probability_is_not_a_bool(loss):
+    # True would lose every frame, False none
+    with pytest.raises(ValueError, match="loss_probability"):
+        LinkConfig(loss_probability=loss)
+
+
 @pytest.mark.parametrize("seed", [-3, 1.5, True, 2**64])
 def test_seed_must_be_an_int_word(seed):
     # Random(-3) draws exactly as Random(3): a negative seed is not a new stream

@@ -97,6 +97,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             ModemConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("name", ["channel_attenuation", "noise_sigma"])
+    def test_bool_values_rejected(self, name, value):
+        # noise_sigma=True would run at sigma 1, attenuation=True at gain 1
+        with pytest.raises(ValueError, match=name):
+            ModemConfig(**{name: value})
+
 
 class TestModulate:
     def test_empty_bits_empty_waveform(self):
