@@ -46,11 +46,13 @@ class HomeController:
 
     def pir_trigger(self, t: int) -> None:
         """Arm the controller; re-triggering keeps it armed."""
+        check_int("t", t, 0)
         self.armed = True
         self.log.append(f"[t={t}] PIR TRIGGERED")
 
     def apply_action(self, action: Action, t: int) -> None:
         """Honor a debounced action while armed; log real transitions only."""
+        check_int("t", t, 0)
         if not self.armed:
             return
         if action is Action.ON and not self.powered:

@@ -6,7 +6,8 @@ a single-bin discrete-frequency probe at each tone frequency and the larger
 energy wins, ties decoding as 0. The fixed tones (F0 1 kHz, F1 2 kHz at 16
 kHz SAMPLE_RATE) and the fixed SAMPLES_PER_BIT of 16 place a whole number of
 cycles of either tone in every bit window, so the probes are exactly
-orthogonal on clean input.
+orthogonal on clean input, and every bit starts at phase 0: a row's
+waveform is a gather from a (2, SAMPLES_PER_BIT) table of the two tones.
 
 The channel is a scalar gain plus seeded additive white Gaussian noise;
 every operation here is a pure function of its arguments.
@@ -18,7 +19,10 @@ noise from the generator seeded with (seed + i) mod 2**64, so a block of n
 frames gives exactly what n single-frame calls with those seeds give.
 `modulate(phase=)` and `channel_apply(rng=)` instead carry a transmission's
 phase and noise stream across calls, which is how measure_ber sends one long
-row in fixed-size blocks.
+row in fixed-size blocks. The phase carry keeps a running phase sum instead
+of the table, only for measure_ber: ber.csv's bytes depend on its rounding
+drift (up to ~5e-5 rad over a 200k-bit row); the benchmark sweep's seed-0
+row at sigma 2 reads 0.303365, and would read 0.30337 from the table.
 """
 from __future__ import annotations
 
@@ -38,6 +42,9 @@ SAMPLES_PER_BIT = 16
 
 # phase advance per sample of the F0 and F1 tones
 _INC0, _INC1 = 2.0 * np.pi * np.array([F0, F1]) / SAMPLE_RATE
+# one bit's window of the F0 tone (row 0) and of the F1 tone (row 1), each
+# from phase 0
+_TONES = np.sin(np.arange(SAMPLES_PER_BIT) * np.array([[_INC0], [_INC1]]))
 # the single-bin F0 and F1 probes over one bit window, and their real and
 # imaginary parts as the (SAMPLES_PER_BIT, 4) matrix that demodulate applies
 _F0_PROBE, _F1_PROBE = np.exp(
@@ -158,18 +165,26 @@ def modulate(bits, phase=None) -> np.ndarray:
 
     The waveform is SAMPLES_PER_BIT times as long as the last axis of
     `bits`; along that axis the phase starts at 0 and advances by
-    2*pi*f/SAMPLE_RATE per sample, where f follows the bit value.
+    2*pi*f/SAMPLE_RATE per sample, where f follows the bit value. Each bit
+    holds whole cycles of its tone, so every bit starts at phase 0 and,
+    with no `phase` given, the waveform is a gather from the tone table
+    _TONES.
 
     `phase`, when given, carries the phase sum from one call to the next: a
     float64 array of shape bits.shape[:-1] (one entry per row), added to the
     first sample's increment and advanced in place to the row's running sum,
     so a row sent in pieces with one carry array (starting at zeros) gives
-    exactly the waveform of the whole row.
+    exactly the waveform of the whole row. That running sum drifts from the
+    table by rounding (up to ~5e-5 rad over a 200k-bit row), and ber.csv's
+    bytes depend on it: measure_ber is its only caller, and it goes with the
+    versioned output v2 that re-records ber.csv (ROADMAP item 3).
     """
     bits = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bit sequence must contain only 0 and 1")
-    if phase is not None and (
+    if phase is None:
+        return _TONES.take(bits.astype(np.intp), axis=0).reshape(*bits.shape[:-1], -1)
+    if (
         not isinstance(phase, np.ndarray)
         or phase.dtype != np.float64
         or phase.shape != bits.shape[:-1]
@@ -177,12 +192,11 @@ def modulate(bits, phase=None) -> np.ndarray:
         raise ValueError(f"phase must be a float64 array of shape {bits.shape[:-1]}")
     bit_inc = np.where(bits == 1, _INC1, _INC0)
     ph = np.repeat(bit_inc, SAMPLES_PER_BIT, axis=-1)
-    carry = phase is not None and ph.shape[-1] > 0
-    if carry:
-        ph[..., 0] += phase
+    if ph.shape[-1] == 0:
+        return ph
+    ph[..., 0] += phase
     np.cumsum(ph, axis=-1, out=ph)
-    if carry:
-        phase[...] = ph[..., -1]
+    phase[...] = ph[..., -1]
     # exclusive prefix sum: each bit's first sample sits at the phase so far
     per_bit = ph.reshape(*bit_inc.shape, SAMPLES_PER_BIT)
     per_bit -= bit_inc[..., None]

@@ -18,7 +18,7 @@ from wristlink.classify import (
     calibrate,
     debounced_stream,
 )
-from wristlink.controller import run_pipeline
+from wristlink.controller import HomeController, run_pipeline
 from wristlink.framing import CodecFrame, WatchMode
 from wristlink.link import LinkConfig, LinkSimulator
 from wristlink.modem import ModemConfig, measure_ber
@@ -38,6 +38,12 @@ TRAINING = ([generate_gesture("vertical", 20, 1)], [generate_gesture("horizontal
 
 def pipeline(pir_at):
     return run_pipeline(generate_gesture("vertical", 20, 1), pir_at=pir_at)
+
+
+def armed_controller():
+    ctrl = HomeController()
+    ctrl.pir_trigger(0)
+    return ctrl
 
 
 def run_until_after_now(t):
@@ -100,6 +106,11 @@ ENTRIES = {
     "Debouncer": Entry("debounce_n", Debouncer, 1),
     "debounced_stream": Entry("debounce_n", lambda v: debounced_stream([Action.ON], v), 1),
     "run_pipeline.pir_at": Entry("pir_at", pipeline, 0),
+    "HomeController.pir_trigger": Entry("t", lambda v: HomeController().pir_trigger(v), 0),
+    # an unarmed controller: t is checked before the armed test
+    "HomeController.apply_action": Entry(
+        "t", lambda v: HomeController().apply_action(Action.ON, v), 0
+    ),
     "LinkSimulator.run_until": Entry("t", run_until_after_now, RUN_UNTIL_NOW),
     "measure_ber": Entry("n_bits", lambda v: measure_ber(ModemConfig(), v), 1),
 }
@@ -156,6 +167,8 @@ ONCE_ACCEPTED = {
     "run_pipeline(pir_at=True)": (
         "pir_at", True, lambda: run_pipeline(VERTICAL, pir_at=True)
     ),
+    "pir_trigger(2.5)": ("t", 2.5, lambda: HomeController().pir_trigger(2.5)),
+    "apply_action(2.5)": ("t", 2.5, lambda: armed_controller().apply_action(Action.ON, 2.5)),
     "Debouncer(1.5)": ("debounce_n", 1.5, lambda: Debouncer(1.5)),
     "Debouncer(True)": ("debounce_n", True, lambda: Debouncer(True)),
     "debounced_stream(1.5)": (
