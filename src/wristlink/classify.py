@@ -24,8 +24,6 @@ DEFAULT_OFF_BAND = (323, 384)
 DEFAULT_WINDOW_SIZE = 16
 DEFAULT_DEBOUNCE_N = 2
 
-_BANDS = ("on_band", "off_band")
-
 
 class Action(Enum):
     """Classifier verdict; evaluation order is ON, then OFF, then DO_NOTHING."""
@@ -58,8 +56,11 @@ class CalibrationProfile:
     debounce_n: int = DEFAULT_DEBOUNCE_N
 
     def __post_init__(self):
-        for name in _BANDS:
-            band = tuple(getattr(self, name))
+        for name in ("on_band", "off_band"):
+            band = getattr(self, name)
+            if not isinstance(band, (list, tuple)):
+                raise ValueError(f"{name} must be an interval [lo, hi], got {band!r}")
+            band = tuple(band)
             object.__setattr__(self, name, band)
             for i, end in enumerate(band):
                 check_int(f"{name}[{i}]", end)
@@ -114,9 +115,10 @@ def calibrate(
     The on band spans the z values of the vertical-motion traces widened by
     the margins; the off band spans the y values of the horizontal-motion
     traces likewise. Raises CalibrationError when input is missing, labels
-    are wrong, or the widened bands overlap (the gestures are not separable
-    at these margins). The profile keeps the default window size and
-    debounce count.
+    are wrong, or CalibrationProfile rejects the widened bands: they
+    overlap (the gestures are not separable at these margins) or a
+    negative margin inverts one. The profile keeps the default window size
+    and debounce count.
     """
     check_int("margin_lo", margin_lo)
     check_int("margin_hi", margin_hi)
@@ -131,17 +133,15 @@ def calibrate(
             raise CalibrationError(
                 f"expected a trace labeled {want.value}, got {trace.label}"
             )
-        if not len(trace):
-            raise CalibrationError("training traces must be non-empty")
     z_values = [s.z for t in on_traces for s in t]
     y_values = [s.y for t in off_traces for s in t]
-    on_band = (min(z_values) - margin_lo, max(z_values) + margin_hi)
-    off_band = (min(y_values) - margin_lo, max(y_values) + margin_hi)
-    if _bands_overlap(on_band, off_band):
-        raise CalibrationError(
-            f"bands overlap: on_band={list(on_band)} off_band={list(off_band)}"
+    try:
+        return CalibrationProfile(
+            on_band=(min(z_values) - margin_lo, max(z_values) + margin_hi),
+            off_band=(min(y_values) - margin_lo, max(y_values) + margin_hi),
         )
-    return CalibrationProfile(on_band=on_band, off_band=off_band)
+    except ValueError as exc:
+        raise CalibrationError(str(exc)) from None
 
 
 class Debouncer:
@@ -193,8 +193,7 @@ def save_profile(profile: CalibrationProfile, path) -> None:
 
 def load_profile(path) -> CalibrationProfile:
     """Load a JSON profile document: an object holding exactly the fields of
-    CalibrationProfile, bands as two-element lists. CalibrationProfile
-    checks the values."""
+    CalibrationProfile, which checks the values."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="ascii"))
@@ -211,10 +210,6 @@ def load_profile(path) -> CalibrationProfile:
     missing = sorted(keys - set(doc))
     if missing:
         raise ProfileError(f"{path}: missing profile keys: {', '.join(missing)}")
-    for key in _BANDS:
-        band = doc[key]
-        if not isinstance(band, list) or len(band) != 2:
-            raise ProfileError(f"{path}: {key} must be a two-element list")
     try:
         return CalibrationProfile(**doc)
     except ValueError as exc:

@@ -19,9 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
-    CalibrationError,
     CalibrationProfile,
-    ProfileError,
     calibrate,
     classify_window,
     load_profile,
@@ -32,18 +30,23 @@ from .controller import run_pipeline
 from .demo import DEMO_NAMES, demo_trace
 from .link import LinkConfig, ProtocolError
 from .modem import ModemConfig, measure_ber
-from .sensor import GestureKind, TraceFormatError, generate_gesture, load_trace, save_trace
+from .sensor import GestureKind, generate_gesture, load_trace, save_trace
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-# the simulate flag that sets each LinkConfig / ModemConfig field
+# the flag that sets each parameter a library owner checks; the owner's
+# ValueError message starts with the parameter's name and a space
 _FIELD_FLAGS = {
     "loss_probability": "--loss",
     "latency": "--latency",
     "noise_sigma": "--noise",
     "channel_attenuation": "--attenuation",
+    "n": "--n",
+    "pir_at": "--pir-at",
+    "n_bits": "--bits",
+    "window_size": "--window",
 }
 
 
@@ -51,14 +54,18 @@ class _UsageError(Exception):
     """Bad flag or configuration value; maps to exit code 2."""
 
 
-def _config(cls, **fields):
-    """Build a config dataclass, whose checks own the flag values; a value it
-    rejects is a usage error that names the flag setting it."""
+def _owned(owner, *args, **kwargs):
+    """Call the library owner of some flag values, whose checks are the only
+    ones those values get: a ValueError naming a parameter that a flag sets
+    is a usage error that names the flag, and any other propagates."""
     try:
-        return cls(**fields)
+        return owner(*args, **kwargs)
     except ValueError as exc:
-        flags = [flag for name, flag in _FIELD_FLAGS.items() if name in str(exc)]
-        raise _UsageError(f"{'/'.join(flags)}: {exc}") from None
+        message = str(exc)
+        for name, flag in _FIELD_FLAGS.items():
+            if message.startswith(f"{name} "):
+                raise _UsageError(f"{flag}: {message}") from None
+        raise
 
 
 def _subseed(seed: int, stage: str) -> int:
@@ -224,9 +231,7 @@ def _input_profile(o) -> CalibrationProfile:
 
 
 def cmd_gen(o) -> int:
-    if o.n < 1:
-        raise _UsageError(f"--n must be >= 1, got {o.n}")
-    trace = generate_gesture(o.kind, o.n, _subseed(o.seed, "gen"))
+    trace = _owned(generate_gesture, o.kind, o.n, _subseed(o.seed, "gen"))
     path = _out_dir(o) / f"trace_{o.kind}.csv"
     save_trace(trace, path)
     print(f"wrote {len(trace)} samples to {path}")
@@ -236,24 +241,21 @@ def cmd_gen(o) -> int:
 def cmd_simulate(o) -> int:
     trace = _input_trace(o)
     profile = _input_profile(o)
-    link_cfg = _config(
+    link_cfg = _owned(
         LinkConfig,
         loss_probability=o.loss,
         latency=o.latency,
         seed=_subseed(o.seed, "link"),
     )
-    modem_cfg = _config(
+    modem_cfg = _owned(
         ModemConfig,
         channel_attenuation=o.attenuation,
         noise_sigma=o.noise,
         seed=_subseed(o.seed, "modem"),
     )
     pir_at = None if o.no_pir else o.pir_at
-    if pir_at is not None and pir_at < 0:
-        raise _UsageError(f"--pir-at must be non-negative, got {pir_at}")
-
-    result = run_pipeline(
-        trace, profile=profile, link_cfg=link_cfg, modem_cfg=modem_cfg, pir_at=pir_at
+    result = _owned(
+        run_pipeline, trace, profile=profile, link_cfg=link_cfg, modem_cfg=modem_cfg, pir_at=pir_at
     )
 
     out = _out_dir(o)
@@ -283,8 +285,6 @@ def cmd_simulate(o) -> int:
 def cmd_ber(o) -> int:
     if o.points < 1:
         raise _UsageError(f"--points must be >= 1, got {o.points}")
-    if o.bits < 1:
-        raise _UsageError(f"--bits must be >= 1, got {o.bits}")
     if not 0.0 <= o.sigma_min <= o.sigma_max < math.inf:
         raise _UsageError(
             f"invalid sweep range [{o.sigma_min}, {o.sigma_max}]"
@@ -295,7 +295,7 @@ def cmd_ber(o) -> int:
     rows = ["noise_sigma,ber"]
     for sigma in sigmas:
         cfg = ModemConfig(noise_sigma=float(sigma), seed=seed)
-        rate = measure_ber(cfg, o.bits)
+        rate = _owned(measure_ber, cfg, o.bits)
         rows.append(f"{sigma:.6g},{rate:.6g}")
         print(rows[-1])
     path = _out_dir(o) / "ber.csv"
@@ -306,10 +306,8 @@ def cmd_ber(o) -> int:
 def cmd_classify(o) -> int:
     trace = _input_trace(o)
     profile = _input_profile(o)
-    if o.window < 0:
-        raise _UsageError(f"--window must be >= 0, got {o.window}")
     if o.window:
-        profile = replace(profile, window_size=o.window)
+        profile = _owned(replace, profile, window_size=o.window)
     w = profile.window_size
     if len(trace) < w:
         raise _UsageError(
@@ -369,14 +367,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        TraceFormatError,
-        CalibrationError,
-        ProfileError,
-        ProtocolError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

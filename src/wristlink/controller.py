@@ -100,12 +100,15 @@ def run_pipeline(
     arrived, every further delivery completes a window and yields a verdict
     for the debounce stage. `pir_at` is the presence-trigger time in int ms;
     None, or a time past the end of the run, means the sensor never fires.
+    Deliveries due at exactly `pir_at` are consumed before the trigger, and
+    the trigger starts a fresh debouncer: the run it had, and the action it
+    last emitted while unarmed, are discarded.
     Protocol violations propagate; nothing is silently dropped.
     """
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
     if pir_at is not None:
         check_int("pir_at", pir_at, 0)
+    if len(trace) == 0:
+        raise ValueError("trace is empty")
     profile = profile if profile is not None else CalibrationProfile()
     link_cfg = link_cfg if link_cfg is not None else LinkConfig()
     modem_cfg = modem_cfg if modem_cfg is not None else ModemConfig()
@@ -138,10 +141,12 @@ def run_pipeline(
                 ctrl.apply_action(emitted, ev.t)
 
     def advance(t: int) -> None:
-        nonlocal pir_pending
+        nonlocal gate, pir_pending
         if pir_pending and pir_at <= t:
             consume(sim.run_until(max(pir_at, sim.now)))
             ctrl.pir_trigger(pir_at)
+            # an action emitted while unarmed must not block that action now
+            gate = Debouncer(profile.debounce_n)
             pir_pending = False
         consume(sim.run_until(t))
 

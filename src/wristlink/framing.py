@@ -25,7 +25,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .sensor import COUNT_MAX, check_counts
+from .sensor import COUNT_MAX, check_counts, check_int, check_rows
 
 SYNC_PATTERN = 0xA5
 SYNC_BITS = 8
@@ -72,6 +72,16 @@ class WatchMode(IntEnum):
     SYNC = 3
 
 
+def check_mode(mode) -> WatchMode:
+    """The WatchMode of a mode tag: a WatchMode member, or a plain int wire
+    tag in 0..3 under the integer rule, so that no bool, float or NumPy
+    integer is read as a mode."""
+    if type(mode) is WatchMode:
+        return mode
+    check_int("mode", mode, 0, (1 << MODE_BITS) - 1)
+    return WatchMode(mode)
+
+
 class DecodeError(ValueError):
     """A bit sequence cannot be decoded into a frame."""
 
@@ -94,7 +104,7 @@ class CodecFrame:
     z: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", WatchMode(self.mode))
+        object.__setattr__(self, "mode", check_mode(self.mode))
         check_counts(self.x, self.y, self.z)
 
 
@@ -151,12 +161,12 @@ def deserialize(bits):
     bad preamble and CrcMismatchError when the integrity check fails. An
     (n, 48) array gives `(ok, fields)`: a boolean mask of the frames whose
     sync and CRC both hold, and the (n, 4) frame block read from every row.
-    Either form raises DecodeError on a wrong length or a non-bit value.
+    Either form raises DecodeError on a wrong length or a non-bit value; any
+    other rank raises ValueError (sensor.check_rows).
     """
-    rows = bits if isinstance(bits, np.ndarray) else np.asarray(list(bits))
-    width = rows.shape[-1] if rows.ndim else 0
-    if rows.ndim not in (1, 2) or width != FRAME_BITS:
-        raise DecodeError(f"expected {FRAME_BITS} bits, got {width}")
+    rows = check_rows("bits", bits)
+    if rows.shape[-1] != FRAME_BITS:
+        raise DecodeError(f"expected {FRAME_BITS} bits, got {rows.shape[-1]}")
     bad = rows[(rows != 0) & (rows != 1)]
     if bad.size:
         raise DecodeError(f"bit sequence contains non-bit value {bad[0].item()!r}")

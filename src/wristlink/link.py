@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
-from .framing import CodecFrame, WatchMode
+from .framing import CodecFrame, WatchMode, check_mode
 from .sensor import check_int, check_seed
 
 AP_STARTED_MESSAGE = "Access point started. Now start watch in ACC, PPT or Synch mode."
@@ -123,8 +123,10 @@ class LinkSimulator:
         """Switch the watch mode; the access point acknowledges immediately.
 
         Requires a started access point and a quiet channel (half-duplex:
-        the acknowledgment may not overlap a frame in flight).
+        the acknowledgment may not overlap a frame in flight). The mode is
+        a WatchMode member or its plain int wire tag (framing.check_mode).
         """
+        mode = check_mode(mode)
         if self.ap_state is AccessPointState.NOT_STARTED:
             raise ProtocolError("access point not started")
         if self._in_flight:
@@ -132,7 +134,6 @@ class LinkSimulator:
                 "half-duplex violation: cannot acknowledge a mode change"
                 " while a frame is in flight"
             )
-        mode = WatchMode(mode)
         if mode is WatchMode.ACC:
             if self._acc_seen and self.watch_mode is not WatchMode.ACC:
                 self.acc_resets += 1

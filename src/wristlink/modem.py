@@ -12,11 +12,12 @@ waveform is a gather from a (2, SAMPLES_PER_BIT) table of the two tones.
 The channel is a scalar gain plus seeded additive white Gaussian noise;
 every operation here is a pure function of its arguments.
 
-Every stage takes an optional leading frame axis. A 1-D bit sequence or
-waveform is one transmission; a 2-D array holds one frame per row, and each
-row is its own transmission: its phase starts at 0, and row i draws its
-noise from the generator seeded with (seed + i) mod 2**64, so a block of n
-frames gives exactly what n single-frame calls with those seeds give.
+Every stage takes an optional leading frame axis, and no other: a 1-D bit
+sequence or waveform is one transmission, a 2-D array holds one frame per
+row, and any other rank raises ValueError (sensor.check_rows). Each row is
+its own transmission: its phase starts at 0, and row i draws its noise from
+the generator seeded with (seed + i) mod 2**64, so a block of n frames
+gives exactly what n single-frame calls with those seeds give.
 `modulate(phase=)` and `channel_apply(rng=)` instead carry a transmission's
 phase and noise stream across calls, which is how measure_ber sends one long
 row in fixed-size blocks. The phase carry keeps a running phase sum instead
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensor import check_int, check_seed
+from .sensor import check_int, check_rows, check_seed
 
 # the tone plan, in Hz
 F0 = 1000.0
@@ -179,7 +180,7 @@ def modulate(bits, phase=None) -> np.ndarray:
     bytes depend on it: measure_ber is its only caller, and it goes with the
     versioned output v2 that re-records ber.csv (ROADMAP item 3).
     """
-    bits = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
+    bits = check_rows("bits", bits)
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bit sequence must contain only 0 and 1")
     if phase is None:
@@ -213,7 +214,7 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
     a waveform sent in pieces with one generator gets exactly the noise of
     one draw over the whole.
     """
-    out = np.asarray(waveform, dtype=float) * cfg.channel_attenuation
+    out = check_rows("waveform", waveform, float) * cfg.channel_attenuation
     if cfg.noise_sigma > 0 and out.size:
         noise = np.empty_like(out)
         if rng is not None:
@@ -221,7 +222,7 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
         else:
             from numpy.random import PCG64, Generator
 
-            rows = noise.reshape(-1, out.shape[-1] if out.ndim else 1)
+            rows = noise.reshape(-1, out.shape[-1])
             seeds = np.uint64(cfg.seed) + np.arange(len(rows), dtype=np.uint64)
             state_words = _state_words_type()
             # default_rng(s) is Generator(PCG64(SeedSequence(s)))
@@ -240,8 +241,8 @@ def demodulate(waveform):
     decodes as 0. A 1-D waveform gives a list of ints; a 2-D one gives a
     uint8 array with one row of bits per waveform row.
     """
-    wave = np.asarray(waveform, dtype=float)
-    if wave.ndim == 0 or wave.shape[-1] % SAMPLES_PER_BIT:
+    wave = check_rows("waveform", waveform, float)
+    if wave.shape[-1] % SAMPLES_PER_BIT:
         raise ValueError(
             f"waveform length {wave.size} not divisible by {SAMPLES_PER_BIT} samples per bit"
         )

@@ -13,6 +13,8 @@ from enum import Enum
 from pathlib import Path
 from random import Random
 
+import numpy as np
+
 COUNT_MIN = 0
 COUNT_MAX = 1023  # 10-bit ADC
 SAMPLE_PERIOD_MS = 20  # 50 Hz
@@ -65,6 +67,19 @@ def check_int(name: str, value, lo: int | None = None, hi: int | None = None) ->
         else:
             span = f" >= {lo}" if hi is None else f" in {lo}..{hi}"
         raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
+def check_rows(name: str, values, dtype=None) -> np.ndarray:
+    """values as an array holding one row (1-D) or a block of rows (2-D),
+    an iterable other than an array being read whole first. This is the one
+    rank rule of the radio path: any other rank raises ValueError naming the
+    parameter and the shape."""
+    if not isinstance(values, np.ndarray) and np.iterable(values):
+        values = list(values)
+    rows = np.asarray(values, dtype=dtype)
+    if rows.ndim not in (1, 2):
+        raise ValueError(f"{name} must be a 1-D row or a 2-D block, got shape {rows.shape}")
+    return rows
 
 
 def check_counts(x: int, y: int, z: int) -> None:

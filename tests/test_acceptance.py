@@ -254,6 +254,29 @@ def test_c5_gate_soundness():
             assert result.powered is False
 
 
+@criterion("criterion 5b: gate liveness, a gesture held after arming is honored")
+def test_c5b_gate_liveness():
+    # at loss 0 and sigma 0 every window of a vertical trace is ON; once the
+    # gate arms, window_size + debounce_n more deliveries fill a window and
+    # hold the ON for debounce_n verdicts, whatever was emitted unarmed
+    rng = Random(5005)
+    latency = LinkConfig().latency
+    honored = 0
+    for case in range(300):
+        profile = CalibrationProfile(
+            window_size=rng.choice([4, 8, 16]), debounce_n=rng.choice([1, 2, 3])
+        )
+        trace = generate_gesture(GestureKind.VERTICAL_UP_DOWN, rng.randint(6, 60), seed=case)
+        pir_at = rng.randint(0, trace[-1].t)
+        result = run_pipeline(trace, profile=profile, pir_at=pir_at)
+        # a delivery due at exactly pir_at is consumed before the trigger
+        after = sum(1 for s in trace if s.t + latency > pir_at)
+        if after >= profile.window_size + profile.debounce_n:
+            assert result.powered, (case, pir_at, result.actions)
+            honored += 1
+    assert honored >= 100
+
+
 @criterion("criterion 6: loss robustness, 95/100 at loss 0.2 and 100/100 at loss 0")
 def test_c6_loss_robustness():
     trace = generate_gesture(GestureKind.VERTICAL_UP_DOWN, 64, seed=42)

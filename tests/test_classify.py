@@ -258,6 +258,12 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="overlap"):
             calibrate([self.on_trace()], [self.off_trace()], 0, 40)
 
+    def test_inverting_margin_is_a_calibration_error(self):
+        # 261 + 100 > 284: CalibrationProfile rejects the band, and calibrate
+        # reports it as its own error
+        with pytest.raises(CalibrationError, match=r"^on_band must be an interval"):
+            calibrate([self.on_trace()], [self.off_trace()], -100, 0)
+
     def test_empty_input_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate([], [self.off_trace()], 0, 0)
@@ -347,6 +353,21 @@ class TestProfile:
     def test_non_integer_fields_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer"):
             CalibrationProfile(**kwargs)
+
+    @pytest.mark.parametrize("band", [5, True, None, "ab", {240: 286}])
+    def test_band_must_be_a_list_or_tuple(self, band):
+        with pytest.raises(ValueError, match=r"^on_band must be an interval \[lo, hi\], got "):
+            CalibrationProfile(on_band=band)
+
+    @pytest.mark.parametrize("band", ["5", "[240]", "[240, 286, 300]", '"240-286"'])
+    def test_document_band_rejected_by_the_profile(self, tmp_path, band):
+        path = tmp_path / "profile.json"
+        path.write_text(
+            f'{{"on_band": {band}, "off_band": [323, 384], "window_size": 16, "debounce_n": 2}}'
+        )
+        with pytest.raises(ProfileError, match="on_band must be an interval") as info:
+            load_profile(path)
+        assert str(path) in str(info.value)
 
     def test_json_round_trip(self, tmp_path):
         p = CalibrationProfile(on_band=(250, 280), off_band=(330, 370), window_size=8, debounce_n=3)

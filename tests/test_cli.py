@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import wristlink
-from wristlink.cli import main
+from wristlink.cli import _FIELD_FLAGS, main
 from wristlink.classify import CalibrationProfile, load_profile, save_profile
+from wristlink.controller import run_pipeline
 from wristlink.link import LinkConfig
+from wristlink.modem import ModemConfig, measure_ber
 from wristlink.sensor import GestureKind, generate_gesture, load_trace, save_trace
 
 
@@ -358,6 +360,17 @@ class TestCalibrate:
         assert code == 1
         assert "on_band=" in err and "off_band=" in err
 
+    def test_inverting_margin_exit_1_naming_the_band(self, tmp_path, capsys):
+        # a margin that turns a band inside out is a CalibrationError
+        on_dir, off_dir = self.write_training_dirs(tmp_path)
+        code, _, err = run(
+            capsys, "calibrate", "--on-dir", str(on_dir), "--off-dir", str(off_dir),
+            "--margin-lo", "-100", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "on_band must be an interval" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dirs_usage_error(self, capsys):
         code, _, _ = run(capsys, "calibrate")
         assert code == 2
@@ -408,6 +421,80 @@ class TestMisc:
         code, _, err = run(capsys, "classify", "--trace", str(p))
         assert code == 1
         assert "line 1" in err
+
+
+# each parameter a flag sets, and a call whose owner rejects a bad value of it
+OWNERS = {
+    "loss_probability": lambda: LinkConfig(loss_probability=1.5),
+    "latency": lambda: LinkConfig(latency=-1),
+    "noise_sigma": lambda: ModemConfig(noise_sigma=-1.0),
+    "channel_attenuation": lambda: ModemConfig(channel_attenuation=0.0),
+    "n": lambda: generate_gesture("vertical", 0, 0),
+    "pir_at": lambda: run_pipeline(generate_gesture("vertical", 1, 0), pir_at=-1),
+    "n_bits": lambda: measure_ber(ModemConfig(), 0),
+    "window_size": lambda: CalibrationProfile(window_size=-1),
+}
+
+
+class TestOwnedFlags:
+    """A flag value that its library owner rejects exits 2 naming the flag;
+    the CLI restates none of the owners' checks."""
+
+    def test_every_flagged_parameter_has_an_owner_case(self):
+        assert set(OWNERS) == set(_FIELD_FLAGS)
+
+    @pytest.mark.parametrize("name", OWNERS)
+    def test_owner_message_names_exactly_its_parameter(self, name):
+        with pytest.raises(ValueError) as info:
+            OWNERS[name]()
+        message = str(info.value)
+        assert [key for key in _FIELD_FLAGS if message.startswith(f"{key} ")] == [name]
+
+    # command, flag, config key, bad value, and the other arguments it needs
+    CASES = [
+        ("gen", "--n", "n", 0, []),
+        ("simulate", "--pir-at", "pir_at", -1, ["--demo", "on"]),
+        ("ber", "--bits", "bits", 0, ["--points", "1"]),
+        ("classify", "--window", "window", -1, ["--demo", "on"]),
+    ]
+
+    def check_usage_error(self, capsys, tmp_path, flag, argv):
+        out = tmp_path / "out"
+        if argv[0] != "classify":
+            argv += ["--out", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {flag}: ")
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, key, bad, args", CASES)
+    def test_flag_value_is_usage_error(self, tmp_path, capsys, command, flag, key, bad, args):
+        self.check_usage_error(capsys, tmp_path, flag, [command, *args, flag, str(bad)])
+
+    @pytest.mark.parametrize("command, flag, key, bad, args", CASES)
+    def test_config_value_is_usage_error(self, tmp_path, capsys, command, flag, key, bad, args):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: bad}))
+        self.check_usage_error(capsys, tmp_path, flag, [command, *args, "--config", str(cfg)])
+
+    def test_bad_pir_at_wins_over_an_empty_trace(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("t_ms,x,y,z\n")
+        argv = ["simulate", "--trace", str(empty), "--out", str(tmp_path / "out")]
+        self.check_usage_error(capsys, tmp_path, "--pir-at", [*argv, "--pir-at", "-1"])
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "trace is empty" in err
+
+    def test_value_error_subclasses_exit_1(self, tmp_path, capsys):
+        profile = tmp_path / "p.json"
+        profile.write_text(
+            '{"on_band": 5, "off_band": [323, 384], "window_size": 16, "debounce_n": 2}'
+        )
+        code, _, err = run(capsys, "classify", "--demo", "on", "--profile", str(profile))
+        assert code == 1
+        assert str(profile) in err and "on_band" in err
 
 
 class TestConfigTypes:

@@ -215,16 +215,29 @@ class TestRunPipeline:
         z = (result.frames_lost - n * p) / math.sqrt(n * p * (1 - p))
         assert abs(z) < 3, f"{result.frames_lost} of {n} vs {n * p:.1f}: z={z:.2f}"
 
-    def test_pir_after_debounced_emission_misses_the_action(self):
-        # the gesture's single debounced ON fires at t=330, before the
-        # presence trigger; unarmed emissions are ignored and the debouncer
-        # does not repeat itself, so the appliance stays off
-        trace = vertical_trace(64, seed=8)
-        result = run_pipeline(trace, pir_at=400)
-        assert result.actions == [(330, Action.ON)]
-        assert "[t=400] PIR TRIGGERED" in result.log
-        assert not any("APPLIANCE" in line for line in result.log)
-        assert result.powered is False
+    @pytest.mark.parametrize("n, seed", [(64, 8), (200, 1)])
+    def test_pir_after_debounced_emission_rearms_the_debouncer(self, n, seed):
+        # the gesture's debounced ON fires at t=330, before the presence
+        # trigger, and the unarmed controller ignores it; the trigger at
+        # t=400 starts a fresh debouncer, so the ON gesturing that goes on
+        # fires again and the appliance ends on
+        result = run_pipeline(vertical_trace(n, seed), pir_at=400)
+        assert result.actions == [(330, Action.ON), (430, Action.ON)]
+        pir_idx = result.log.index("[t=400] PIR TRIGGERED")
+        assert result.log.index("[t=430] APPLIANCE light -> ON") > pir_idx
+        assert result.powered is True
+
+    def test_delivery_at_the_trigger_time_is_consumed_before_it(self):
+        # the window delivered at t=330 completes the ON run while the gate
+        # is unarmed; the trigger at t=330 comes after it and discards the
+        # run, so the ON fires again two windows later, at t=370
+        result = run_pipeline(vertical_trace(64, seed=8), pir_at=330)
+        assert result.actions == [(330, Action.ON), (370, Action.ON)]
+        at_330 = [line for line in result.log if line.startswith("[t=330] ")]
+        assert at_330[-2:] == ["[t=330] ACTION ON", "[t=330] PIR TRIGGERED"]
+        assert [line for line in result.log if "APPLIANCE" in line] == [
+            "[t=370] APPLIANCE light -> ON"
+        ]
 
     def test_pir_before_streaming_honors_the_action(self):
         result = run_pipeline(vertical_trace(64, seed=8), pir_at=100)
@@ -289,10 +302,11 @@ def per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=0):
                 ctrl.apply_action(emitted, ev.t)
 
     def advance(t):
-        nonlocal pir_pending
+        nonlocal gate, pir_pending
         if pir_pending and pir_at <= t:
             consume(sim.run_until(max(pir_at, sim.now)))
             ctrl.pir_trigger(pir_at)
+            gate = Debouncer(profile.debounce_n)
             pir_pending = False
         consume(sim.run_until(t))
 

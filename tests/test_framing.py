@@ -1,3 +1,5 @@
+import math
+from itertools import combinations
 from random import Random
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from wristlink.framing import (
     CRC8_TABLE,
     FRAME_BITS,
+    SYNC_BITS,
     SYNC_PATTERN,
     CodecFrame,
     CrcMismatchError,
@@ -18,6 +21,7 @@ from wristlink.framing import (
     deserialize,
     serialize,
 )
+from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
 
 # expected wire image for mode=ACC, x=100, y=360, z=277, computed by an
 # independent bit-level polynomial division (crc byte 0xCF)
@@ -241,3 +245,88 @@ class TestFrameBlocks:
         with pytest.raises(DecodeError):
             deserialize(bits)
 
+
+
+# the CRC covers the mode, the payload and the CRC byte: wire bits 8..47
+CRC_COVERED = FRAME_BITS - SYNC_BITS
+
+
+def crc_weight_distribution() -> list[int]:
+    """A_w, the number of CRC-covered error patterns of weight w that the
+    CRC cannot see, w = 0..40, by the MacWilliams identity.
+
+    With init 0 and no final xor, the frames' covered bits (32 protected
+    bits m, then crc(m)) form a linear [40, 32] code, so a pattern passes
+    the CRC exactly when it is a codeword. Its 256-word dual holds, for each
+    byte s, the word whose protected bit k is the parity of s & crc(bit k)
+    and whose CRC bits are s; A_w = 2**-8 * sum over the dual of the
+    Krawtchouk polynomial K_w(weight of the dual word) (MacWilliams &
+    Sloane, The Theory of Error-Correcting Codes, ch. 5).
+    """
+    columns = [_protected_crc(1 << k) for k in range(32)]
+    dual = [0] * (CRC_COVERED + 1)
+    for s in range(256):
+        dual[bin(s).count("1") + sum(bin(s & c).count("1") & 1 for c in columns)] += 1
+
+    def krawtchouk(w, i):
+        return sum(
+            (-1) ** j * math.comb(i, j) * math.comb(CRC_COVERED - i, w - j)
+            for j in range(w + 1)
+        )
+
+    sums = [
+        sum(dual[i] * krawtchouk(w, i) for i in range(CRC_COVERED + 1))
+        for w in range(CRC_COVERED + 1)
+    ]
+    assert all(total % 256 == 0 for total in sums)
+    return [total // 256 for total in sums]
+
+
+class TestCrcEscapes:
+    """Corrupted frames that pass the CRC, against the code's exact weight
+    distribution."""
+
+    def test_weight_distribution(self):
+        a = crc_weight_distribution()
+        assert a[0] == 1  # the zero pattern: no error
+        assert a[1:4] == [0, 0, 0]  # Hamming distance 4 for poly 0x07
+        assert a[4] == 727 and a[6] == 29_913
+        assert sum(a) == 2**32
+
+    def test_every_pattern_of_weight_up_to_3_detected(self):
+        patterns = [
+            cols
+            for w in (1, 2, 3)
+            for cols in combinations(range(SYNC_BITS, FRAME_BITS), w)
+        ]
+        assert len(patterns) == 10_700
+        sent = serialize(np.array([(1, 100, 360, 277)]))
+        rx = np.repeat(sent, len(patterns), axis=0)
+        for row, cols in enumerate(patterns):
+            rx[row, list(cols)] ^= 1
+        ok, _ = deserialize(rx)
+        assert not ok.any()
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.2])
+    def test_escape_rate_over_the_channel(self, sigma):
+        # bit errors are i.i.d. at the noncoherent BFSK rate p, and a frame
+        # escapes when its sync bits are clean and its covered bits carry a
+        # nonzero codeword
+        p = 0.5 * math.exp(-2.0 / sigma**2)
+        a = crc_weight_distribution()
+        rate = (1 - p) ** SYNC_BITS * sum(
+            a[w] * p**w * (1 - p) ** (CRC_COVERED - w) for w in range(1, CRC_COVERED + 1)
+        )
+        n, chunk = 50_000, 2_500
+        field_rng, noise_rng = np.random.default_rng(2017), np.random.default_rng(7)
+        cfg = ModemConfig(noise_sigma=sigma)
+        escapes = 0
+        for _ in range(n // chunk):
+            sent = np.column_stack(
+                [np.full(chunk, WatchMode.ACC), field_rng.integers(0, 1024, (chunk, 3))]
+            )
+            rx = demodulate(channel_apply(modulate(serialize(sent)), cfg, noise_rng))
+            ok, received = deserialize(rx)
+            escapes += int(np.count_nonzero(ok & (received != sent).any(axis=1)))
+        z = (escapes - n * rate) / math.sqrt(n * rate * (1 - rate))
+        assert abs(z) < 3, f"{escapes} escapes in {n} frames vs {n * rate:.1f}: z={z:.2f}"

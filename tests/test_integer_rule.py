@@ -46,6 +46,12 @@ def armed_controller():
     return ctrl
 
 
+def set_mode(mode):
+    sim = LinkSimulator()
+    sim.ap_start()
+    return sim.watch_set_mode(mode)
+
+
 def run_until_after_now(t):
     sim = LinkSimulator()
     sim.run_until(RUN_UNTIL_NOW)
@@ -72,6 +78,8 @@ ENTRIES = {
     "AccelSample.y": Entry("y", lambda v: AccelSample(t=0, x=0, y=v, z=0), 0, COUNT_MAX),
     "AccelSample.z": Entry("z", lambda v: AccelSample(t=0, x=0, y=0, z=v), 0, COUNT_MAX),
     "AccelSample.t": Entry("t", lambda v: AccelSample(t=v, x=0, y=0, z=0), 0),
+    "CodecFrame.mode": Entry("mode", lambda v: CodecFrame(v, 0, 0, 0), 0, 3),
+    "LinkSimulator.watch_set_mode": Entry("mode", set_mode, 0, 3),
     "CodecFrame.x": Entry("x", lambda v: CodecFrame(WatchMode.ACC, v, 0, 0), 0, COUNT_MAX),
     "CodecFrame.y": Entry("y", lambda v: CodecFrame(WatchMode.ACC, 0, v, 0), 0, COUNT_MAX),
     "CodecFrame.z": Entry("z", lambda v: CodecFrame(WatchMode.ACC, 0, 0, v), 0, COUNT_MAX),
@@ -162,6 +170,15 @@ ONCE_ACCEPTED = {
     "AccelSample(x=True)": ("x", True, lambda: AccelSample(t=0, x=True, y=0, z=0)),
     "CodecFrame(x=1.5)": ("x", 1.5, lambda: CodecFrame(WatchMode.ACC, 1.5, 2, 3)),
     "CodecFrame(x=True)": ("x", True, lambda: CodecFrame(WatchMode.ACC, True, 2, 3)),
+    # each of these mode tags was once read as ACC
+    "CodecFrame(mode=True)": ("mode", True, lambda: CodecFrame(True, 2, 3, 4)),
+    "CodecFrame(mode=1.0)": ("mode", 1.0, lambda: CodecFrame(1.0, 2, 3, 4)),
+    "CodecFrame(mode=np.int64(1))": (
+        "mode", np.int64(1), lambda: CodecFrame(np.int64(1), 2, 3, 4)
+    ),
+    "watch_set_mode(True)": ("mode", True, lambda: set_mode(True)),
+    "watch_set_mode(1.0)": ("mode", 1.0, lambda: set_mode(1.0)),
+    "watch_set_mode(np.int64(1))": ("mode", np.int64(1), lambda: set_mode(np.int64(1))),
     "AccelSample(t=0.5)": ("t", 0.5, lambda: AccelSample(t=0.5, x=0, y=0, z=0)),
     "run_pipeline(pir_at=2.5)": ("pir_at", 2.5, lambda: run_pipeline(VERTICAL, pir_at=2.5)),
     "run_pipeline(pir_at=True)": (

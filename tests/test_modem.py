@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wristlink
-from wristlink.framing import CodecFrame, WatchMode, serialize
+from wristlink.framing import CodecFrame, WatchMode, deserialize, serialize
 from wristlink.modem import (
     BER_BLOCK_BITS,
     F0,
@@ -268,11 +269,6 @@ class TestChannel:
         expected = np.random.default_rng(8).normal(0.0, 0.4, 60).reshape(3, 20)
         np.testing.assert_array_equal(out, expected)
 
-    def test_scalar_waveform_with_noise(self):
-        out = channel_apply(0.5, NOISY)
-        expected = 0.5 + np.random.default_rng(NOISY.seed).normal(0.0, NOISY.noise_sigma)
-        assert out.shape == () and out == expected
-
 
 class TestDemodulate:
     def test_noiseless_inverse_on_frame(self):
@@ -441,3 +437,32 @@ class TestBlockSeeding:
             return proc.stdout.strip() == "True"
 
         assert loads_numpy_random("wristlink") == loads_numpy_random("numpy")
+
+
+RADIO_STAGES = {
+    "modulate": ("bits", modulate),
+    "channel_apply": ("waveform", lambda v: channel_apply(v, NOISY)),
+    "demodulate": ("waveform", demodulate),
+    "deserialize": ("bits", deserialize),
+}
+
+
+@pytest.mark.parametrize("stage", RADIO_STAGES)
+@pytest.mark.parametrize(
+    "value, shape",
+    [
+        (1, ()),
+        (np.array(1), ()),
+        (np.zeros((2, 2, 48), dtype=np.uint8), (2, 2, 48)),
+        ([[[0] * 16]], (1, 1, 16)),
+    ],
+    ids=["scalar", "0d_array", "3d_array", "3d_list"],
+)
+def test_rank_rule(stage, value, shape):
+    # each stage of the radio path takes one row (1-D) or a block of rows
+    # (2-D); any other rank is named with its shape, never read as a row,
+    # and a scalar waveform no longer comes back as one noisy scalar
+    name, call = RADIO_STAGES[stage]
+    message = f"{name} must be a 1-D row or a 2-D block, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
