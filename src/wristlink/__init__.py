@@ -15,6 +15,7 @@ from .classify import (
     ProfileError,
     calibrate,
     classify_window,
+    classify_windows,
     debounced_stream,
     load_profile,
     save_profile,
@@ -90,6 +91,7 @@ __all__ = [
     "calibrate",
     "channel_apply",
     "classify_window",
+    "classify_windows",
     "debounced_stream",
     "demo_csv_path",
     "demo_trace",

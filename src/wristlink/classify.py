@@ -4,8 +4,10 @@ A window of samples maps to one of three verdicts: a z-axis window mean
 inside the on band turns the appliance ON, else a y-axis mean inside the
 off band turns it OFF, else DO NOTHING. A window of w samples is compared
 on its integer axis sum, lo*w <= sum <= hi*w, which is the band test on the
-exact mean, so boundary values are unambiguous. A debounce
-stage requires N consecutive identical verdicts before acting.
+exact mean, so boundary values are unambiguous. `classify_windows` gives
+the verdict of every window sliding over a sequence at once, from
+differences of the axis cumsums; `classify_window` is its one-window use.
+A debounce stage requires N consecutive identical verdicts before acting.
 """
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from enum import Enum
+
+import numpy as np
 
 from .sensor import GestureKind, check_int
 
@@ -86,6 +90,40 @@ def window_mean(samples, axis: str) -> Fraction:
     return Fraction(sum(getattr(s, axis) for s in samples), len(samples))
 
 
+def classify_windows(z, y, profile: CalibrationProfile) -> list[Action]:
+    """Verdict of every full window sliding over equal-length integer z and
+    y count sequences: verdict k is that of items k..k+w-1, for the
+    profile's window size w."""
+    w = profile.window_size
+    columns = [np.asarray(values) for values in (z, y)]
+    for name, column in zip("zy", columns):
+        # bool is not a NumPy integer kind, and a float sum would not be
+        # exact; an empty list reads as float64 but holds no count
+        if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
+            raise ValueError(
+                f"{name} must be a 1-D integer sequence,"
+                f" got {column.dtype} of shape {column.shape}"
+            )
+    n = len(columns[0])
+    if len(columns[1]) != n:
+        raise ValueError(f"z has {n} counts but y has {len(columns[1])}")
+    if n < w:
+        return []
+    # each window's axis sums are differences of two running sums
+    running = np.zeros((2, n + 1), dtype=np.int64)
+    np.cumsum(columns, axis=1, out=running[:, 1:])
+    z_sums, y_sums = (running[:, w:] - running[:, :-w]).tolist()
+    # the band ends are ints of any size, so the tests run on Python ints
+    on_lo, on_hi = (end * w for end in profile.on_band)
+    off_lo, off_hi = (end * w for end in profile.off_band)
+    return [
+        Action.ON if on_lo <= z_sum <= on_hi
+        else Action.OFF if off_lo <= y_sum <= off_hi
+        else Action.DO_NOTHING
+        for z_sum, y_sum in zip(z_sums, y_sums)
+    ]
+
+
 def classify_window(samples, profile: CalibrationProfile) -> Action:
     """Map one full window to a verdict via inclusive band membership of the
     exact axis means, tested on integer sums."""
@@ -94,14 +132,8 @@ def classify_window(samples, profile: CalibrationProfile) -> Action:
         raise ValueError(
             f"window has {len(samples)} samples, profile expects {profile.window_size}"
         )
-    w = len(samples)
-    lo, hi = profile.on_band
-    if lo * w <= sum(s.z for s in samples) <= hi * w:
-        return Action.ON
-    lo, hi = profile.off_band
-    if lo * w <= sum(s.y for s in samples) <= hi * w:
-        return Action.OFF
-    return Action.DO_NOTHING
+    (verdict,) = classify_windows([s.z for s in samples], [s.y for s in samples], profile)
+    return verdict
 
 
 def calibrate(

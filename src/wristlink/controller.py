@@ -5,22 +5,28 @@ debounced classifier actions against one appliance. `run_pipeline` wires
 the whole chain over virtual time: access-point start, ACC-mode streaming of
 each trace sample through the frame codec and FSK channel, Bernoulli-loss
 delivery, a sliding window over delivered samples, classification, debounce,
-and gated appliance switching. The radio path gets no feedback from the
-link, so it runs ahead of the per-sample event loop: each sample is
-encoded on its own, and the modem and decoder take blocks of
-PHY_BLOCK_FRAMES frames. Everything is seeded, so identical inputs produce
-byte-identical logs.
+and gated appliance switching. Nothing downstream feeds back into the
+stages before it, so each runs over the whole trace in turn: the radio path
+in blocks of PHY_BLOCK_FRAMES frames, each sample encoded on its own; the
+link as one block of sends and time steps (LinkSimulator.stream); the
+classifier over every window of the delivered sequence at once; then one
+pass in log order that debounces the verdicts, applies the gate and renders
+the log. Everything is seeded, so identical inputs produce byte-identical
+logs.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import Action, CalibrationProfile, Debouncer, classify_window
+from .classify import Action, CalibrationProfile, Debouncer, classify_windows
+# not called here, but perfbench's tracer patches the pipeline's classifier
+# under this name
+from .classify import classify_window  # noqa: F401
 from .framing import CodecFrame, WatchMode, deserialize, serialize
-from .link import EventKind, LinkConfig, LinkEvent, LinkSimulator
+from .link import EventKind, LinkConfig, LinkSimulator, event_lines, frame_details, log_lines
 from .modem import ModemConfig, channel_apply, demodulate, modulate
 from .sensor import Trace, check_int
 
@@ -66,7 +72,8 @@ class HomeController:
 @dataclass
 class PipelineResult:
     """Outcome of one end-to-end run: whether the appliance ends powered,
-    the full chronological log, and per-stage counters."""
+    the full log (in the order README's "Event log" gives), and per-stage
+    counters."""
 
     powered: bool
     log: list[str]
@@ -76,7 +83,28 @@ class PipelineResult:
     frames_corrupted: int
     windows_classified: int
     actions: list[tuple[int, Action]]
-    events: list[LinkEvent] = field(repr=False, default_factory=list)
+
+
+def _receive(samples, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarray]:
+    """Radio path, in blocks of PHY_BLOCK_FRAMES samples: each sample is
+    serialized as an ACC frame, and the block is sent as FSK waveforms
+    through the channel (frame i of the trace with noise seed
+    modem_cfg.seed + i) and decoded, re-verifying sync and CRC per frame.
+    Returns, per sample, whether its frame passed both checks, and the
+    (n, 4) frame block decoded from its bits."""
+    ok, fields = [], []
+    for start in range(0, len(samples), PHY_BLOCK_FRAMES):
+        block = samples[start : start + PHY_BLOCK_FRAMES]
+        tx_bits = np.array(
+            [serialize(CodecFrame(WatchMode.ACC, s.x, s.y, s.z)) for s in block],
+            dtype=np.uint8,
+        )
+        # frame i of the trace gets noise stream seed + i, whatever the block
+        block_cfg = replace(modem_cfg, seed=(modem_cfg.seed + start) % 2**64)
+        block_ok, block_fields = deserialize(demodulate(channel_apply(modulate(tx_bits), block_cfg)))
+        ok += block_ok.tolist()
+        fields.append(block_fields)
+    return ok, np.concatenate(fields)
 
 
 def run_pipeline(
@@ -88,21 +116,21 @@ def run_pipeline(
 ) -> PipelineResult:
     """Drive a trace through the complete sensing-to-appliance chain.
 
-    Radio path, in blocks of PHY_BLOCK_FRAMES samples: each sample is
-    serialized as an ACC frame, and the block is sent as FSK waveforms
-    through the channel (frame i of the trace with noise seed
-    modem_cfg.seed + i) and decoded, re-verifying sync and CRC per frame.
-    Then, per sample of the block in order: virtual time advances to the
-    sample, and its decoded frame (when the integrity check passed) goes
-    over the lossy link, or a FRAME_CORRUPTED line is logged. A sliding
-    window advances over delivered samples only, so losses shrink window
-    fill instead of stalling progress: once window_size samples have
-    arrived, every further delivery completes a window and yields a verdict
-    for the debounce stage. `pir_at` is the presence-trigger time in int ms;
-    None, or a time past the end of the run, means the sensor never fires.
-    Deliveries due at exactly `pir_at` are consumed before the trigger, and
-    the trigger starts a fresh debouncer: the run it had, and the action it
-    last emitted while unarmed, are discarded.
+    Each sample's frame goes through the radio path (see _receive). At each
+    sample's time the link first delivers the frames due by then; then the
+    sample's decoded frame, when the integrity check passed, goes over the
+    lossy link, or a FRAME_CORRUPTED line is logged. A frame is never
+    delivered before its own send, so one due at its send time (latency 0)
+    is logged with the next sample's deliveries. After the last sample the
+    link is drained at its time + latency. A sliding window advances over
+    delivered samples only, so losses shrink window fill instead of stalling
+    progress: once window_size samples have arrived, every further delivery
+    completes a window and yields a verdict for the debounce stage. `pir_at`
+    is the presence-trigger time in int ms; None, or a time past the drain,
+    means the sensor never fires. Deliveries due at exactly `pir_at` are
+    consumed before the trigger, and the trigger starts a fresh debouncer:
+    the run it had, and the action it last emitted while unarmed, are
+    discarded.
     Protocol violations propagate; nothing is silently dropped.
     """
     if pir_at is not None:
@@ -116,63 +144,91 @@ def run_pipeline(
     log: list[str] = []
     sim = LinkSimulator(link_cfg, log=log)
     ctrl = HomeController(log=log)
-    gate = Debouncer(profile.debounce_n)
-
-    frames_corrupted = 0
-    windows_classified = 0
-    actions: list[tuple[int, Action]] = []
-    window: deque[CodecFrame] = deque(maxlen=profile.window_size)
-    pir_pending = pir_at is not None
-
-    def consume(events: list[LinkEvent]) -> None:
-        nonlocal windows_classified
-        for ev in events:
-            if ev.kind is not EventKind.FRAME_DELIVERED:
-                continue
-            window.append(ev.frame)
-            if len(window) < profile.window_size:
-                continue
-            verdict = classify_window(window, profile)
-            windows_classified += 1
-            log.append(f"[t={ev.t}] ACTION {verdict.value}")
-            emitted = gate.push(verdict)
-            if emitted is not None:
-                actions.append((ev.t, emitted))
-                ctrl.apply_action(emitted, ev.t)
-
-    def advance(t: int) -> None:
-        nonlocal gate, pir_pending
-        if pir_pending and pir_at <= t:
-            consume(sim.run_until(max(pir_at, sim.now)))
-            ctrl.pir_trigger(pir_at)
-            # an action emitted while unarmed must not block that action now
-            gate = Debouncer(profile.debounce_n)
-            pir_pending = False
-        consume(sim.run_until(t))
-
     sim.ap_start()
     sim.watch_set_mode(WatchMode.ACC)
 
     samples = trace.samples
-    for start in range(0, len(samples), PHY_BLOCK_FRAMES):
-        block = samples[start : start + PHY_BLOCK_FRAMES]
-        tx_bits = np.array(
-            [serialize(CodecFrame(WatchMode.ACC, s.x, s.y, s.z)) for s in block],
-            dtype=np.uint8,
-        )
-        # frame i of the trace gets noise stream seed + i, whatever the block
-        block_cfg = replace(modem_cfg, seed=(modem_cfg.seed + start) % 2**64)
-        rx_bits = demodulate(channel_apply(modulate(tx_bits), block_cfg))
-        ok, received = deserialize(rx_bits)
-        for sample, frame_ok, (_, x, y, z) in zip(block, ok.tolist(), received.tolist()):
-            advance(sample.t)
-            if not frame_ok:
-                frames_corrupted += 1
-                log.append(f"[t={sample.t}] FRAME_CORRUPTED codec integrity check failed")
-                continue
-            sim.transmit_sample(CodecFrame(WatchMode.ACC, x, y, z))
+    ok, fields = _receive(samples, modem_cfg)
+    times = [s.t for s in samples]
+    sent = [i for i, frame_ok in enumerate(ok) if frame_ok]  # sample of each frame sent
 
-    advance(samples[-1].t + link_cfg.latency)
+    # Link steps: one per sample, at its time, with its frame sent right
+    # after it, and a last one that drains the link. The trigger is a step
+    # of its own, just before the first sample at or after pir_at, so it
+    # follows the deliveries due by then; the samples' steps from there on
+    # move up by one.
+    steps = times + [times[-1] + link_cfg.latency]
+    pir_step = None
+    sent_after = sent
+    if pir_at is not None and pir_at <= steps[-1]:
+        pir_step = bisect_left(times, pir_at)
+        steps.insert(pir_step, pir_at)
+        sent_after = [i + 1 if i >= pir_step else i for i in sent]
+    link = sim.stream(steps, sent_after, range(len(sent)))  # payload: index in sent
+    arrival, due, lost = link.step, link.t, link.lost
+
+    # decoded (x, y, z) of each frame sent, and of each delivered, in order
+    sent_xyz = fields[sent, 1:]
+    got = sent_xyz[link.frame]
+    w = profile.window_size
+    # verdict v is that of the window ending at delivery v + w - 1
+    verdicts = classify_windows(got[:, 2], got[:, 1], profile)
+    # the trigger replaces the debouncer after the verdicts of the
+    # deliveries at or before its step
+    n_unarmed = len(verdicts)
+    if pir_step is not None:
+        n_unarmed = max(0, bisect_right(arrival, pir_step) - w + 1)
+    emitted: list[Action | None] = []
+    for part in (verdicts[:n_unarmed], verdicts[n_unarmed:]):
+        gate = Debouncer(profile.debounce_n)
+        emitted += [gate.push(verdict) for verdict in part]
+
+    # every line of the log but the controller's, rendered by column
+    sent_t = [times[i] for i in sent]
+    details = frame_details(range(link.first_id, link.first_id + len(sent)), sent_xyz.tolist())
+    sent_lines = log_lines(EventKind.FRAME_SENT, sent_t, details)
+    dropped = [k for k, frame_lost in enumerate(lost) if frame_lost]
+    lost_lines = iter(
+        log_lines(
+            EventKind.FRAME_LOST,
+            [sent_t[k] for k in dropped],
+            frame_details([link.first_id + k for k in dropped]),
+        )
+    )
+    delivered_lines = log_lines(EventKind.FRAME_DELIVERED, due, [details[k] for k in link.frame])
+    action_lines = [f"[t={t}] ACTION {v.value}" for t, v in zip(due[w - 1 :], verdicts)]
+
+    # one pass in log order: at each step, its deliveries, then their
+    # verdicts and actions, then the trigger or the sample's own line
+    actions: list[tuple[int, Action]] = []
+    d = k = sample = 0  # next delivery, frame sent and sample
+    for step in range(len(steps)):
+        if d < len(due) and arrival[d] == step:
+            first, d = d, bisect_right(arrival, step, d)
+            if first == 0 and link.announced:
+                log.append(delivered_lines[0])
+                log += event_lines(due[0], EventKind.ACQUIRE_ANNOUNCED)
+                log += delivered_lines[1:d]
+            else:
+                log += delivered_lines[first:d]
+            for v in range(max(first - w + 1, 0), d - w + 1):
+                log.append(action_lines[v])
+                action = emitted[v]
+                if action is not None:
+                    t = due[v + w - 1]
+                    actions.append((t, action))
+                    ctrl.apply_action(action, t)
+        if step == pir_step:
+            ctrl.pir_trigger(pir_at)
+        elif sample < len(samples):  # else the drain step
+            if ok[sample]:
+                log.append(sent_lines[k])
+                if lost[k]:
+                    log.append(next(lost_lines))
+                k += 1
+            else:
+                log.append(f"[t={times[sample]}] FRAME_CORRUPTED codec integrity check failed")
+            sample += 1
 
     return PipelineResult(
         powered=ctrl.powered,
@@ -180,8 +236,7 @@ def run_pipeline(
         frames_sent=sim.sent_count,
         frames_delivered=sim.delivered_count,
         frames_lost=sim.lost_count,
-        frames_corrupted=frames_corrupted,
-        windows_classified=windows_classified,
+        frames_corrupted=len(samples) - len(sent),
+        windows_classified=len(verdicts),
         actions=actions,
-        events=sim.events,
     )

@@ -244,7 +244,8 @@ def demodulate(waveform):
     wave = check_rows("waveform", waveform, float)
     if wave.shape[-1] % SAMPLES_PER_BIT:
         raise ValueError(
-            f"waveform length {wave.size} not divisible by {SAMPLES_PER_BIT} samples per bit"
+            f"waveform {'row ' if wave.ndim == 2 else ''}length {wave.shape[-1]}"
+            f" not divisible by {SAMPLES_PER_BIT} samples per bit"
         )
     if not np.isfinite(wave).all():
         raise ValueError("waveform must be finite")

@@ -16,6 +16,7 @@ from wristlink.classify import (
     ProfileError,
     calibrate,
     classify_window,
+    classify_windows,
     debounced_stream,
     load_profile,
     save_profile,
@@ -169,6 +170,34 @@ def test_oracle_equivalence_randomized_100k():
         assert classify_window(window, profile) is brute_force_verdict(
             values, DEFAULT_ON_BAND, DEFAULT_OFF_BAND
         )
+
+
+def test_sliding_windows_match_brute_force():
+    rng = Random(2024)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        values = [tuple(rng.randint(169, 384) for _ in range(3)) for _ in range(n)]
+        profile = CalibrationProfile(window_size=rng.randint(1, 20))
+        w = profile.window_size
+        verdicts = classify_windows([v[2] for v in values], [v[1] for v in values], profile)
+        assert verdicts == [
+            brute_force_verdict(values[k : k + w], DEFAULT_ON_BAND, DEFAULT_OFF_BAND)
+            for k in range(n - w + 1)
+        ]
+
+
+@pytest.mark.parametrize(
+    "z, y, message",
+    [
+        ([1.5, 2.0], [1, 2], "^z must be a 1-D integer sequence, got float64"),
+        ([1, 2], [True, False], "^y must be a 1-D integer sequence, got bool"),
+        ([[1, 2]], [[1, 2]], "^z must be a 1-D integer sequence, got int64 of shape"),
+        ([1, 2, 3], [1, 2], "^z has 3 counts but y has 2"),
+    ],
+)
+def test_sliding_windows_take_equal_integer_sequences(z, y, message):
+    with pytest.raises(ValueError, match=message):
+        classify_windows(z, y, CalibrationProfile(window_size=2))
 
 
 def fraction_mean_verdict(window, on_band, off_band):

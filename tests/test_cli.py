@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -198,6 +199,38 @@ class TestSimulate:
         assert (tmp_path / "b" / "simulation.log").read_bytes() == (
             tmp_path / "c" / "simulation.log"
         ).read_bytes()
+
+
+    # SHA-256 of simulation.log followed by summary.csv, recorded before the
+    # pipeline's per-sample event loop became the block event core. Latency 0
+    # delivers each frame in the next sample's slot, after its own send line.
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                ["--latency", "0", "--pir-at", "130"],
+                "77b59e36271b537fc5c364043df50da5636aed73d2a4e3ed86bb73e6e0acb55d",
+            ),
+            (
+                ["--latency", "0", "--no-pir"],
+                "c99451598be9e17be3c2d6e7e8403a60246e4254c65af143a989607f539420af",
+            ),
+            (
+                ["--latency", "45", "--pir-at", "130"],
+                "bd7f3486e067714827fb3891f3685f69e4f7b6fc95c2e9fad8316c52ebd62cd8",
+            ),
+        ],
+    )
+    def test_outputs_match_recorded_digest(self, tmp_path, capsys, flags, digest):
+        code, _, _ = run(
+            capsys, "simulate", "--demo", "on", *flags,
+            "--loss", "0.3", "--noise", "0.8", "--seed", "5", "--out", str(tmp_path),
+        )
+        assert code == 0
+        data = b"".join(
+            (tmp_path / name).read_bytes() for name in ("simulation.log", "summary.csv")
+        )
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestBer:

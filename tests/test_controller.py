@@ -4,6 +4,8 @@ from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wristlink.classify import Action, CalibrationProfile, Debouncer, classify_window
 from wristlink.controller import PHY_BLOCK_FRAMES, HomeController, run_pipeline
@@ -120,15 +122,17 @@ class TestRunPipeline:
         trace = vertical_trace(24, seed=9)
         result = run_pipeline(trace, pir_at=0)
         delivered = [
-            (e.frame.x, e.frame.y, e.frame.z)
-            for e in result.events
-            if e.kind is EventKind.FRAME_DELIVERED
+            line.split(" FRAME_DELIVERED ")[1]
+            for line in result.log
+            if " FRAME_DELIVERED " in line
         ]
-        assert delivered == [(s.x, s.y, s.z) for s in trace]
+        assert delivered == [
+            f"frame={i} mode=ACC x={s.x} y={s.y} z={s.z}" for i, s in enumerate(trace)
+        ]
 
     def test_each_frame_range_checked_once(self, monkeypatch):
-        # one check for the frame encoded from each sample and one for the
-        # frame decoded from its bits, which goes on the link as it is
+        # one check, for the frame encoded from each sample; the decoded
+        # fields go on the link as columns, already bounded by their width
         trace = vertical_trace(200, seed=9)
         calls = []
 
@@ -140,7 +144,7 @@ class TestRunPipeline:
         monkeypatch.setattr("wristlink.sensor.check_counts", counting_check)
         result = run_pipeline(trace, pir_at=0)
         assert result.frames_sent == 200
-        assert len(calls) == 2 * 200
+        assert calls == [(s.x, s.y, s.z) for s in trace]
 
     def test_idle_trace_never_acts(self):
         result = run_pipeline(generate_gesture(GestureKind.OTHER, 32, seed=3), pir_at=0)
@@ -273,10 +277,12 @@ class TestRunPipeline:
         assert all(any(tr == e for e in it) for tr in transitions)
 
 
-def per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=0):
+def per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=0, profile=None):
     """Reference pipeline: one frame at a time through the scalar PHY calls,
-    frame i with noise seed modem_cfg.seed + i, then the same event loop."""
-    profile = CalibrationProfile()
+    frame i with noise seed modem_cfg.seed + i, then a per-sample event loop
+    over the scalar link calls: advance to the sample's time, consuming the
+    deliveries due, then send its frame."""
+    profile = profile if profile is not None else CalibrationProfile()
     log = []
     sim = LinkSimulator(link_cfg, log=log)
     ctrl = HomeController(log=log)
@@ -363,3 +369,218 @@ class TestBlockPhyMatchesPerFrameReference:
                 "windows_classified",
             ):
                 assert getattr(result, name) == expected[name], (n, name)
+
+
+def assert_matches_reference(trace, link_cfg, modem_cfg, pir_at, profile):
+    result = run_pipeline(
+        trace, profile=profile, link_cfg=link_cfg, modem_cfg=modem_cfg, pir_at=pir_at
+    )
+    expected = per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=pir_at, profile=profile)
+    assert result.log == expected["log"]
+    assert result.actions == expected["actions"]
+    assert result.powered == expected["powered"]
+    for name in (
+        "frames_sent",
+        "frames_delivered",
+        "frames_lost",
+        "frames_corrupted",
+        "windows_classified",
+    ):
+        assert getattr(result, name) == expected[name], name
+
+
+def gesture_trace(times, split, seed):
+    """Vertical-gesture samples up to index `split`, horizontal ones after,
+    at the given strictly increasing times."""
+    n = len(times)
+    up = generate_gesture(GestureKind.VERTICAL_UP_DOWN, n, seed).samples
+    side = generate_gesture(GestureKind.HORIZONTAL, n, seed + 1).samples
+    return Trace(tuple(replace(s, t=t) for s, t in zip(up[:split] + side[split:], times)))
+
+
+PIR_CASES = ("never", "zero", "sample", "delivery", "between", "past_drain")
+
+
+def pir_time(case, times, latency, rng):
+    """A presence-trigger time of the named kind for a trace at `times`."""
+    if case == "never":
+        return None
+    if case == "zero":
+        return 0
+    if case == "sample":
+        return rng.choice(times)
+    if case == "delivery":  # the due time of some frame
+        return rng.choice(times) + latency
+    if case == "between":  # strictly between two samples
+        wide = [(a, b) for a, b in zip(times, times[1:]) if b - a > 1]
+        a, b = rng.choice(wide)
+        return rng.randint(a + 1, b - 1)
+    return times[-1] + latency + 1  # the link is drained by then
+
+
+class TestEventCoreMatchesPerSampleLoop:
+    """The block event core against the per-sample reference loop, on the
+    gate, latency, window and channel settings where their orders could
+    part: latency 0 (a frame due at its own send time arrives at the next
+    sample), a trigger on a sample or a delivery time, between samples or
+    never, windows and debounce counts from 1 up, and total loss."""
+
+    CHANNELS = [(loss, sigma) for loss in (0.0, 0.2, 1.0) for sigma in (0.0, 0.8)]
+
+    @pytest.mark.parametrize("window, debounce", [(w, d) for w in (1, 3, 16) for d in (1, 3)])
+    @pytest.mark.parametrize("pir_case", PIR_CASES)
+    @pytest.mark.parametrize("latency", [0, 1, 10, 45, "beyond"])
+    def test_grid(self, latency, pir_case, window, debounce):
+        rng = Random(f"{latency}-{pir_case}-{window}-{debounce}")
+        n = rng.randint(20, 40)
+        gaps = [rng.randint(1, 30) for _ in range(n - 1)]
+        gaps[0] = max(gaps[0], 2)  # room for a trigger between two samples
+        times = [rng.randint(0, 30)]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        if latency == "beyond":  # longer than the whole trace
+            latency = times[-1] - times[0] + rng.randint(1, 50)
+        trace = gesture_trace(times, rng.randint(0, n), rng.randrange(1000))
+        profile = CalibrationProfile(window_size=window, debounce_n=debounce)
+        pir_at = pir_time(pir_case, times, latency, rng)
+        # always the clean channel, and one more of the others
+        for loss, sigma in (self.CHANNELS[0], rng.choice(self.CHANNELS[1:])):
+            seed = rng.randrange(2**32)
+            assert_matches_reference(
+                trace,
+                LinkConfig(loss_probability=loss, latency=latency, seed=seed),
+                ModemConfig(noise_sigma=sigma, seed=seed),
+                pir_at,
+                profile,
+            )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        gaps=st.lists(st.integers(1, 40), min_size=1, max_size=45),
+        start=st.integers(0, 100),
+        latency=st.sampled_from([0, 1, 10, 45, 10**4]),
+        pir_case=st.sampled_from(PIR_CASES),
+        window=st.sampled_from([1, 3, 16]),
+        debounce=st.sampled_from([1, 3]),
+        channel=st.sampled_from(CHANNELS),
+        seed=st.integers(0, 2**32),
+    )
+    def test_property(self, gaps, start, latency, pir_case, window, debounce, channel, seed):
+        times = [start]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        if pir_case == "between" and max(gaps) < 2:
+            pir_case = "past_drain"
+        rng = Random(seed)
+        trace = gesture_trace(times, rng.randint(0, len(times)), seed % 1000)
+        loss, sigma = channel
+        assert_matches_reference(
+            trace,
+            LinkConfig(loss_probability=loss, latency=latency, seed=seed),
+            ModemConfig(noise_sigma=sigma, seed=seed),
+            pir_time(pir_case, times, latency, rng),
+            CalibrationProfile(window_size=window, debounce_n=debounce),
+        )
+
+    def test_latency_zero_delivers_at_the_next_sample(self):
+        # due at its own send time, a frame is logged after its FRAME_SENT
+        # line, with the next sample's deliveries; the last one at the drain
+        result = run_pipeline(
+            vertical_trace(3, seed=1),
+            link_cfg=LinkConfig(latency=0),
+            profile=CalibrationProfile(window_size=1, debounce_n=1),
+            pir_at=None,
+        )
+        frame_lines = [
+            line.split(" mode=")[0] for line in result.log if " FRAME_" in line
+        ]
+        assert frame_lines == [
+            "[t=0] FRAME_SENT frame=0",
+            "[t=0] FRAME_DELIVERED frame=0",
+            "[t=20] FRAME_SENT frame=1",
+            "[t=20] FRAME_DELIVERED frame=1",
+            "[t=40] FRAME_SENT frame=2",
+            "[t=40] FRAME_DELIVERED frame=2",
+        ]
+        assert result.log.index("[t=0] ACTION ON") < result.log.index(
+            "[t=20] FRAME_SENT frame=1 mode=ACC x=185 y=176 z=276"
+        )
+
+
+    def test_a_group_logs_its_deliveries_before_their_actions(self):
+        # the drain delivers the last three frames; their ACTION lines follow
+        # all three FRAME_DELIVERED lines, so the times step back
+        result = run_pipeline(
+            generate_gesture(GestureKind.VERTICAL_UP_DOWN, 20, seed=1),
+            link_cfg=LinkConfig(latency=45),
+            profile=CalibrationProfile(window_size=3, debounce_n=1),
+            pir_at=5,
+        )
+        assert [line.split(" mode=")[0] for line in result.log[-6:]] == [
+            "[t=385] FRAME_DELIVERED frame=17",
+            "[t=405] FRAME_DELIVERED frame=18",
+            "[t=425] FRAME_DELIVERED frame=19",
+            "[t=385] ACTION ON",
+            "[t=405] ACTION ON",
+            "[t=425] ACTION ON",
+        ]
+
+
+class TestIntegerEdges:
+    """Times and band ends are Python ints of any size: nothing wraps at 2**63."""
+
+    TRACE = Trace(
+        (AccelSample(t=2**62 - 20, x=1, y=2, z=3), AccelSample(t=2**62, x=4, y=5, z=6))
+    )
+    ONE = CalibrationProfile(window_size=1, debounce_n=1)
+
+    def test_delivery_past_int64(self):
+        result = run_pipeline(self.TRACE, link_cfg=LinkConfig(latency=2**62), profile=self.ONE)
+        assert result.log[3:] == [
+            "[t=0] PIR TRIGGERED",
+            "[t=4611686018427387884] FRAME_SENT frame=0 mode=ACC x=1 y=2 z=3",
+            "[t=4611686018427387904] FRAME_SENT frame=1 mode=ACC x=4 y=5 z=6",
+            "[t=9223372036854775788] FRAME_DELIVERED frame=0 mode=ACC x=1 y=2 z=3",
+            "[t=9223372036854775788] ACQUIRE_ANNOUNCED",
+            "Acquiring data from accelerometer sensor",
+            "[t=9223372036854775808] FRAME_DELIVERED frame=1 mode=ACC x=4 y=5 z=6",
+            "[t=9223372036854775788] ACTION DO_NOTHING",
+            "[t=9223372036854775808] ACTION DO_NOTHING",
+        ]
+
+    def test_latency_past_int64_with_a_trigger_between_deliveries(self):
+        result = run_pipeline(
+            self.TRACE,
+            link_cfg=LinkConfig(latency=2**70),
+            profile=self.ONE,
+            pir_at=2**70 + 2**62 - 10,
+        )
+        assert result.log[3:] == [
+            "[t=4611686018427387884] FRAME_SENT frame=0 mode=ACC x=1 y=2 z=3",
+            "[t=4611686018427387904] FRAME_SENT frame=1 mode=ACC x=4 y=5 z=6",
+            "[t=1185203306735838691308] FRAME_DELIVERED frame=0 mode=ACC x=1 y=2 z=3",
+            "[t=1185203306735838691308] ACQUIRE_ANNOUNCED",
+            "Acquiring data from accelerometer sensor",
+            "[t=1185203306735838691308] ACTION DO_NOTHING",
+            "[t=1185203306735838691318] PIR TRIGGERED",
+            "[t=1185203306735838691328] FRAME_DELIVERED frame=1 mode=ACC x=4 y=5 z=6",
+            "[t=1185203306735838691328] ACTION DO_NOTHING",
+        ]
+
+    @pytest.mark.parametrize(
+        "on_band, off_band, window, expected",
+        [
+            ((-10**30, 10**30), (10**30 + 1, 10**30 + 2), 2, ["ON"] * 5),
+            ((-10**30, -10**30), (-10**30 + 1, 10**30), 2, ["OFF"] * 5),
+            ((10**30, 10**30), (-10**30, 10**30 - 1), 3, ["OFF"] * 4),
+            ((10**30, 10**30 + 1), (-10**30, -1), 3, ["DO_NOTHING"] * 4),
+        ],
+    )
+    def test_band_ends_past_int64(self, on_band, off_band, window, expected):
+        profile = CalibrationProfile(
+            on_band=on_band, off_band=off_band, window_size=window, debounce_n=1
+        )
+        result = run_pipeline(vertical_trace(6, seed=1), profile=profile)
+        verdicts = [line.split()[-1] for line in result.log if " ACTION " in line]
+        assert verdicts == expected
+        assert result.powered is (expected[0] == "ON")

@@ -289,6 +289,15 @@ class TestDemodulate:
         with pytest.raises(ValueError):
             demodulate(np.zeros(17))
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((17,), "waveform length 17 "), ((3, 17), "waveform row length 17 ")],
+    )
+    def test_length_error_names_the_row_length(self, shape, message):
+        # a (3, 17) block holds 51 samples, but each row is what must divide
+        with pytest.raises(ValueError, match=f"^{message}not divisible by {SAMPLES_PER_BIT}"):
+            demodulate(np.zeros(shape))
+
     def test_scalar_waveform_rejected(self):
         with pytest.raises(ValueError):
             demodulate(1.0)
