@@ -30,9 +30,9 @@ from .link import EventKind, LinkConfig, LinkSimulator, event_lines, frame_detai
 from .modem import ModemConfig, channel_apply, demodulate, modulate
 from .sensor import Trace, check_int
 
-# Frames per radio-path block. Outputs do not depend on it, but peak memory
-# grows with it (a frame is 768 float64 waveform samples, held in a few
-# copies), so it stays small.
+# Frames per radio-path block. Outputs do not depend on it, but above sigma 0
+# peak memory grows with it (a frame is 768 float64 waveform samples, held in
+# a few copies), so it stays small. At sigma 0 no waveform is built.
 PHY_BLOCK_FRAMES = 64
 
 # the one appliance the controller switches, as the log names it
@@ -87,21 +87,30 @@ class PipelineResult:
 
 def _receive(samples, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarray]:
     """Radio path, in blocks of PHY_BLOCK_FRAMES samples: each sample is
-    serialized as an ACC frame, and the block is sent as FSK waveforms
-    through the channel (frame i of the trace with noise seed
-    modem_cfg.seed + i) and decoded, re-verifying sync and CRC per frame.
-    Returns, per sample, whether its frame passed both checks, and the
-    (n, 4) frame block decoded from its bits."""
+    serialized as an ACC frame, and the block's bits are sent through the
+    channel and decoded, re-verifying sync and CRC per frame. Above sigma 0
+    the block goes as FSK waveforms (frame i of the trace with noise seed
+    modem_cfg.seed + i). At sigma 0 no waveform is built: demodulate decides
+    each bit window alone, and every bit of one value then receives the same
+    samples, so one run of the two one-bit rows through the channel gives
+    the decision for each value. Returns, per sample, whether its frame
+    passed both checks, and the (n, 4) frame block decoded from its bits."""
+    acc = WatchMode.ACC
+    wire = b"".join(bytes(serialize(CodecFrame(acc, s.x, s.y, s.z))) for s in samples)
+    tx = np.frombuffer(wire, np.uint8).reshape(len(samples), -1)
+    decide = None
+    if modem_cfg.noise_sigma == 0:
+        decide = demodulate(channel_apply(modulate([[0], [1]]), modem_cfg))[:, 0]
     ok, fields = [], []
-    for start in range(0, len(samples), PHY_BLOCK_FRAMES):
-        block = samples[start : start + PHY_BLOCK_FRAMES]
-        tx_bits = np.array(
-            [serialize(CodecFrame(WatchMode.ACC, s.x, s.y, s.z)) for s in block],
-            dtype=np.uint8,
-        )
-        # frame i of the trace gets noise stream seed + i, whatever the block
-        block_cfg = replace(modem_cfg, seed=(modem_cfg.seed + start) % 2**64)
-        block_ok, block_fields = deserialize(demodulate(channel_apply(modulate(tx_bits), block_cfg)))
+    for start in range(0, len(tx), PHY_BLOCK_FRAMES):
+        tx_bits = tx[start : start + PHY_BLOCK_FRAMES]
+        if decide is not None:
+            rx_bits = decide[tx_bits]
+        else:
+            # frame i of the trace gets noise stream seed + i, whatever the block
+            block_cfg = replace(modem_cfg, seed=(modem_cfg.seed + start) % 2**64)
+            rx_bits = demodulate(channel_apply(modulate(tx_bits), block_cfg))
+        block_ok, block_fields = deserialize(rx_bits)
         ok += block_ok.tolist()
         fields.append(block_fields)
     return ok, np.concatenate(fields)

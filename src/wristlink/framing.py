@@ -94,7 +94,7 @@ class CrcMismatchError(DecodeError):
     """Integrity check failed; the transmission was corrupted."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodecFrame:
     """One over-the-air packet: mode tag plus a 3-axis payload."""
 

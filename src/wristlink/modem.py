@@ -3,7 +3,8 @@
 Bits map to tones (0 -> F0, 1 -> F1) with phase kept continuous across bit
 boundaries. Detection is non-coherent: each bit window is correlated against
 a single-bin discrete-frequency probe at each tone frequency and the larger
-energy wins, ties decoding as 0. The fixed tones (F0 1 kHz, F1 2 kHz at 16
+energy wins, ties decoding as 0. Each window is decided alone, from its own
+SAMPLES_PER_BIT samples. The fixed tones (F0 1 kHz, F1 2 kHz at 16
 kHz SAMPLE_RATE) and the fixed SAMPLES_PER_BIT of 16 place a whole number of
 cycles of either tone in every bit window, so the probes are exactly
 orthogonal on clean input, and every bit starts at phase 0: a row's

@@ -96,7 +96,7 @@ def check_seed(seed) -> None:
     check_int("seed", seed, 0, 2**64 - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccelSample:
     """One timestamped 3-axis reading in raw counts; t is an int >= 0 (ms)."""
 
@@ -178,7 +178,7 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
                 f"{path}: line {row}: t_ms {t} not greater than previous {prev_t}"
             )
         try:
-            samples.append(AccelSample(t=t, x=x, y=y, z=z))
+            samples.append(AccelSample(t, x, y, z))
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {row}: {exc}") from None
         prev_t = t

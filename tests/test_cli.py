@@ -201,30 +201,48 @@ class TestSimulate:
         ).read_bytes()
 
 
-    # SHA-256 of simulation.log followed by summary.csv, recorded before the
-    # pipeline's per-sample event loop became the block event core. Latency 0
-    # delivers each frame in the next sample's slot, after its own send line.
+    # SHA-256 of simulation.log followed by summary.csv. The first three were
+    # recorded before the pipeline's per-sample event loop became the block
+    # event core: latency 0 delivers each frame in the next sample's slot,
+    # after its own send line. The rest were recorded while every run, sigma 0
+    # included, still sent each block as FSK waveforms; at attenuation 1e-170
+    # every bit decodes as 0, so every frame fails the sync check.
     @pytest.mark.parametrize(
         "flags, digest",
         [
             (
-                ["--latency", "0", "--pir-at", "130"],
+                ["--latency", "0", "--pir-at", "130", "--loss", "0.3", "--noise", "0.8"],
                 "77b59e36271b537fc5c364043df50da5636aed73d2a4e3ed86bb73e6e0acb55d",
             ),
             (
-                ["--latency", "0", "--no-pir"],
+                ["--latency", "0", "--no-pir", "--loss", "0.3", "--noise", "0.8"],
                 "c99451598be9e17be3c2d6e7e8403a60246e4254c65af143a989607f539420af",
             ),
             (
-                ["--latency", "45", "--pir-at", "130"],
+                ["--latency", "45", "--pir-at", "130", "--loss", "0.3", "--noise", "0.8"],
                 "bd7f3486e067714827fb3891f3685f69e4f7b6fc95c2e9fad8316c52ebd62cd8",
+            ),
+            (
+                ["--noise", "0", "--attenuation", "1"],
+                "7e7507f7b7fff2f3eaff0eb0997b527636609e23a66dd15bb255337f8b8b1504",
+            ),
+            (
+                ["--noise", "0", "--attenuation", "0.3"],
+                "7e7507f7b7fff2f3eaff0eb0997b527636609e23a66dd15bb255337f8b8b1504",
+            ),
+            (
+                ["--noise", "0", "--attenuation", "1e-170"],
+                "79f03eb0963b8de7f720e30a7ae5f8e6c3c6e12205692fb43bb915f1e6bcbf21",
+            ),
+            (
+                ["--noise", "0.8", "--loss", "0.2"],
+                "63dd1015f2e0455aa05052056fd2e58fa310353061153f50b40b9dcbb99193f0",
             ),
         ],
     )
     def test_outputs_match_recorded_digest(self, tmp_path, capsys, flags, digest):
         code, _, _ = run(
-            capsys, "simulate", "--demo", "on", *flags,
-            "--loss", "0.3", "--noise", "0.8", "--seed", "5", "--out", str(tmp_path),
+            capsys, "simulate", "--demo", "on", *flags, "--seed", "5", "--out", str(tmp_path),
         )
         assert code == 0
         data = b"".join(

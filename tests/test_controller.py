@@ -3,6 +3,7 @@ from collections import deque
 from dataclasses import replace
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,6 +146,25 @@ class TestRunPipeline:
         result = run_pipeline(trace, pir_at=0)
         assert result.frames_sent == 200
         assert calls == [(s.x, s.y, s.z) for s in trace]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_waveforms_only_above_sigma_zero(self, monkeypatch, sigma):
+        # at sigma 0 one 2-bit call decides every bit of the run; above it,
+        # each block of PHY_BLOCK_FRAMES frames goes as waveforms
+        trace = vertical_trace(200, seed=9)
+        calls = []
+
+        def counting_modulate(bits):
+            calls.append(np.asarray(bits).size)
+            return modulate(bits)
+
+        monkeypatch.setattr("wristlink.controller.modulate", counting_modulate)
+        run_pipeline(trace, modem_cfg=ModemConfig(noise_sigma=sigma), pir_at=0)
+        if sigma == 0:
+            assert calls == [2]
+        else:
+            assert len(calls) == math.ceil(len(trace) / PHY_BLOCK_FRAMES)
+            assert sum(calls) == 48 * len(trace)
 
     def test_idle_trace_never_acts(self):
         result = run_pipeline(generate_gesture(GestureKind.OTHER, 32, seed=3), pir_at=0)

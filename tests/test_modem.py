@@ -400,6 +400,30 @@ class TestFrameBlocks:
             np.testing.assert_array_equal(out[i], expected)
 
 
+class TestNoiselessTable:
+    """At sigma 0 every bit of one value receives the same samples and each
+    window is decided alone, so the decisions for the two one-bit rows
+    decide every block: the radio path's sigma-0 shortcut."""
+
+    # 1e-160 and 1e-162 leave the tone energy subnormal, 2e-163 leaves it
+    # one subnormal step, and below that every window's energies tie at 0
+    @pytest.mark.parametrize(
+        "attenuation", [1.0, 0.5, 1e-3, 1e-160, 1e-162, 2e-163, 1e-170, 5e-324]
+    )
+    @pytest.mark.parametrize("n_frames", [1, 2, 63, 64, 65, 300])
+    def test_table_equals_the_waveform_path(self, attenuation, n_frames):
+        cfg = ModemConfig(channel_attenuation=attenuation, seed=n_frames)
+        decide = demodulate(channel_apply(modulate([[0], [1]]), cfg))[:, 0]
+        tx = np.random.default_rng(n_frames).integers(0, 2, (n_frames, 48), dtype=np.uint8)
+        rx = demodulate(channel_apply(modulate(tx), cfg))
+        assert rx.dtype == decide.dtype == np.uint8
+        np.testing.assert_array_equal(decide[tx], rx)
+
+    def test_table_reads_zero_for_both_values_under_underflow(self):
+        cfg = ModemConfig(channel_attenuation=1e-170)
+        assert demodulate(channel_apply(modulate([[0], [1]]), cfg)).tolist() == [[0], [0]]
+
+
 # seeds at the edges of the one- and two-word SeedSequence entropy forms
 BOUNDARY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1)
 

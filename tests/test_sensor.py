@@ -1,9 +1,14 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wristlink.classify import Action, CalibrationProfile, classify_window
 from wristlink.demo import DEMO_NAMES, demo_csv_path, demo_trace
+from wristlink.framing import CodecFrame, WatchMode
 from wristlink.sensor import (
     HORIZONTAL_Y_COUNTS,
     HORIZONTAL_Y_RANGE,
@@ -31,6 +36,20 @@ def test_sample_validates_range():
         AccelSample(t=0, x=-1, y=0, z=0)
     with pytest.raises(ValueError):
         AccelSample(t=-1, x=0, y=0, z=0)
+
+
+@pytest.mark.parametrize("value", [AccelSample(5, 1, 2, 3), CodecFrame(WatchMode.ACC, 1, 2, 3)])
+def test_per_sample_values_are_slotted_frozen_and_copyable(value):
+    # built once or twice per sample, so they carry no per-instance dict
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        value.x = 4
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+    moved = replace(value, x=4)
+    assert (moved.x, moved.y, moved.z) == (4, value.y, value.z)
+    with pytest.raises(ValueError):
+        replace(value, x=1024)
 
 
 def test_trace_requires_increasing_timestamps():
