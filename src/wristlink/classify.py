@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sensor import GestureKind, check_int
+from .sensor import COUNT_MAX, COUNT_MIN, GestureKind, check_int
 
 # Factory default decision bands (raw z / y window means), window length,
 # and consecutive-verdict count.
@@ -93,7 +93,8 @@ def window_mean(samples, axis: str) -> Fraction:
 def classify_windows(z, y, profile: CalibrationProfile) -> list[Action]:
     """Verdict of every full window sliding over equal-length integer z and
     y count sequences: verdict k is that of items k..k+w-1, for the
-    profile's window size w."""
+    profile's window size w. Each count must be a raw count in
+    COUNT_MIN..COUNT_MAX, so the int64 running sums cannot wrap."""
     w = profile.window_size
     columns = [np.asarray(values) for values in (z, y)]
     for name, column in zip("zy", columns):
@@ -104,6 +105,9 @@ def classify_windows(z, y, profile: CalibrationProfile) -> list[Action]:
                 f"{name} must be a 1-D integer sequence,"
                 f" got {column.dtype} of shape {column.shape}"
             )
+        bad = column[(column < COUNT_MIN) | (column > COUNT_MAX)]
+        if bad.size:
+            raise ValueError(f"{name} counts must lie in {COUNT_MIN}..{COUNT_MAX}, got {bad[0]}")
     n = len(columns[0])
     if len(columns[1]) != n:
         raise ValueError(f"z has {n} counts but y has {len(columns[1])}")

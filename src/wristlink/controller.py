@@ -8,7 +8,7 @@ delivery, a sliding window over delivered samples, classification, debounce,
 and gated appliance switching. Nothing downstream feeds back into the
 stages before it, so each runs over the whole trace in turn: the radio path
 in blocks of PHY_BLOCK_FRAMES frames, each sample encoded on its own; the
-link as one block of sends and time steps (LinkSimulator.stream); the
+link as one block of sends and time steps (LinkSimulator._stream); the
 classifier over every window of the delivered sequence at once; then one
 pass in log order that debounces the verdicts, applies the gate and renders
 the log. Everything is seeded, so identical inputs produce byte-identical
@@ -165,7 +165,9 @@ def run_pipeline(
     # after it, and a last one that drains the link. The trigger is a step
     # of its own, just before the first sample at or after pir_at, so it
     # follows the deliveries due by then; the samples' steps from there on
-    # move up by one.
+    # move up by one. The link checks none of this: the times come from the
+    # Trace, which checked that they rise from 0, and pir_at was checked
+    # above.
     steps = times + [times[-1] + link_cfg.latency]
     pir_step = None
     sent_after = sent
@@ -173,7 +175,7 @@ def run_pipeline(
         pir_step = bisect_left(times, pir_at)
         steps.insert(pir_step, pir_at)
         sent_after = [i + 1 if i >= pir_step else i for i in sent]
-    link = sim.stream(steps, sent_after, range(len(sent)))  # payload: index in sent
+    link = sim._stream(steps, sent_after, range(len(sent)))  # payload: index in sent
     arrival, due, lost = link.step, link.t, link.lost
 
     # decoded (x, y, z) of each frame sent, and of each delivered, in order

@@ -10,10 +10,12 @@ Half-duplex rule: the access point transmits control acknowledgments only
 (start and mode changes), and refuses to do so while a watch frame is in
 flight, so watch->AP and AP->watch transmissions can never overlap.
 
-The link runs on columns: `LinkSimulator.stream` sends a block of frames
-between a block of time steps and returns what happened as columns.
+The link runs on columns: its private core, `LinkSimulator._stream`, sends a
+block of frames between a block of time steps and returns what happened as
+columns. It trusts its callers, each of which checks its own input once:
 `transmit_sample` and `run_until` are its one-frame and one-step uses, which
-also record each event as a LinkEvent and its log line.
+also record each event as a LinkEvent and its log line, and
+`controller.run_pipeline` sends a whole trace through it.
 """
 from __future__ import annotations
 
@@ -114,7 +116,7 @@ class LinkEvent:
 
 
 class LinkBlock(NamedTuple):
-    """What one LinkSimulator.stream call did, as columns."""
+    """What one LinkSimulator._stream call did, as columns."""
 
     first_id: int  # frame id of the first frame sent; the rest follow in order
     lost: list[bool]  # per frame sent: dropped by its loss draw
@@ -146,11 +148,9 @@ class LinkSimulator:
         self.sent_count = 0
         self.delivered_count = 0
         self.lost_count = 0
-        self.acc_resets = 0  # re-entries into ACC mode after leaving it
         self._rng = Random(self.cfg.seed)
         # frames in flight in send order, as (due time, frame id, payload)
         self._in_flight: list[tuple[int, int, object]] = []
-        self._acc_seen = False
 
     def _record(self, event: LinkEvent) -> LinkEvent:
         self.events.append(event)
@@ -185,28 +185,18 @@ class LinkSimulator:
                 "half-duplex violation: cannot acknowledge a mode change"
                 " while a frame is in flight"
             )
-        if mode is WatchMode.ACC:
-            if self._acc_seen and self.watch_mode is not WatchMode.ACC:
-                self.acc_resets += 1
-            self._acc_seen = True
         self.watch_mode = mode
         return self._record(LinkEvent(self.now, EventKind.MODE_SET, mode.name))
 
-    def _check_streaming(self) -> None:
-        if self.ap_state is AccessPointState.NOT_STARTED:
-            raise ProtocolError("access point not started: frame rejected")
-        if self.watch_mode is not WatchMode.ACC:
-            raise ProtocolError(
-                f"watch mode {self.watch_mode.name} does not stream data;"
-                " set ACC mode first"
-            )
-
-    def stream(self, steps: list[int], sent_after: list[int], frames) -> LinkBlock:
+    def _stream(self, steps: list[int], sent_after: list[int], frames) -> LinkBlock:
         """Advance virtual time through `steps`, sending `frames` between them.
 
-        `steps` are int times, non-decreasing and >= now. Frame k goes out
+        The caller has checked its arguments, and nothing is checked again:
+        `steps` are int times, non-decreasing and >= now; frame k goes out
         right after step sent_after[k], at that step's time, or at the
-        current time when sent_after[k] is -1; sent_after is non-decreasing.
+        current time when sent_after[k] is -1, and sent_after is
+        non-decreasing with one entry per frame; frames are sent only by a
+        started access point in ACC mode.
         Each frame sent takes the next frame id and one loss draw, in order.
         A kept frame joins the FIFO, due at its send time + latency, and
         arrives at the first step after its send whose time is >= its due
@@ -214,22 +204,9 @@ class LinkSimulator:
         arrive in send order. Frames due after the last step stay in flight.
         The first delivery of a session announces acquisition.
 
-        Sending requires a started access point and ACC mode. No event is
-        recorded and no log line written: the caller renders the returned
-        columns with log_lines, event_lines and frame_details.
+        No event is recorded and no log line written: the caller renders the
+        returned columns with log_lines, event_lines and frame_details.
         """
-        if len(frames):
-            self._check_streaming()
-        if len(sent_after) != len(frames):
-            raise ValueError(f"{len(sent_after)} send steps for {len(frames)} frames")
-        prev = self.now
-        for t in steps:
-            check_int("step", t, prev)
-            prev = t
-        prev = -1
-        for after in sent_after:
-            check_int("sent_after", after, prev, len(steps) - 1)
-            prev = after
         p, latency, draw = self.cfg.loss_probability, self.cfg.latency, self._rng.random
         first_id = self.sent_count
         lost = [draw() < p for _ in range(len(frames))]
@@ -272,10 +249,16 @@ class LinkSimulator:
         after the configured latency, or lost with the configured
         probability; the returned event is FRAME_LOST in that case.
         """
-        self._check_streaming()
+        if self.ap_state is AccessPointState.NOT_STARTED:
+            raise ProtocolError("access point not started: frame rejected")
+        if self.watch_mode is not WatchMode.ACC:
+            raise ProtocolError(
+                f"watch mode {self.watch_mode.name} does not stream data;"
+                " set ACC mode first"
+            )
         if frame.mode is not WatchMode.ACC:
             raise ValueError(f"only ACC frames carry samples, got {frame.mode.name}")
-        block = self.stream([], [-1], [frame])
+        block = self._stream([], [-1], [frame])
         frame_id = block.first_id
         (detail,) = frame_details([frame_id], [(frame.x, frame.y, frame.z)])
         sent = self._record(LinkEvent(self.now, EventKind.FRAME_SENT, detail, frame_id, frame))
@@ -287,7 +270,7 @@ class LinkSimulator:
     def run_until(self, t: int) -> list[LinkEvent]:
         """Advance virtual time to t (an int >= now), delivering frames due."""
         check_int("t", t, self.now)
-        block = self.stream([t], [], [])
+        block = self._stream([t], [], [])
         details = frame_details(block.frame_id, [(f.x, f.y, f.z) for f in block.frame])
         emitted: list[LinkEvent] = []
         for due, frame_id, frame, detail in zip(block.t, block.frame_id, block.frame, details):

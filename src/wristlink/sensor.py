@@ -125,6 +125,9 @@ class Trace:
         object.__setattr__(self, "samples", tuple(self.samples))
         prev = -1
         for s in self.samples:
+            # an AccelSample's t is a checked int, which the link takes as is
+            if not isinstance(s, AccelSample):
+                raise ValueError(f"trace samples must be AccelSample, got {type(s).__name__}")
             if s.t <= prev:
                 raise ValueError(
                     f"timestamps must be strictly increasing: {s.t} after {prev}"

@@ -2,6 +2,7 @@ import re
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,21 +156,30 @@ def brute_force_verdict(values_xyz, on_band, off_band):
 
 
 def test_oracle_equivalence_randomized_100k():
+    # the first 1,000 cases go through classify_window itself; every case
+    # goes through one classify_windows call per window size n, over that
+    # size's cases laid end to end, whose every n-th verdict is a case's
     rng = Random(12345)
-    cases = 100_000
-    for _ in range(cases):
+    by_size: dict[int, list] = {}
+    for case in range(100_000):
         n = rng.randint(1, 8)
         values = [
             (rng.randint(169, 384), rng.randint(169, 384), rng.randint(169, 384))
             for _ in range(n)
         ]
-        window = [
-            AccelSample(t=i, x=v[0], y=v[1], z=v[2]) for i, v in enumerate(values)
-        ]
-        profile = CalibrationProfile(window_size=n)
-        assert classify_window(window, profile) is brute_force_verdict(
-            values, DEFAULT_ON_BAND, DEFAULT_OFF_BAND
+        expected = brute_force_verdict(values, DEFAULT_ON_BAND, DEFAULT_OFF_BAND)
+        if case < 1_000:
+            window = [
+                AccelSample(t=i, x=v[0], y=v[1], z=v[2]) for i, v in enumerate(values)
+            ]
+            assert classify_window(window, CalibrationProfile(window_size=n)) is expected
+        by_size.setdefault(n, []).append((values, expected))
+    for n, cases in by_size.items():
+        flat = [v for values, _ in cases for v in values]
+        verdicts = classify_windows(
+            [v[2] for v in flat], [v[1] for v in flat], CalibrationProfile(window_size=n)
         )
+        assert verdicts[::n] == [expected for _, expected in cases]
 
 
 def test_sliding_windows_match_brute_force():
@@ -198,6 +208,32 @@ def test_sliding_windows_match_brute_force():
 def test_sliding_windows_take_equal_integer_sequences(z, y, message):
     with pytest.raises(ValueError, match=message):
         classify_windows(z, y, CalibrationProfile(window_size=2))
+
+
+@pytest.mark.parametrize(
+    "z, y, bad",
+    [
+        # the window mean is exactly 2**62, inside the on band, but the
+        # int64 running sums would wrap past 2**63
+        ([2**62, 2**62], [1, 1], "z counts must lie in 0..1023, got 4611686018427387904"),
+        ([1, 2], [3, -1], "y counts must lie in 0..1023, got -1"),
+        ([1024, -1], [3, 4], "z counts must lie in 0..1023, got 1024"),
+        (
+            np.array([1, 2**63], dtype=np.uint64),
+            [1, 1],
+            "z counts must lie in 0..1023, got 9223372036854775808",
+        ),
+    ],
+)
+def test_sliding_windows_take_raw_counts(z, y, bad):
+    profile = CalibrationProfile(on_band=(2**62, 2**62), off_band=(0, 0), window_size=2)
+    with pytest.raises(ValueError, match=f"^{bad}$"):
+        classify_windows(z, y, profile)
+
+
+def test_sliding_windows_take_the_count_range_ends():
+    profile = CalibrationProfile(on_band=(1023, 1023), off_band=(0, 0), window_size=1)
+    assert classify_windows([1023, 0], [5, 0], profile) == [Action.ON, Action.OFF]
 
 
 def fraction_mean_verdict(window, on_band, off_band):

@@ -13,7 +13,14 @@ from wristlink.controller import PHY_BLOCK_FRAMES, HomeController, run_pipeline
 from wristlink.framing import CodecFrame, DecodeError, WatchMode, deserialize, serialize
 from wristlink.link import EventKind, LinkConfig, LinkSimulator
 from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
-from wristlink.sensor import AccelSample, GestureKind, Trace, check_counts, generate_gesture
+from wristlink.sensor import (
+    AccelSample,
+    GestureKind,
+    Trace,
+    check_counts,
+    check_int,
+    generate_gesture,
+)
 
 
 class TestHomeController:
@@ -146,6 +153,22 @@ class TestRunPipeline:
         result = run_pipeline(trace, pir_at=0)
         assert result.frames_sent == 200
         assert calls == [(s.x, s.y, s.z) for s in trace]
+
+    def test_link_core_rechecks_no_integer(self, monkeypatch):
+        # the Trace checked the step times and run_pipeline checked pir_at,
+        # so the link's core takes its steps and send indices unchecked
+        trace = vertical_trace(200, seed=9)
+        link_cfg = LinkConfig()  # built before the patch: its own checks are not counted
+        calls = []
+
+        def counting_check(*args):
+            calls.append(args)
+            return check_int(*args)
+
+        monkeypatch.setattr("wristlink.link.check_int", counting_check)
+        result = run_pipeline(trace, link_cfg=link_cfg, pir_at=0)
+        assert result.frames_sent == 200
+        assert calls == []
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_waveforms_only_above_sigma_zero(self, monkeypatch, sigma):

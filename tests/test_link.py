@@ -93,13 +93,6 @@ class TestWatchMode:
         sim.run_until(10)
         sim.watch_set_mode(WatchMode.PPT)  # quiet channel again
 
-    def test_acc_reset_counter(self):
-        sim = started_sim()
-        assert sim.acc_resets == 0
-        sim.watch_set_mode(WatchMode.IDLE)
-        sim.watch_set_mode(WatchMode.ACC)
-        assert sim.acc_resets == 1
-
 
 class TestTransmit:
     def test_lossless_delivery_carries_payload(self):
@@ -317,8 +310,6 @@ class LinkMachine(RuleBasedStateMachine):
         self.loss_rng = Random(seed)
         self.started = False
         self.mode = WatchMode.IDLE
-        self.acc_seen = False
-        self.acc_resets = 0
         self.announced = False
         self.sent = self.delivered = self.lost = 0
         self.in_flight = []  # (send_t, frame_id, frame)
@@ -379,10 +370,6 @@ class LinkMachine(RuleBasedStateMachine):
             with pytest.raises(ProtocolError):
                 self.sim.watch_set_mode(mode)
             return
-        if mode is WatchMode.ACC:
-            if self.acc_seen and self.mode is not WatchMode.ACC:
-                self.acc_resets += 1
-            self.acc_seen = True
         self.mode = mode
         ev = self.sim.watch_set_mode(mode)
         self.events.append((ev.t, EventKind.MODE_SET, None))
@@ -420,7 +407,6 @@ class LinkMachine(RuleBasedStateMachine):
         )
         assert sim.delivered_count + sim.lost_count + sim.frames_in_flight == sim.sent_count
         assert sim.frames_in_flight == len(self.in_flight)
-        assert sim.acc_resets == self.acc_resets
         assert sim.watch_mode is self.mode
 
     @invariant()

@@ -1,6 +1,7 @@
 import copy
 import pickle
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,13 @@ def test_trace_requires_increasing_timestamps():
     b = AccelSample(t=0, x=1, y=2, z=3)
     with pytest.raises(ValueError):
         Trace((a, b))
+
+
+def test_trace_holds_only_accel_samples():
+    # a look-alike's float time would reach the link unchecked
+    look_alike = SimpleNamespace(t=0.5, x=1, y=2, z=3)
+    with pytest.raises(ValueError, match="^trace samples must be AccelSample, got SimpleNamespace$"):
+        Trace((AccelSample(t=0, x=1, y=2, z=3), look_alike))
 
 
 def test_labeled_trace_must_be_non_empty():
