@@ -37,8 +37,8 @@ from .link import (
     AP_STARTED_MESSAGE,
     AccessPointState,
     EventKind,
+    LinkBlock,
     LinkConfig,
-    LinkEvent,
     LinkSimulator,
     ProtocolError,
 )
@@ -77,8 +77,8 @@ __all__ = [
     "EventKind",
     "GestureKind",
     "HomeController",
+    "LinkBlock",
     "LinkConfig",
-    "LinkEvent",
     "LinkSimulator",
     "ModemConfig",
     "PipelineResult",

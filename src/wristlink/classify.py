@@ -196,6 +196,8 @@ class Debouncer:
         self._last_emitted: Action | None = None
 
     def push(self, action: Action) -> Action | None:
+        if type(action) is not Action:
+            raise ValueError(f"verdict must be an Action, got {action!r}")
         if action is Action.DO_NOTHING:
             self._run_action = None
             self._run_len = 0

@@ -38,6 +38,9 @@ PHY_BLOCK_FRAMES = 64
 # the one appliance the controller switches, as the log names it
 APPLIANCE = "light"
 
+# each verdict's ACTION text, read once per Action member, not once per line
+_ACTION_TEXT = {action: action.value for action in Action}
+
 
 class HomeController:
     """Appliance state machine gated on passive-infrared presence detection.
@@ -58,6 +61,8 @@ class HomeController:
 
     def apply_action(self, action: Action, t: int) -> None:
         """Honor a debounced action while armed; log real transitions only."""
+        if type(action) is not Action:
+            raise ValueError(f"action must be an Action, got {action!r}")
         check_int("t", t, 0)
         if not self.armed:
             return
@@ -207,7 +212,7 @@ def run_pipeline(
         )
     )
     delivered_lines = log_lines(EventKind.FRAME_DELIVERED, due, [details[k] for k in link.frame])
-    action_lines = [f"[t={t}] ACTION {v.value}" for t, v in zip(due[w - 1 :], verdicts)]
+    action_lines = [f"[t={t}] ACTION {_ACTION_TEXT[v]}" for t, v in zip(due[w - 1 :], verdicts)]
 
     # one pass in log order: at each step, its deliveries, then their
     # verdicts and actions, then the trigger or the sample's own line

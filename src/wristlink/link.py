@@ -12,9 +12,9 @@ flight, so watch->AP and AP->watch transmissions can never overlap.
 
 The link runs on columns: its private core, `LinkSimulator._stream`, sends a
 block of frames between a block of time steps and returns what happened as
-columns. It trusts its callers, each of which checks its own input once:
+a LinkBlock. It trusts its callers, each of which checks its own input once:
 `transmit_sample` and `run_until` are its one-frame and one-step uses, which
-also record each event as a LinkEvent and its log line, and
+render the LinkBlock they return into the log, the link's one history, and
 `controller.run_pipeline` sends a whole trace through it.
 """
 from __future__ import annotations
@@ -101,22 +101,8 @@ class LinkConfig:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class LinkEvent:
-    """One timestamped protocol event; totally ordered by recording order."""
-
-    t: int
-    kind: EventKind
-    detail: str = ""
-    frame_id: int | None = None
-    frame: CodecFrame | None = None
-
-    def log_line(self) -> str:
-        return event_lines(self.t, self.kind, self.detail)[0]
-
-
 class LinkBlock(NamedTuple):
-    """What one LinkSimulator._stream call did, as columns."""
+    """What one send or advance of a LinkSimulator did, as columns."""
 
     first_id: int  # frame id of the first frame sent; the rest follow in order
     lost: list[bool]  # per frame sent: dropped by its loss draw
@@ -133,9 +119,9 @@ class LinkBlock(NamedTuple):
 class LinkSimulator:
     """Single-owner discrete-event simulation of the watch/access-point link.
 
-    All mutation goes through this object; events are immutable values. The
-    optional `log` list is shared with other pipeline stages so one
-    chronological, newline-ready log accumulates across the whole run.
+    All mutation goes through this object, and its history is `log`: a list
+    that may be shared with other pipeline stages, so one chronological,
+    newline-ready log accumulates across the whole run.
     """
 
     def __init__(self, cfg: LinkConfig | None = None, log: list[str] | None = None):
@@ -144,7 +130,6 @@ class LinkSimulator:
         self.now = 0
         self.ap_state = AccessPointState.NOT_STARTED
         self.watch_mode = WatchMode.IDLE
-        self.events: list[LinkEvent] = []
         self.sent_count = 0
         self.delivered_count = 0
         self.lost_count = 0
@@ -152,25 +137,18 @@ class LinkSimulator:
         # frames in flight in send order, as (due time, frame id, payload)
         self._in_flight: list[tuple[int, int, object]] = []
 
-    def _record(self, event: LinkEvent) -> LinkEvent:
-        self.events.append(event)
-        self.log.extend(event_lines(event.t, event.kind, event.detail))
-        return event
-
     @property
     def frames_in_flight(self) -> int:
         return len(self._in_flight)
 
-    def ap_start(self) -> LinkEvent:
+    def ap_start(self) -> None:
         """Start the access point; valid exactly once per session."""
         if self.ap_state is not AccessPointState.NOT_STARTED:
             raise ProtocolError("access point already started")
         self.ap_state = AccessPointState.STARTED
-        return self._record(
-            LinkEvent(self.now, EventKind.AP_STARTED, f"carrier={CARRIER_LABEL}")
-        )
+        self.log += event_lines(self.now, EventKind.AP_STARTED, f"carrier={CARRIER_LABEL}")
 
-    def watch_set_mode(self, mode: WatchMode) -> LinkEvent:
+    def watch_set_mode(self, mode: WatchMode) -> None:
         """Switch the watch mode; the access point acknowledges immediately.
 
         Requires a started access point and a quiet channel (half-duplex:
@@ -186,7 +164,7 @@ class LinkSimulator:
                 " while a frame is in flight"
             )
         self.watch_mode = mode
-        return self._record(LinkEvent(self.now, EventKind.MODE_SET, mode.name))
+        self.log += event_lines(self.now, EventKind.MODE_SET, mode.name)
 
     def _stream(self, steps: list[int], sent_after: list[int], frames) -> LinkBlock:
         """Advance virtual time through `steps`, sending `frames` between them.
@@ -204,8 +182,8 @@ class LinkSimulator:
         arrive in send order. Frames due after the last step stay in flight.
         The first delivery of a session announces acquisition.
 
-        No event is recorded and no log line written: the caller renders the
-        returned columns with log_lines, event_lines and frame_details.
+        No log line is written: the caller renders the returned columns with
+        log_lines, event_lines and frame_details.
         """
         p, latency, draw = self.cfg.loss_probability, self.cfg.latency, self._rng.random
         first_id = self.sent_count
@@ -242,13 +220,15 @@ class LinkSimulator:
             announced,
         )
 
-    def transmit_sample(self, frame: CodecFrame) -> LinkEvent:
+    def transmit_sample(self, frame: CodecFrame) -> LinkBlock:
         """Send one accelerometer sample, as its ACC frame, at the current time.
 
         Requires a started access point and ACC mode. The frame is delivered
         after the configured latency, or lost with the configured
-        probability; the returned event is FRAME_LOST in that case.
+        probability, as lost[0] of the returned LinkBlock says.
         """
+        if not isinstance(frame, CodecFrame):
+            raise ValueError(f"frame must be a CodecFrame, got {type(frame).__name__}")
         if self.ap_state is AccessPointState.NOT_STARTED:
             raise ProtocolError("access point not started: frame rejected")
         if self.watch_mode is not WatchMode.ACC:
@@ -259,24 +239,20 @@ class LinkSimulator:
         if frame.mode is not WatchMode.ACC:
             raise ValueError(f"only ACC frames carry samples, got {frame.mode.name}")
         block = self._stream([], [-1], [frame])
-        frame_id = block.first_id
-        (detail,) = frame_details([frame_id], [(frame.x, frame.y, frame.z)])
-        sent = self._record(LinkEvent(self.now, EventKind.FRAME_SENT, detail, frame_id, frame))
+        ids, now, xyz = [block.first_id], [self.now], [(frame.x, frame.y, frame.z)]
+        self.log += log_lines(EventKind.FRAME_SENT, now, frame_details(ids, xyz))
         if block.lost[0]:
-            (detail,) = frame_details([frame_id])
-            return self._record(LinkEvent(self.now, EventKind.FRAME_LOST, detail, frame_id, frame))
-        return sent
+            self.log += log_lines(EventKind.FRAME_LOST, now, frame_details(ids))
+        return block
 
-    def run_until(self, t: int) -> list[LinkEvent]:
-        """Advance virtual time to t (an int >= now), delivering frames due."""
+    def run_until(self, t: int) -> LinkBlock:
+        """Advance virtual time to t (an int >= now), delivering frames due;
+        returns the step's LinkBlock, whose payloads are the frames sent."""
         check_int("t", t, self.now)
         block = self._stream([t], [], [])
         details = frame_details(block.frame_id, [(f.x, f.y, f.z) for f in block.frame])
-        emitted: list[LinkEvent] = []
-        for due, frame_id, frame, detail in zip(block.t, block.frame_id, block.frame, details):
-            emitted.append(
-                self._record(LinkEvent(due, EventKind.FRAME_DELIVERED, detail, frame_id, frame))
-            )
-            if block.announced and len(emitted) == 1:
-                emitted.append(self._record(LinkEvent(due, EventKind.ACQUIRE_ANNOUNCED)))
-        return emitted
+        lines = log_lines(EventKind.FRAME_DELIVERED, block.t, details)
+        if block.announced:
+            lines[1:1] = event_lines(block.t[0], EventKind.ACQUIRE_ANNOUNCED)
+        self.log += lines
+        return block

@@ -122,6 +122,10 @@ class Trace:
     label: GestureKind | None = None
 
     def __post_init__(self):
+        if self.label is not None and not isinstance(self.label, GestureKind):
+            raise ValueError(
+                f"trace label must be a GestureKind or None, got {type(self.label).__name__}"
+            )
         object.__setattr__(self, "samples", tuple(self.samples))
         prev = -1
         for s in self.samples:

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per release criterion, each printing a
 [PASS]/[FAIL] line (run with `pytest -s -v tests/test_acceptance.py`)."""
 import functools
+import re
 import time
 from fractions import Fraction
 from random import Random
@@ -26,6 +27,7 @@ from wristlink.framing import (
 )
 from wristlink.link import (
     ACQUIRING_MESSAGE,
+    AP_STARTED_MESSAGE,
     EventKind,
     LinkConfig,
     LinkSimulator,
@@ -171,8 +173,30 @@ def _drive_random_session(seed, n_ops):
     return sim
 
 
+_EVENT_LINE = re.compile(r"\[t=(\d+)\] ([A-Z_]+)(?: (.*))?")
+_FOLLOWING_LINE = {
+    EventKind.AP_STARTED: AP_STARTED_MESSAGE,
+    EventKind.ACQUIRE_ANNOUNCED: ACQUIRING_MESSAGE,
+}
+
+
+def _log_events(log):
+    """(t, kind, detail, frame id or None) of each event line of a link
+    log, in log order; the verbatim line that must follow an event is
+    checked and skipped."""
+    events, lines = [], iter(log)
+    for line in lines:
+        t, kind, detail = _EVENT_LINE.fullmatch(line).groups()
+        kind, detail = EventKind(kind), detail or ""
+        frame = re.match(r"frame=(\d+)", detail)
+        events.append((int(t), kind, detail, frame and int(frame[1])))
+        if kind in _FOLLOWING_LINE:
+            assert next(lines) == _FOLLOWING_LINE[kind]
+    return events
+
+
 def _assert_session_invariants(sim):
-    events = sim.events
+    events = _log_events(sim.log)
     mode = None
     ap_started = False
     delivered_seen = 0
@@ -180,27 +204,27 @@ def _assert_session_invariants(sim):
     sent_times = {}
     spans = []
     in_flight = set()
-    for ev in events:
-        if ev.kind in (EventKind.AP_STARTED, EventKind.MODE_SET):
+    for t, kind, detail, frame_id in events:
+        if kind in (EventKind.AP_STARTED, EventKind.MODE_SET):
             # half-duplex: AP control transmissions only on a quiet channel
             assert not in_flight, "AP transmitted while a frame was in flight"
-            if ev.kind is EventKind.AP_STARTED:
+            if kind is EventKind.AP_STARTED:
                 ap_started = True
             else:
-                mode = ev.detail
-        elif ev.kind is EventKind.FRAME_SENT:
+                mode = detail
+        elif kind is EventKind.FRAME_SENT:
             assert ap_started, "frame sent before access point start"
             assert mode == "ACC", "data frame outside ACC mode"
-            sent_times[ev.frame_id] = ev.t
-            in_flight.add(ev.frame_id)
-        elif ev.kind is EventKind.FRAME_LOST:
-            in_flight.discard(ev.frame_id)
-        elif ev.kind is EventKind.FRAME_DELIVERED:
+            sent_times[frame_id] = t
+            in_flight.add(frame_id)
+        elif kind is EventKind.FRAME_LOST:
+            in_flight.discard(frame_id)
+        elif kind is EventKind.FRAME_DELIVERED:
             assert ap_started
-            in_flight.discard(ev.frame_id)
+            in_flight.discard(frame_id)
             delivered_seen += 1
-            spans.append((sent_times[ev.frame_id], ev.t))
-        elif ev.kind is EventKind.ACQUIRE_ANNOUNCED:
+            spans.append((sent_times[frame_id], t))
+        elif kind is EventKind.ACQUIRE_ANNOUNCED:
             announced += 1
             assert delivered_seen >= 1, "announce before any delivery"
     assert announced == (1 if sim.delivered_count >= 1 else 0)
@@ -208,9 +232,9 @@ def _assert_session_invariants(sim):
     # interval view of the same rule: no AP transmission strictly inside a
     # [sent, delivered) flight span
     ap_tx = [
-        e.t
-        for e in events
-        if e.kind in (EventKind.AP_STARTED, EventKind.MODE_SET)
+        t
+        for t, kind, _, _ in events
+        if kind in (EventKind.AP_STARTED, EventKind.MODE_SET)
     ]
     for at in ap_tx:
         for lo, hi in spans:

@@ -376,6 +376,16 @@ class TestDebounce:
         with pytest.raises(ValueError):
             Debouncer(0)
 
+    @pytest.mark.parametrize("verdict", ["garbage", "ON", None, 1])
+    def test_non_action_verdict_rejected(self, verdict):
+        gate = Debouncer(1)
+        with pytest.raises(ValueError, match=re.escape(repr(verdict))):
+            gate.push(verdict)
+        with pytest.raises(ValueError, match="must be an Action"):
+            debounced_stream([Action.ON, verdict], 1)
+        # the rejected value left the run as it was
+        assert gate.push(Action.ON) is Action.ON
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.sampled_from(list(Action)), max_size=60),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wristlink.classify import Action, CalibrationProfile, Debouncer, classify_window
 from wristlink.controller import PHY_BLOCK_FRAMES, HomeController, run_pipeline
 from wristlink.framing import CodecFrame, DecodeError, WatchMode, deserialize, serialize
-from wristlink.link import EventKind, LinkConfig, LinkSimulator
+from wristlink.link import LinkConfig, LinkSimulator
 from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
 from wristlink.sensor import (
     AccelSample,
@@ -66,6 +66,17 @@ class TestHomeController:
         ctrl.apply_action(Action.OFF, 20)
         assert ctrl.powered is False
         assert "[t=20] APPLIANCE light -> OFF" in ctrl.log
+
+    @pytest.mark.parametrize("armed", [True, False])
+    @pytest.mark.parametrize("action", ["ON", None, True])
+    def test_non_action_rejected(self, action, armed):
+        ctrl = HomeController()
+        if armed:
+            ctrl.pir_trigger(0)
+        before = list(ctrl.log)
+        with pytest.raises(ValueError, match=f"must be an Action, got {action!r}"):
+            ctrl.apply_action(action, 5)
+        assert ctrl.log == before and ctrl.powered is False
 
     def test_do_nothing_changes_nothing(self):
         ctrl = HomeController()
@@ -335,20 +346,18 @@ def per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=0, profile=None):
     counts = {"corrupted": 0, "windows": 0}
     pir_pending = pir_at is not None
 
-    def consume(events):
-        for ev in events:
-            if ev.kind is not EventKind.FRAME_DELIVERED:
-                continue
-            window.append(AccelSample(t=ev.t, x=ev.frame.x, y=ev.frame.y, z=ev.frame.z))
+    def consume(block):
+        for t, frame in zip(block.t, block.frame):
+            window.append(AccelSample(t=t, x=frame.x, y=frame.y, z=frame.z))
             if len(window) < profile.window_size:
                 continue
             verdict = classify_window(window, profile)
             counts["windows"] += 1
-            log.append(f"[t={ev.t}] ACTION {verdict.value}")
+            log.append(f"[t={t}] ACTION {verdict.value}")
             emitted = gate.push(verdict)
             if emitted is not None:
-                actions.append((ev.t, emitted))
-                ctrl.apply_action(emitted, ev.t)
+                actions.append((t, emitted))
+                ctrl.apply_action(emitted, t)
 
     def advance(t):
         nonlocal gate, pir_pending

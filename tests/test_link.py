@@ -1,4 +1,5 @@
 import math
+import re
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from wristlink.link import (
     ProtocolError,
 )
 from wristlink.framing import CodecFrame, WatchMode
+from wristlink.sensor import AccelSample
 
 
 def sample(z=277):
@@ -33,10 +35,9 @@ def started_sim(**cfg_kwargs):
 class TestApStart:
     def test_start_emits_exact_message(self):
         sim = LinkSimulator()
-        ev = sim.ap_start()
+        assert sim.ap_start() is None
         assert sim.ap_state is AccessPointState.STARTED
-        assert ev.kind is EventKind.AP_STARTED
-        assert AP_STARTED_MESSAGE in sim.log
+        assert sim.log == ["[t=0] AP_STARTED carrier=900 MHz", AP_STARTED_MESSAGE]
         assert (
             AP_STARTED_MESSAGE
             == "Access point started. Now start watch in ACC, PPT or Synch mode."
@@ -60,8 +61,8 @@ class TestWatchMode:
     def test_set_acc_after_start(self):
         sim = LinkSimulator()
         sim.ap_start()
-        ev = sim.watch_set_mode(WatchMode.ACC)
-        assert ev.kind is EventKind.MODE_SET
+        assert sim.watch_set_mode(WatchMode.ACC) is None
+        assert sim.log[-1] == "[t=0] MODE_SET ACC"
         assert sim.watch_mode is WatchMode.ACC
 
     def test_set_mode_before_start_rejected(self):
@@ -98,32 +99,45 @@ class TestTransmit:
     def test_lossless_delivery_carries_payload(self):
         sim = started_sim(loss_probability=0.0, latency=10)
         sim.transmit_sample(sample(z=277))
-        events = sim.run_until(10)
-        delivered = [e for e in events if e.kind is EventKind.FRAME_DELIVERED]
-        assert len(delivered) == 1
-        assert delivered[0].t == 10
-        assert delivered[0].frame.z == 277
+        block = sim.run_until(10)
+        assert block.t == [10] and block.frame_id == [0]
+        assert block.frame[0].z == 277
 
     def test_frame_goes_on_the_link_as_given(self):
         sim = started_sim(latency=10)
         frame = CodecFrame(WatchMode.ACC, 100, 200, 277)
         sent = sim.transmit_sample(frame)
-        (delivered,) = [e for e in sim.run_until(10) if e.kind is EventKind.FRAME_DELIVERED]
-        assert sent.frame is frame and delivered.frame is frame
-        assert sent.log_line() == "[t=0] FRAME_SENT frame=0 mode=ACC x=100 y=200 z=277"
+        assert sent.first_id == 0 and sent.lost == [False]
+        assert sim.log[-1] == "[t=0] FRAME_SENT frame=0 mode=ACC x=100 y=200 z=277"
+        delivered = sim.run_until(10)
+        assert delivered.frame_id == [0] and delivered.frame[0] is frame
 
     @pytest.mark.parametrize("mode", [WatchMode.IDLE, WatchMode.PPT, WatchMode.SYNC])
     def test_non_acc_frame_rejected(self, mode):
         sim = started_sim()
         with pytest.raises(ValueError, match=mode.name):
             sim.transmit_sample(CodecFrame(mode, 1, 2, 3))
-        assert sim.sent_count == 0 and sim.events[-1].kind is EventKind.MODE_SET
+        assert sim.sent_count == 0 and sim.log[-1] == "[t=0] MODE_SET ACC"
+
+    @pytest.mark.parametrize("not_a_frame", [AccelSample(0, 1, 2, 3), (1, 2, 3), None])
+    def test_non_frame_rejected_naming_its_type(self, not_a_frame):
+        sim = started_sim()
+        with pytest.raises(ValueError, match=type(not_a_frame).__name__):
+            sim.transmit_sample(not_a_frame)
+        assert sim.sent_count == 0 and sim.log[-1] == "[t=0] MODE_SET ACC"
+
+    def test_non_frame_rejected_before_the_protocol_state(self):
+        sim = LinkSimulator()
+        with pytest.raises(ValueError, match="AccelSample"):
+            sim.transmit_sample(AccelSample(0, 1, 2, 3))
+        assert sim.log == []
 
     def test_certain_loss_delivers_nothing(self):
         sim = started_sim(loss_probability=1.0, latency=10)
-        ev = sim.transmit_sample(sample())
-        assert ev.kind is EventKind.FRAME_LOST
-        assert sim.run_until(100) == []
+        block = sim.transmit_sample(sample())
+        assert block.lost == [True]
+        assert sim.log[-1] == "[t=0] FRAME_LOST frame=0"
+        assert sim.run_until(100).frame_id == []
         assert sim.delivered_count == 0
         assert sim.lost_count == 1
 
@@ -145,13 +159,14 @@ class TestTransmit:
 class TestAcquiring:
     def test_announced_exactly_once(self):
         sim = started_sim(latency=5)
+        announced = []
         for i in range(10):
             sim.transmit_sample(sample())
-            sim.run_until(i * 20 + 5)
+            announced.append(sim.run_until(i * 20 + 5).announced)
         assert sim.ap_state is AccessPointState.ACQUIRING
         assert sim.log.count(ACQUIRING_MESSAGE) == 1
-        announced = [e for e in sim.events if e.kind is EventKind.ACQUIRE_ANNOUNCED]
-        assert len(announced) == 1
+        assert announced == [True] + [False] * 9
+        assert sum(line.endswith("] ACQUIRE_ANNOUNCED") for line in sim.log) == 1
 
     def test_not_announced_when_everything_lost(self):
         sim = started_sim(loss_probability=1.0)
@@ -164,31 +179,36 @@ class TestAcquiring:
     def test_announce_follows_first_delivery(self):
         sim = started_sim(latency=10)
         sim.transmit_sample(sample())
-        events = sim.run_until(10)
-        kinds = [e.kind for e in events]
-        assert kinds == [EventKind.FRAME_DELIVERED, EventKind.ACQUIRE_ANNOUNCED]
+        block = sim.run_until(10)
+        assert block.frame_id == [0] and block.announced
+        assert sim.log[-3:] == [
+            "[t=10] FRAME_DELIVERED frame=0 mode=ACC x=100 y=200 z=277",
+            "[t=10] ACQUIRE_ANNOUNCED",
+            ACQUIRING_MESSAGE,
+        ]
 
 
 class TestRunUntil:
     def test_no_pending_frames_no_events(self):
         sim = started_sim()
-        assert sim.run_until(100) == []
-        assert sim.now == 100
+        lines = list(sim.log)
+        block = sim.run_until(100)
+        assert (block.lost, block.step, block.t, block.frame_id, block.frame) == ([],) * 5
+        assert not block.announced
+        assert sim.now == 100 and sim.log == lines
 
     def test_single_scheduled_delivery(self):
         sim = started_sim(latency=10)
         sim.transmit_sample(sample())
-        events = sim.run_until(10)
-        assert [e.kind for e in events] == [
-            EventKind.FRAME_DELIVERED,
-            EventKind.ACQUIRE_ANNOUNCED,
-        ]
+        block = sim.run_until(10)
+        assert (block.step, block.t, block.frame_id) == ([0], [10], [0])
+        assert block.announced
         assert sim.frames_in_flight == 0
 
     def test_early_run_leaves_frame_in_flight(self):
         sim = started_sim(latency=10)
         sim.transmit_sample(sample())
-        assert sim.run_until(9) == []
+        assert sim.run_until(9).frame_id == []
         assert sim.frames_in_flight == 1
 
     def test_cannot_run_backwards(self):
@@ -200,24 +220,46 @@ class TestRunUntil:
     def test_identical_seeds_identical_event_sequences(self):
         def run():
             sim = started_sim(loss_probability=0.5, latency=7, seed=123)
+            blocks = []
             for i in range(50):
-                sim.transmit_sample(sample(z=(261 + i) % 1024))
-                sim.run_until(i * 20 + 10)
-            sim.run_until(2000)
-            return [(e.t, e.kind, e.detail) for e in sim.events], list(sim.log)
+                blocks.append(sim.transmit_sample(sample(z=(261 + i) % 1024)))
+                blocks.append(sim.run_until(i * 20 + 10))
+            blocks.append(sim.run_until(2000))
+            return blocks, list(sim.log)
 
         assert run() == run()
+
+
+EVENT_LINE = re.compile(r"\[t=(\d+)\] ([A-Z_]+)(?: frame=(\d+))?.*")
+FOLLOWING_LINE = {
+    EventKind.AP_STARTED: AP_STARTED_MESSAGE,
+    EventKind.ACQUIRE_ANNOUNCED: ACQUIRING_MESSAGE,
+}
+
+
+def log_events(log):
+    """(t, kind, frame id or None) of each event line of a link log, in log
+    order; the verbatim line that must follow an event is checked and
+    skipped."""
+    events, lines = [], iter(log)
+    for line in lines:
+        t, kind, frame_id = EVENT_LINE.fullmatch(line).groups()
+        kind = EventKind(kind)
+        events.append((int(t), kind, None if frame_id is None else int(frame_id)))
+        if kind in FOLLOWING_LINE:
+            assert next(lines) == FOLLOWING_LINE[kind]
+    return events
 
 
 def assert_half_duplex(events):
     """Walk the event order: AP control traffic only on a quiet channel."""
     in_flight = set()
-    for ev in events:
-        if ev.kind is EventKind.FRAME_SENT:
-            in_flight.add(ev.frame_id)
-        elif ev.kind in (EventKind.FRAME_DELIVERED, EventKind.FRAME_LOST):
-            in_flight.discard(ev.frame_id)
-        elif ev.kind in (EventKind.AP_STARTED, EventKind.MODE_SET):
+    for _, kind, frame_id in events:
+        if kind is EventKind.FRAME_SENT:
+            in_flight.add(frame_id)
+        elif kind in (EventKind.FRAME_DELIVERED, EventKind.FRAME_LOST):
+            in_flight.discard(frame_id)
+        elif kind in (EventKind.AP_STARTED, EventKind.MODE_SET):
             assert not in_flight
 
 
@@ -232,19 +274,23 @@ def test_half_duplex_intervals_never_overlap_ap_transmissions():
             sim.watch_set_mode(WatchMode.ACC)
         sim.transmit_sample(sample())
     sim.run_until(t + 100)
-    assert_half_duplex(sim.events)
+    events = log_events(sim.log)
+    kinds = [kind for _, kind, _ in events]
+    assert kinds.count(EventKind.FRAME_SENT) == sim.sent_count
+    assert kinds.count(EventKind.FRAME_DELIVERED) == sim.delivered_count
+    assert_half_duplex(events)
     # events are totally ordered: non-decreasing t, ties by emission order
-    assert all(a.t <= b.t for a, b in zip(sim.events, sim.events[1:]))
+    assert all(a[0] <= b[0] for a, b in zip(events, events[1:]))
     # interval view: no AP transmission strictly inside a flight span
-    sent = {e.frame_id: e.t for e in sim.events if e.kind is EventKind.FRAME_SENT}
+    sent = {frame_id: t for t, kind, frame_id in events if kind is EventKind.FRAME_SENT}
     spans = [
-        (sent[e.frame_id], e.t)
-        for e in sim.events
-        if e.kind is EventKind.FRAME_DELIVERED
+        (sent[frame_id], t)
+        for t, kind, frame_id in events
+        if kind is EventKind.FRAME_DELIVERED
     ]
     ap_times = [
-        e.t for e in sim.events
-        if e.kind in (EventKind.AP_STARTED, EventKind.MODE_SET)
+        t for t, kind, _ in events
+        if kind in (EventKind.AP_STARTED, EventKind.MODE_SET)
     ]
     for ap_t in ap_times:
         for lo, hi in spans:
@@ -295,7 +341,8 @@ class LinkMachine(RuleBasedStateMachine):
     On each advance the model delivers every frame in flight that is due
     (send time + latency) by the new time, ordered by due time and then by
     send order. Loss mirrors the simulator's one `Random(seed).random()`
-    draw per transmitted frame.
+    draw per transmitted frame. The model writes the log lines it expects,
+    and the simulator's whole log must equal them.
     """
 
     @initialize(
@@ -313,7 +360,7 @@ class LinkMachine(RuleBasedStateMachine):
         self.announced = False
         self.sent = self.delivered = self.lost = 0
         self.in_flight = []  # (send_t, frame_id, frame)
-        self.events = []  # (t, kind, frame_id) expected in sim.events
+        self.lines = []  # expected sim.log
         if streaming:  # else sends are mostly refused until start and ACC
             self.start()
             self.set_mode(WatchMode.ACC)
@@ -323,23 +370,23 @@ class LinkMachine(RuleBasedStateMachine):
         latency = self.cfg.latency
         due = sorted(f for f in self.in_flight if f[0] + latency <= t)
         self.in_flight = [f for f in self.in_flight if f[0] + latency > t]
-        expected = []
-        for send_t, frame_id, frame in due:
+        block = self.sim.run_until(t)
+        assert (block.first_id, block.lost) == (self.sent, [])
+        assert block.step == [0] * len(due)
+        assert block.t == [send_t + latency for send_t, _, _ in due]
+        assert block.frame_id == [frame_id for _, frame_id, _ in due]
+        assert len(block.frame) == len(due)
+        assert all(got is frame for got, (_, _, frame) in zip(block.frame, due))
+        assert block.announced == (bool(due) and not self.announced)
+        for send_t, frame_id, f in due:
             due_t = send_t + latency
             self.delivered += 1
-            expected.append((due_t, EventKind.FRAME_DELIVERED, frame_id, frame))
+            self.lines.append(
+                f"[t={due_t}] FRAME_DELIVERED frame={frame_id} mode=ACC x={f.x} y={f.y} z={f.z}"
+            )
             if not self.announced:
                 self.announced = True
-                expected.append((due_t, EventKind.ACQUIRE_ANNOUNCED, None, None))
-        emitted = self.sim.run_until(t)
-        assert [(e.t, e.kind, e.frame_id, e.frame) for e in emitted] == expected
-        for ev in emitted:
-            if ev.kind is EventKind.FRAME_DELIVERED:
-                f = ev.frame
-                assert ev.detail == (
-                    f"frame={ev.frame_id} mode=ACC x={f.x} y={f.y} z={f.z}"
-                )
-        self.events += [(t_, kind, fid) for t_, kind, fid, _ in expected]
+                self.lines += [f"[t={due_t}] ACQUIRE_ANNOUNCED", ACQUIRING_MESSAGE]
         assert self.sim.now == t
 
     @rule()
@@ -348,9 +395,9 @@ class LinkMachine(RuleBasedStateMachine):
             with pytest.raises(ProtocolError):
                 self.sim.ap_start()
             return
-        ev = self.sim.ap_start()
+        assert self.sim.ap_start() is None
         self.started = True
-        self.events.append((ev.t, EventKind.AP_STARTED, None))
+        self.lines += [f"[t={self.sim.now}] AP_STARTED carrier=900 MHz", AP_STARTED_MESSAGE]
 
     @rule(dt=st.integers(0, 60))
     def run(self, dt):
@@ -371,8 +418,8 @@ class LinkMachine(RuleBasedStateMachine):
                 self.sim.watch_set_mode(mode)
             return
         self.mode = mode
-        ev = self.sim.watch_set_mode(mode)
-        self.events.append((ev.t, EventKind.MODE_SET, None))
+        assert self.sim.watch_set_mode(mode) is None
+        self.lines.append(f"[t={self.sim.now}] MODE_SET {mode.name}")
 
     @rule(
         dt=st.integers(0, 30) | st.just(0),
@@ -387,16 +434,18 @@ class LinkMachine(RuleBasedStateMachine):
             return
         frame_id = self.sent
         self.sent += 1
-        ev = self.sim.transmit_sample(frame)
-        assert ev.frame_id == frame_id and ev.frame is frame
+        block = self.sim.transmit_sample(frame)
+        lost = self.loss_rng.random() < self.cfg.loss_probability
+        assert (block.first_id, block.lost) == (frame_id, [lost])
+        assert (block.step, block.t, block.frame_id, block.frame) == ([],) * 4
+        assert not block.announced
         t = self.sim.now
-        self.events.append((t, EventKind.FRAME_SENT, frame_id))
-        if self.loss_rng.random() < self.cfg.loss_probability:
+        x, y, z = counts
+        self.lines.append(f"[t={t}] FRAME_SENT frame={frame_id} mode=ACC x={x} y={y} z={z}")
+        if lost:
             self.lost += 1
-            assert ev.kind is EventKind.FRAME_LOST
-            self.events.append((t, EventKind.FRAME_LOST, frame_id))
+            self.lines.append(f"[t={t}] FRAME_LOST frame={frame_id}")
         else:
-            assert ev.kind is EventKind.FRAME_SENT
             self.in_flight.append((t, frame_id, frame))
 
     @invariant()
@@ -410,7 +459,7 @@ class LinkMachine(RuleBasedStateMachine):
         assert sim.watch_mode is self.mode
 
     @invariant()
-    def state_and_events_match(self):
+    def state_and_log_match(self):
         if self.announced:
             state = AccessPointState.ACQUIRING
         elif self.started:
@@ -418,7 +467,7 @@ class LinkMachine(RuleBasedStateMachine):
         else:
             state = AccessPointState.NOT_STARTED
         assert self.sim.ap_state is state
-        assert [(e.t, e.kind, e.frame_id) for e in self.sim.events] == self.events
+        assert self.sim.log == self.lines
         assert self.sim.log.count(ACQUIRING_MESSAGE) == int(self.announced)
 
 

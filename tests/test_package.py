@@ -1,3 +1,5 @@
+import ast
+import importlib
 import shutil
 import subprocess
 import sys
@@ -29,6 +31,29 @@ def test_all_has_no_duplicates():
 
 def test_every_name_in_all_resolves():
     missing = [name for name in wristlink.__all__ if not hasattr(wristlink, name)]
+    assert missing == []
+
+
+def test_every_tracer_patch_point_resolves():
+    # perfbench/tracing.py replaces each (owner, attr) of its PATCH_POINTS
+    # through vars(owner), so a name deleted from the package breaks the
+    # benchmark's tracer even when nothing in the package calls it
+    tree = ast.parse((REPO_ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    (points,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [target.id for target in node.targets if isinstance(target, ast.Name)]
+        == ["PATCH_POINTS"]
+    ]
+    assert points
+    missing = []
+    for owner_path, attr, _ in points:
+        module, _, cls = owner_path.partition(".")
+        owner = importlib.import_module(f"wristlink.{module}")
+        owner = getattr(owner, cls) if cls else owner
+        if attr not in vars(owner):
+            missing.append((owner_path, attr))
     assert missing == []
 
 

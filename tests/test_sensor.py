@@ -67,6 +67,13 @@ def test_trace_holds_only_accel_samples():
         Trace((AccelSample(t=0, x=1, y=2, z=3), look_alike))
 
 
+@pytest.mark.parametrize("label", ["vertical", 0, Action.ON])
+def test_trace_label_is_a_gesture_kind(label):
+    # calibrate would report "expected a trace labeled vertical, got vertical"
+    with pytest.raises(ValueError, match=f"GestureKind or None, got {type(label).__name__}$"):
+        Trace((AccelSample(0, 1, 2, 3),), label=label)
+
+
 def test_labeled_trace_must_be_non_empty():
     with pytest.raises(ValueError):
         Trace((), label=GestureKind.OTHER)
