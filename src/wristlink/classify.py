@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sensor import COUNT_MAX, COUNT_MIN, GestureKind, check_int
+from .sensor import COUNT_MAX, COUNT_MIN, GestureKind, check_int, check_samples, check_trace
 
 # Factory default decision bands (raw z / y window means), window length,
 # and consecutive-verdict count.
@@ -84,7 +84,7 @@ def window_mean(samples, axis: str) -> Fraction:
     axis = axis.lower()
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    samples = list(samples)
+    samples = check_samples("window samples", samples)
     if not samples:
         raise ValueError("window is empty")
     return Fraction(sum(getattr(s, axis) for s in samples), len(samples))
@@ -131,7 +131,7 @@ def classify_windows(z, y, profile: CalibrationProfile) -> list[Action]:
 def classify_window(samples, profile: CalibrationProfile) -> Action:
     """Map one full window to a verdict via inclusive band membership of the
     exact axis means, tested on integer sums."""
-    samples = list(samples)
+    samples = check_samples("window samples", samples)
     if len(samples) != profile.window_size:
         raise ValueError(
             f"window has {len(samples)} samples, profile expects {profile.window_size}"
@@ -153,8 +153,8 @@ def calibrate(
     traces likewise. Raises CalibrationError when input is missing, labels
     are wrong, or CalibrationProfile rejects the widened bands: they
     overlap (the gestures are not separable at these margins) or a
-    negative margin inverts one. The profile keeps the default window size
-    and debounce count.
+    negative margin inverts one, and ValueError when an item is not a
+    Trace. The profile keeps the default window size and debounce count.
     """
     check_int("margin_lo", margin_lo)
     check_int("margin_hi", margin_hi)
@@ -162,15 +162,18 @@ def calibrate(
     off_traces = list(off_traces)
     if not on_traces or not off_traces:
         raise CalibrationError("need at least one trace per label")
-    for trace, want in [(t, GestureKind.VERTICAL_UP_DOWN) for t in on_traces] + [
-        (t, GestureKind.HORIZONTAL) for t in off_traces
+    for name, traces, want in [
+        ("on_traces item", on_traces, GestureKind.VERTICAL_UP_DOWN),
+        ("off_traces item", off_traces, GestureKind.HORIZONTAL),
     ]:
-        if trace.label is not want:
-            raise CalibrationError(
-                f"expected a trace labeled {want.value}, got {trace.label}"
-            )
-    z_values = [s.z for t in on_traces for s in t]
-    y_values = [s.y for t in off_traces for s in t]
+        for trace in traces:
+            check_trace(name, trace)
+            if trace.label is not want:
+                raise CalibrationError(
+                    f"expected a trace labeled {want.value}, got {trace.label}"
+                )
+    z_values = [z for trace in on_traces for z in trace.z]
+    y_values = [y for trace in off_traces for y in trace.y]
     try:
         return CalibrationProfile(
             on_band=(min(z_values) - margin_lo, max(z_values) + margin_hi),

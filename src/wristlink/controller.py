@@ -6,13 +6,14 @@ the whole chain over virtual time: access-point start, ACC-mode streaming of
 each trace sample through the frame codec and FSK channel, Bernoulli-loss
 delivery, a sliding window over delivered samples, classification, debounce,
 and gated appliance switching. Nothing downstream feeds back into the
-stages before it, so each runs over the whole trace in turn: the radio path
-in blocks of PHY_BLOCK_FRAMES frames, each sample encoded on its own; the
-link as one block of sends and time steps (LinkSimulator._stream); the
-classifier over every window of the delivered sequence at once; then one
-pass in log order that debounces the verdicts, applies the gate and renders
-the log. Everything is seeded, so identical inputs produce byte-identical
-logs.
+stages before it, so each runs over the whole trace in turn, reading the
+Trace's t, x, y and z columns and never its AccelSample rows: the radio
+path, each sample encoded on its own, decoded as one block at sigma 0 and
+in blocks of PHY_BLOCK_FRAMES frames above it; the link as one block of
+sends and time steps (LinkSimulator._stream); the classifier over every
+window of the delivered sequence at once; then one pass in log order that
+debounces the verdicts, applies the gate and renders the log. Everything
+is seeded, so identical inputs produce byte-identical logs.
 """
 from __future__ import annotations
 
@@ -28,11 +29,12 @@ from .classify import classify_window  # noqa: F401
 from .framing import CodecFrame, WatchMode, deserialize, serialize
 from .link import EventKind, LinkConfig, LinkSimulator, event_lines, frame_details, log_lines
 from .modem import ModemConfig, channel_apply, demodulate, modulate
-from .sensor import Trace, check_int
+from .sensor import Trace, check_int, check_trace
 
-# Frames per radio-path block. Outputs do not depend on it, but above sigma 0
+# Frames per radio-path block above sigma 0. Outputs do not depend on it, but
 # peak memory grows with it (a frame is 768 float64 waveform samples, held in
-# a few copies), so it stays small. At sigma 0 no waveform is built.
+# a few copies), so it stays small. At sigma 0 no waveform is built, and the
+# whole trace is one block.
 PHY_BLOCK_FRAMES = 64
 
 # the one appliance the controller switches, as the log names it
@@ -90,32 +92,33 @@ class PipelineResult:
     actions: list[tuple[int, Action]]
 
 
-def _receive(samples, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarray]:
-    """Radio path, in blocks of PHY_BLOCK_FRAMES samples: each sample is
-    serialized as an ACC frame, and the block's bits are sent through the
-    channel and decoded, re-verifying sync and CRC per frame. Above sigma 0
-    the block goes as FSK waveforms (frame i of the trace with noise seed
-    modem_cfg.seed + i). At sigma 0 no waveform is built: demodulate decides
-    each bit window alone, and every bit of one value then receives the same
-    samples, so one run of the two one-bit rows through the channel gives
-    the decision for each value. Returns, per sample, whether its frame
-    passed both checks, and the (n, 4) frame block decoded from its bits."""
+def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarray]:
+    """Radio path: each sample is serialized as an ACC frame, from the
+    trace's x, y and z columns, and the bits are sent through the channel
+    and decoded, re-verifying sync and CRC per frame. Above sigma 0 the
+    frames go as FSK waveforms in blocks of PHY_BLOCK_FRAMES (frame i of
+    the trace with noise seed modem_cfg.seed + i). At sigma 0 no waveform
+    is built: demodulate decides each bit window alone, and every bit of
+    one value then receives the same samples, so one run of the two
+    one-bit rows through the channel gives the decision for each value,
+    and the whole trace is decoded at once. Returns, per sample, whether
+    its frame passed both checks, and the (n, 4) frame block decoded from
+    its bits."""
     acc = WatchMode.ACC
-    wire = b"".join(bytes(serialize(CodecFrame(acc, s.x, s.y, s.z))) for s in samples)
-    tx = np.frombuffer(wire, np.uint8).reshape(len(samples), -1)
-    decide = None
+    wire = b"".join(
+        bytes(serialize(CodecFrame(acc, x, y, z))) for x, y, z in zip(trace.x, trace.y, trace.z)
+    )
+    tx = np.frombuffer(wire, np.uint8).reshape(len(trace), -1)
     if modem_cfg.noise_sigma == 0:
         decide = demodulate(channel_apply(modulate([[0], [1]]), modem_cfg))[:, 0]
+        ok, fields = deserialize(decide[tx])
+        return ok.tolist(), fields
     ok, fields = [], []
     for start in range(0, len(tx), PHY_BLOCK_FRAMES):
         tx_bits = tx[start : start + PHY_BLOCK_FRAMES]
-        if decide is not None:
-            rx_bits = decide[tx_bits]
-        else:
-            # frame i of the trace gets noise stream seed + i, whatever the block
-            block_cfg = replace(modem_cfg, seed=(modem_cfg.seed + start) % 2**64)
-            rx_bits = demodulate(channel_apply(modulate(tx_bits), block_cfg))
-        block_ok, block_fields = deserialize(rx_bits)
+        # frame i of the trace gets noise stream seed + i, whatever the block
+        block_cfg = replace(modem_cfg, seed=(modem_cfg.seed + start) % 2**64)
+        block_ok, block_fields = deserialize(demodulate(channel_apply(modulate(tx_bits), block_cfg)))
         ok += block_ok.tolist()
         fields.append(block_fields)
     return ok, np.concatenate(fields)
@@ -149,6 +152,7 @@ def run_pipeline(
     """
     if pir_at is not None:
         check_int("pir_at", pir_at, 0)
+    check_trace("trace", trace)
     if len(trace) == 0:
         raise ValueError("trace is empty")
     profile = profile if profile is not None else CalibrationProfile()
@@ -161,9 +165,8 @@ def run_pipeline(
     sim.ap_start()
     sim.watch_set_mode(WatchMode.ACC)
 
-    samples = trace.samples
-    ok, fields = _receive(samples, modem_cfg)
-    times = [s.t for s in samples]
+    ok, fields = _receive(trace, modem_cfg)
+    times = trace.t
     sent = [i for i, frame_ok in enumerate(ok) if frame_ok]  # sample of each frame sent
 
     # Link steps: one per sample, at its time, with its frame sent right
@@ -173,7 +176,7 @@ def run_pipeline(
     # move up by one. The link checks none of this: the times come from the
     # Trace, which checked that they rise from 0, and pir_at was checked
     # above.
-    steps = times + [times[-1] + link_cfg.latency]
+    steps = [*times, times[-1] + link_cfg.latency]
     pir_step = None
     sent_after = sent
     if pir_at is not None and pir_at <= steps[-1]:
@@ -236,7 +239,7 @@ def run_pipeline(
                     ctrl.apply_action(action, t)
         if step == pir_step:
             ctrl.pir_trigger(pir_at)
-        elif sample < len(samples):  # else the drain step
+        elif sample < len(times):  # else the drain step
             if ok[sample]:
                 log.append(sent_lines[k])
                 if lost[k]:
@@ -252,7 +255,7 @@ def run_pipeline(
         frames_sent=sim.sent_count,
         frames_delivered=sim.delivered_count,
         frames_lost=sim.lost_count,
-        frames_corrupted=len(samples) - len(sent),
+        frames_corrupted=len(times) - len(sent),
         windows_classified=len(verdicts),
         actions=actions,
     )

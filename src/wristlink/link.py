@@ -125,6 +125,8 @@ class LinkSimulator:
     """
 
     def __init__(self, cfg: LinkConfig | None = None, log: list[str] | None = None):
+        if cfg is not None and not isinstance(cfg, LinkConfig):
+            raise ValueError(f"cfg must be a LinkConfig, got {type(cfg).__name__}")
         self.cfg = cfg if cfg is not None else LinkConfig()
         self.log = log if log is not None else []
         self.now = 0

@@ -72,6 +72,10 @@ class TestWindowMean:
         with pytest.raises(ValueError):
             window_mean(ON_WINDOW, "w")
 
+    def test_non_sample_rejected_naming_its_type(self):
+        with pytest.raises(ValueError, match="^window samples must be AccelSample, got int$"):
+            window_mean([1, 2], "z")
+
     def test_mean_is_exact_not_rounded(self):
         win = window_from([1, 2], "y")
         assert window_mean(win, "y") == Fraction(3, 2)
@@ -125,6 +129,10 @@ class TestClassifyWindow:
         profile = CalibrationProfile(window_size=5)
         with pytest.raises(ValueError):
             classify_window(ON_WINDOW, profile)
+
+    def test_non_sample_rejected_naming_its_type(self):
+        with pytest.raises(ValueError, match="^window samples must be AccelSample, got int$"):
+            classify_window([1] * 16, CalibrationProfile())
 
     def test_permutation_invariant(self):
         profile = CalibrationProfile(window_size=17)
@@ -338,6 +346,12 @@ class TestCalibrate:
     def test_wrong_label_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate([self.off_trace()], [self.off_trace()], 0, 0)
+
+    def test_non_trace_rejected_naming_its_type(self):
+        with pytest.raises(ValueError, match="^on_traces item must be a Trace, got list$"):
+            calibrate([ON_WINDOW], [OFF_WINDOW])
+        with pytest.raises(ValueError, match="^off_traces item must be a Trace, got tuple$"):
+            calibrate([self.on_trace()], [tuple(OFF_WINDOW)])
 
     def test_generated_traces_bands_contain_training_means(self):
         for seed in range(30):

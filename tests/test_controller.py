@@ -210,6 +210,42 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(Trace(()))
 
+    def test_non_trace_rejected_naming_its_type(self):
+        with pytest.raises(ValueError, match="^trace must be a Trace, got list$"):
+            run_pipeline([AccelSample(0, 1, 2, 3)])
+
+    def test_pipeline_reads_only_the_columns(self, monkeypatch):
+        # run_pipeline takes times and counts from the trace's columns and
+        # builds no AccelSample row
+        trace = vertical_trace(200, seed=9)
+        want = run_pipeline(trace, pir_at=0)
+
+        def no_rows(self):
+            raise AssertionError("run_pipeline read trace.samples")
+
+        monkeypatch.setattr(Trace, "samples", property(no_rows))
+        monkeypatch.setattr(AccelSample, "__post_init__", no_rows)
+        assert run_pipeline(trace, pir_at=0) == want
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_noiseless_trace_decoded_in_one_block(self, monkeypatch, sigma):
+        # at sigma 0 no waveform bounds the block, so one deserialize call
+        # decodes the whole trace; above it, each block decodes on its own
+        trace = vertical_trace(200, seed=9)
+        calls = []
+
+        def counting_deserialize(bits):
+            calls.append(len(bits))
+            return deserialize(bits)
+
+        monkeypatch.setattr("wristlink.controller.deserialize", counting_deserialize)
+        run_pipeline(trace, modem_cfg=ModemConfig(noise_sigma=sigma), pir_at=0)
+        if sigma == 0:
+            assert calls == [len(trace)]
+        else:
+            blocks = range(0, len(trace), PHY_BLOCK_FRAMES)
+            assert calls == [min(PHY_BLOCK_FRAMES, len(trace) - start) for start in blocks]
+
     def test_negative_pir_rejected(self):
         with pytest.raises(ValueError):
             run_pipeline(vertical_trace(), pir_at=-1)

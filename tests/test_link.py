@@ -56,6 +56,12 @@ class TestApStart:
             sim.transmit_sample(sample())
         assert sim.sent_count == 0
 
+    @pytest.mark.parametrize("cfg", [{"latency": 1}, 0.5])
+    def test_config_must_be_a_link_config(self, cfg):
+        # a dict would fail later, on its first attribute read
+        with pytest.raises(ValueError, match=f"^cfg must be a LinkConfig, got {type(cfg).__name__}$"):
+            LinkSimulator(cfg=cfg)
+
 
 class TestWatchMode:
     def test_set_acc_after_start(self):

@@ -1,11 +1,16 @@
 import copy
 import pickle
+import re
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from wristlink import sensor
 
 from wristlink.classify import Action, CalibrationProfile, classify_window
 from wristlink.demo import DEMO_NAMES, demo_csv_path, demo_trace
@@ -77,6 +82,118 @@ def test_trace_label_is_a_gesture_kind(label):
 def test_labeled_trace_must_be_non_empty():
     with pytest.raises(ValueError):
         Trace((), label=GestureKind.OTHER)
+
+
+class TestColumns:
+    SAMPLES = (AccelSample(0, 1, 2, 3), AccelSample(20, 4, 5, 6))
+
+    def test_trace_holds_four_columns_of_plain_ints(self):
+        trace = Trace(self.SAMPLES, label=GestureKind.OTHER)
+        assert (trace.t, trace.x, trace.y, trace.z) == ((0, 20), (1, 4), (2, 5), (3, 6))
+        assert trace.samples is not None and trace.samples == self.SAMPLES
+
+    def test_column_constructor_equals_the_sample_constructor(self):
+        built = Trace.from_columns([0, 20], (1, 4), iter([2, 5]), range(3, 7, 3), GestureKind.OTHER)
+        assert built == Trace(self.SAMPLES, label=GestureKind.OTHER)
+        assert hash(built) == hash(Trace(self.SAMPLES, label=GestureKind.OTHER))
+        assert built != Trace(self.SAMPLES)
+        assert type(built.t) is tuple and type(built.z) is tuple
+
+    def test_samples_are_cached_views_of_the_columns(self):
+        trace = Trace.from_columns((0, 20), (1, 4), (2, 5), (3, 6))
+        assert trace.samples is trace.samples
+        assert trace.samples == self.SAMPLES
+        assert list(trace) == list(self.SAMPLES) and trace[1] == self.SAMPLES[1]
+        assert len(trace) == 2
+
+    def test_trace_is_immutable_and_copyable(self):
+        trace = Trace(self.SAMPLES, label=GestureKind.OTHER)
+        for name in ("t", "x", "label", "samples"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(trace, name, ())
+        assert pickle.loads(pickle.dumps(trace)) == trace
+        assert copy.deepcopy(trace) == trace
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^columns t, x, y, z must be of one length, got \[2, 2, 1, 2\]$"):
+            Trace.from_columns((0, 20), (1, 4), (2,), (3, 6))
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (((0, 20), (1, 1024), (2, 5), (3, 6)), "x must be an integer in 0..1023, got 1024"),
+            (((-1, 20), (1, 4), (2, 5), (3, 6)), "t must be an integer >= 0, got -1"),
+            (((0, 0), (1, 4), (2, 5), (3, 6)), "timestamps must be strictly increasing: 0 after 0"),
+            (((0, 20), (1, 4), (2, True), (3, 6)), "y must be an integer in 0..1023, got True"),
+            (((0, 20), (1, 4), (2, 5), (3, np.int64(6))), "z must be an integer in 0..1023, got np.int64(6)"),
+            (((0, 20.0), (1, 4), (2, 5), (3, 6)), "t must be an integer >= 0, got 20.0"),
+        ],
+    )
+    def test_column_check_names_the_first_bad_value(self, columns, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Trace.from_columns(*columns)
+
+    def test_times_past_int64_are_plain_ints(self):
+        trace = Trace.from_columns((2**63, 2**70), (1, 4), (2, 5), (3, 6))
+        assert trace.t == (2**63, 2**70) and trace[1].t == 2**70
+
+    def test_column_builders_make_no_checked_sample(self, tmp_path, monkeypatch):
+        # generate_gesture and the one-pass read fill the columns directly
+        trace = generate_gesture(GestureKind.HORIZONTAL, 40, seed=2)
+        p = tmp_path / "t.csv"
+        save_trace(trace, p)
+
+        def no_rows(self):
+            raise AssertionError("an AccelSample was built")
+
+        monkeypatch.setattr(AccelSample, "__post_init__", no_rows)
+        assert generate_gesture(GestureKind.HORIZONTAL, 40, seed=2) == trace
+        assert load_trace(p, label=GestureKind.HORIZONTAL) == trace
+
+
+_SAMPLE_VALUES = st.one_of(
+    st.integers(0, 1023),
+    st.integers(0, 1023),
+    st.sampled_from([-1, 1024, 2**70, True, False, 3.0, np.int64(7), "5", None]),
+)
+
+
+@st.composite
+def _sample_rows(draw):
+    rows, t = [], draw(st.sampled_from([0, 5, -1]))
+    for _ in range(draw(st.integers(0, 6))):
+        t += draw(st.sampled_from([20, 20, 20, 1, 0, -1, 2**64]))
+        rows.append((draw(st.one_of(st.just(t), _SAMPLE_VALUES)), *draw(st.tuples(*[_SAMPLE_VALUES] * 3))))
+    return rows
+
+
+def _outcome(build):
+    try:
+        return "accepted", build()
+    except ValueError as exc:
+        return "rejected", type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_sample_rows())
+def test_column_check_raises_what_the_rows_give(rows):
+    # the column check gives the error of the first row that would not make
+    # an AccelSample, or the first time out of order, and accepts the rest
+    columns = tuple(zip(*rows)) if rows else ((),) * 4
+
+    def prefix_by_prefix():
+        # the shortest prefix that is no valid trace holds the first bad value
+        samples = ()
+        for row in rows:
+            samples += (AccelSample(*row),)
+            Trace(samples)
+        return Trace(samples)
+
+    got = _outcome(lambda: Trace.from_columns(*columns))
+    want = _outcome(prefix_by_prefix)
+    assert got == want
+    if got[0] == "accepted":
+        assert got[1].samples == want[1].samples == tuple(AccelSample(*row) for row in rows)
 
 
 class TestLoadTrace:
@@ -170,7 +287,105 @@ class TestLoadTrace:
             load_trace(p)
 
 
+# field texts that break a row, or hold at its edges: signs, "_", spaces,
+# line-like characters, a non-ASCII letter, counts of 1024, leading zeros and
+# long digit runs, one past the default int() limit of 4300 digits
+_ODD_FIELDS = st.sampled_from(
+    ["", "-1", "+5", "1_0", " 5", "5 ", "5\r", "\x0c5", "5\x0b", "\u00e9", "1024", "1024",
+     "99999", "0007", "0" * 30 + "9", "9" * 25, "9" * 4400]
+)
+_BAD_LINE_ENDS = st.sampled_from(["\n\n", "\n \n", "\x0c\n", "\n\t\n"])
+
+
+@st.composite
+def _near_valid_trace_texts(draw):
+    # a valid file with the line ends of one style, then up to two faults
+    t, times, rows = draw(st.integers(0, 3)), [], []
+    for _ in range(draw(st.sampled_from([0, 1, 2, 3, 5, 8]))):
+        t += draw(st.sampled_from([20, 20, 1, 10**20]))
+        times.append(t)
+        rows.append([str(t)] + [str(draw(st.integers(0, 1023))) for _ in range(3)])
+    lines = [["t_ms,x,y,z"]] + rows
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))] * len(lines)
+    tail = draw(st.sampled_from(["", "", "\n", "\n\n\n", "\r\n\r\n"]))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        fault = draw(st.sampled_from(["field", "field", "time", "width", "line", "tail", "header"]))
+        i = draw(st.integers(1, len(rows))) if rows else 0
+        if fault == "field" and i:  # an odd field
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(_ODD_FIELDS)
+        elif fault == "time" and i > 1:  # a time equal to or below the one before
+            lines[i][0] = str(times[i - 2] - draw(st.integers(0, 1)))
+        elif fault == "width":  # a field too many or too few
+            lines[i] = lines[i] + ["7"] if draw(st.booleans()) else lines[i][:-1]
+        elif fault == "line":  # a blank or whitespace line in the middle
+            ends[i] = draw(_BAD_LINE_ENDS)
+        elif fault == "tail":  # a whitespace tail
+            tail = draw(st.sampled_from([" ", "\t\n", "\n\x0c"]))
+        elif fault == "header":  # a header other than the one expected
+            lines[0] = [draw(st.sampled_from(["t_ms,x,y,z ", "T_MS,x,y,z", "0,1,2,3", ""]))]
+    text = "".join(",".join(line) + end for line, end in zip(lines, ends)) + tail
+    data = bytearray(text.encode("utf-8"))
+    if draw(st.integers(0, 12)) == 0:  # a byte that is not ASCII
+        data.insert(draw(st.integers(0, len(data))), 0xFF)
+    return bytes(data) if draw(st.integers(0, 19)) else b""
+
+
+def _load_outcome(path):
+    try:
+        trace = load_trace(path, label=None)
+    except ValueError as exc:
+        return "rejected", type(exc).__name__, str(exc)
+    return "accepted", trace
+
+
+def _with_int_oddities(test):
+    """test with explicit examples of fields that int() alone would take,
+    at either end of a row."""
+    for odd in [b" 5", b"5 ", b"+5", b"-0", b"1_0", b"\t5", b"\x0c5"]:
+        test = example(data=b"t_ms,x,y,z\n" + odd + b",1,2,3\n", chunk=1 << 15)(test)
+        test = example(data=b"t_ms,x,y,z\n5,1,2," + odd + b"\n", chunk=1 << 15)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_near_valid_trace_texts(), chunk=st.sampled_from([1, 7, 30, 1 << 15]))
+@_with_int_oddities
+def test_one_pass_read_matches_the_row_by_row_read(tmp_path_factory, data, chunk):
+    # the one-pass read accepts exactly the files the per-row read accepts,
+    # with equal columns, however its rows are chunked; on the others,
+    # load_trace raises what the per-row read raises, naming the same line
+    p = tmp_path_factory.getbasetemp() / "near_valid.csv"
+    p.write_bytes(data)
+    one_pass = []
+    read_columns = sensor._read_columns
+
+    def recording(body, label):
+        one_pass.append(read_columns(body, label))
+        return one_pass[-1]
+
+    with mock.patch.object(sensor, "_read_columns", recording), mock.patch.object(
+        sensor, "_READ_CHUNK_CHARS", chunk
+    ):
+        got = _load_outcome(p)
+    with mock.patch.object(sensor, "_read_columns", lambda body, label: None):
+        want = _load_outcome(p)
+    assert got == want
+    if one_pass:
+        assert (one_pass[0] is not None) == (want[0] == "accepted")
+    if want[0] == "accepted":
+        trace = want[1]
+        assert Trace(trace.samples) == trace == Trace.from_columns(trace.t, trace.x, trace.y, trace.z)
+        assert Trace(trace.samples).samples == trace.samples
+        assert trace.samples == tuple(map(AccelSample, trace.t, trace.x, trace.y, trace.z))
+
+
 class TestSaveTrace:
+    def test_non_trace_rejected_naming_its_type(self, tmp_path):
+        p = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="^trace must be a Trace, got list$"):
+            save_trace([AccelSample(0, 1, 2, 3)], p)
+        assert not p.exists()
+
     def test_round_trip_exact(self, tmp_path):
         trace = generate_gesture(GestureKind.VERTICAL_UP_DOWN, 17, seed=3)
         p = tmp_path / "rt.csv"
