@@ -40,9 +40,6 @@ PHY_BLOCK_FRAMES = 64
 # the one appliance the controller switches, as the log names it
 APPLIANCE = "light"
 
-# each verdict's ACTION text, read once per Action member, not once per line
-_ACTION_TEXT = {action: action.value for action in Action}
-
 
 class HomeController:
     """Appliance state machine gated on passive-infrared presence detection.
@@ -124,6 +121,16 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarr
     return ok, np.concatenate(fields)
 
 
+def _given_or_default(name: str, value, cls):
+    """value, or cls() for None, after raising ValueError naming the
+    parameter and the type unless it is a cls."""
+    if value is None:
+        return cls()
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def run_pipeline(
     trace: Trace,
     profile: CalibrationProfile | None = None,
@@ -155,9 +162,9 @@ def run_pipeline(
     check_trace("trace", trace)
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    profile = profile if profile is not None else CalibrationProfile()
-    link_cfg = link_cfg if link_cfg is not None else LinkConfig()
-    modem_cfg = modem_cfg if modem_cfg is not None else ModemConfig()
+    profile = _given_or_default("profile", profile, CalibrationProfile)
+    link_cfg = link_cfg if link_cfg is not None else LinkConfig()  # LinkSimulator checks it
+    modem_cfg = _given_or_default("modem_cfg", modem_cfg, ModemConfig)
 
     log: list[str] = []
     sim = LinkSimulator(link_cfg, log=log)
@@ -215,7 +222,10 @@ def run_pipeline(
         )
     )
     delivered_lines = log_lines(EventKind.FRAME_DELIVERED, due, [details[k] for k in link.frame])
-    action_lines = [f"[t={t}] ACTION {_ACTION_TEXT[v]}" for t, v in zip(due[w - 1 :], verdicts)]
+    # a verdict's text is its member's _value_ attribute: reading it calls
+    # neither the enum's value property nor, as a dict lookup would, its
+    # __hash__
+    action_lines = [f"[t={t}] ACTION {v._value_}" for t, v in zip(due[w - 1 :], verdicts)]
 
     # one pass in log order: at each step, its deliveries, then their
     # verdicts and actions, then the trigger or the sample's own line

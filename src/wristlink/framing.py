@@ -17,9 +17,20 @@ ints, and `deserialize` of one 48-bit sequence gives a CodecFrame or
 raises. The CRC is table-driven (Sarwate, "Computation of CRCs via table
 look-up", CACM 1988) and detects every single-bit corruption of the
 protected region.
+
+Encoding is a few field-table lookups. With zero init and no final xor the
+CRC is linear over GF(2): the CRC of an xor of words is the xor of their
+CRCs. The fields fill disjoint bits of the protected word, so a frame's CRC
+is the xor of the CRCs of its four fields each taken alone, and one table
+per field, built at import, holds those for every value. A frame's wire
+bits are likewise the bits of its head (sync, then mode tag), of its three
+axis values and of its CRC byte, each read from a table. One frame joins
+them as bytes, a block gathers them as arrays, and `deserialize` checks a
+frame's CRC against the one the same tables give for its decoded fields.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -38,12 +49,14 @@ CRC8_POLY = 0x07
 
 
 def _crc8_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = ((crc << 1) ^ CRC8_POLY) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
-        table.append(crc)
+    # The CRC is linear, so the entry of a byte is the xor of the entries of
+    # its set bits: the table doubles once per bit, lowest bit first. Byte 1
+    # is x**8 mod the polynomial, its low byte CRC8_POLY, and each higher
+    # bit's entry is the one below it shifted through one division step.
+    table, bit_crc = [0], CRC8_POLY
+    for _ in range(8):
+        table += [entry ^ bit_crc for entry in table]
+        bit_crc = ((bit_crc << 1) ^ CRC8_POLY) & 0xFF if bit_crc & 0x80 else bit_crc << 1
     return tuple(table)
 
 
@@ -52,14 +65,11 @@ def _crc8_table() -> tuple[int, ...]:
 # array, so that its entries mix with wide words without overflow.
 CRC8_TABLE = _crc8_table()
 _CRC8_ARRAY = np.array(CRC8_TABLE, dtype=np.int64)
-# maps the ASCII digits of a binary numeral to bit values 0 and 1
-_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # shift placing each frame-block column (mode, x, y, z) in the 32-bit
 # protected word, and the largest value each column may hold
-_FIELD_SHIFTS = np.array([3 * AXIS_BITS, 2 * AXIS_BITS, AXIS_BITS, 0])
-_FIELD_MAX = np.array([(1 << MODE_BITS) - 1, COUNT_MAX, COUNT_MAX, COUNT_MAX])
-_PROTECTED_MASK = (1 << (MODE_BITS + PAYLOAD_BITS)) - 1
+_FIELD_SHIFTS = np.array([3 * AXIS_BITS, 2 * AXIS_BITS, AXIS_BITS, 0], dtype=np.int64)
+_FIELD_MAX = np.array([(1 << MODE_BITS) - 1, COUNT_MAX, COUNT_MAX, COUNT_MAX], dtype=np.int64)
 _BIT_SHIFTS = np.arange(FRAME_BITS - 1, -1, -1)  # wire bit i is word bit 47 - i
 
 
@@ -104,7 +114,8 @@ class CodecFrame:
     z: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", check_mode(self.mode))
+        if type(self.mode) is not WatchMode:
+            object.__setattr__(self, "mode", check_mode(self.mode))
         check_counts(self.x, self.y, self.z)
 
 
@@ -122,14 +133,46 @@ def _protected_crc(protected):
     return crc
 
 
-def _wire_word(mode, x, y, z):
-    """48-bit wire word of in-range frame fields.
+def _bit_table(values: np.ndarray, width: int) -> np.ndarray:
+    """The width-bit binary digits of each value below 2**16, most
+    significant first, one uint8 row per value."""
+    big_endian = values[:, None].astype(">u2").view(np.uint8)
+    return np.ascontiguousarray(np.unpackbits(big_endian, axis=1)[:, 16 - width :])
 
-    The fields are ints for one frame, or equal-length int64 arrays for a
-    block, and the word comes back in the same form.
-    """
-    protected = (mode << 3 * AXIS_BITS) | (x << 2 * AXIS_BITS) | (y << AXIS_BITS) | z
-    return (SYNC_PATTERN << 40) | (protected << CRC_BITS) | _protected_crc(protected)
+
+def _row_bytes(table: np.ndarray) -> tuple[bytes, ...]:
+    """The rows of a uint8 table, each as a bytes object."""
+    rows, width = table.shape
+    # a Struct of its own: struct.unpack would keep this one-off format cached
+    return struct.Struct(f"{width}s" * rows).unpack(table.tobytes())
+
+
+# The field tables (see the module docstring). _FIELD_CRC[c][v] is the CRC
+# of value v alone in column c at its shift, from one CRC pass over every
+# value at every shift, each row then cut to its column's range. The wire
+# bits are the 10-bit head of each mode, the 10 bits of each axis value and
+# the 8 of each CRC byte. Blocks read arrays, one frame lists and bytes.
+_FIELD_CRC = tuple(
+    row[: top + 1].astype(np.uint8)
+    for row, top in zip(
+        _protected_crc(np.arange(COUNT_MAX + 1, dtype=np.int64) << _FIELD_SHIFTS[:, None]),
+        _FIELD_MAX.tolist(),
+    )
+)
+_HEAD_BITS = _bit_table(
+    SYNC_PATTERN << MODE_BITS | np.arange(1 << MODE_BITS), SYNC_BITS + MODE_BITS
+)
+_AXIS_BITS = _bit_table(np.arange(COUNT_MAX + 1), AXIS_BITS)
+_BYTE_BITS = _bit_table(np.arange(1 << CRC_BITS), CRC_BITS)
+_MODE_CRC, _X_CRC, _Y_CRC, _Z_CRC = (column.tolist() for column in _FIELD_CRC)
+_HEAD_WIRE, _AXIS_WIRE, _BYTE_WIRE = map(_row_bytes, (_HEAD_BITS, _AXIS_BITS, _BYTE_BITS))
+
+
+def _block_crc(fields: np.ndarray) -> np.ndarray:
+    """CRC of each in-range (mode, x, y, z) row of a frame block, or of
+    one such row."""
+    mode, x, y, z = _FIELD_CRC
+    return mode[fields[..., 0]] ^ x[fields[..., 1]] ^ y[fields[..., 2]] ^ z[fields[..., 3]]
 
 
 def serialize(frames):
@@ -140,8 +183,10 @@ def serialize(frames):
     non-integer dtype or a field outside its wire range raises ValueError.
     """
     if isinstance(frames, CodecFrame):
-        word = _wire_word(frames.mode, frames.x, frames.y, frames.z)
-        return list(f"{word:0{FRAME_BITS}b}".encode().translate(_DIGIT_BITS))
+        mode, x, y, z = frames.mode, frames.x, frames.y, frames.z
+        crc = _MODE_CRC[mode] ^ _X_CRC[x] ^ _Y_CRC[y] ^ _Z_CRC[z]
+        wire = _HEAD_WIRE[mode] + _AXIS_WIRE[x] + _AXIS_WIRE[y] + _AXIS_WIRE[z] + _BYTE_WIRE[crc]
+        return list(wire)
     fields = np.asarray(frames)
     if fields.ndim != 2 or fields.shape[1] != 4:
         raise ValueError(f"frame block must have shape (n, 4), got {fields.shape}")
@@ -150,8 +195,8 @@ def serialize(frames):
         raise ValueError(f"frame block must have an integer dtype, got {fields.dtype}")
     if np.any((fields < 0) | (fields > _FIELD_MAX)):
         raise ValueError("frame block field outside its wire range")
-    word = _wire_word(*fields.T.astype(np.int64))
-    return ((word[:, None] >> _BIT_SHIFTS) & 1).astype(np.uint8)
+    axes = _AXIS_BITS[fields[:, 1:]].reshape(len(fields), PAYLOAD_BITS)
+    return np.concatenate([_HEAD_BITS[fields[:, 0]], axes, _BYTE_BITS[_block_crc(fields)]], axis=1)
 
 
 def deserialize(bits):
@@ -171,9 +216,8 @@ def deserialize(bits):
     if bad.size:
         raise DecodeError(f"bit sequence contains non-bit value {bad[0].item()!r}")
     word = rows.astype(np.uint8, copy=False) @ (1 << _BIT_SHIFTS)
-    protected = (word >> CRC_BITS) & _PROTECTED_MASK
-    sync, crc_rx, crc_want = word >> 40, word & 0xFF, _protected_crc(protected)
-    fields = (protected[..., None] >> _FIELD_SHIFTS) & _FIELD_MAX
+    fields = (word[..., None] >> (_FIELD_SHIFTS + CRC_BITS)) & _FIELD_MAX
+    sync, crc_rx, crc_want = word >> 40, word & 0xFF, _block_crc(fields)
     if rows.ndim == 2:
         return (sync == SYNC_PATTERN) & (crc_rx == crc_want), fields
     if sync != SYNC_PATTERN:
@@ -184,4 +228,3 @@ def deserialize(bits):
         )
     mode, x, y, z = fields.tolist()
     return CodecFrame(mode=WatchMode(mode), x=x, y=y, z=z)
-

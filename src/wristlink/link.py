@@ -52,10 +52,11 @@ class ProtocolError(RuntimeError):
     """An operation violates the link protocol's state requirements."""
 
 
-# the verbatim control-center line that follows an event's own log line
+# the verbatim control-center line that follows an event's own log line,
+# keyed by the event kind's text, which hashes without a call into enum.py
 _FOLLOWING_LINE = {
-    EventKind.AP_STARTED: AP_STARTED_MESSAGE,
-    EventKind.ACQUIRE_ANNOUNCED: ACQUIRING_MESSAGE,
+    EventKind.AP_STARTED.value: AP_STARTED_MESSAGE,
+    EventKind.ACQUIRE_ANNOUNCED.value: ACQUIRING_MESSAGE,
 }
 
 
@@ -71,7 +72,7 @@ def log_lines(kind: EventKind, times, details=None) -> list[str]:
 def event_lines(t: int, kind: EventKind, detail: str = "") -> list[str]:
     """One event's log line, then the control-center line that follows it."""
     lines = log_lines(kind, [t], [detail] if detail else None)
-    following = _FOLLOWING_LINE.get(kind)
+    following = _FOLLOWING_LINE.get(kind.value)
     return lines if following is None else lines + [following]
 
 

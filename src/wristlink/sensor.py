@@ -93,7 +93,17 @@ def check_rows(name: str, values, dtype=None) -> np.ndarray:
 
 
 def check_counts(x: int, y: int, z: int) -> None:
-    """Raise ValueError unless every axis is a raw count in COUNT_MIN..COUNT_MAX."""
+    """Raise ValueError unless every axis is a raw count in COUNT_MIN..COUNT_MAX.
+
+    The test is one predicate over all three; check_int, run on each axis in
+    turn only when it fails, names the first bad one."""
+    if (
+        type(x) is type(y) is type(z) is int
+        and COUNT_MIN <= x <= COUNT_MAX
+        and COUNT_MIN <= y <= COUNT_MAX
+        and COUNT_MIN <= z <= COUNT_MAX
+    ):
+        return
     check_int("x", x, COUNT_MIN, COUNT_MAX)
     check_int("y", y, COUNT_MIN, COUNT_MAX)
     check_int("z", z, COUNT_MIN, COUNT_MAX)
@@ -289,12 +299,11 @@ def _read_rows(path: Path, body: str, label: GestureKind | None) -> Trace:
             raise TraceFormatError(
                 f"{path}: line {row}: expected 4 comma-separated integers, got {line!r}"
             )
-        t, x, y, z = map(int, match.groups())
-        if t <= prev_t:
-            raise TraceFormatError(
-                f"{path}: line {row}: t_ms {t} not greater than previous {prev_t}"
-            )
+        # int() raises ValueError on a field past sys.get_int_max_str_digits()
         try:
+            t, x, y, z = map(int, match.groups())
+            if t <= prev_t:
+                raise ValueError(f"t_ms {t} not greater than previous {prev_t}")
             samples.append(AccelSample(t, x, y, z))
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {row}: {exc}") from None

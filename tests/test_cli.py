@@ -65,6 +65,15 @@ class TestSimulate:
         assert code == 2
         assert str(missing) in err
 
+    def test_field_past_the_int_digit_limit_exit_1_naming_its_line(self, tmp_path, capsys):
+        p = tmp_path / "long.csv"
+        p.write_text("t_ms,x,y,z\n0,1,2,3\n20," + "9" * 4400 + ",2,3\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "simulate", "--trace", str(p), "--out", str(out_dir))
+        assert code == 1
+        assert f"{p}: line 2: " in err
+        assert not out_dir.exists()
+
     def test_trace_and_demo_conflict(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "simulate", "--trace", "x.csv", "--demo", "on",

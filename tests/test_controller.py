@@ -214,6 +214,16 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="^trace must be a Trace, got list$"):
             run_pipeline([AccelSample(0, 1, 2, 3)])
 
+    def test_non_profile_rejected_naming_its_type(self):
+        trace = vertical_trace(20, seed=9)
+        with pytest.raises(ValueError, match="^profile must be a CalibrationProfile, got dict$"):
+            run_pipeline(trace, profile={"window_size": 16})
+
+    def test_non_modem_config_rejected_naming_its_type(self):
+        trace = vertical_trace(20, seed=9)
+        with pytest.raises(ValueError, match="^modem_cfg must be a ModemConfig, got dict$"):
+            run_pipeline(trace, modem_cfg={"noise_sigma": 0})
+
     def test_pipeline_reads_only_the_columns(self, monkeypatch):
         # run_pipeline takes times and counts from the trace's columns and
         # builds no AccelSample row
@@ -612,6 +622,52 @@ class TestEventCoreMatchesPerSampleLoop:
             "[t=405] ACTION ON",
             "[t=425] ACTION ON",
         ]
+
+
+class TestMetamorphicRelations:
+    """Relations between two runs, compared exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        gaps=st.lists(st.integers(1, 40), min_size=1, max_size=60),
+        start=st.integers(0, 100),
+        latency=st.sampled_from([0, 10, 45]),
+        pir_case=st.sampled_from(PIR_CASES),
+        window=st.sampled_from([3, 16]),
+        debounce=st.sampled_from([1, 2]),
+        loss=st.sampled_from([0.0, 0.3]),
+        # 1e-170 is past the attenuation at which every bit decodes as 0
+        attenuation=st.sampled_from([1.0, 0.3, 1e-170]),
+        link_seed=st.integers(0, 2**32),
+        modem_seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2),
+    )
+    def test_sigma_zero_ignores_the_modem_seed(
+        self, gaps, start, latency, pir_case, window, debounce, loss, attenuation,
+        link_seed, modem_seeds,
+    ):
+        # at sigma 0 the channel draws no noise, so the modem seed changes no
+        # byte of the log and no counter
+        times = [start]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        if pir_case == "between" and max(gaps) < 2:
+            pir_case = "past_drain"
+        rng = Random(link_seed)
+        trace = gesture_trace(times, rng.randint(0, len(times)), link_seed % 1000)
+        kwargs = dict(
+            profile=CalibrationProfile(window_size=window, debounce_n=debounce),
+            link_cfg=LinkConfig(loss_probability=loss, latency=latency, seed=link_seed),
+            pir_at=pir_time(pir_case, times, latency, rng),
+        )
+        first, second = (
+            run_pipeline(
+                trace,
+                modem_cfg=ModemConfig(channel_attenuation=attenuation, seed=seed),
+                **kwargs,
+            )
+            for seed in modem_seeds
+        )
+        assert first == second
 
 
 class TestIntegerEdges:

@@ -17,6 +17,17 @@ from wristlink.framing import (
     DecodeError,
     SyncMismatchError,
     WatchMode,
+    _AXIS_BITS,
+    _AXIS_WIRE,
+    _BYTE_BITS,
+    _BYTE_WIRE,
+    _FIELD_CRC,
+    _HEAD_BITS,
+    _HEAD_WIRE,
+    _MODE_CRC,
+    _X_CRC,
+    _Y_CRC,
+    _Z_CRC,
     _protected_crc,
     deserialize,
     serialize,
@@ -65,6 +76,54 @@ def test_crc8_table_matches_bitwise_definition():
     protected = [int.from_bytes(bytes(w), "big") for w in words.tolist()]
     assert [_protected_crc(p) for p in protected] == expected
     assert _protected_crc(np.array(protected, dtype=np.int64)).tolist() == expected
+
+
+# each field's shift in the 32-bit protected word, and its width
+FIELD_LAYOUT = ((30, 2), (20, 10), (10, 10), (0, 10))
+EDGE_COUNTS = st.one_of(st.sampled_from([0, 1, 511, 512, 1022, 1023]), st.integers(0, 1023))
+
+
+def digits(value: int, width: int) -> list[int]:
+    return [int(b) for b in f"{value:0{width}b}"]
+
+
+def reference_wire_bits(mode: int, x: int, y: int, z: int) -> list[int]:
+    """A frame's wire bits as the binary numeral of its 48-bit word, the
+    codec's former scalar form, with the CRC taken bit by bit."""
+    protected = mode << 30 | x << 20 | y << 10 | z
+    word = SYNC_PATTERN << 40 | protected << 8 | bitwise_crc8(protected.to_bytes(4, "big"))
+    return digits(word, FRAME_BITS)
+
+
+class TestFieldTables:
+    """The tables the codec encodes and checks frames with, entry by entry."""
+
+    def test_crc_tables_hold_each_field_alone_in_its_word(self):
+        scalar = (_MODE_CRC, _X_CRC, _Y_CRC, _Z_CRC)
+        for column, (shift, width) in enumerate(FIELD_LAYOUT):
+            expected = [bitwise_crc8((v << shift).to_bytes(4, "big")) for v in range(1 << width)]
+            assert scalar[column] == expected
+            assert _FIELD_CRC[column].tolist() == expected
+
+    def test_bit_tables_hold_each_value_s_digits(self):
+        tables = [
+            (_HEAD_BITS, _HEAD_WIRE, [digits(SYNC_PATTERN << 2 | m, 10) for m in range(4)]),
+            (_AXIS_BITS, _AXIS_WIRE, [digits(v, 10) for v in range(1024)]),
+            (_BYTE_BITS, _BYTE_WIRE, [digits(b, 8) for b in range(256)]),
+        ]
+        for bits, wire, expected in tables:
+            assert bits.dtype == np.uint8
+            assert bits.tolist() == expected
+            assert wire == tuple(map(bytes, expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(WatchMode)), EDGE_COUNTS, EDGE_COUNTS, EDGE_COUNTS)
+def test_serialize_matches_the_word_numeral_and_the_block_row(mode, x, y, z):
+    bits = serialize(CodecFrame(mode, x, y, z))
+    assert type(bits) is list and {type(b) for b in bits} == {int}
+    assert bits == reference_wire_bits(mode, x, y, z)
+    assert serialize(np.array([(mode, x, y, z)])).tolist() == [bits]
 
 
 def test_serialize_is_48_bits_and_starts_with_sync():

@@ -10,6 +10,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wristlink.classify import (
     Action,
@@ -226,3 +228,27 @@ def test_check_int_passes_plain_ints_in_range():
     check_int("k", -(2**70))
     check_int("k", 0, 0, 0)
     check_int("k", 10, hi=10)
+
+
+# count values of every kind check_int tells apart, around and past the range
+ODD_COUNTS = [True, False, np.int64(5), np.uint16(7), 5.0, -1, 1024, 2**70, "5"]
+COUNT_VALUES = st.one_of(st.integers(0, COUNT_MAX), st.sampled_from(ODD_COUNTS))
+
+
+def raised(call) -> str | None:
+    """The text of the ValueError that call raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(COUNT_VALUES, COUNT_VALUES, COUNT_VALUES)
+def test_check_counts_raises_what_three_check_int_calls_raise(x, y, z):
+    def three_checks():
+        for name, value in zip("xyz", (x, y, z)):
+            check_int(name, value, 0, COUNT_MAX)
+
+    assert raised(lambda: check_counts(x, y, z)) == raised(three_checks)

@@ -239,6 +239,16 @@ class TestLoadTrace:
         with pytest.raises(TraceFormatError, match="line 2"):
             load_trace(p)
 
+    @pytest.mark.parametrize("column", range(4))
+    def test_field_past_the_int_digit_limit_reports_line_number(self, tmp_path, column):
+        # int() refuses a field of more than 4300 digits, its default limit
+        fields = ["40", "1", "2", "3"]
+        fields[column] = "9" * 4400
+        p = tmp_path / "bad.csv"
+        p.write_text("t_ms,x,y,z\n0,1,2,3\n20,1,2,3\n" + ",".join(fields) + "\n")
+        with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(p))}: line 3: "):
+            load_trace(p)
+
     @pytest.mark.parametrize(
         "row", ["20,1_0,2,3", "20,+20,2,3", "20, 30,2,3", "20,1,2,3 ", "1_0,+20, 30,4"]
     )
