@@ -9,7 +9,9 @@ and gated appliance switching. Nothing downstream feeds back into the
 stages before it, so each runs over the whole trace in turn, reading the
 Trace's t, x, y and z columns and never its AccelSample rows: the radio
 path, each sample encoded on its own, decoded as one block at sigma 0 and
-in blocks of PHY_BLOCK_FRAMES frames above it; the link as one block of
+in blocks of PHY_BLOCK_FRAMES frames above it, where the rest of a frame
+is sent only if its preamble survived, so the decoded fields of frames
+rejected at the preamble are not computed; the link as one block of
 sends and time steps (LinkSimulator._stream); the classifier over every
 window of the delivered sequence at once; then one pass in log order that
 debounces the verdicts, applies the gate and renders the log. Everything
@@ -18,7 +20,7 @@ is seeded, so identical inputs produce byte-identical logs.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +28,16 @@ from .classify import Action, CalibrationProfile, Debouncer, classify_windows
 # not called here, but perfbench's tracer patches the pipeline's classifier
 # under this name
 from .classify import classify_window  # noqa: F401
-from .framing import CodecFrame, WatchMode, deserialize, serialize
+from .framing import SYNC_BITS, CodecFrame, WatchMode, deserialize, serialize
 from .link import EventKind, LinkConfig, LinkSimulator, event_lines, frame_details, log_lines
-from .modem import ModemConfig, channel_apply, demodulate, modulate
+from .modem import (
+    ModemConfig,
+    _row_generators,
+    _row_seed_words,
+    channel_apply,
+    demodulate,
+    modulate,
+)
 from .sensor import Trace, check_int, check_trace
 
 # Frames per radio-path block above sigma 0. Outputs do not depend on it, but
@@ -92,15 +101,27 @@ class PipelineResult:
 def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarray]:
     """Radio path: each sample is serialized as an ACC frame, from the
     trace's x, y and z columns, and the bits are sent through the channel
-    and decoded, re-verifying sync and CRC per frame. Above sigma 0 the
-    frames go as FSK waveforms in blocks of PHY_BLOCK_FRAMES (frame i of
-    the trace with noise seed modem_cfg.seed + i). At sigma 0 no waveform
-    is built: demodulate decides each bit window alone, and every bit of
-    one value then receives the same samples, so one run of the two
-    one-bit rows through the channel gives the decision for each value,
-    and the whole trace is decoded at once. Returns, per sample, whether
-    its frame passed both checks, and the (n, 4) frame block decoded from
-    its bits."""
+    and decoded, re-verifying sync and CRC per frame. Returns, per sample,
+    whether its frame passed both checks, and the (n, 4) frame block decoded
+    from its bits; the rows of frames rejected at the preamble are not
+    decoded, and read 0.
+
+    Above sigma 0 the frames go as FSK waveforms in blocks of
+    PHY_BLOCK_FRAMES, frame i of the trace drawing its noise from the
+    stream seeded with modem_cfg.seed + i. Each block goes in two steps: the
+    SYNC_BITS preamble bits of every frame, then the rest of each frame
+    whose preamble decoded as sent, its noise continuing the frame's own
+    stream. Every frame is sent with the sync byte, and deserialize rejects
+    any other, so a frame whose preamble did not survive fails whatever its
+    other bits are; demodulate decides each bit window alone, and a
+    generator's normals do not depend on how they are split into calls, so
+    the frames that survive are decoded from exactly the noise one
+    whole-frame call would draw.
+
+    At sigma 0 no waveform is built: every bit of one value then receives
+    the same samples, so one run of the two one-bit rows through the
+    channel gives the decision for each value, and the whole trace is
+    decoded at once."""
     acc = WatchMode.ACC
     wire = b"".join(
         bytes(serialize(CodecFrame(acc, x, y, z))) for x, y, z in zip(trace.x, trace.y, trace.z)
@@ -110,15 +131,25 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarr
         decide = demodulate(channel_apply(modulate([[0], [1]]), modem_cfg))[:, 0]
         ok, fields = deserialize(decide[tx])
         return ok.tolist(), fields
-    ok, fields = [], []
+    ok = np.zeros(len(tx), dtype=bool)
+    fields = np.zeros((len(tx), 4), dtype=np.int64)
+    words = _row_seed_words(modem_cfg.seed, len(tx))
     for start in range(0, len(tx), PHY_BLOCK_FRAMES):
         tx_bits = tx[start : start + PHY_BLOCK_FRAMES]
-        # frame i of the trace gets noise stream seed + i, whatever the block
-        block_cfg = replace(modem_cfg, seed=(modem_cfg.seed + start) % 2**64)
-        block_ok, block_fields = deserialize(demodulate(channel_apply(modulate(tx_bits), block_cfg)))
-        ok += block_ok.tolist()
-        fields.append(block_fields)
-    return ok, np.concatenate(fields)
+        streams = _row_generators(words[start : start + len(tx_bits)])
+        head = tx_bits[:, :SYNC_BITS]
+        rx_head = demodulate(channel_apply(modulate(head), modem_cfg, streams))
+        kept = np.flatnonzero((rx_head == head).all(axis=1))
+        if kept.size == 0:
+            continue
+        rx_rest = demodulate(
+            channel_apply(
+                modulate(tx_bits[kept, SYNC_BITS:]), modem_cfg, [streams[i] for i in kept]
+            )
+        )
+        rows = start + kept
+        ok[rows], fields[rows] = deserialize(np.concatenate([rx_head[kept], rx_rest], axis=1))
+    return ok.tolist(), fields
 
 
 def _given_or_default(name: str, value, cls):
@@ -163,7 +194,7 @@ def run_pipeline(
     if len(trace) == 0:
         raise ValueError("trace is empty")
     profile = _given_or_default("profile", profile, CalibrationProfile)
-    link_cfg = link_cfg if link_cfg is not None else LinkConfig()  # LinkSimulator checks it
+    link_cfg = _given_or_default("link_cfg", link_cfg, LinkConfig)
     modem_cfg = _given_or_default("modem_cfg", modem_cfg, ModemConfig)
 
     log: list[str] = []

@@ -20,8 +20,11 @@ its own transmission: its phase starts at 0, and row i draws its noise from
 the generator seeded with (seed + i) mod 2**64, so a block of n frames
 gives exactly what n single-frame calls with those seeds give.
 `modulate(phase=)` and `channel_apply(rng=)` instead carry a transmission's
-phase and noise stream across calls, which is how measure_ber sends one long
-row in fixed-size blocks. The phase carry keeps a running phase sum instead
+phase and noise stream across calls. The rng is one generator that the rows
+draw from in order, which is how measure_ber sends one long row in
+fixed-size blocks, or one generator per row, which row i continues, which
+is how the pipeline sends a frame's preamble and then, only if that
+survived, the rest of it. The phase carry keeps a running phase sum instead
 of the table, only for measure_ber: ber.csv's bytes depend on its rounding
 drift (up to ~5e-5 rad over a 200k-bit row); the benchmark sweep's seed-0
 row at sigma 2 reads 0.303365, and would read 0.30337 from the table.
@@ -112,9 +115,31 @@ def _seed_state_words(seeds: np.ndarray) -> np.ndarray:
     state ^= _STATE_CONSTANTS[:8, None]
     state *= _STATE_CONSTANTS[1:, None]
     state ^= state >> 16
-    # uint32 words 2j and 2j + 1 are the low and high halves of uint64 word j
-    state = state.astype(np.uint64)
-    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+    # uint32 words 2j and 2j + 1 are the low and high halves of uint64 word
+    # j; assembled in place: the pipeline hashes a whole trace's seeds at
+    # once, and uint64 copies of the halves made that hash the radio path's
+    # memory peak
+    words = np.empty((seeds.size, 4), dtype=np.uint64)
+    words.T[...] = state[1::2]
+    words <<= np.uint64(32)
+    words |= state[0::2].T
+    return words
+
+
+def _row_seed_words(seed: int, n: int) -> np.ndarray:
+    """The seed words of rows 0..n - 1 of a channel_apply call under `seed`:
+    row i's are those of (seed + i) mod 2**64."""
+    return _seed_state_words(np.uint64(seed) + np.arange(n, dtype=np.uint64))
+
+
+def _row_generators(words: np.ndarray) -> list:
+    """default_rng(s) for each row of seed words that _seed_state_words gave
+    for s, built without a SeedSequence: default_rng(s) is
+    Generator(PCG64(SeedSequence(s)))."""
+    from numpy.random import PCG64, Generator
+
+    state_words = _state_words_type()
+    return [Generator(PCG64(state_words(row))) for row in words]
 
 
 @functools.cache
@@ -211,26 +236,31 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
     Row i of a 2-D waveform (the whole of a 1-D one, as row 0) draws its
     noise from default_rng((seed + i) % 2**64); the rows' seed words are
     hashed in one pass (_seed_state_words), so no SeedSequence is built per
-    row. Given a Generator `rng`, the rows instead draw from it in order, so
-    a waveform sent in pieces with one generator gets exactly the noise of
-    one draw over the whole.
+    row. Given one Generator `rng`, the rows instead draw from it in order;
+    given a list with one Generator per row, row i continues rng[i]. Either
+    way a waveform sent in pieces gets exactly the noise of one draw over
+    the whole, as a generator's normals do not depend on how they are
+    split into calls.
     """
-    out = check_rows("waveform", waveform, float) * cfg.channel_attenuation
-    if cfg.noise_sigma > 0 and out.size:
-        noise = np.empty_like(out)
-        if rng is not None:
-            rng.standard_normal(out=noise)
-        else:
-            from numpy.random import PCG64, Generator
-
-            rows = noise.reshape(-1, out.shape[-1])
-            seeds = np.uint64(cfg.seed) + np.arange(len(rows), dtype=np.uint64)
-            state_words = _state_words_type()
-            # default_rng(s) is Generator(PCG64(SeedSequence(s)))
-            for row, words in zip(rows, _seed_state_words(seeds)):
-                Generator(PCG64(state_words(words))).standard_normal(out=row)
-        noise *= cfg.noise_sigma
-        out += noise
+    wave = check_rows("waveform", waveform, float)
+    n_rows = len(wave) if wave.ndim == 2 else 1
+    if isinstance(rng, list) and len(rng) != n_rows:
+        raise ValueError(f"rng must hold one generator per row ({n_rows}), got {len(rng)}")
+    a = cfg.channel_attenuation
+    if cfg.noise_sigma == 0 or wave.size == 0:
+        return wave * a
+    out = np.empty(wave.shape)
+    if rng is None:
+        rng = _row_generators(_row_seed_words(cfg.seed, n_rows))
+    if isinstance(rng, list):
+        for row, gen in zip(out.reshape(n_rows, -1), rng):
+            gen.standard_normal(out=row)
+    else:
+        rng.standard_normal(out=out)
+    # each sample is fl(sigma * n) + fl(a * w); fl(1 * w) is w, so a == 1
+    # needs no product
+    out *= cfg.noise_sigma
+    out += wave if a == 1 else wave * a
     return out
 
 

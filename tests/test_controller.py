@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from wristlink.classify import Action, CalibrationProfile, Debouncer, classify_window
 from wristlink.controller import PHY_BLOCK_FRAMES, HomeController, run_pipeline
-from wristlink.framing import CodecFrame, DecodeError, WatchMode, deserialize, serialize
+from wristlink.framing import (
+    SYNC_BITS,
+    CodecFrame,
+    DecodeError,
+    WatchMode,
+    deserialize,
+    serialize,
+)
 from wristlink.link import LinkConfig, LinkSimulator
 from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
 from wristlink.sensor import (
@@ -88,6 +95,25 @@ class TestHomeController:
 
 def vertical_trace(n=32, seed=1):
     return generate_gesture(GestureKind.VERTICAL_UP_DOWN, n, seed)
+
+
+def preamble_survivors(trace, modem_cfg):
+    """(first frame, indices of the frames whose preamble decodes as sent)
+    for each radio-path block, each preamble sent alone as a one-frame
+    call with frame i's noise seed modem_cfg.seed + i: the first
+    SYNC_BITS * SAMPLES_PER_BIT normals of that frame's stream."""
+    sync = serialize(CodecFrame(WatchMode.ACC, 0, 0, 0))[:SYNC_BITS]
+    survives = [
+        demodulate(
+            channel_apply(modulate(sync), replace(modem_cfg, seed=(modem_cfg.seed + i) % 2**64))
+        )
+        == sync
+        for i in range(len(trace))
+    ]
+    return [
+        (start, [i for i in range(start, min(start + PHY_BLOCK_FRAMES, len(trace))) if survives[i]])
+        for start in range(0, len(trace), PHY_BLOCK_FRAMES)
+    ]
 
 
 class TestRunPipeline:
@@ -181,24 +207,42 @@ class TestRunPipeline:
         assert result.frames_sent == 200
         assert calls == []
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.5])
     def test_waveforms_only_above_sigma_zero(self, monkeypatch, sigma):
         # at sigma 0 one 2-bit call decides every bit of the run; above it,
-        # each block of PHY_BLOCK_FRAMES frames goes as waveforms
+        # each block of PHY_BLOCK_FRAMES frames sends every frame's preamble
+        # as waveforms, then the other bits of only the frames whose
+        # preamble survived
         trace = vertical_trace(200, seed=9)
+        modem_cfg = ModemConfig(noise_sigma=sigma)
         calls = []
 
-        def counting_modulate(bits):
-            calls.append(np.asarray(bits).size)
+        def recording_modulate(bits):
+            calls.append(np.array(bits))
             return modulate(bits)
 
-        monkeypatch.setattr("wristlink.controller.modulate", counting_modulate)
-        run_pipeline(trace, modem_cfg=ModemConfig(noise_sigma=sigma), pir_at=0)
+        monkeypatch.setattr("wristlink.controller.modulate", recording_modulate)
+        run_pipeline(trace, modem_cfg=modem_cfg, pir_at=0)
         if sigma == 0:
-            assert calls == [2]
-        else:
-            assert len(calls) == math.ceil(len(trace) / PHY_BLOCK_FRAMES)
-            assert sum(calls) == 48 * len(trace)
+            assert [bits.size for bits in calls] == [2]
+            return
+        acc = np.full(len(trace), int(WatchMode.ACC))
+        wire = serialize(np.column_stack([acc, trace.x, trace.y, trace.z]))
+        expected = []
+        for start, kept in preamble_survivors(trace, modem_cfg):
+            expected.append(wire[start : start + PHY_BLOCK_FRAMES, :SYNC_BITS])
+            if kept:
+                expected.append(wire[kept, SYNC_BITS:])
+        assert len(calls) == len(expected)
+        for bits, want in zip(calls, expected):
+            np.testing.assert_array_equal(bits, want)
+
+    def test_gate_cases_keep_some_preambles_and_reject_others(self):
+        # the sigma 1.5 cases above and below tell a gated path from an
+        # ungated one only if some preambles fail and some survive
+        trace = vertical_trace(200, seed=9)
+        survivors = preamble_survivors(trace, ModemConfig(noise_sigma=1.5))
+        assert 0 < sum(len(kept) for _, kept in survivors) < len(trace)
 
     def test_idle_trace_never_acts(self):
         result = run_pipeline(generate_gesture(GestureKind.OTHER, 32, seed=3), pir_at=0)
@@ -219,6 +263,11 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="^profile must be a CalibrationProfile, got dict$"):
             run_pipeline(trace, profile={"window_size": 16})
 
+    def test_non_link_config_rejected_naming_its_type(self):
+        trace = vertical_trace(20, seed=9)
+        with pytest.raises(ValueError, match="^link_cfg must be a LinkConfig, got dict$"):
+            run_pipeline(trace, link_cfg={})
+
     def test_non_modem_config_rejected_naming_its_type(self):
         trace = vertical_trace(20, seed=9)
         with pytest.raises(ValueError, match="^modem_cfg must be a ModemConfig, got dict$"):
@@ -237,11 +286,13 @@ class TestRunPipeline:
         monkeypatch.setattr(AccelSample, "__post_init__", no_rows)
         assert run_pipeline(trace, pir_at=0) == want
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.5])
     def test_noiseless_trace_decoded_in_one_block(self, monkeypatch, sigma):
         # at sigma 0 no waveform bounds the block, so one deserialize call
-        # decodes the whole trace; above it, each block decodes on its own
+        # decodes the whole trace; above it, each block decodes only the
+        # frames whose preamble survived, and none when none did
         trace = vertical_trace(200, seed=9)
+        modem_cfg = ModemConfig(noise_sigma=sigma)
         calls = []
 
         def counting_deserialize(bits):
@@ -249,12 +300,12 @@ class TestRunPipeline:
             return deserialize(bits)
 
         monkeypatch.setattr("wristlink.controller.deserialize", counting_deserialize)
-        run_pipeline(trace, modem_cfg=ModemConfig(noise_sigma=sigma), pir_at=0)
+        run_pipeline(trace, modem_cfg=modem_cfg, pir_at=0)
         if sigma == 0:
             assert calls == [len(trace)]
         else:
-            blocks = range(0, len(trace), PHY_BLOCK_FRAMES)
-            assert calls == [min(PHY_BLOCK_FRAMES, len(trace) - start) for start in blocks]
+            survivors = preamble_survivors(trace, modem_cfg)
+            assert calls == [len(kept) for _, kept in survivors if kept]
 
     def test_negative_pir_rejected(self):
         with pytest.raises(ValueError):
@@ -442,16 +493,29 @@ def per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=0, profile=None):
 
 
 class TestBlockPhyMatchesPerFrameReference:
-    """Block batching of the radio path must not change any output."""
+    """Block batching and the preamble gate of the radio path must not
+    change any output: the reference sends every frame whole. At sigma 1.5
+    most preambles fail and at 4.0 nearly all (99%), so blocks with few and
+    with no surviving frames both occur."""
 
     LENGTHS = (1, PHY_BLOCK_FRAMES, PHY_BLOCK_FRAMES + 1, 2 * PHY_BLOCK_FRAMES + 22)
+    SEEDS = (0, 1, 7, 2**64 - 2)
 
     @pytest.mark.parametrize("loss", [0.0, 0.2])
-    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 2])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 1.5, 4.0])
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_identical_to_per_frame_reference(self, seed, sigma, loss):
+        self.check(seed, ModemConfig(noise_sigma=sigma, seed=seed), loss)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_attenuated_identical_to_per_frame_reference(self, seed, sigma):
+        # at attenuation 0.6 the bit error rate at sigma 1.0 is that of
+        # sigma 1.67 unattenuated
+        self.check(seed, ModemConfig(channel_attenuation=0.6, noise_sigma=sigma, seed=seed), 0.2)
+
+    def check(self, seed, modem_cfg, loss):
         link_cfg = LinkConfig(loss_probability=loss, seed=seed)
-        modem_cfg = ModemConfig(noise_sigma=sigma, seed=seed)
         for n in self.LENGTHS:
             trace = generate_gesture(GestureKind.VERTICAL_UP_DOWN, n, seed=seed % 100)
             result = run_pipeline(trace, link_cfg=link_cfg, modem_cfg=modem_cfg)

@@ -269,6 +269,36 @@ class TestChannel:
         expected = np.random.default_rng(8).normal(0.0, 0.4, 60).reshape(3, 20)
         np.testing.assert_array_equal(out, expected)
 
+    @pytest.mark.parametrize("attenuation", [1.0, 0.6, 1e-170])
+    def test_noisy_sample_is_attenuated_wave_plus_scaled_normal(self, attenuation):
+        # each sample is fl(a * w) + fl(sigma * n), n from row i's stream
+        cfg = ModemConfig(channel_attenuation=attenuation, noise_sigma=0.7, seed=2**64 - 1)
+        wave = modulate(np.random.default_rng(6).integers(0, 2, (3, 10)))
+        out = channel_apply(wave, cfg)
+        for i in range(3):
+            normals = np.random.default_rng((cfg.seed + i) % 2**64).standard_normal(160)
+            np.testing.assert_array_equal(out[i], attenuation * wave[i] + 0.7 * normals)
+
+    @pytest.mark.parametrize("seed", [3, 2**64 - 3])
+    def test_row_generators_continue_across_column_pieces(self, seed):
+        # one generator per row, each continuing its own stream, over column
+        # pieces of a block gives the noise of one seeded call; the cuts
+        # fall inside a bit window and leave an empty piece
+        cfg = ModemConfig(noise_sigma=0.8, channel_attenuation=0.6, seed=seed)
+        wave = modulate(np.random.default_rng(5).integers(0, 2, (6, 48)))
+        streams = [np.random.default_rng((seed + i) % 2**64) for i in range(6)]
+        cuts = [0, 128, 128, 131, wave.shape[1]]
+        pieces = [channel_apply(wave[:, a:b], cfg, streams) for a, b in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), channel_apply(wave, cfg))
+
+    @pytest.mark.parametrize("shape, n_streams", [((3, 16), 2), ((3, 16), 4), ((16,), 2)])
+    def test_row_generators_must_match_the_rows(self, shape, n_streams):
+        streams = [np.random.default_rng(i) for i in range(n_streams)]
+        rows = shape[0] if len(shape) == 2 else 1
+        message = f"rng must hold one generator per row ({rows}), got {n_streams}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            channel_apply(np.zeros(shape), NOISY, streams)
+
 
 class TestDemodulate:
     def test_noiseless_inverse_on_frame(self):
