@@ -260,7 +260,10 @@ def cmd_simulate(o) -> int:
 
     out = _out_dir(o)
     log_path = out / "simulation.log"
-    log_path.write_text("\n".join(result.log) + "\n", encoding="ascii")
+    with log_path.open("w", encoding="ascii") as f:
+        # the newline on its own: joined on, it would copy the whole log again
+        f.write("\n".join(result.log))
+        f.write("\n")
     final_state = "ON" if result.powered else "OFF"
     # fifo_dropped (there is no transmit queue) and sensor_resets (ACC mode is
     # set once per run) are always 0; dropping the columns would change the

@@ -8,13 +8,16 @@ delivery, a sliding window over delivered samples, classification, debounce,
 and gated appliance switching. Nothing downstream feeds back into the
 stages before it, so each runs over the whole trace in turn, reading the
 Trace's t, x, y and z columns and never its AccelSample rows: the radio
-path, each sample encoded on its own, decoded as one block at sigma 0 and
-in blocks of PHY_BLOCK_FRAMES frames above it, where the rest of a frame
-is sent only if its preamble survived, so the decoded fields of frames
+path, each sample encoded on its own from an unchecked CodecFrame view of
+its row of the checked columns, decoded as one block at sigma 0 and in
+blocks of PHY_BLOCK_FRAMES frames above it, where the rest of a frame is
+sent only if its preamble survived, so the decoded fields of frames
 rejected at the preamble are not computed; the link as one block of
-sends and time steps (LinkSimulator._stream); the classifier over every
-window of the delivered sequence at once; then one pass in log order that
-debounces the verdicts, applies the gate and renders the log. Everything
+sends and time steps (LinkSimulator._stream), its FIFO held as columns;
+the classifier over every window of the delivered sequence at once; then
+one pass in log order that debounces the verdicts, applies the gate and
+renders the log from columns. A clean run keeps no per-sample container
+object alive, so it never wakes the cyclic garbage collector. Everything
 is seeded, so identical inputs produce byte-identical logs.
 """
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .classify import Action, CalibrationProfile, Debouncer, classify_windows
 # not called here, but perfbench's tracer patches the pipeline's classifier
 # under this name
 from .classify import classify_window  # noqa: F401
-from .framing import SYNC_BITS, CodecFrame, WatchMode, deserialize, serialize
+from .framing import SYNC_BITS, WatchMode, _acc_frame_view, deserialize, serialize
 from .link import EventKind, LinkConfig, LinkSimulator, event_lines, frame_details, log_lines
 from .modem import (
     ModemConfig,
@@ -99,8 +102,9 @@ class PipelineResult:
 
 
 def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarray]:
-    """Radio path: each sample is serialized as an ACC frame, from the
-    trace's x, y and z columns, and the bits are sent through the channel
+    """Radio path: each sample is serialized as an ACC frame, a view of its
+    row of the trace's x, y and z columns that the Trace already checked
+    (framing._acc_frame_view), and the bits are sent through the channel
     and decoded, re-verifying sync and CRC per frame. Returns, per sample,
     whether its frame passed both checks, and the (n, 4) frame block decoded
     from its bits; the rows of frames rejected at the preamble are not
@@ -122,10 +126,8 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarr
     the same samples, so one run of the two one-bit rows through the
     channel gives the decision for each value, and the whole trace is
     decoded at once."""
-    acc = WatchMode.ACC
-    wire = b"".join(
-        bytes(serialize(CodecFrame(acc, x, y, z))) for x, y, z in zip(trace.x, trace.y, trace.z)
-    )
+    frames = map(_acc_frame_view, trace.x, trace.y, trace.z)
+    wire = b"".join(map(bytes, map(serialize, frames)))
     tx = np.frombuffer(wire, np.uint8).reshape(len(trace), -1)
     if modem_cfg.noise_sigma == 0:
         decide = demodulate(channel_apply(modulate([[0], [1]]), modem_cfg))[:, 0]
@@ -242,7 +244,7 @@ def run_pipeline(
 
     # every line of the log but the controller's, rendered by column
     sent_t = [times[i] for i in sent]
-    details = frame_details(range(link.first_id, link.first_id + len(sent)), sent_xyz.tolist())
+    details = frame_details(range(link.first_id, link.first_id + len(sent)), *sent_xyz.T.tolist())
     sent_lines = log_lines(EventKind.FRAME_SENT, sent_t, details)
     dropped = [k for k, frame_lost in enumerate(lost) if frame_lost]
     lost_lines = iter(
@@ -261,18 +263,22 @@ def run_pipeline(
     # one pass in log order: at each step, its deliveries, then their
     # verdicts and actions, then the trigger or the sample's own line
     actions: list[tuple[int, Action]] = []
+    append = log.append
+    n_due, n_samples = len(arrival), len(times)
     d = k = sample = 0  # next delivery, frame sent and sample
+    next_arrival = arrival[0] if arrival else None  # the step of delivery d
     for step in range(len(steps)):
-        if d < len(due) and arrival[d] == step:
+        if step == next_arrival:
             first, d = d, bisect_right(arrival, step, d)
+            next_arrival = arrival[d] if d < n_due else None
             if first == 0 and link.announced:
-                log.append(delivered_lines[0])
+                append(delivered_lines[0])
                 log += event_lines(due[0], EventKind.ACQUIRE_ANNOUNCED)
                 log += delivered_lines[1:d]
             else:
                 log += delivered_lines[first:d]
-            for v in range(max(first - w + 1, 0), d - w + 1):
-                log.append(action_lines[v])
+            for v in range(first - w + 1 if first >= w else 0, d - w + 1):
+                append(action_lines[v])
                 action = emitted[v]
                 if action is not None:
                     t = due[v + w - 1]
@@ -280,14 +286,14 @@ def run_pipeline(
                     ctrl.apply_action(action, t)
         if step == pir_step:
             ctrl.pir_trigger(pir_at)
-        elif sample < len(times):  # else the drain step
+        elif sample < n_samples:  # else the drain step
             if ok[sample]:
-                log.append(sent_lines[k])
+                append(sent_lines[k])
                 if lost[k]:
-                    log.append(next(lost_lines))
+                    append(next(lost_lines))
                 k += 1
             else:
-                log.append(f"[t={times[sample]}] FRAME_CORRUPTED codec integrity check failed")
+                append(f"[t={times[sample]}] FRAME_CORRUPTED codec integrity check failed")
             sample += 1
 
     return PipelineResult(

@@ -119,6 +119,24 @@ class CodecFrame:
         check_counts(self.x, self.y, self.z)
 
 
+# the slot setters of CodecFrame, which build a view without a second check
+_SET_MODE, _SET_X, _SET_Y, _SET_Z = (
+    CodecFrame.__dict__[field].__set__ for field in ("mode", "x", "y", "z")
+)
+_ACC = WatchMode.ACC  # bound once, so that no view looks the enum member up
+
+
+def _acc_frame_view(x: int, y: int, z: int) -> CodecFrame:
+    """The ACC CodecFrame of one row of checked count columns, not checked
+    again."""
+    frame = object.__new__(CodecFrame)
+    _SET_MODE(frame, _ACC)
+    _SET_X(frame, x)
+    _SET_Y(frame, y)
+    _SET_Z(frame, z)
+    return frame
+
+
 def _protected_crc(protected):
     """CRC-8 of 32-bit protected word(s) over their four bytes, most
     significant first: poly 0x07, init 0x00, no reflection, no final xor.

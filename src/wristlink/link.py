@@ -12,9 +12,13 @@ flight, so watch->AP and AP->watch transmissions can never overlap.
 
 The link runs on columns: its private core, `LinkSimulator._stream`, sends a
 block of frames between a block of time steps and returns what happened as
-a LinkBlock. It trusts its callers, each of which checks its own input once:
-`transmit_sample` and `run_until` are its one-frame and one-step uses, which
-render the LinkBlock they return into the log, the link's one history, and
+a LinkBlock. Its FIFO, and the frames it leaves in flight, are columns of
+due times, earliest steps, frame ids and payloads, not a tuple per frame,
+and `frame_details` renders payloads from x, y and z columns, so a block
+builds no per-frame container that outlives its line. It trusts its
+callers, each of which checks its own input once: `transmit_sample` and
+`run_until` are its one-frame and one-step uses, which render the
+LinkBlock they return into the log, the link's one history, and
 `controller.run_pipeline` sends a whole trace through it.
 """
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from random import Random
 from typing import NamedTuple
 
@@ -76,14 +81,15 @@ def event_lines(t: int, kind: EventKind, detail: str = "") -> list[str]:
     return lines if following is None else lines + [following]
 
 
-def frame_details(frame_ids, xyz=None) -> list[str]:
+def frame_details(frame_ids, x=None, y=None, z=None) -> list[str]:
     """Details of a column of frame events: each frame id, then for
-    FRAME_SENT and FRAME_DELIVERED its ACC payload, a row of xyz."""
-    if xyz is None:
+    FRAME_SENT and FRAME_DELIVERED its ACC payload, read from the x, y and
+    z columns."""
+    if x is None:
         return [f"frame={frame_id}" for frame_id in frame_ids]
     return [
-        f"frame={frame_id} mode=ACC x={x} y={y} z={z}"
-        for frame_id, (x, y, z) in zip(frame_ids, xyz)
+        f"frame={frame_id} mode=ACC x={xi} y={yi} z={zi}"
+        for frame_id, xi, yi, zi in zip(frame_ids, x, y, z)
     ]
 
 
@@ -137,12 +143,13 @@ class LinkSimulator:
         self.delivered_count = 0
         self.lost_count = 0
         self._rng = Random(self.cfg.seed)
-        # frames in flight in send order, as (due time, frame id, payload)
-        self._in_flight: list[tuple[int, int, object]] = []
+        # frames in flight in send order, as columns: due time, frame id
+        # and payload
+        self._in_flight: tuple[list[int], list[int], list] = ([], [], [])
 
     @property
     def frames_in_flight(self) -> int:
-        return len(self._in_flight)
+        return len(self._in_flight[0])
 
     def ap_start(self) -> None:
         """Start the access point; valid exactly once per session."""
@@ -161,7 +168,7 @@ class LinkSimulator:
         mode = check_mode(mode)
         if self.ap_state is AccessPointState.NOT_STARTED:
             raise ProtocolError("access point not started")
-        if self._in_flight:
+        if self._in_flight[0]:
             raise ProtocolError(
                 "half-duplex violation: cannot acknowledge a mode change"
                 " while a frame is in flight"
@@ -193,35 +200,31 @@ class LinkSimulator:
         lost = [draw() < p for _ in range(len(frames))]
         self.sent_count += len(lost)
         self.lost_count += sum(lost)
-        # the FIFO as (due time, first step it may arrive at, frame id, payload)
-        queue = [(due, 0, frame_id, frame) for due, frame_id, frame in self._in_flight]
-        now = self.now
-        queue += [
-            ((steps[after] if after >= 0 else now) + latency, after + 1, first_id + k, frame)
-            for k, (after, frame, gone) in enumerate(zip(sent_after, frames, lost))
-            if not gone
-        ]
-        # due times and earliest steps both rise along the queue, so arrival
+        # the FIFO as columns: due time, first step it may arrive at, frame
+        # id and payload; a frame sent after step i may arrive from step
+        # i + 1, and one in flight from before at any step
+        kept = [k for k, gone in enumerate(lost) if not gone]
+        due, ids, payload = self._in_flight
+        lo = [sent_after[k] + 1 for k in kept]
+        # a frame sent after step i goes out at sent_at[i + 1]: that step's
+        # time, or the current time for i = -1
+        sent_at = [self.now, *steps]
+        due = due + [sent_at[i] + latency for i in lo]
+        lo = [0] * len(ids) + lo
+        ids = ids + [first_id + k for k in kept]
+        payload = payload + [frames[k] for k in kept]
+        # due times and earliest steps both rise along the FIFO, so arrival
         # steps do too, and the frames delivered are a prefix of it
-        arrival = [bisect_left(steps, due, first) for due, first, _, _ in queue]
+        arrival = list(map(bisect_left, repeat(steps), due, lo))
         n = bisect_left(arrival, len(steps))
-        self._in_flight = [(due, frame_id, frame) for due, _, frame_id, frame in queue[n:]]
+        self._in_flight = (due[n:], ids[n:], payload[n:])
         self.delivered_count += n
         announced = n > 0 and self.ap_state is not AccessPointState.ACQUIRING
         if announced:
             self.ap_state = AccessPointState.ACQUIRING
         if len(steps):
             self.now = steps[-1]
-        delivered = queue[:n]
-        return LinkBlock(
-            first_id,
-            lost,
-            arrival[:n],
-            [due for due, _, _, _ in delivered],
-            [frame_id for _, _, frame_id, _ in delivered],
-            [frame for _, _, _, frame in delivered],
-            announced,
-        )
+        return LinkBlock(first_id, lost, arrival[:n], due[:n], ids[:n], payload[:n], announced)
 
     def transmit_sample(self, frame: CodecFrame) -> LinkBlock:
         """Send one accelerometer sample, as its ACC frame, at the current time.
@@ -242,8 +245,9 @@ class LinkSimulator:
         if frame.mode is not WatchMode.ACC:
             raise ValueError(f"only ACC frames carry samples, got {frame.mode.name}")
         block = self._stream([], [-1], [frame])
-        ids, now, xyz = [block.first_id], [self.now], [(frame.x, frame.y, frame.z)]
-        self.log += log_lines(EventKind.FRAME_SENT, now, frame_details(ids, xyz))
+        ids, now = [block.first_id], [self.now]
+        details = frame_details(ids, [frame.x], [frame.y], [frame.z])
+        self.log += log_lines(EventKind.FRAME_SENT, now, details)
         if block.lost[0]:
             self.log += log_lines(EventKind.FRAME_LOST, now, frame_details(ids))
         return block
@@ -253,7 +257,10 @@ class LinkSimulator:
         returns the step's LinkBlock, whose payloads are the frames sent."""
         check_int("t", t, self.now)
         block = self._stream([t], [], [])
-        details = frame_details(block.frame_id, [(f.x, f.y, f.z) for f in block.frame])
+        frames = block.frame
+        details = frame_details(
+            block.frame_id, [f.x for f in frames], [f.y for f in frames], [f.z for f in frames]
+        )
         lines = log_lines(EventKind.FRAME_DELIVERED, block.t, details)
         if block.announced:
             lines[1:1] = event_lines(block.t[0], EventKind.ACQUIRE_ANNOUNCED)

@@ -1,3 +1,4 @@
+import gc
 import math
 from collections import deque
 from dataclasses import replace
@@ -24,6 +25,7 @@ from wristlink.sensor import (
     AccelSample,
     GestureKind,
     Trace,
+    _check_columns,
     check_counts,
     check_int,
     generate_gesture,
@@ -176,20 +178,53 @@ class TestRunPipeline:
         ]
 
     def test_each_frame_range_checked_once(self, monkeypatch):
-        # one check, for the frame encoded from each sample; the decoded
-        # fields go on the link as columns, already bounded by their width
-        trace = vertical_trace(200, seed=9)
-        calls = []
+        # the Trace checks its count columns once; the frame of each sample
+        # is a view of a row of them, and the decoded fields go on the link
+        # as columns, already bounded by their width, so no frame's counts
+        # are checked again
+        column_checks, count_checks = [], []
 
-        def counting_check(x, y, z):
-            calls.append((x, y, z))
+        def counting_columns(*columns):
+            column_checks.append(columns)
+            return _check_columns(*columns)
+
+        def counting_counts(x, y, z):
+            count_checks.append((x, y, z))
             return check_counts(x, y, z)
 
-        monkeypatch.setattr("wristlink.framing.check_counts", counting_check)
-        monkeypatch.setattr("wristlink.sensor.check_counts", counting_check)
+        monkeypatch.setattr("wristlink.sensor._check_columns", counting_columns)
+        monkeypatch.setattr("wristlink.framing.check_counts", counting_counts)
+        monkeypatch.setattr("wristlink.sensor.check_counts", counting_counts)
+        trace = vertical_trace(200, seed=9)
         result = run_pipeline(trace, pir_at=0)
         assert result.frames_sent == 200
-        assert calls == [(s.x, s.y, s.z) for s in trace]
+        assert [columns[1:] for columns in column_checks] == [(trace.x, trace.y, trace.z)]
+        assert count_checks == []
+
+    def test_clean_run_wakes_no_garbage_collector(self):
+        # every per-sample object of a noiseless run dies on the line that
+        # built it: frames are views serialized at once, and the link and
+        # the renderer hold columns of ints, not a tuple or a list per frame
+        trace = generate_gesture(GestureKind.VERTICAL_UP_DOWN, 2000, seed=3)
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        thresholds = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        try:
+            gc.collect()
+            gc.callbacks.append(count)
+            try:
+                result = run_pipeline(trace, modem_cfg=ModemConfig(noise_sigma=0.0))
+            finally:
+                gc.callbacks.remove(count)
+        finally:
+            gc.set_threshold(*thresholds)
+        assert result.frames_delivered == 2000
+        assert collections == []
 
     def test_link_core_rechecks_no_integer(self, monkeypatch):
         # the Trace checked the step times and run_pipeline checked pir_at,

@@ -28,6 +28,7 @@ from wristlink.framing import (
     _X_CRC,
     _Y_CRC,
     _Z_CRC,
+    _acc_frame_view,
     _protected_crc,
     deserialize,
     serialize,
@@ -223,6 +224,20 @@ def test_frame_rejects_out_of_range_payload():
         CodecFrame(WatchMode.ACC, 0, -1, 0)
     with pytest.raises(ValueError):
         CodecFrame(5, 0, 0, 0)
+
+
+@pytest.mark.parametrize("count", [0, 1023])
+def test_frame_view_is_the_checked_frame(count):
+    # the pipeline's unchecked view of one row of a Trace's columns
+    view = _acc_frame_view(count, 1023 - count, count)
+    frame = CodecFrame(WatchMode.ACC, count, 1023 - count, count)
+    assert type(view) is CodecFrame
+    assert view == frame and hash(view) == hash(frame) and repr(view) == repr(frame)
+    with pytest.raises(AttributeError):  # frozen, as a checked frame is
+        view.x = 1
+    assert view.x == count
+    assert serialize(view) == serialize(frame)
+    assert len(serialize(view)) == FRAME_BITS
 
 
 class TestFrameBlocks:
