@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sensor import COUNT_MAX, COUNT_MIN, GestureKind, check_int, check_samples, check_trace
+from .sensor import COUNT_MAX, COUNT_MIN, GestureKind, Trace, check_int, check_samples, check_type
 
 # Factory default decision bands (raw z / y window means), window length,
 # and consecutive-verdict count.
@@ -95,6 +95,7 @@ def classify_windows(z, y, profile: CalibrationProfile) -> list[Action]:
     y count sequences: verdict k is that of items k..k+w-1, for the
     profile's window size w. Each count must be a raw count in
     COUNT_MIN..COUNT_MAX, so the int64 running sums cannot wrap."""
+    check_type("profile", profile, CalibrationProfile)
     w = profile.window_size
     columns = [np.asarray(values) for values in (z, y)]
     for name, column in zip("zy", columns):
@@ -132,6 +133,7 @@ def classify_window(samples, profile: CalibrationProfile) -> Action:
     """Map one full window to a verdict via inclusive band membership of the
     exact axis means, tested on integer sums."""
     samples = check_samples("window samples", samples)
+    check_type("profile", profile, CalibrationProfile)
     if len(samples) != profile.window_size:
         raise ValueError(
             f"window has {len(samples)} samples, profile expects {profile.window_size}"
@@ -167,7 +169,7 @@ def calibrate(
         ("off_traces item", off_traces, GestureKind.HORIZONTAL),
     ]:
         for trace in traces:
-            check_trace(name, trace)
+            check_type(name, trace, Trace)
             if trace.label is not want:
                 raise CalibrationError(
                     f"expected a trace labeled {want.value}, got {trace.label}"
@@ -229,6 +231,7 @@ def debounced_stream(verdicts, debounce_n: int) -> list[Action]:
 
 def save_profile(profile: CalibrationProfile, path) -> None:
     """Persist a profile as the JSON profile document."""
+    check_type("profile", profile, CalibrationProfile)
     Path(path).write_text(json.dumps(asdict(profile), indent=2) + "\n", encoding="ascii")
 
 

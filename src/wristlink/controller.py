@@ -15,10 +15,12 @@ sent only if its preamble survived, so the decoded fields of frames
 rejected at the preamble are not computed; the link as one block of
 sends and time steps (LinkSimulator._stream), its FIFO held as columns;
 the classifier over every window of the delivered sequence at once; then
-one pass in log order that debounces the verdicts, applies the gate and
-renders the log from columns. A clean run keeps no per-sample container
-object alive, so it never wakes the cyclic garbage collector. Everything
-is seeded, so identical inputs produce byte-identical logs.
+one debounce pass, in which the controller is armed at the trigger and
+applies the emitted actions. The log is rendered by column and put in
+order by one stable sort of a (step, phase) key. A clean run keeps no
+per-sample container object alive, so it never wakes the cyclic garbage
+collector. Everything is seeded, so identical inputs produce
+byte-identical logs.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .classify import Action, CalibrationProfile, Debouncer, classify_windows
 # under this name
 from .classify import classify_window  # noqa: F401
 from .framing import SYNC_BITS, WatchMode, _acc_frame_view, deserialize, serialize
-from .link import EventKind, LinkConfig, LinkSimulator, event_lines, frame_details, log_lines
+from .link import LinkConfig, LinkSimulator, delivery_lines, frame_details, send_lines
 from .modem import (
     ModemConfig,
     _row_generators,
@@ -41,7 +43,7 @@ from .modem import (
     demodulate,
     modulate,
 )
-from .sensor import Trace, check_int, check_trace
+from .sensor import Trace, check_int, check_type
 
 # Frames per radio-path block above sigma 0. Outputs do not depend on it, but
 # peak memory grows with it (a frame is 768 float64 waveform samples, held in
@@ -101,7 +103,7 @@ class PipelineResult:
     actions: list[tuple[int, Action]]
 
 
-def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarray]:
+def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Radio path: each sample is serialized as an ACC frame, a view of its
     row of the trace's x, y and z columns that the Trace already checked
     (framing._acc_frame_view), and the bits are sent through the channel
@@ -132,7 +134,7 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarr
     if modem_cfg.noise_sigma == 0:
         decide = demodulate(channel_apply(modulate([[0], [1]]), modem_cfg))[:, 0]
         ok, fields = deserialize(decide[tx])
-        return ok.tolist(), fields
+        return ok, fields
     ok = np.zeros(len(tx), dtype=bool)
     fields = np.zeros((len(tx), 4), dtype=np.int64)
     words = _row_seed_words(modem_cfg.seed, len(tx))
@@ -151,17 +153,12 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[list[bool], np.ndarr
         )
         rows = start + kept
         ok[rows], fields[rows] = deserialize(np.concatenate([rx_head[kept], rx_rest], axis=1))
-    return ok.tolist(), fields
+    return ok, fields
 
 
 def _given_or_default(name: str, value, cls):
-    """value, or cls() for None, after raising ValueError naming the
-    parameter and the type unless it is a cls."""
-    if value is None:
-        return cls()
-    if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
-    return value
+    """value, or cls() for None, after sensor.check_type."""
+    return cls() if value is None else check_type(name, value, cls)
 
 
 def run_pipeline(
@@ -192,22 +189,20 @@ def run_pipeline(
     """
     if pir_at is not None:
         check_int("pir_at", pir_at, 0)
-    check_trace("trace", trace)
+    check_type("trace", trace, Trace)
     if len(trace) == 0:
         raise ValueError("trace is empty")
     profile = _given_or_default("profile", profile, CalibrationProfile)
     link_cfg = _given_or_default("link_cfg", link_cfg, LinkConfig)
     modem_cfg = _given_or_default("modem_cfg", modem_cfg, ModemConfig)
 
-    log: list[str] = []
-    sim = LinkSimulator(link_cfg, log=log)
-    ctrl = HomeController(log=log)
+    sim = LinkSimulator(link_cfg)
     sim.ap_start()
     sim.watch_set_mode(WatchMode.ACC)
 
     ok, fields = _receive(trace, modem_cfg)
     times = trace.t
-    sent = [i for i, frame_ok in enumerate(ok) if frame_ok]  # sample of each frame sent
+    sent = np.flatnonzero(ok)  # sample of each frame sent
 
     # Link steps: one per sample, at its time, with its frame sent right
     # after it, and a last one that drains the link. The trigger is a step
@@ -217,14 +212,15 @@ def run_pipeline(
     # Trace, which checked that they rise from 0, and pir_at was checked
     # above.
     steps = [*times, times[-1] + link_cfg.latency]
+    sample_step = np.arange(len(times))
     pir_step = None
-    sent_after = sent
     if pir_at is not None and pir_at <= steps[-1]:
         pir_step = bisect_left(times, pir_at)
         steps.insert(pir_step, pir_at)
-        sent_after = [i + 1 if i >= pir_step else i for i in sent]
-    link = sim._stream(steps, sent_after, range(len(sent)))  # payload: index in sent
-    arrival, due, lost = link.step, link.t, link.lost
+        sample_step[pir_step:] += 1
+    sent_step = sample_step[sent]
+    link = sim._stream(steps, sent_step.tolist(), range(len(sent)))  # payload: index in sent
+    arrival, due = np.array(link.step, dtype=np.int64), link.t
 
     # decoded (x, y, z) of each frame sent, and of each delivered, in order
     sent_xyz = fields[sent, 1:]
@@ -232,69 +228,61 @@ def run_pipeline(
     w = profile.window_size
     # verdict v is that of the window ending at delivery v + w - 1
     verdicts = classify_windows(got[:, 2], got[:, 1], profile)
-    # the trigger replaces the debouncer after the verdicts of the
-    # deliveries at or before its step
+    # the trigger arms the controller, and replaces the debouncer, after the
+    # verdicts of the deliveries at or before its step
     n_unarmed = len(verdicts)
     if pir_step is not None:
-        n_unarmed = max(0, bisect_right(arrival, pir_step) - w + 1)
-    emitted: list[Action | None] = []
-    for part in (verdicts[:n_unarmed], verdicts[n_unarmed:]):
-        gate = Debouncer(profile.debounce_n)
-        emitted += [gate.push(verdict) for verdict in part]
+        n_unarmed = max(0, bisect_right(link.step, pir_step) - w + 1)
+    ctrl = HomeController()
+    gate = Debouncer(profile.debounce_n)
+    actions: list[tuple[int, Action]] = []
+    caused = []  # per APPLIANCE line the controller logs, the verdict behind it
+    for v, verdict in enumerate(verdicts):
+        if v == n_unarmed:
+            ctrl.pir_trigger(pir_at)
+            gate = Debouncer(profile.debounce_n)
+        action = gate.push(verdict)
+        if action is not None:
+            t = due[v + w - 1]
+            actions.append((t, action))
+            logged = len(ctrl.log)
+            ctrl.apply_action(action, t)
+            caused += [v] * (len(ctrl.log) - logged)
+    if pir_step is not None and not ctrl.armed:  # the trigger follows every verdict
+        ctrl.pir_trigger(pir_at)
+    # an unarmed controller logs nothing, so the trigger is its first line
+    trigger, appliance = ctrl.log[:1], ctrl.log[1:]
 
-    # every line of the log but the controller's, rendered by column
-    sent_t = [times[i] for i in sent]
+    # The log after its header, as one table. The line of an event at step
+    # s has the key 3 * s + phase: phase 0 for the step's deliveries, 1 for
+    # the ACTION lines of the windows they complete, each followed by the
+    # APPLIANCE line its action causes, and 2 for the trigger or the
+    # sample's own lines. One stable sort by key puts the table in log
+    # order, lines of one key keeping their order here. Steps are sorted,
+    # never times, which are ints of any size.
     details = frame_details(range(link.first_id, link.first_id + len(sent)), *sent_xyz.T.tolist())
-    sent_lines = log_lines(EventKind.FRAME_SENT, sent_t, details)
-    dropped = [k for k, frame_lost in enumerate(lost) if frame_lost]
-    lost_lines = iter(
-        log_lines(
-            EventKind.FRAME_LOST,
-            [sent_t[k] for k in dropped],
-            frame_details([link.first_id + k for k in dropped]),
-        )
-    )
-    delivered_lines = log_lines(EventKind.FRAME_DELIVERED, due, [details[k] for k in link.frame])
+    delivered_rows, delivered = delivery_lines(link, [details[k] for k in link.frame])
+    sent_rows, sent_lines = send_lines(link, [times[i] for i in sent.tolist()], details)
     # a verdict's text is its member's _value_ attribute: reading it calls
     # neither the enum's value property nor, as a dict lookup would, its
     # __hash__
     action_lines = [f"[t={t}] ACTION {v._value_}" for t, v in zip(due[w - 1 :], verdicts)]
-
-    # one pass in log order: at each step, its deliveries, then their
-    # verdicts and actions, then the trigger or the sample's own line
-    actions: list[tuple[int, Action]] = []
-    append = log.append
-    n_due, n_samples = len(arrival), len(times)
-    d = k = sample = 0  # next delivery, frame sent and sample
-    next_arrival = arrival[0] if arrival else None  # the step of delivery d
-    for step in range(len(steps)):
-        if step == next_arrival:
-            first, d = d, bisect_right(arrival, step, d)
-            next_arrival = arrival[d] if d < n_due else None
-            if first == 0 and link.announced:
-                append(delivered_lines[0])
-                log += event_lines(due[0], EventKind.ACQUIRE_ANNOUNCED)
-                log += delivered_lines[1:d]
-            else:
-                log += delivered_lines[first:d]
-            for v in range(first - w + 1 if first >= w else 0, d - w + 1):
-                append(action_lines[v])
-                action = emitted[v]
-                if action is not None:
-                    t = due[v + w - 1]
-                    actions.append((t, action))
-                    ctrl.apply_action(action, t)
-        if step == pir_step:
-            ctrl.pir_trigger(pir_at)
-        elif sample < n_samples:  # else the drain step
-            if ok[sample]:
-                append(sent_lines[k])
-                if lost[k]:
-                    append(next(lost_lines))
-                k += 1
-            else:
-                append(f"[t={times[sample]}] FRAME_CORRUPTED codec integrity check failed")
-            sample += 1
+    after = np.array(caused, dtype=np.intp) + 1  # each APPLIANCE line's place
+    acted_rows = np.insert(np.arange(len(verdicts)), after, caused)  # the verdict of each line
+    acted = np.insert(np.array(action_lines, dtype=object), after, appliance)
+    corrupt = np.flatnonzero(~ok)
+    corrupted = [
+        f"[t={times[i]}] FRAME_CORRUPTED codec integrity check failed" for i in corrupt.tolist()
+    ]
+    keys, lines = zip(
+        (3 * arrival[delivered_rows], delivered),
+        (3 * arrival[acted_rows + w - 1] + 1, acted),
+        (3 * sent_step[sent_rows] + 2, sent_lines),
+        (3 * sample_step[corrupt] + 2, corrupted),
+        (np.full(len(trigger), 3 * (pir_step or 0) + 2), trigger),
+    )
+    table = np.concatenate([np.array(column, dtype=object) for column in lines])
+    log = sim.log + table[np.argsort(np.concatenate(keys), kind="stable")].tolist()
 
     return PipelineResult(
         powered=ctrl.powered,

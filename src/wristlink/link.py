@@ -19,7 +19,9 @@ builds no per-frame container that outlives its line. It trusts its
 callers, each of which checks its own input once: `transmit_sample` and
 `run_until` are its one-frame and one-step uses, which render the
 LinkBlock they return into the log, the link's one history, and
-`controller.run_pipeline` sends a whole trace through it.
+`controller.run_pipeline` sends a whole trace through it. All three render
+a LinkBlock's lines with `delivery_lines` and `send_lines`, the one place
+that says where ACQUIRE_ANNOUNCED and FRAME_LOST lines go.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from random import Random
 from typing import NamedTuple
 
 from .framing import CodecFrame, WatchMode, check_mode
-from .sensor import check_int, check_seed
+from .sensor import check_int, check_number, check_seed, check_type
 
 AP_STARTED_MESSAGE = "Access point started. Now start watch in ACC, PPT or Synch mode."
 ACQUIRING_MESSAGE = "Acquiring data from accelerometer sensor"
@@ -93,6 +95,31 @@ def frame_details(frame_ids, x=None, y=None, z=None) -> list[str]:
     ]
 
 
+def delivery_lines(block: LinkBlock, details) -> tuple[list[int], list[str]]:
+    """The FRAME_DELIVERED line of each of a block's deliveries, with the
+    given details, the first followed by ACQUIRE_ANNOUNCED and its
+    control-center line when it announced acquisition; and, per line, the
+    index of the delivery it belongs to."""
+    rows = list(range(len(block.t)))
+    lines = log_lines(EventKind.FRAME_DELIVERED, block.t, details)
+    if block.announced:
+        announce = event_lines(block.t[0], EventKind.ACQUIRE_ANNOUNCED)
+        rows[1:1] = [0] * len(announce)
+        lines[1:1] = announce
+    return rows, lines
+
+
+def send_lines(block: LinkBlock, times, details) -> tuple[list[int], list[str]]:
+    """The FRAME_SENT line of each of a block's sends, at the given times and
+    with the given details, then the FRAME_LOST line of each that its loss
+    draw dropped; and, per line, the index of the send it belongs to."""
+    dropped = [k for k, lost in enumerate(block.lost) if lost]
+    lines = log_lines(EventKind.FRAME_SENT, times, details)
+    lost_details = frame_details([block.first_id + k for k in dropped])
+    lines += log_lines(EventKind.FRAME_LOST, [times[k] for k in dropped], lost_details)
+    return [*range(len(times)), *dropped], lines
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     loss_probability: float = 0.0
@@ -100,10 +127,7 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a bool is an int subclass but not a probability
-        p = self.loss_probability
-        if isinstance(p, bool) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"loss_probability must lie in [0, 1], got {p!r}")
+        check_number("loss_probability", self.loss_probability, 0, 1)
         check_int("latency", self.latency, 0)  # timestamps are integer ms
         check_seed(self.seed)
 
@@ -127,14 +151,12 @@ class LinkSimulator:
     """Single-owner discrete-event simulation of the watch/access-point link.
 
     All mutation goes through this object, and its history is `log`: a list
-    that may be shared with other pipeline stages, so one chronological,
-    newline-ready log accumulates across the whole run.
+    that a caller may share with other stages, so one chronological,
+    newline-ready log accumulates across a run of one-frame calls.
     """
 
     def __init__(self, cfg: LinkConfig | None = None, log: list[str] | None = None):
-        if cfg is not None and not isinstance(cfg, LinkConfig):
-            raise ValueError(f"cfg must be a LinkConfig, got {type(cfg).__name__}")
-        self.cfg = cfg if cfg is not None else LinkConfig()
+        self.cfg = LinkConfig() if cfg is None else check_type("cfg", cfg, LinkConfig)
         self.log = log if log is not None else []
         self.now = 0
         self.ap_state = AccessPointState.NOT_STARTED
@@ -193,7 +215,7 @@ class LinkSimulator:
         The first delivery of a session announces acquisition.
 
         No log line is written: the caller renders the returned columns with
-        log_lines, event_lines and frame_details.
+        delivery_lines and send_lines.
         """
         p, latency, draw = self.cfg.loss_probability, self.cfg.latency, self._rng.random
         first_id = self.sent_count
@@ -233,8 +255,7 @@ class LinkSimulator:
         after the configured latency, or lost with the configured
         probability, as lost[0] of the returned LinkBlock says.
         """
-        if not isinstance(frame, CodecFrame):
-            raise ValueError(f"frame must be a CodecFrame, got {type(frame).__name__}")
+        check_type("frame", frame, CodecFrame)
         if self.ap_state is AccessPointState.NOT_STARTED:
             raise ProtocolError("access point not started: frame rejected")
         if self.watch_mode is not WatchMode.ACC:
@@ -245,11 +266,8 @@ class LinkSimulator:
         if frame.mode is not WatchMode.ACC:
             raise ValueError(f"only ACC frames carry samples, got {frame.mode.name}")
         block = self._stream([], [-1], [frame])
-        ids, now = [block.first_id], [self.now]
-        details = frame_details(ids, [frame.x], [frame.y], [frame.z])
-        self.log += log_lines(EventKind.FRAME_SENT, now, details)
-        if block.lost[0]:
-            self.log += log_lines(EventKind.FRAME_LOST, now, frame_details(ids))
+        details = frame_details([block.first_id], [frame.x], [frame.y], [frame.z])
+        self.log += send_lines(block, [self.now], details)[1]
         return block
 
     def run_until(self, t: int) -> LinkBlock:
@@ -261,8 +279,5 @@ class LinkSimulator:
         details = frame_details(
             block.frame_id, [f.x for f in frames], [f.y for f in frames], [f.z for f in frames]
         )
-        lines = log_lines(EventKind.FRAME_DELIVERED, block.t, details)
-        if block.announced:
-            lines[1:1] = event_lines(block.t[0], EventKind.ACQUIRE_ANNOUNCED)
-        self.log += lines
+        self.log += delivery_lines(block, details)[1]
         return block

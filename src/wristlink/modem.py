@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensor import check_int, check_rows, check_seed
+from .sensor import check_int, check_number, check_rows, check_seed, check_type
 
 # the tone plan, in Hz
 F0 = 1000.0
@@ -169,15 +169,8 @@ class ModemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("channel_attenuation", "noise_sigma"):
-            value = getattr(self, name)
-            # a bool is an int subclass but not a channel quantity
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not 0 < self.channel_attenuation <= 1:
-            raise ValueError("channel_attenuation must lie in (0, 1]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        check_number("channel_attenuation", self.channel_attenuation, 0, 1, above=True)
+        check_number("noise_sigma", self.noise_sigma, 0)
         check_seed(self.seed)
 
 
@@ -243,6 +236,7 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
     split into calls.
     """
     wave = check_rows("waveform", waveform, float)
+    check_type("cfg", cfg, ModemConfig)
     n_rows = len(wave) if wave.ndim == 2 else 1
     if isinstance(rng, list) and len(rng) != n_rows:
         raise ValueError(f"rng must hold one generator per row ({n_rows}), got {len(rng)}")
@@ -295,6 +289,7 @@ def measure_ber(cfg: ModemConfig, n_bits: int) -> float:
     generator from block to block, so the rate is exactly that of one call
     over the whole row while memory stays bounded by the block size.
     """
+    check_type("cfg", cfg, ModemConfig)
     check_int("n_bits", n_bits, 1)
     bit_ss, noise_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     bit_rng = np.random.default_rng(bit_ss)

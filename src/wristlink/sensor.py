@@ -12,6 +12,7 @@ below.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import lt
@@ -79,6 +80,27 @@ def check_int(name: str, value, lo: int | None = None, hi: int | None = None) ->
         raise ValueError(f"{name} must be an integer{span}, got {value!r}")
 
 
+def check_number(name: str, value, lo: float, hi: float | None = None, above: bool = False) -> None:
+    """Raise ValueError naming the field and the value unless value is a
+    finite int or float (float subclasses such as np.float64 included) in
+    lo..hi, or above lo when `above`, hi None being open. This is the one
+    number rule of the config floats: a bool, a NumPy bool, a string, None,
+    a NaN or an infinity never passes."""
+    top = sys.float_info.max if hi is None else hi
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and (lo < value if above else lo <= value) and value <= top):
+        span = f"{'(' if above else '['}{lo}, {'inf)' if hi is None else f'{hi}]'}"
+        raise ValueError(f"{name} must be a finite number in {span}, got {value!r}")
+
+
+def check_type(name: str, value, cls):
+    """value, after raising ValueError naming the parameter and the type
+    unless it is a cls. This is the one type rule of typed parameters."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def check_rows(name: str, values, dtype=None) -> np.ndarray:
     """values as an array holding one row (1-D) or a block of rows (2-D),
     an iterable other than an array being read whole first. This is the one
@@ -138,12 +160,6 @@ def check_samples(name: str, samples) -> tuple[AccelSample, ...]:
         if not isinstance(s, AccelSample):
             raise ValueError(f"{name} must be AccelSample, got {type(s).__name__}")
     return samples
-
-
-def check_trace(name: str, trace) -> None:
-    """Raise ValueError naming the parameter and the type unless trace is a Trace."""
-    if not isinstance(trace, Trace):
-        raise ValueError(f"{name} must be a Trace, got {type(trace).__name__}")
 
 
 # the slot setters of AccelSample, which build a view without a second check
@@ -313,7 +329,7 @@ def _read_rows(path: Path, body: str, label: GestureKind | None) -> Trace:
 
 def save_trace(trace: Trace, path) -> None:
     """Write a trace as CSV; reloading reproduces the samples exactly."""
-    check_trace("trace", trace)
+    check_type("trace", trace, Trace)
     path = Path(path)
     rows = [TRACE_HEADER, *map("{},{},{},{}".format, trace.t, trace.x, trace.y, trace.z)]
     path.write_text("\n".join(rows) + "\n", encoding="ascii")

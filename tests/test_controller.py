@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 from collections import deque
 from dataclasses import replace
 from random import Random
@@ -19,7 +20,7 @@ from wristlink.framing import (
     deserialize,
     serialize,
 )
-from wristlink.link import LinkConfig, LinkSimulator
+from wristlink.link import ACQUIRING_MESSAGE, LinkConfig, LinkSimulator
 from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
 from wristlink.sensor import (
     AccelSample,
@@ -722,6 +723,32 @@ class TestEventCoreMatchesPerSampleLoop:
             "[t=425] ACTION ON",
         ]
 
+    def test_one_group_places_the_announce_and_the_appliance_line(self):
+        # with a latency past the trace, the drain delivers every frame: the
+        # announce follows the group's first FRAME_DELIVERED line, and the
+        # APPLIANCE line follows the ACTION line whose action switched it
+        result = run_pipeline(
+            vertical_trace(3, seed=1),
+            link_cfg=LinkConfig(latency=1000),
+            profile=CalibrationProfile(window_size=1, debounce_n=1),
+            pir_at=0,
+        )
+        assert [line.split(" mode=")[0] for line in result.log[3:]] == [
+            "[t=0] PIR TRIGGERED",
+            "[t=0] FRAME_SENT frame=0",
+            "[t=20] FRAME_SENT frame=1",
+            "[t=40] FRAME_SENT frame=2",
+            "[t=1000] FRAME_DELIVERED frame=0",
+            "[t=1000] ACQUIRE_ANNOUNCED",
+            ACQUIRING_MESSAGE,
+            "[t=1020] FRAME_DELIVERED frame=1",
+            "[t=1040] FRAME_DELIVERED frame=2",
+            "[t=1000] ACTION ON",
+            "[t=1000] APPLIANCE light -> ON",
+            "[t=1020] ACTION ON",
+            "[t=1040] ACTION ON",
+        ]
+
 
 class TestMetamorphicRelations:
     """Relations between two runs, compared exactly."""
@@ -767,6 +794,99 @@ class TestMetamorphicRelations:
             for seed in modem_seeds
         )
         assert first == second
+
+    # the pipelines the three relations below draw: latency, trigger kind,
+    # window and sigma span the settings where the log's order could part
+    PIPELINES = dict(
+        gaps=st.lists(st.integers(1, 40), min_size=1, max_size=45),
+        start=st.integers(0, 100),
+        latency=st.sampled_from([0, 1, 10, 45]),
+        pir_case=st.sampled_from(PIR_CASES),
+        window=st.sampled_from([1, 3, 16]),
+        debounce=st.sampled_from([1, 2]),
+        sigma=st.sampled_from([0.0, 0.8]),
+        seed=st.integers(0, 2**32),
+    )
+
+    @staticmethod
+    def pipeline(gaps, start, latency, pir_case, window, debounce, sigma, seed):
+        """A trace and the keyword arguments of one run_pipeline call on it."""
+        times = [start]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        if pir_case == "between" and max(gaps) < 2:
+            pir_case = "past_drain"
+        rng = Random(seed)
+        trace = gesture_trace(times, rng.randint(0, len(times)), seed % 1000)
+        return trace, dict(
+            profile=CalibrationProfile(window_size=window, debounce_n=debounce),
+            link_cfg=LinkConfig(
+                loss_probability=rng.choice([0.0, 0.3]), latency=latency, seed=seed
+            ),
+            modem_cfg=ModemConfig(noise_sigma=sigma, seed=seed),
+            pir_at=pir_time(pir_case, times, latency, rng),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(shift=st.sampled_from([1, 7, 1000, 2**64]), **PIPELINES)
+    def test_time_translation_raises_every_time_by_the_shift(self, shift, **pipeline):
+        # the log is ordered by step, never by time: adding c to every sample
+        # time and to pir_at adds c to every [t=...] after the header, even
+        # where the times pass 2**64, and changes nothing else
+        trace, kwargs = self.pipeline(**pipeline)
+        base = run_pipeline(trace, **kwargs)
+        pir_at = kwargs["pir_at"]
+        moved = run_pipeline(
+            Trace.from_columns([t + shift for t in trace.t], trace.x, trace.y, trace.z),
+            **{**kwargs, "pir_at": None if pir_at is None else pir_at + shift},
+        )
+
+        def raised(line):
+            stamp = re.match(r"\[t=(\d+)\]", line)
+            return line if stamp is None else f"[t={int(stamp[1]) + shift}]{line[stamp.end():]}"
+
+        assert moved.log[:3] == base.log[:3]
+        assert moved.log[3:] == [raised(line) for line in base.log[3:]]
+        assert moved.actions == [(t + shift, action) for t, action in base.actions]
+        assert replace(moved, log=None, actions=None) == replace(base, log=None, actions=None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**PIPELINES)
+    def test_more_loss_loses_a_superset_of_frames(self, **pipeline):
+        # with one link seed each frame meets the same loss draw, so a higher
+        # loss_probability drops every frame a lower one drops
+        trace, kwargs = self.pipeline(**pipeline)
+        link_cfg = kwargs["link_cfg"]
+        low, high = (
+            run_pipeline(trace, **{**kwargs, "link_cfg": replace(link_cfg, loss_probability=p)})
+            for p in (0.2, 0.5)
+        )
+
+        def lost(result):
+            frames = map(re.compile(r".* FRAME_LOST frame=(\d+)$").match, result.log)
+            return {int(frame[1]) for frame in frames if frame}
+
+        assert lost(low) <= lost(high)
+        assert len(lost(high)) == high.frames_lost
+        assert high.frames_sent == low.frames_sent
+
+    @settings(max_examples=60, deadline=None)
+    @given(latencies=st.lists(st.sampled_from([0, 1, 10, 45, 10**4]), min_size=2, max_size=2),
+           **PIPELINES)
+    def test_latency_moves_only_time(self, latencies, **pipeline):
+        # armed from the start, the controller sees the same deliveries in the
+        # same order whatever the latency, so only the times of its actions move
+        trace, kwargs = self.pipeline(**pipeline)
+        link_cfg = kwargs["link_cfg"]
+        first, second = (
+            run_pipeline(
+                trace, **{**kwargs, "pir_at": 0, "link_cfg": replace(link_cfg, latency=latency)}
+            )
+            for latency in latencies
+        )
+        assert first.frames_delivered == second.frames_delivered
+        assert first.powered == second.powered
+        assert [a for _, a in first.actions] == [a for _, a in second.actions]
 
 
 class TestIntegerEdges:

@@ -2,6 +2,7 @@ import math
 import re
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -193,6 +194,20 @@ class TestAcquiring:
             ACQUIRING_MESSAGE,
         ]
 
+    def test_announce_follows_the_first_of_several_deliveries(self):
+        sim = started_sim(latency=10)
+        for z in (270, 271, 272):
+            sim.transmit_sample(sample(z))
+        block = sim.run_until(10)
+        assert block.frame_id == [0, 1, 2] and block.announced
+        assert sim.log[-5:] == [
+            "[t=10] FRAME_DELIVERED frame=0 mode=ACC x=100 y=200 z=270",
+            "[t=10] ACQUIRE_ANNOUNCED",
+            ACQUIRING_MESSAGE,
+            "[t=10] FRAME_DELIVERED frame=1 mode=ACC x=100 y=200 z=271",
+            "[t=10] FRAME_DELIVERED frame=2 mode=ACC x=100 y=200 z=272",
+        ]
+
 
 class TestRunUntil:
     def test_no_pending_frames_no_events(self):
@@ -322,9 +337,10 @@ def test_latency_must_be_plain_int(latency):
         LinkConfig(latency=latency)
 
 
-@pytest.mark.parametrize("loss", [True, False])
+@pytest.mark.parametrize("loss", [True, False, np.True_, "0.1", None])
 def test_loss_probability_is_not_a_bool(loss):
-    # True would lose every frame, False none
+    # True would lose every frame, False none; np.True_ would run at 1.0,
+    # and a string or None is no probability
     with pytest.raises(ValueError, match="loss_probability"):
         LinkConfig(loss_probability=loss)
 

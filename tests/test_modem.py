@@ -99,10 +99,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             ModemConfig(**{name: value})
 
-    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None])
     @pytest.mark.parametrize("name", ["channel_attenuation", "noise_sigma"])
     def test_bool_values_rejected(self, name, value):
-        # noise_sigma=True would run at sigma 1, attenuation=True at gain 1
+        # noise_sigma=True would run at sigma 1, attenuation=True at gain 1,
+        # and so would np.True_; a string or None is no channel quantity
         with pytest.raises(ValueError, match=name):
             ModemConfig(**{name: value})
 

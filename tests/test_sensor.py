@@ -12,9 +12,16 @@ from hypothesis import strategies as st
 
 from wristlink import sensor
 
-from wristlink.classify import Action, CalibrationProfile, classify_window
+from wristlink.classify import (
+    Action,
+    CalibrationProfile,
+    classify_window,
+    classify_windows,
+    save_profile,
+)
 from wristlink.demo import DEMO_NAMES, demo_csv_path, demo_trace
 from wristlink.framing import CodecFrame, WatchMode
+from wristlink.modem import ModemConfig, channel_apply, measure_ber
 from wristlink.sensor import (
     HORIZONTAL_Y_COUNTS,
     HORIZONTAL_Y_RANGE,
@@ -553,3 +560,26 @@ def test_demo_trace_is_the_labeled_csv(name, label):
 def test_unknown_demo_name_rejected():
     with pytest.raises(ValueError, match="unknown demo trace"):
         demo_trace("sideways")
+
+
+_CFG, _PROFILE = "cfg must be a ModemConfig", "profile must be a CalibrationProfile"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda bad, path: measure_ber(bad, 10), _CFG),
+        (lambda bad, path: channel_apply(np.zeros(16), bad), _CFG),
+        (lambda bad, path: classify_windows([1, 2], [3, 4], bad), _PROFILE),
+        (lambda bad, path: classify_window([AccelSample(0, 1, 2, 3)], bad), _PROFILE),
+        (lambda bad, path: save_profile(bad, path), _PROFILE),
+    ],
+    ids=["measure_ber", "channel_apply", "classify_windows", "classify_window", "save_profile"],
+)
+def test_typed_parameter_rejects_another_type_naming_it(call, message, tmp_path):
+    # the one type rule, sensor.check_type: a dict of the right fields is
+    # still no config, and fails with a ValueError, not an AttributeError
+    path = tmp_path / "profile.json"
+    with pytest.raises(ValueError, match=f"^{message}, got dict$"):
+        call({"noise_sigma": 0.5, "window_size": 1}, path)
+    assert not path.exists()
