@@ -61,10 +61,10 @@ class HomeController:
     Arming is sticky: once triggered, the controller stays armed.
     """
 
-    def __init__(self, log: list[str] | None = None):
+    def __init__(self):
         self.armed = False
         self.powered = False
-        self.log = log if log is not None else []
+        self.log: list[str] = []
 
     def pir_trigger(self, t: int) -> None:
         """Arm the controller; re-triggering keeps it armed."""

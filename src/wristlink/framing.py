@@ -14,15 +14,15 @@ The codec works on one frame or on a block of frames. A frame block is an
 (n, 48) array of 0/1 bits, one frame per row. One frame is the same
 computation on plain ints: `serialize` of a CodecFrame gives a list of 48
 ints, and `deserialize` of one 48-bit sequence gives a CodecFrame or
-raises. The CRC is table-driven (Sarwate, "Computation of CRCs via table
-look-up", CACM 1988) and detects every single-bit corruption of the
-protected region.
+raises. The CRC detects every single-bit corruption of the protected
+region.
 
 Encoding is a few field-table lookups. With zero init and no final xor the
 CRC is linear over GF(2): the CRC of an xor of words is the xor of their
 CRCs. The fields fill disjoint bits of the protected word, so a frame's CRC
 is the xor of the CRCs of its four fields each taken alone, and one table
-per field, built at import, holds those for every value. A frame's wire
+per field, built at import from the CRCs of the field's bits each set
+alone, holds those for every value. A frame's wire
 bits are likewise the bits of its head (sync, then mode tag), of its three
 axis values and of its CRC byte, each read from a table. One frame joins
 them as bytes, a block gathers them as arrays, and `deserialize` checks a
@@ -46,25 +46,6 @@ PAYLOAD_BITS = 3 * AXIS_BITS
 CRC_BITS = 8
 FRAME_BITS = SYNC_BITS + MODE_BITS + PAYLOAD_BITS + CRC_BITS
 CRC8_POLY = 0x07
-
-
-def _crc8_table() -> tuple[int, ...]:
-    # The CRC is linear, so the entry of a byte is the xor of the entries of
-    # its set bits: the table doubles once per bit, lowest bit first. Byte 1
-    # is x**8 mod the polynomial, its low byte CRC8_POLY, and each higher
-    # bit's entry is the one below it shifted through one division step.
-    table, bit_crc = [0], CRC8_POLY
-    for _ in range(8):
-        table += [entry ^ bit_crc for entry in table]
-        bit_crc = ((bit_crc << 1) ^ CRC8_POLY) & 0xFF if bit_crc & 0x80 else bit_crc << 1
-    return tuple(table)
-
-
-# CRC8_TABLE[b] is the CRC-8 of the single byte b. Plain ints index the
-# tuple; _protected_crc's word arrays index the same table as an int64
-# array, so that its entries mix with wide words without overflow.
-CRC8_TABLE = _crc8_table()
-_CRC8_ARRAY = np.array(CRC8_TABLE, dtype=np.int64)
 
 # shift placing each frame-block column (mode, x, y, z) in the 32-bit
 # protected word, and the largest value each column may hold
@@ -137,20 +118,6 @@ def _acc_frame_view(x: int, y: int, z: int) -> CodecFrame:
     return frame
 
 
-def _protected_crc(protected):
-    """CRC-8 of 32-bit protected word(s) over their four bytes, most
-    significant first: poly 0x07, init 0x00, no reflection, no final xor.
-
-    An int64 array of words walks the table as an array and gives one CRC
-    per word.
-    """
-    table = _CRC8_ARRAY if isinstance(protected, np.ndarray) else CRC8_TABLE
-    crc = 0
-    for shift in (24, 16, 8, 0):
-        crc = table[crc ^ ((protected >> shift) & 0xFF)]
-    return crc
-
-
 def _bit_table(values: np.ndarray, width: int) -> np.ndarray:
     """The width-bit binary digits of each value below 2**16, most
     significant first, one uint8 row per value."""
@@ -165,24 +132,40 @@ def _row_bytes(table: np.ndarray) -> tuple[bytes, ...]:
     return struct.Struct(f"{width}s" * rows).unpack(table.tobytes())
 
 
-# The field tables (see the module docstring). _FIELD_CRC[c][v] is the CRC
-# of value v alone in column c at its shift, from one CRC pass over every
-# value at every shift, each row then cut to its column's range. The wire
-# bits are the 10-bit head of each mode, the 10 bits of each axis value and
-# the 8 of each CRC byte. Blocks read arrays, one frame lists and bytes.
+def _field_crcs() -> list[list[int]]:
+    """The CRC of every value of each frame-block column alone at its shift
+    in the protected word. Protected bit k alone has the CRC x**(8 + k) mod
+    the polynomial: bit 0's is CRC8_POLY, and each higher bit's is the one
+    below it shifted through one division step. A column's table doubles
+    once per bit of the column, lowest first, the new half being the old
+    one xored with that bit's CRC."""
+    bit_crcs = [CRC8_POLY]
+    while len(bit_crcs) < MODE_BITS + PAYLOAD_BITS:
+        crc = bit_crcs[-1]
+        bit_crcs.append(((crc << 1) ^ CRC8_POLY) & 0xFF if crc & 0x80 else crc << 1)
+    tables = []
+    for shift, top in zip(_FIELD_SHIFTS.tolist(), _FIELD_MAX.tolist()):
+        table = [0]
+        for bit_crc in bit_crcs[shift : shift + top.bit_length()]:
+            table += [entry ^ bit_crc for entry in table]
+        tables.append(table)
+    return tables
+
+
+# The field tables (see the module docstring). _MODE_CRC[v] (and the axes
+# alike) is the CRC of value v alone in its column, and _FIELD_CRC holds the
+# four as uint8 arrays. The wire bits are the 10-bit head of each mode, the
+# 10 bits of each axis value and the 8 of each CRC byte. Blocks read arrays,
+# one frame lists and bytes.
+_MODE_CRC, _X_CRC, _Y_CRC, _Z_CRC = _field_crcs()
 _FIELD_CRC = tuple(
-    row[: top + 1].astype(np.uint8)
-    for row, top in zip(
-        _protected_crc(np.arange(COUNT_MAX + 1, dtype=np.int64) << _FIELD_SHIFTS[:, None]),
-        _FIELD_MAX.tolist(),
-    )
+    np.array(table, dtype=np.uint8) for table in (_MODE_CRC, _X_CRC, _Y_CRC, _Z_CRC)
 )
 _HEAD_BITS = _bit_table(
     SYNC_PATTERN << MODE_BITS | np.arange(1 << MODE_BITS), SYNC_BITS + MODE_BITS
 )
 _AXIS_BITS = _bit_table(np.arange(COUNT_MAX + 1), AXIS_BITS)
 _BYTE_BITS = _bit_table(np.arange(1 << CRC_BITS), CRC_BITS)
-_MODE_CRC, _X_CRC, _Y_CRC, _Z_CRC = (column.tolist() for column in _FIELD_CRC)
 _HEAD_WIRE, _AXIS_WIRE, _BYTE_WIRE = map(_row_bytes, (_HEAD_BITS, _AXIS_BITS, _BYTE_BITS))
 
 

@@ -150,14 +150,14 @@ class LinkBlock(NamedTuple):
 class LinkSimulator:
     """Single-owner discrete-event simulation of the watch/access-point link.
 
-    All mutation goes through this object, and its history is `log`: a list
-    that a caller may share with other stages, so one chronological,
-    newline-ready log accumulates across a run of one-frame calls.
+    All mutation goes through this object, and its history is `log`, the
+    chronological, newline-ready lines of its own events across a run of
+    one-frame calls.
     """
 
-    def __init__(self, cfg: LinkConfig | None = None, log: list[str] | None = None):
+    def __init__(self, cfg: LinkConfig | None = None):
         self.cfg = LinkConfig() if cfg is None else check_type("cfg", cfg, LinkConfig)
-        self.log = log if log is not None else []
+        self.log: list[str] = []
         self.now = 0
         self.ap_state = AccessPointState.NOT_STARTED
         self.watch_mode = WatchMode.IDLE

@@ -97,7 +97,8 @@ def check_type(name: str, value, cls):
     """value, after raising ValueError naming the parameter and the type
     unless it is a cls. This is the one type rule of typed parameters."""
     if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -154,11 +155,12 @@ class AccelSample:
 
 def check_samples(name: str, samples) -> tuple[AccelSample, ...]:
     """samples as a tuple, after raising ValueError naming the parameter and
-    the type of the first item that is not an AccelSample."""
+    the type of the first item that is not an AccelSample, in check_type's
+    words."""
     samples = tuple(samples)
     for s in samples:
         if not isinstance(s, AccelSample):
-            raise ValueError(f"{name} must be AccelSample, got {type(s).__name__}")
+            check_type(f"{name} item", s, AccelSample)
     return samples
 
 

@@ -73,7 +73,7 @@ class TestWindowMean:
             window_mean(ON_WINDOW, "w")
 
     def test_non_sample_rejected_naming_its_type(self):
-        with pytest.raises(ValueError, match="^window samples must be AccelSample, got int$"):
+        with pytest.raises(ValueError, match="^window samples item must be an AccelSample, got int$"):
             window_mean([1, 2], "z")
 
     def test_mean_is_exact_not_rounded(self):
@@ -131,7 +131,7 @@ class TestClassifyWindow:
             classify_window(ON_WINDOW, profile)
 
     def test_non_sample_rejected_naming_its_type(self):
-        with pytest.raises(ValueError, match="^window samples must be AccelSample, got int$"):
+        with pytest.raises(ValueError, match="^window samples item must be an AccelSample, got int$"):
             classify_window([1] * 16, CalibrationProfile())
 
     def test_permutation_invariant(self):

@@ -470,9 +470,9 @@ def per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=0, profile=None):
     over the scalar link calls: advance to the sample's time, consuming the
     deliveries due, then send its frame."""
     profile = profile if profile is not None else CalibrationProfile()
-    log = []
-    sim = LinkSimulator(link_cfg, log=log)
-    ctrl = HomeController(log=log)
+    sim, ctrl = LinkSimulator(link_cfg), HomeController()
+    # one chronological log: the controller appends to the link's list
+    log = ctrl.log = sim.log
     gate = Debouncer(profile.debounce_n)
     window = deque(maxlen=profile.window_size)
     actions = []
@@ -887,6 +887,99 @@ class TestMetamorphicRelations:
         assert first.frames_delivered == second.frames_delivered
         assert first.powered == second.powered
         assert [a for _, a in first.actions] == [a for _, a in second.actions]
+
+
+class TestGateModel:
+    """run_pipeline's PIR gate and debouncer against a plain model: the
+    model reads only which frames the log delivers, and when, and replays
+    the gate rules one delivery at a time."""
+
+    @staticmethod
+    def model(trace, delivered, profile, latency, pir_at):
+        """The ACTION, PIR TRIGGERED and APPLIANCE lines in log order, the
+        emitted actions and the final power state, for deliveries given as
+        (due time, sample index) in delivery order."""
+        fires = pir_at is not None and pir_at <= trace.t[-1] + latency
+        # the same-tick rule: a delivery due by pir_at of a frame sent before
+        # it is consumed before the trigger
+        before = sum(due <= pir_at and trace.t[i] < pir_at for due, i in delivered) if fires else 0
+        lines, actions = [], []
+        armed = powered = False
+        run, run_len, last = None, 0, None
+        window = deque(maxlen=profile.window_size)
+        for d, (due, i) in enumerate(delivered):
+            if fires and not armed and d == before:
+                armed, run, run_len, last = True, None, 0, None  # a fresh debouncer
+                lines.append(f"[t={pir_at}] PIR TRIGGERED")
+            window.append(AccelSample(t=due, x=trace.x[i], y=trace.y[i], z=trace.z[i]))
+            if len(window) < profile.window_size:
+                continue
+            verdict = classify_window(window, profile)
+            lines.append(f"[t={due}] ACTION {verdict.value}")
+            if verdict is Action.DO_NOTHING:
+                run, run_len = None, 0
+                continue
+            run, run_len = verdict, run_len + 1 if verdict is run else 1
+            if run_len < profile.debounce_n or verdict is last:
+                continue
+            last = verdict
+            actions.append((due, verdict))  # recorded armed or not
+            if armed and powered is not (verdict is Action.ON):
+                powered = verdict is Action.ON
+                lines.append(f"[t={due}] APPLIANCE light -> {verdict.value}")
+        if fires and not armed:  # the trigger follows every verdict
+            lines.append(f"[t={pir_at}] PIR TRIGGERED")
+        return lines, actions, powered
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(st.sampled_from(list(GestureKind)), st.integers(1, 12)),
+            min_size=1,
+            max_size=5,
+        ),
+        gap=st.sampled_from([1, 20]),
+        latency=st.sampled_from([0, 1, 20, 45, 10**4]),
+        loss=st.sampled_from([0.0, 0.3]),
+        pir_case=st.sampled_from(PIR_CASES),
+        window=st.sampled_from([1, 2, 3, 8]),
+        debounce=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_gate_matches_the_model(
+        self, segments, gap, latency, loss, pir_case, window, debounce, seed
+    ):
+        samples = [
+            s
+            for k, (kind, n) in enumerate(segments)
+            for s in generate_gesture(kind, n, seed=seed % 1000 + k).samples
+        ]
+        times = [k * gap for k in range(len(samples))]
+        if pir_case == "between" and (gap < 2 or len(times) < 2):
+            pir_case = "delivery"
+        trace = Trace.from_columns(
+            times, [s.x for s in samples], [s.y for s in samples], [s.z for s in samples]
+        )
+        profile = CalibrationProfile(window_size=window, debounce_n=debounce)
+        pir_at = pir_time(pir_case, times, latency, Random(seed))
+        result = run_pipeline(
+            trace,
+            profile=profile,
+            link_cfg=LinkConfig(loss_probability=loss, latency=latency, seed=seed),
+            pir_at=pir_at,
+        )
+        # at sigma 0 every frame is sent, so frame k carries sample k
+        delivered = [
+            (int(m[1]), int(m[2]))
+            for m in map(re.compile(r"\[t=(\d+)\] FRAME_DELIVERED frame=(\d+) ").match, result.log)
+            if m
+        ]
+        assert [due for due, _ in delivered] == [times[i] + latency for _, i in delivered]
+        lines, actions, powered = self.model(trace, delivered, profile, latency, pir_at)
+        gated = re.compile(r"\[t=\d+\] (ACTION|PIR|APPLIANCE) ")
+        assert [line for line in result.log if gated.match(line)] == lines
+        assert result.actions == actions
+        assert result.powered is powered
 
 
 class TestIntegerEdges:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wristlink.framing import (
-    CRC8_TABLE,
     FRAME_BITS,
     SYNC_BITS,
     SYNC_PATTERN,
@@ -29,7 +28,6 @@ from wristlink.framing import (
     _Y_CRC,
     _Z_CRC,
     _acc_frame_view,
-    _protected_crc,
     deserialize,
     serialize,
 )
@@ -62,21 +60,21 @@ def bitwise_crc8(data: bytes) -> int:
 
 def test_crc8_known_vector():
     # standard check value for this polynomial over ascii "123456789": it
-    # pins the reference that the table and the codec's CRC are held to
+    # pins the reference that the codec's field tables are held to
     assert bitwise_crc8(b"123456789") == 0xF4
 
 
-def test_crc8_table_matches_bitwise_definition():
-    assert len(CRC8_TABLE) == 256
-    for byte in range(256):
-        assert CRC8_TABLE[byte] == bitwise_crc8(bytes([byte]))
+def test_field_tables_give_each_word_s_crc():
+    # the codec's CRC of a 32-bit protected word is the xor of its four
+    # field-table entries: checked on random words against the bit-by-bit CRC
     words = np.random.default_rng(8).integers(0, 256, (10_000, 4), dtype=np.uint8)
     expected = [bitwise_crc8(bytes(w)) for w in words.tolist()]
-    # the frame codec's CRC of 32-bit protected words, one word as an int
-    # and a block of words as an int64 array
     protected = [int.from_bytes(bytes(w), "big") for w in words.tolist()]
-    assert [_protected_crc(p) for p in protected] == expected
-    assert _protected_crc(np.array(protected, dtype=np.int64)).tolist() == expected
+    got = [
+        _MODE_CRC[p >> 30] ^ _X_CRC[p >> 20 & 1023] ^ _Y_CRC[p >> 10 & 1023] ^ _Z_CRC[p & 1023]
+        for p in protected
+    ]
+    assert got == expected
 
 
 # each field's shift in the 32-bit protected word, and its width
@@ -337,7 +335,7 @@ def crc_weight_distribution() -> list[int]:
     Krawtchouk polynomial K_w(weight of the dual word) (MacWilliams &
     Sloane, The Theory of Error-Correcting Codes, ch. 5).
     """
-    columns = [_protected_crc(1 << k) for k in range(32)]
+    columns = [bitwise_crc8((1 << k).to_bytes(4, "big")) for k in range(32)]
     dual = [0] * (CRC_COVERED + 1)
     for s in range(256):
         dual[bin(s).count("1") + sum(bin(s & c).count("1") & 1 for c in columns)] += 1

@@ -75,7 +75,7 @@ def test_trace_requires_increasing_timestamps():
 def test_trace_holds_only_accel_samples():
     # a look-alike's float time would reach the link unchecked
     look_alike = SimpleNamespace(t=0.5, x=1, y=2, z=3)
-    with pytest.raises(ValueError, match="^trace samples must be AccelSample, got SimpleNamespace$"):
+    with pytest.raises(ValueError, match="^trace samples item must be an AccelSample, got SimpleNamespace$"):
         Trace((AccelSample(t=0, x=1, y=2, z=3), look_alike))
 
 
