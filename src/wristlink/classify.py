@@ -6,7 +6,9 @@ off band turns it OFF, else DO NOTHING. A window of w samples is compared
 on its integer axis sum, lo*w <= sum <= hi*w, which is the band test on the
 exact mean, so boundary values are unambiguous. `classify_windows` gives
 the verdict of every window sliding over a sequence at once, from
-differences of the axis cumsums; `classify_window` is its one-window use.
+differences of the cumsums of its z and y columns (sensor.check_int_array);
+`classify_window` is its one-window use, and `wristlink classify` prints
+every w-th verdict, that of each back-to-back window.
 A debounce stage requires N consecutive identical verdicts before acting.
 """
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sensor import COUNT_MAX, COUNT_MIN, GestureKind, Trace, check_int, check_samples, check_type
+from .sensor import COUNT_MAX, GestureKind, Trace, check_int, check_int_array, check_samples, check_type
 
 # Factory default decision bands (raw z / y window means), window length,
 # and consecutive-verdict count.
@@ -93,22 +95,17 @@ def window_mean(samples, axis: str) -> Fraction:
 def classify_windows(z, y, profile: CalibrationProfile) -> list[Action]:
     """Verdict of every full window sliding over equal-length integer z and
     y count sequences: verdict k is that of items k..k+w-1, for the
-    profile's window size w. Each count must be a raw count in
-    COUNT_MIN..COUNT_MAX, so the int64 running sums cannot wrap."""
+    profile's window size w. Each column passes sensor.check_int_array as
+    raw counts in 0..COUNT_MAX, so the int64 running sums cannot wrap."""
     check_type("profile", profile, CalibrationProfile)
     w = profile.window_size
-    columns = [np.asarray(values) for values in (z, y)]
-    for name, column in zip("zy", columns):
-        # bool is not a NumPy integer kind, and a float sum would not be
-        # exact; an empty list reads as float64 but holds no count
-        if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
-            raise ValueError(
-                f"{name} must be a 1-D integer sequence,"
-                f" got {column.dtype} of shape {column.shape}"
-            )
-        bad = column[(column < COUNT_MIN) | (column > COUNT_MAX)]
-        if bad.size:
-            raise ValueError(f"{name} counts must lie in {COUNT_MIN}..{COUNT_MAX}, got {bad[0]}")
+    columns = []
+    for name, values in zip("zy", (z, y)):
+        column = np.asarray(values)
+        if column.ndim != 1:
+            shape = f"{column.dtype} of shape {column.shape}"
+            raise ValueError(f"{name} must be a 1-D integer sequence, got {shape}")
+        columns.append(check_int_array(f"{name} counts", column, COUNT_MAX))
     n = len(columns[0])
     if len(columns[1]) != n:
         raise ValueError(f"z has {n} counts but y has {len(columns[1])}")

@@ -21,10 +21,9 @@ import numpy as np
 from .classify import (
     CalibrationProfile,
     calibrate,
-    classify_window,
+    classify_windows,
     load_profile,
     save_profile,
-    window_mean,
 )
 from .controller import run_pipeline
 from .demo import DEMO_NAMES, demo_trace
@@ -316,15 +315,11 @@ def cmd_classify(o) -> int:
         raise _UsageError(
             f"trace has {len(trace)} samples, shorter than one window of {w}"
         )
-    for i in range(len(trace) // w):
-        win = trace.samples[i * w : (i + 1) * w]
-        z_mean = float(window_mean(win, "z"))
-        y_mean = float(window_mean(win, "y"))
-        verdict = classify_window(win, profile)
-        print(
-            f"window {i}: z_mean={z_mean:.2f} y_mean={y_mean:.2f}"
-            f" action={verdict.value}"
-        )
+    # sliding verdict k covers samples k..k+w-1; a mean is one correctly rounded division
+    for i, verdict in enumerate(classify_windows(trace.z, trace.y, profile)[::w]):
+        window = slice(i * w, (i + 1) * w)
+        z_mean, y_mean = sum(trace.z[window]) / w, sum(trace.y[window]) / w
+        print(f"window {i}: z_mean={z_mean:.2f} y_mean={y_mean:.2f} action={verdict.value}")
     return EXIT_OK
 
 

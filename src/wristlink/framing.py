@@ -11,7 +11,8 @@ Wire layout, most significant bit first:
 
 The codec works on one frame or on a block of frames. A frame block is an
 (n, 4) integer array whose rows are (mode, x, y, z); its wire form is an
-(n, 48) array of 0/1 bits, one frame per row. One frame is the same
+(n, 48) array of 0/1 bits, one frame per row; each of its columns passes
+`sensor.check_int_array` within its wire range. One frame is the same
 computation on plain ints: `serialize` of a CodecFrame gives a list of 48
 ints, and `deserialize` of one 48-bit sequence gives a CodecFrame or
 raises. The CRC detects every single-bit corruption of the protected
@@ -30,13 +31,12 @@ frame's CRC against the one the same tables give for its decoded fields.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .sensor import COUNT_MAX, check_counts, check_int, check_rows
+from .sensor import COUNT_MAX, check_counts, check_int, check_int_array, check_rows
 
 SYNC_PATTERN = 0xA5
 SYNC_BITS = 8
@@ -47,8 +47,9 @@ CRC_BITS = 8
 FRAME_BITS = SYNC_BITS + MODE_BITS + PAYLOAD_BITS + CRC_BITS
 CRC8_POLY = 0x07
 
-# shift placing each frame-block column (mode, x, y, z) in the 32-bit
-# protected word, and the largest value each column may hold
+# the name of each frame-block column, the shift placing it in the 32-bit
+# protected word, and the largest value it may hold
+_FIELD_NAMES = ("mode", "x", "y", "z")
 _FIELD_SHIFTS = np.array([3 * AXIS_BITS, 2 * AXIS_BITS, AXIS_BITS, 0], dtype=np.int64)
 _FIELD_MAX = np.array([(1 << MODE_BITS) - 1, COUNT_MAX, COUNT_MAX, COUNT_MAX], dtype=np.int64)
 _BIT_SHIFTS = np.arange(FRAME_BITS - 1, -1, -1)  # wire bit i is word bit 47 - i
@@ -101,9 +102,7 @@ class CodecFrame:
 
 
 # the slot setters of CodecFrame, which build a view without a second check
-_SET_MODE, _SET_X, _SET_Y, _SET_Z = (
-    CodecFrame.__dict__[field].__set__ for field in ("mode", "x", "y", "z")
-)
+_SET_MODE, _SET_X, _SET_Y, _SET_Z = (CodecFrame.__dict__[field].__set__ for field in _FIELD_NAMES)
 _ACC = WatchMode.ACC  # bound once, so that no view looks the enum member up
 
 
@@ -123,13 +122,6 @@ def _bit_table(values: np.ndarray, width: int) -> np.ndarray:
     significant first, one uint8 row per value."""
     big_endian = values[:, None].astype(">u2").view(np.uint8)
     return np.ascontiguousarray(np.unpackbits(big_endian, axis=1)[:, 16 - width :])
-
-
-def _row_bytes(table: np.ndarray) -> tuple[bytes, ...]:
-    """The rows of a uint8 table, each as a bytes object."""
-    rows, width = table.shape
-    # a Struct of its own: struct.unpack would keep this one-off format cached
-    return struct.Struct(f"{width}s" * rows).unpack(table.tobytes())
 
 
 def _field_crcs() -> list[list[int]]:
@@ -166,7 +158,9 @@ _HEAD_BITS = _bit_table(
 )
 _AXIS_BITS = _bit_table(np.arange(COUNT_MAX + 1), AXIS_BITS)
 _BYTE_BITS = _bit_table(np.arange(1 << CRC_BITS), CRC_BITS)
-_HEAD_WIRE, _AXIS_WIRE, _BYTE_WIRE = map(_row_bytes, (_HEAD_BITS, _AXIS_BITS, _BYTE_BITS))
+_HEAD_WIRE, _AXIS_WIRE, _BYTE_WIRE = (
+    tuple(map(bytes, table)) for table in (_HEAD_BITS, _AXIS_BITS, _BYTE_BITS)
+)
 
 
 def _block_crc(fields: np.ndarray) -> np.ndarray:
@@ -180,8 +174,8 @@ def serialize(frames):
     """Encode frames into their 48-bit wire sequences.
 
     A CodecFrame gives one list of 48 ints. An (n, 4) integer frame block of
-    (mode, x, y, z) rows gives an (n, 48) uint8 array, one frame per row; a
-    non-integer dtype or a field outside its wire range raises ValueError.
+    (mode, x, y, z) rows gives an (n, 48) uint8 array, one frame per row;
+    each column passes sensor.check_int_array within its wire range.
     """
     if isinstance(frames, CodecFrame):
         mode, x, y, z = frames.mode, frames.x, frames.y, frames.z
@@ -191,11 +185,7 @@ def serialize(frames):
     fields = np.asarray(frames)
     if fields.ndim != 2 or fields.shape[1] != 4:
         raise ValueError(f"frame block must have shape (n, 4), got {fields.shape}")
-    # bool is not a NumPy integer type; a float block would be truncated
-    if not np.issubdtype(fields.dtype, np.integer):
-        raise ValueError(f"frame block must have an integer dtype, got {fields.dtype}")
-    if np.any((fields < 0) | (fields > _FIELD_MAX)):
-        raise ValueError("frame block field outside its wire range")
+    fields = np.column_stack([*map(check_int_array, _FIELD_NAMES, fields.T, _FIELD_MAX.tolist())])
     axes = _AXIS_BITS[fields[:, 1:]].reshape(len(fields), PAYLOAD_BITS)
     return np.concatenate([_HEAD_BITS[fields[:, 0]], axes, _BYTE_BITS[_block_crc(fields)]], axis=1)
 

@@ -4,7 +4,9 @@ Samples carry 10-bit ADC counts (0..1023) at a default 50 Hz rate. A Trace
 holds its samples as four columns of plain ints (t, x, y, z), checked once
 as columns; an AccelSample is one row. Traces round-trip through a plain
 CSV format, which load_trace reads in one pass over the whole file, falling
-back to a row-by-row read only to name the line of a bad row. A seeded
+back to a row-by-row read only to name the line of a bad row, with the
+column check's error. The check_* functions are the library's value rules,
+check_int_array the one for NumPy integer columns. A seeded
 generator synthesizes the three wrist gestures the classifier
 distinguishes, with per-axis statistics matched to the reference captures
 below.
@@ -113,6 +115,22 @@ def check_rows(name: str, values, dtype=None) -> np.ndarray:
     if rows.ndim not in (1, 2):
         raise ValueError(f"{name} must be a 1-D row or a 2-D block, got shape {rows.shape}")
     return rows
+
+
+def check_int_array(name: str, values, hi: int) -> np.ndarray:
+    """values as an array, after raising ValueError naming the column and
+    its first bad entry unless it has an integer dtype (not bool, float or
+    object) and every entry lies in 0..hi; an empty one of any dtype passes,
+    as int64. This is the one integer rule of NumPy columns."""
+    column = np.asarray(values)
+    if not column.size:
+        return column.astype(np.int64)
+    if column.dtype.kind not in "iu":
+        raise ValueError(f"{name} must have an integer dtype, got {column.dtype} {column.flat[0]}")
+    bad = column[(column < 0) | (column > hi)]
+    if bad.size:
+        raise ValueError(f"{name} must lie in 0..{hi}, got {bad[0]}")
+    return column
 
 
 def check_counts(x: int, y: int, z: int) -> None:
@@ -309,8 +327,7 @@ def _read_columns(body: str, label: GestureKind | None) -> Trace | None:
 def _read_rows(path: Path, body: str, label: GestureKind | None) -> Trace:
     """The trace of body, its data rows each ending in \\n, read row by row:
     the first bad row raises TraceFormatError naming its line."""
-    samples = []
-    prev_t = -1
+    rows = []
     for row, line in enumerate(body.split("\n")[:-1], start=1):
         match = _TRACE_ROW.fullmatch(line)
         if match is None:
@@ -319,14 +336,12 @@ def _read_rows(path: Path, body: str, label: GestureKind | None) -> Trace:
             )
         # int() raises ValueError on a field past sys.get_int_max_str_digits()
         try:
-            t, x, y, z = map(int, match.groups())
-            if t <= prev_t:
-                raise ValueError(f"t_ms {t} not greater than previous {prev_t}")
-            samples.append(AccelSample(t, x, y, z))
+            rows.append(tuple(map(int, match.groups())))
+            # the row before passed, so only this row can fail
+            _check_columns(*zip(*rows[-2:]))
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {row}: {exc}") from None
-        prev_t = t
-    return Trace(tuple(samples), label=label)
+    return Trace([AccelSample(*row) for row in rows], label)
 
 
 def save_trace(trace: Trace, path) -> None:

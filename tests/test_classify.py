@@ -207,8 +207,8 @@ def test_sliding_windows_match_brute_force():
 @pytest.mark.parametrize(
     "z, y, message",
     [
-        ([1.5, 2.0], [1, 2], "^z must be a 1-D integer sequence, got float64"),
-        ([1, 2], [True, False], "^y must be a 1-D integer sequence, got bool"),
+        ([1.5, 2.0], [1, 2], "^z counts must have an integer dtype, got float64 1.5$"),
+        ([1, 2], [True, False], "^y counts must have an integer dtype, got bool True$"),
         ([[1, 2]], [[1, 2]], "^z must be a 1-D integer sequence, got int64 of shape"),
         ([1, 2, 3], [1, 2], "^z has 3 counts but y has 2"),
     ],

@@ -9,11 +9,17 @@ import pytest
 
 import wristlink
 from wristlink.cli import _FIELD_FLAGS, main
-from wristlink.classify import CalibrationProfile, load_profile, save_profile
+from wristlink.classify import (
+    CalibrationProfile,
+    classify_window,
+    load_profile,
+    save_profile,
+    window_mean,
+)
 from wristlink.controller import run_pipeline
 from wristlink.link import LinkConfig
 from wristlink.modem import ModemConfig, measure_ber
-from wristlink.sensor import GestureKind, generate_gesture, load_trace, save_trace
+from wristlink.sensor import GestureKind, Trace, generate_gesture, load_trace, save_trace
 
 
 def run(capsys, *argv):
@@ -362,13 +368,25 @@ class TestClassify:
         assert "shorter" in err
 
     def test_multiple_windows_one_line_each(self, tmp_path, capsys):
+        # three 20-sample gestures read in back-to-back windows of 7, some
+        # straddling two gestures: each line gives its window's exact means
+        # and verdict, as the one-window calls give them
+        parts = [generate_gesture(kind, 20, seed) for seed, kind in enumerate(GestureKind)]
+        columns = [sum((getattr(part, axis) for part in parts), ()) for axis in "xyz"]
+        trace = Trace.from_columns(range(0, 60 * 20, 20), *columns)
         p = tmp_path / "t.csv"
-        save_trace(generate_gesture(GestureKind.VERTICAL_UP_DOWN, 48, 1), p)
-        code, out, _ = run(capsys, "classify", "--trace", str(p), "--window", "16")
-        lines = out.strip().splitlines()
+        save_trace(trace, p)
+        code, out, _ = run(capsys, "classify", "--trace", str(p), "--window", "7")
+        profile = CalibrationProfile(window_size=7)
+        want = []
+        for i in range(60 // 7):
+            win = trace.samples[i * 7 : (i + 1) * 7]
+            z_mean, y_mean = float(window_mean(win, "z")), float(window_mean(win, "y"))
+            verdict = classify_window(win, profile).value
+            want.append(f"window {i}: z_mean={z_mean:.2f} y_mean={y_mean:.2f} action={verdict}")
         assert code == 0
-        assert len(lines) == 3
-        assert all(l.startswith(f"window {i}:") for i, l in enumerate(lines))
+        assert out.splitlines() == want
+        assert {line.rsplit("=", 1)[1] for line in want} == {"ON", "OFF", "DO_NOTHING"}
 
 
 class TestCalibrate:

@@ -1,16 +1,19 @@
 """The one integer rule, `sensor.check_int`, at every library entry point
-that takes an integer.
+that takes an integer, and its array form, `sensor.check_int_array`, at
+every one that takes a NumPy integer column.
 
 A value passes only as a plain `int` (never a `bool`, a float or a NumPy
 integer) inside the entry point's range; anything else raises ValueError
-whose message names the parameter and the value.
+whose message names the parameter and the value. A column passes only with
+an integer dtype and every entry in range, or empty; anything else raises
+ValueError whose message names the column and its first bad entry.
 """
 import re
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wristlink.classify import (
@@ -18,10 +21,11 @@ from wristlink.classify import (
     CalibrationProfile,
     Debouncer,
     calibrate,
+    classify_windows,
     debounced_stream,
 )
 from wristlink.controller import HomeController, run_pipeline
-from wristlink.framing import CodecFrame, WatchMode
+from wristlink.framing import FRAME_BITS, CodecFrame, WatchMode, serialize
 from wristlink.link import LinkConfig, LinkSimulator
 from wristlink.modem import ModemConfig, measure_ber
 from wristlink.sensor import (
@@ -29,6 +33,7 @@ from wristlink.sensor import (
     AccelSample,
     check_counts,
     check_int,
+    check_int_array,
     check_seed,
     generate_gesture,
 )
@@ -252,3 +257,88 @@ def test_check_counts_raises_what_three_check_int_calls_raise(x, y, z):
             check_int(name, value, 0, COUNT_MAX)
 
     assert raised(lambda: check_counts(x, y, z)) == raised(three_checks)
+
+
+ARRAY_DTYPES = [np.bool_, np.int8, np.uint8, np.int64, np.uint64, np.float64, object]
+FIELD_MAX = {"mode": 3, "x": COUNT_MAX, "y": COUNT_MAX, "z": COUNT_MAX}
+
+
+def column_entries(dtype, hi) -> list:
+    """Of -1, 0, hi, hi + 1 and 2**63, the ones an array of dtype holds as
+    themselves (any of them for bool, float64 and object, cast)."""
+    values = [-1, 0, hi, hi + 1, 2**63]
+    if np.dtype(dtype).kind in "iu":
+        info = np.iinfo(dtype)
+        values = [v for v in values if info.min <= v <= info.max]
+    return values
+
+
+@st.composite
+def int_block(draw, bounds, max_rows=4):
+    """An (n, len(bounds)) array of one drawn dtype, n from 0 up, column j
+    holding entries around bounds[j]."""
+    dtype = draw(st.sampled_from(ARRAY_DTYPES))
+    n = draw(st.integers(0, max_rows))
+    columns = [
+        draw(st.lists(st.sampled_from(column_entries(dtype, hi)), min_size=n, max_size=n))
+        for hi in bounds
+    ]
+    return np.array(list(zip(*columns)), dtype=dtype).reshape(n, len(bounds))
+
+
+def array_rule_message(name, column, hi) -> str | None:
+    """What check_int_array raises for column, worked out on plain ints."""
+    if not column.size:
+        return None
+    if column.dtype.kind not in "iu":
+        return f"{name} must have an integer dtype, got {column.dtype} {column.flat[0]}"
+    bad = [v for v in column.tolist() if not 0 <= v <= hi]
+    return f"{name} must lie in 0..{hi}, got {bad[0]}" if bad else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, COUNT_MAX]).flatmap(lambda hi: st.tuples(int_block([hi]), st.just(hi))))
+def test_check_int_array_names_the_column_and_its_first_bad_entry(block_hi):
+    block, hi = block_hi
+    column = block[:, 0]
+    want = array_rule_message("c", column, hi)
+    assert raised(lambda: check_int_array("c", column, hi)) == want
+    if want is None:
+        checked = check_int_array("c", column, hi)
+        assert checked.dtype.kind in "iu" and checked.tolist() == column.tolist()
+        if not column.size:
+            assert checked.dtype == np.int64
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_block(list(FIELD_MAX.values())))
+@example(np.zeros((0, 4)))  # an empty float block holds no field to truncate
+def test_block_serialize_applies_the_array_rule(block):
+    # each column against its wire range, mode first
+    def columns_checked():
+        for (name, hi), column in zip(FIELD_MAX.items(), block.T):
+            check_int_array(name, column, hi)
+
+    want = raised(columns_checked)
+    assert raised(lambda: serialize(block)) == want
+    if want is None:
+        bits = serialize(block)
+        assert bits.shape == (len(block), FRAME_BITS) and bits.dtype == np.uint8
+        assert bits.tolist() == [serialize(CodecFrame(*row)) for row in block.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_block([COUNT_MAX, COUNT_MAX], max_rows=5))
+@example(np.zeros((0, 2)))
+def test_classify_windows_applies_the_array_rule(block):
+    z, y = block.T
+    profile = CalibrationProfile(window_size=2)
+
+    def columns_checked():
+        check_int_array("z counts", z, COUNT_MAX)
+        check_int_array("y counts", y, COUNT_MAX)
+
+    want = raised(columns_checked)
+    assert raised(lambda: classify_windows(z, y, profile)) == want
+    if want is None:
+        assert classify_windows(z, y, profile) == classify_windows(z.tolist(), y.tolist(), profile)

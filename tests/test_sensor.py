@@ -2,12 +2,13 @@ import copy
 import pickle
 import re
 from dataclasses import FrozenInstanceError, replace
+from itertools import accumulate
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wristlink import sensor
@@ -245,6 +246,30 @@ class TestLoadTrace:
         p.write_text("t_ms,x,y,z\n20,1,2,3\n20,1,2,3\n")
         with pytest.raises(TraceFormatError, match="line 2"):
             load_trace(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t=st.lists(st.sampled_from([20, 20, 1, 0, -5]), min_size=1, max_size=6).map(
+            lambda steps: list(accumulate(steps, initial=40))[1:]
+        ),
+        counts=st.lists(st.sampled_from([0, 277, 1023, 1024, 5000]), min_size=18, max_size=18),
+    )
+    @example(t=[60, 60], counts=[1] * 18)  # in range, one time repeated
+    @example(t=[60, 80, 75], counts=[1] * 8 + [1024] + [1] * 9)  # row 3 out of order and of range
+    def test_bad_row_reports_what_the_columns_give(self, tmp_path_factory, t, counts):
+        # a bad row of a file gives, after its line number, the error that
+        # Trace.from_columns gives for the columns up to that row
+        x, y, z = (counts[axis::3][: len(t)] for axis in range(3))
+        # the shortest rejected prefix ends in the first bad row
+        prefixes = [_outcome(lambda: Trace.from_columns(t[:k], x[:k], y[:k], z[:k])) for k in range(1, len(t) + 1)]
+        rejected = [(k, outcome[2]) for k, outcome in enumerate(prefixes, 1) if outcome[0] == "rejected"]
+        assume(rejected)
+        line, message = rejected[0]
+        p = tmp_path_factory.mktemp("trace") / "bad.csv"
+        p.write_text("t_ms,x,y,z\n" + "".join(map("{},{},{},{}\n".format, t, x, y, z)))
+        with pytest.raises(TraceFormatError) as info:
+            load_trace(p)
+        assert str(info.value) == f"{p}: line {line}: {message}"
 
     @pytest.mark.parametrize("column", range(4))
     def test_field_past_the_int_digit_limit_reports_line_number(self, tmp_path, column):
