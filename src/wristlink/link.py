@@ -59,14 +59,6 @@ class ProtocolError(RuntimeError):
     """An operation violates the link protocol's state requirements."""
 
 
-# the verbatim control-center line that follows an event's own log line,
-# keyed by the event kind's text, which hashes without a call into enum.py
-_FOLLOWING_LINE = {
-    EventKind.AP_STARTED.value: AP_STARTED_MESSAGE,
-    EventKind.ACQUIRE_ANNOUNCED.value: ACQUIRING_MESSAGE,
-}
-
-
 def log_lines(kind: EventKind, times, details=None) -> list[str]:
     """The log line of each of a column of events of one kind, at the given
     times and with the given details (none when details is None)."""
@@ -74,13 +66,6 @@ def log_lines(kind: EventKind, times, details=None) -> list[str]:
     if details is None:
         return [f"[t={t}] {text}" for t in times]
     return [f"[t={t}] {text} {detail}" for t, detail in zip(times, details)]
-
-
-def event_lines(t: int, kind: EventKind, detail: str = "") -> list[str]:
-    """One event's log line, then the control-center line that follows it."""
-    lines = log_lines(kind, [t], [detail] if detail else None)
-    following = _FOLLOWING_LINE.get(kind.value)
-    return lines if following is None else lines + [following]
 
 
 def frame_details(frame_ids, x=None, y=None, z=None) -> list[str]:
@@ -103,7 +88,7 @@ def delivery_lines(block: LinkBlock, details) -> tuple[list[int], list[str]]:
     rows = list(range(len(block.t)))
     lines = log_lines(EventKind.FRAME_DELIVERED, block.t, details)
     if block.announced:
-        announce = event_lines(block.t[0], EventKind.ACQUIRE_ANNOUNCED)
+        announce = log_lines(EventKind.ACQUIRE_ANNOUNCED, [block.t[0]]) + [ACQUIRING_MESSAGE]
         rows[1:1] = [0] * len(announce)
         lines[1:1] = announce
     return rows, lines
@@ -178,7 +163,8 @@ class LinkSimulator:
         if self.ap_state is not AccessPointState.NOT_STARTED:
             raise ProtocolError("access point already started")
         self.ap_state = AccessPointState.STARTED
-        self.log += event_lines(self.now, EventKind.AP_STARTED, f"carrier={CARRIER_LABEL}")
+        self.log += log_lines(EventKind.AP_STARTED, [self.now], [f"carrier={CARRIER_LABEL}"])
+        self.log.append(AP_STARTED_MESSAGE)
 
     def watch_set_mode(self, mode: WatchMode) -> None:
         """Switch the watch mode; the access point acknowledges immediately.
@@ -196,7 +182,7 @@ class LinkSimulator:
                 " while a frame is in flight"
             )
         self.watch_mode = mode
-        self.log += event_lines(self.now, EventKind.MODE_SET, mode.name)
+        self.log += log_lines(EventKind.MODE_SET, [self.now], [mode.name])
 
     def _stream(self, steps: list[int], sent_after: list[int], frames) -> LinkBlock:
         """Advance virtual time through `steps`, sending `frames` between them.

@@ -18,16 +18,19 @@ sequence or waveform is one transmission, a 2-D array holds one frame per
 row, and any other rank raises ValueError (sensor.check_rows). Each row is
 its own transmission: its phase starts at 0, and row i draws its noise from
 the generator seeded with (seed + i) mod 2**64, so a block of n frames
-gives exactly what n single-frame calls with those seeds give.
+gives exactly what n single-frame calls with those seeds give. The rows'
+seeds are hashed at once by NumPy's SeedSequence hash, transliterated from
+numpy/random/bit_generator.pyx to run over an array of seeds.
+
 `modulate(phase=)` and `channel_apply(rng=)` instead carry a transmission's
-phase and noise stream across calls. The rng is one generator that the rows
-draw from in order, which is how measure_ber sends one long row in
-fixed-size blocks, or one generator per row, which row i continues, which
-is how the pipeline sends a frame's preamble and then, only if that
-survived, the rest of it. The phase carry keeps a running phase sum instead
-of the table, only for measure_ber: ber.csv's bytes depend on its rounding
-drift (up to ~5e-5 rad over a 200k-bit row); the benchmark sweep's seed-0
-row at sigma 2 reads 0.303365, and would read 0.30337 from the table.
+phase and noise stream across calls. The rng is a list of one generator per
+row, which row i continues: that is how measure_ber sends one long row in
+fixed-size blocks, and how the pipeline sends a frame's preamble and then,
+only if that survived, the rest of it. The phase carry keeps a running
+phase sum instead of the table, only for measure_ber: ber.csv's bytes
+depend on its rounding drift (up to ~5e-5 rad over a 200k-bit row); the
+benchmark sweep's seed-0 row at sigma 2 reads 0.303365, and would read
+0.30337 from the table.
 """
 from __future__ import annotations
 
@@ -62,68 +65,46 @@ _PROBES = np.stack([_F0_PROBE.real, _F0_PROBE.imag, _F1_PROBE.real, _F1_PROBE.im
 BER_BLOCK_BITS = 4096
 
 
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = 0..n, as uint32."""
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)
-
-
-# numpy.random.SeedSequence's uint32 hash (numpy/random/bit_generator.pyx).
-# Its hash constant advances on every call whatever the data, so the
-# sequence is fixed: mixing the 4-word entropy pool takes 4 + 4 * 3 hashmix
-# calls, and generate_state(4, np.uint64) draws 8 uint32 words.
-_MIX_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-
-
 def _seed_state_words(seeds: np.ndarray) -> np.ndarray:
     """SeedSequence(s).generate_state(4, np.uint64) for every uint64 seed s.
 
-    Returns a C-contiguous (n, 4) uint64 array, one row per seed, computed
-    with array operations instead of one SeedSequence per seed. A seed below
-    2**32 is one entropy word and a larger one two, but SeedSequence hashes
-    a missing pool word exactly as a zero word, so every seed is hashed as
-    the pool (low 32 bits, high 32 bits, 0, 0).
+    Returns a C-contiguous (n, 4) uint64 array, one row per seed. The body
+    transliterates SeedSequence.mix_entropy and generate_state from
+    numpy/random/bit_generator.pyx, run over uint32 arrays of one entry per
+    seed instead of one SeedSequence per seed. A seed below 2**32 is one
+    entropy word and a larger one two, but mix_entropy hashes a missing pool
+    word exactly as a zero word, so every seed is hashed as the entropy
+    (low 32 bits, high 32 bits, 0, 0).
     """
-    c = _MIX_CONSTANTS
-    pool = np.zeros((4, seeds.size), dtype=np.uint32)
-    pool[0] = (seeds & 0xFFFFFFFF).astype(np.uint32)
-    pool[1] = (seeds >> 32).astype(np.uint32)
-    # hashmix(v) with constants k, k + 1: v ^= c[k]; v *= c[k + 1]; v ^= v >> 16
-    pool ^= c[:4, None]
-    pool *= c[1:5, None]
-    pool ^= pool >> 16
-    # then each word is mixed into the other three, in order; the three
-    # updates of one source word read only it and their own word, so they
-    # run as one (3, n) step with hash constants k, k + 1, k + 2
-    for src in range(4):
-        k = 4 + 3 * src
-        dst = [d for d in range(4) if d != src]
-        h = pool[src] ^ c[k : k + 3, None]
-        h *= c[k + 1 : k + 4, None]
-        h ^= h >> 16
-        # mix(x, y) = (L * x - R * y) ^ ((L * x - R * y) >> 16)
-        mixed = pool[dst] * _MIX_MULT_L
-        mixed -= h * _MIX_MULT_R
-        mixed ^= mixed >> 16
-        pool[dst] = mixed
-    state = pool[[0, 1, 2, 3, 0, 1, 2, 3]]
-    state ^= _STATE_CONSTANTS[:8, None]
-    state *= _STATE_CONSTANTS[1:, None]
-    state ^= state >> 16
-    # uint32 words 2j and 2j + 1 are the low and high halves of uint64 word
-    # j; assembled in place: the pipeline hashes a whole trace's seeds at
-    # once, and uint64 copies of the halves made that hash the radio path's
-    # memory peak
-    words = np.empty((seeds.size, 4), dtype=np.uint64)
-    words.T[...] = state[1::2]
-    words <<= np.uint64(32)
-    words |= state[0::2].T
-    return words
+    hash_const = 0x43B0D7E5  # INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x931E8875 & 0xFFFFFFFF  # MULT_A
+        value *= np.uint32(hash_const)
+        return value ^ value >> 16  # XSHIFT
+
+    def mix(x, y):
+        result = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)  # MIX_MULT_L, _R
+        return result ^ result >> 16
+
+    low, high = seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32)
+    mixer = [hashmix(word) for word in (low, high, *np.zeros((2, seeds.size), np.uint32))]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+    # generate_state(4, np.uint64): 8 uint32 words from the cycled pool, and
+    # words 2j and 2j + 1 the low and high halves of uint64 word j
+    state = np.empty((seeds.size, 8), dtype=np.uint32)
+    hash_const = 0x8B51F9DD  # INIT_B
+    for i_dst in range(8):
+        data_val = mixer[i_dst % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x58F38DED & 0xFFFFFFFF  # MULT_B
+        data_val *= np.uint32(hash_const)
+        state[:, i_dst] = data_val ^ data_val >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _row_seed_words(seed: int, n: int) -> np.ndarray:
@@ -203,7 +184,8 @@ def modulate(bits, phase=None) -> np.ndarray:
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bit sequence must contain only 0 and 1")
     if phase is None:
-        return _TONES.take(bits.astype(np.intp), axis=0).reshape(*bits.shape[:-1], -1)
+        waves = _TONES.take(bits.astype(np.intp), axis=0)
+        return waves.reshape(*bits.shape[:-1], bits.shape[-1] * SAMPLES_PER_BIT)
     if (
         not isinstance(phase, np.ndarray)
         or phase.dtype != np.float64
@@ -229,28 +211,25 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
     Row i of a 2-D waveform (the whole of a 1-D one, as row 0) draws its
     noise from default_rng((seed + i) % 2**64); the rows' seed words are
     hashed in one pass (_seed_state_words), so no SeedSequence is built per
-    row. Given one Generator `rng`, the rows instead draw from it in order;
-    given a list with one Generator per row, row i continues rng[i]. Either
-    way a waveform sent in pieces gets exactly the noise of one draw over
-    the whole, as a generator's normals do not depend on how they are
-    split into calls.
+    row. Given `rng`, a list with one Generator per row, row i instead
+    continues rng[i]; a waveform sent in pieces then gets exactly the noise
+    of one draw over the whole, as a generator's normals do not depend on
+    how they are split into calls.
     """
     wave = check_rows("waveform", waveform, float)
     check_type("cfg", cfg, ModemConfig)
     n_rows = len(wave) if wave.ndim == 2 else 1
-    if isinstance(rng, list) and len(rng) != n_rows:
-        raise ValueError(f"rng must hold one generator per row ({n_rows}), got {len(rng)}")
+    if rng is not None and (not isinstance(rng, list) or len(rng) != n_rows):
+        got = len(rng) if isinstance(rng, list) else type(rng).__name__
+        raise ValueError(f"rng must hold one generator per row ({n_rows}), got {got}")
     a = cfg.channel_attenuation
     if cfg.noise_sigma == 0 or wave.size == 0:
         return wave * a
-    out = np.empty(wave.shape)
     if rng is None:
         rng = _row_generators(_row_seed_words(cfg.seed, n_rows))
-    if isinstance(rng, list):
-        for row, gen in zip(out.reshape(n_rows, -1), rng):
-            gen.standard_normal(out=row)
-    else:
-        rng.standard_normal(out=out)
+    out = np.empty(wave.shape)
+    for row, gen in zip(out.reshape(n_rows, -1), rng):
+        gen.standard_normal(out=row)
     # each sample is fl(sigma * n) + fl(a * w); fl(1 * w) is w, so a == 1
     # needs no product
     out *= cfg.noise_sigma
@@ -276,7 +255,7 @@ def demodulate(waveform):
         raise ValueError("waveform must be finite")
     energy = np.square(wave.reshape(-1, SAMPLES_PER_BIT) @ _PROBES)
     bits = (energy[:, 2] + energy[:, 3] > energy[:, 0] + energy[:, 1]).view(np.uint8)
-    bits = bits.reshape(*wave.shape[:-1], -1)
+    bits = bits.reshape(*wave.shape[:-1], wave.shape[-1] // SAMPLES_PER_BIT)
     return bits if wave.ndim == 2 else bits.tolist()
 
 
@@ -299,6 +278,6 @@ def measure_ber(cfg: ModemConfig, n_bits: int) -> float:
     errors = 0
     for start in range(0, n_bits, BER_BLOCK_BITS):
         bits = bit_rng.integers(0, 2, (1, min(BER_BLOCK_BITS, n_bits - start)))
-        rx = channel_apply(modulate(bits, phase), cfg, noise_rng)
+        rx = channel_apply(modulate(bits, phase), cfg, [noise_rng])
         errors += int(np.count_nonzero(demodulate(rx) != bits))
     return errors / n_bits

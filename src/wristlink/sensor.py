@@ -286,22 +286,26 @@ class Trace:
 def load_trace(path, label: GestureKind | None = None) -> Trace:
     """Parse a CSV trace file (`t_ms,x,y,z` header, one sample per row).
 
-    Each field is ASCII decimal digits only. An empty file yields an empty
-    trace. Empty lines at the end of the file are ignored; any other line,
-    whitespace-only ones included, must be a data row. Errors report the
-    offending data row as a 1-based line number. The optional label is
-    attached in memory; the file carries none.
+    Each field is ASCII decimal digits only. An empty file, or a header
+    alone, yields an empty trace; given a label, it raises TraceFormatError
+    naming the file instead. Empty lines at the end of the file are
+    ignored; any other line, whitespace-only ones included, must be a data
+    row. Errors report the offending data row as a 1-based line number.
+    The optional label is attached in memory; the file carries none.
     """
     path = Path(path)
     # a non-ASCII byte decodes to U+FFFD, which no row or header matches;
     # read_text has turned \r\n and \r into \n, and splitting on \n alone
     # keeps a form feed or other line-like control character inside its row
     text = path.read_text(encoding="ascii", errors="replace").rstrip("\n")
-    if not text:
-        return Trace((), label=label)
     header, _, body = (text + "\n").partition("\n")
-    if header != TRACE_HEADER:
+    if text and header != TRACE_HEADER:
         raise TraceFormatError(f"{path}: missing '{TRACE_HEADER}' header line")
+    if not body:
+        # an empty file or a header alone holds no sample, which a label refuses
+        if label is not None:
+            raise TraceFormatError(f"{path}: a labeled trace must be non-empty")
+        return Trace(())
     trace = _read_columns(body, label)
     return trace if trace is not None else _read_rows(path, body, label)
 

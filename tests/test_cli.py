@@ -429,6 +429,20 @@ class TestCalibrate:
         assert code == 2
         assert "no .csv traces" in err
 
+    @pytest.mark.parametrize("text", ["", "t_ms,x,y,z\n"])
+    def test_empty_trace_exit_1_naming_the_file(self, tmp_path, capsys, text):
+        on_dir, off_dir = self.write_training_dirs(tmp_path)
+        empty = off_dir / "off_empty.csv"
+        empty.write_text(text)
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "calibrate", "--on-dir", str(on_dir), "--off-dir", str(off_dir),
+            "--out", str(out_dir),
+        )
+        assert code == 1
+        assert err == f"error: {empty}: a labeled trace must be non-empty\n"
+        assert not out_dir.exists()
+
     def test_overlap_exit_1_with_both_bands_printed(self, tmp_path, capsys):
         on_dir, off_dir = self.write_training_dirs(tmp_path)
         code, _, err = run(

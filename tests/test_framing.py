@@ -397,7 +397,7 @@ class TestCrcEscapes:
             sent = np.column_stack(
                 [np.full(chunk, WatchMode.ACC), field_rng.integers(0, 1024, (chunk, 3))]
             )
-            rx = demodulate(channel_apply(modulate(serialize(sent)), cfg, noise_rng))
+            rx = demodulate(channel_apply(modulate(serialize(sent)), cfg, [noise_rng] * chunk))
             ok, received = deserialize(rx)
             escapes += int(np.count_nonzero(ok & (received != sent).any(axis=1)))
         z = (escapes - n * rate) / math.sqrt(n * rate * (1 - rate))

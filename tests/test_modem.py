@@ -112,6 +112,14 @@ class TestModulate:
     def test_empty_bits_empty_waveform(self):
         assert modulate([]).size == 0
 
+    @pytest.mark.parametrize("shape", [(0, 8), (0, 0), (0, 16)])
+    def test_empty_block(self, shape):
+        # a block of no rows gives no rows of SAMPLES_PER_BIT samples per bit,
+        # on the tone table and on the carried phase alike
+        rows = (0, shape[1] * SAMPLES_PER_BIT)
+        assert modulate(np.zeros(shape, dtype=np.uint8)).shape == rows
+        assert modulate(np.zeros(shape, dtype=np.uint8), np.zeros(0)).shape == rows
+
     def test_single_one_is_f1_tone(self):
         wave = modulate([1])
         n = np.arange(SAMPLES_PER_BIT)
@@ -261,12 +269,14 @@ class TestChannel:
         wave = modulate(np.random.default_rng(4).integers(0, 2, (1, 700)))
         rng = np.random.default_rng(77)
         cuts = [0, 5, 5, 4096, 6000, wave.shape[1]]
-        pieces = [channel_apply(wave[:, a:b], cfg, rng) for a, b in zip(cuts, cuts[1:])]
+        pieces = [channel_apply(wave[:, a:b], cfg, [rng]) for a, b in zip(cuts, cuts[1:])]
         np.testing.assert_array_equal(np.concatenate(pieces, axis=1), channel_apply(wave, cfg))
 
     def test_rng_rows_draw_in_order(self):
+        # one generator listed for every row: the rows draw from it in turn
         cfg = ModemConfig(noise_sigma=0.4, seed=3)
-        out = channel_apply(np.zeros((3, 20)), cfg, np.random.default_rng(8))
+        g = np.random.default_rng(8)
+        out = channel_apply(np.zeros((3, 20)), cfg, [g] * 3)
         expected = np.random.default_rng(8).normal(0.0, 0.4, 60).reshape(3, 20)
         np.testing.assert_array_equal(out, expected)
 
@@ -299,6 +309,15 @@ class TestChannel:
         message = f"rng must hold one generator per row ({rows}), got {n_streams}"
         with pytest.raises(ValueError, match=re.escape(message)):
             channel_apply(np.zeros(shape), NOISY, streams)
+
+    @pytest.mark.parametrize("shape", [(16,), (1, 16), (3, 16)])
+    def test_bare_generator_refused(self, shape):
+        # rng is None or a list of one generator per row, never one shared
+        # Generator, whichever shape the waveform has
+        rows = shape[0] if len(shape) == 2 else 1
+        message = f"rng must hold one generator per row ({rows}), got Generator"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            channel_apply(np.zeros(shape), NOISY, np.random.default_rng(0))
 
 
 class TestDemodulate:
@@ -344,6 +363,12 @@ class TestDemodulate:
 
     def test_empty_waveform(self):
         assert demodulate(np.zeros(0)) == []
+
+    @pytest.mark.parametrize("shape", [(0, 8), (0, 0), (0, 16)])
+    def test_empty_block(self, shape):
+        # a block of no rows of `shape[1]` bits decodes to no rows of bits
+        bits = demodulate(np.zeros((0, shape[1] * SAMPLES_PER_BIT)))
+        assert bits.shape == shape and bits.dtype == np.uint8
 
     def test_survives_strong_attenuation(self):
         cfg = ModemConfig(channel_attenuation=0.01)

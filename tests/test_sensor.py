@@ -223,6 +223,15 @@ class TestLoadTrace:
         p.write_text("t_ms,x,y,z\n")
         assert len(load_trace(p)) == 0
 
+    @pytest.mark.parametrize("text", ["", "t_ms,x,y,z\n", "t_ms,x,y,z\n\n"])
+    def test_labeled_empty_file_names_the_file(self, tmp_path, text):
+        # a label needs a sample, and the error says which file has none
+        p = tmp_path / "empty.csv"
+        p.write_text(text)
+        message = f"{p}: a labeled trace must be non-empty"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            load_trace(p, label=GestureKind.VERTICAL_UP_DOWN)
+
     def test_out_of_range_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("t_ms,x,y,z\n0,100,200,2000\n")
