@@ -48,7 +48,6 @@ from .modem import (
     demodulate,
     measure_ber,
     modulate,
-    noise_sigma_for_snr_db,
 )
 from .sensor import (
     AccelSample,
@@ -102,7 +101,6 @@ __all__ = [
     "load_trace",
     "measure_ber",
     "modulate",
-    "noise_sigma_for_snr_db",
     "run_pipeline",
     "save_profile",
     "save_trace",

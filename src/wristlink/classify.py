@@ -4,12 +4,17 @@ A window of samples maps to one of three verdicts: a z-axis window mean
 inside the on band turns the appliance ON, else a y-axis mean inside the
 off band turns it OFF, else DO NOTHING. A window of w samples is compared
 on its integer axis sum, lo*w <= sum <= hi*w, which is the band test on the
-exact mean, so boundary values are unambiguous. `classify_windows` gives
-the verdict of every window sliding over a sequence at once, from
-differences of the cumsums of its z and y columns (sensor.check_int_array);
-`classify_window` is its one-window use, and `wristlink classify` prints
-every w-th verdict, that of each back-to-back window.
-A debounce stage requires N consecutive identical verdicts before acting.
+exact mean, so boundary values are unambiguous. The core works on int8
+columns of verdict codes, each an Action's place in definition order:
+`_verdict_codes` gives the code of every window sliding over a sequence at
+once, from differences of the cumsums of its z and y columns
+(sensor.check_int_array), and `_emissions` is the debounce stage as one
+run-length pass over a code column. `classify_windows` and
+`debounced_stream` are their list-of-Action wrappers; `classify_window` is
+the one-window use, and `wristlink classify` prints every w-th verdict,
+that of each back-to-back window. A debounce stage requires N consecutive
+identical verdicts before acting; `Debouncer` is its streaming form, one
+verdict at a time.
 """
 from __future__ import annotations
 
@@ -37,6 +42,11 @@ class Action(Enum):
     ON = "ON"
     OFF = "OFF"
     DO_NOTHING = "DO_NOTHING"
+
+
+# the verdict of each code; DO_NOTHING's code is never emitted
+_ACTIONS = tuple(Action)
+_ON, _OFF, _DO_NOTHING = range(len(_ACTIONS))
 
 
 class CalibrationError(ValueError):
@@ -92,11 +102,11 @@ def window_mean(samples, axis: str) -> Fraction:
     return Fraction(sum(getattr(s, axis) for s in samples), len(samples))
 
 
-def classify_windows(z, y, profile: CalibrationProfile) -> list[Action]:
-    """Verdict of every full window sliding over equal-length integer z and
-    y count sequences: verdict k is that of items k..k+w-1, for the
-    profile's window size w. Each column passes sensor.check_int_array as
-    raw counts in 0..COUNT_MAX, so the int64 running sums cannot wrap."""
+def _verdict_codes(z, y, profile: CalibrationProfile) -> np.ndarray:
+    """The int8 verdict code of every full window sliding over equal-length
+    integer z and y count sequences: code k is that of items k..k+w-1, for
+    the profile's window size w. Each column passes sensor.check_int_array
+    as raw counts in 0..COUNT_MAX, so the int64 running sums cannot wrap."""
     check_type("profile", profile, CalibrationProfile)
     w = profile.window_size
     columns = []
@@ -110,20 +120,27 @@ def classify_windows(z, y, profile: CalibrationProfile) -> list[Action]:
     if len(columns[1]) != n:
         raise ValueError(f"z has {n} counts but y has {len(columns[1])}")
     if n < w:
-        return []
+        return np.empty(0, dtype=np.int8)
     # each window's axis sums are differences of two running sums
     running = np.zeros((2, n + 1), dtype=np.int64)
     np.cumsum(columns, axis=1, out=running[:, 1:])
-    z_sums, y_sums = (running[:, w:] - running[:, :-w]).tolist()
-    # the band ends are ints of any size, so the tests run on Python ints
-    on_lo, on_hi = (end * w for end in profile.on_band)
-    off_lo, off_hi = (end * w for end in profile.off_band)
-    return [
-        Action.ON if on_lo <= z_sum <= on_hi
-        else Action.OFF if off_lo <= y_sum <= off_hi
-        else Action.DO_NOTHING
-        for z_sum, y_sum in zip(z_sums, y_sums)
-    ]
+    z_sums, y_sums = running[:, w:] - running[:, :-w]
+    # A window's sum lies in 0..COUNT_MAX * w, so a band end, an int of any
+    # size, tests the same clipped to -1..COUNT_MAX + 1, and that times w
+    # (w <= n) fits an int64.
+    on_lo, on_hi, off_lo, off_hi = (
+        min(max(end, -1), COUNT_MAX + 1) * w for end in (*profile.on_band, *profile.off_band)
+    )
+    on = (on_lo <= z_sums) & (z_sums <= on_hi)
+    off = (off_lo <= y_sums) & (y_sums <= off_hi)
+    return np.where(on, _ON, np.where(off, _OFF, _DO_NOTHING)).astype(np.int8)
+
+
+def classify_windows(z, y, profile: CalibrationProfile) -> list[Action]:
+    """Verdict of every full window sliding over equal-length integer z and
+    y count sequences: verdict k is that of items k..k+w-1, for the
+    profile's window size w (see _verdict_codes)."""
+    return [_ACTIONS[code] for code in _verdict_codes(z, y, profile).tolist()]
 
 
 def classify_window(samples, profile: CalibrationProfile) -> Action:
@@ -198,8 +215,7 @@ class Debouncer:
         self._last_emitted: Action | None = None
 
     def push(self, action: Action) -> Action | None:
-        if type(action) is not Action:
-            raise ValueError(f"verdict must be an Action, got {action!r}")
+        check_type("verdict", action, Action)
         if action is Action.DO_NOTHING:
             self._run_action = None
             self._run_len = 0
@@ -215,15 +231,37 @@ class Debouncer:
         return None
 
 
+def _emissions(codes: np.ndarray, n: int, fresh_at: int) -> tuple[np.ndarray, np.ndarray]:
+    """What a Debouncer(n) emits when pushed a column of verdict codes in
+    order, a fresh Debouncer taking over at verdict fresh_at (len(codes)
+    for none): the index of the verdict each action comes out at, and its
+    code.
+
+    One run-length pass. A run is a stretch of one code, and a fresh
+    debouncer starts one too. A run of ON or OFF at least n long emits at
+    its n-th verdict, unless its debouncer emitted that action last. That
+    is the code of the full run before it, which emitted it or held it back
+    as emitted already, or none for a fresh debouncer."""
+    # no run is longer than the column, so n, an int of any size, emits the
+    # same clipped to len(codes) + 1, which an int64 sum can take
+    n = min(n, len(codes) + 1)
+    runs = np.diff(codes, prepend=-1) != 0
+    runs[fresh_at : fresh_at + 1] = True
+    starts = np.flatnonzero(runs)
+    run_codes = codes[starts]
+    full = (np.diff(starts, append=len(codes)) >= n) & (run_codes != _DO_NOTHING)
+    at, code = starts[full] + n - 1, run_codes[full]
+    emitted = np.diff(code, prepend=-1) != 0
+    emitted[np.searchsorted(at, fresh_at) :][:1] = True  # a fresh debouncer's first
+    return at[emitted], code[emitted]
+
+
 def debounced_stream(verdicts, debounce_n: int) -> list[Action]:
     """Actions emitted by running a verdict sequence through a Debouncer."""
-    gate = Debouncer(debounce_n)
-    out = []
-    for v in verdicts:
-        emitted = gate.push(v)
-        if emitted is not None:
-            out.append(emitted)
-    return out
+    check_int("debounce_n", debounce_n, 1)
+    codes = [_ACTIONS.index(check_type("verdict", v, Action)) for v in verdicts]
+    _, emitted = _emissions(np.array(codes, dtype=np.int8), debounce_n, len(codes))
+    return [_ACTIONS[code] for code in emitted.tolist()]
 
 
 def save_profile(profile: CalibrationProfile, path) -> None:

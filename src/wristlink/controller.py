@@ -13,23 +13,25 @@ its row of the checked columns, decoded as one block at sigma 0 and in
 blocks of PHY_BLOCK_FRAMES frames above it, where the rest of a frame is
 sent only if its preamble survived, so the decoded fields of frames
 rejected at the preamble are not computed; the link as one block of
-sends and time steps (LinkSimulator._stream), its FIFO held as columns;
-the classifier over every window of the delivered sequence at once; then
-one debounce pass, in which the controller is armed at the trigger and
-applies the emitted actions. The log is rendered by column and put in
-order by one stable sort of a (step, phase) key. A clean run keeps no
-per-sample container object alive, so it never wakes the cyclic garbage
-collector. Everything is seeded, so identical inputs produce
-byte-identical logs.
+sends and time steps (LinkSimulator._stream) on int64 columns, every time
+being bounded by TIME_MAX; the classifier's verdict code for every window
+of the delivered sequence at once; then the debouncer as one run-length
+pass over the codes, split at the trigger, and the controller's APPLIANCE
+lines from the armed emissions that switch the appliance. HomeController
+is the controller's streaming form, one action at a time. The log is
+rendered by column and put in order by one stable sort of a (step, phase)
+key. A clean run keeps no per-sample container object alive, so it never
+wakes the cyclic garbage collector. Everything is seeded, so identical
+inputs produce byte-identical logs.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import Action, CalibrationProfile, Debouncer, classify_windows
+from .classify import _ACTIONS, _ON, Action, CalibrationProfile, _emissions, _verdict_codes
 # not called here, but perfbench's tracer patches the pipeline's classifier
 # under this name
 from .classify import classify_window  # noqa: F401
@@ -43,7 +45,7 @@ from .modem import (
     demodulate,
     modulate,
 )
-from .sensor import Trace, check_int, check_type
+from .sensor import TIME_MAX, Trace, check_int, check_type
 
 # Frames per radio-path block above sigma 0. Outputs do not depend on it, but
 # peak memory grows with it (a frame is 768 float64 waveform samples, held in
@@ -55,10 +57,21 @@ PHY_BLOCK_FRAMES = 64
 APPLIANCE = "light"
 
 
+def _trigger_line(t: int) -> str:
+    return f"[t={t}] PIR TRIGGERED"
+
+
+def _appliance_line(t: int, state: str) -> str:
+    return f"[t={t}] APPLIANCE {APPLIANCE} -> {state}"
+
+
 class HomeController:
     """Appliance state machine gated on passive-infrared presence detection.
 
-    Arming is sticky: once triggered, the controller stays armed.
+    Arming is sticky: once triggered, the controller stays armed. This is
+    the streaming form, one action at a time; run_pipeline decides a whole
+    run's APPLIANCE lines at once from the debounced actions, by the same
+    rules.
     """
 
     def __init__(self):
@@ -67,24 +80,25 @@ class HomeController:
         self.log: list[str] = []
 
     def pir_trigger(self, t: int) -> None:
-        """Arm the controller; re-triggering keeps it armed."""
-        check_int("t", t, 0)
+        """Arm the controller at t (int ms in 0..TIME_MAX); re-triggering
+        keeps it armed."""
+        check_int("t", t, 0, TIME_MAX)
         self.armed = True
-        self.log.append(f"[t={t}] PIR TRIGGERED")
+        self.log.append(_trigger_line(t))
 
     def apply_action(self, action: Action, t: int) -> None:
-        """Honor a debounced action while armed; log real transitions only."""
-        if type(action) is not Action:
-            raise ValueError(f"action must be an Action, got {action!r}")
-        check_int("t", t, 0)
+        """Honor a debounced action at t (int ms in 0..TIME_MAX) while armed;
+        log real transitions only."""
+        check_type("action", action, Action)
+        check_int("t", t, 0, TIME_MAX)
         if not self.armed:
             return
         if action is Action.ON and not self.powered:
             self.powered = True
-            self.log.append(f"[t={t}] APPLIANCE {APPLIANCE} -> ON")
+            self.log.append(_appliance_line(t, "ON"))
         elif action is Action.OFF and self.powered:
             self.powered = False
-            self.log.append(f"[t={t}] APPLIANCE {APPLIANCE} -> OFF")
+            self.log.append(_appliance_line(t, "OFF"))
 
 
 @dataclass
@@ -180,15 +194,16 @@ def run_pipeline(
     delivered samples only, so losses shrink window fill instead of stalling
     progress: once window_size samples have arrived, every further delivery
     completes a window and yields a verdict for the debounce stage. `pir_at`
-    is the presence-trigger time in int ms; None, or a time past the drain,
-    means the sensor never fires. Deliveries due at exactly `pir_at` are
-    consumed before the trigger, and the trigger starts a fresh debouncer:
-    the run it had, and the action it last emitted while unarmed, are
-    discarded.
+    is the presence-trigger time, an int in 0..TIME_MAX ms; None, or a time
+    past the drain, means the sensor never fires. The drain time, the last
+    sample time + latency, must not pass TIME_MAX either, or a ValueError
+    names the latency. Deliveries due at exactly `pir_at` are consumed
+    before the trigger, and the trigger starts a fresh debouncer: the run it
+    had, and the action it last emitted while unarmed, are discarded.
     Protocol violations propagate; nothing is silently dropped.
     """
     if pir_at is not None:
-        check_int("pir_at", pir_at, 0)
+        check_int("pir_at", pir_at, 0, TIME_MAX)
     check_type("trace", trace, Trace)
     if len(trace) == 0:
         raise ValueError("trace is empty")
@@ -196,12 +211,18 @@ def run_pipeline(
     link_cfg = _given_or_default("link_cfg", link_cfg, LinkConfig)
     modem_cfg = _given_or_default("modem_cfg", modem_cfg, ModemConfig)
 
+    times = trace.t
+    last = times[-1]
+    if link_cfg.latency > TIME_MAX - last:
+        raise ValueError(
+            f"latency must keep the drain time, the last sample time {last} + latency,"
+            f" <= {TIME_MAX}, got {link_cfg.latency}"
+        )
     sim = LinkSimulator(link_cfg)
     sim.ap_start()
     sim.watch_set_mode(WatchMode.ACC)
 
     ok, fields = _receive(trace, modem_cfg)
-    times = trace.t
     sent = np.flatnonzero(ok)  # sample of each frame sent
 
     # Link steps: one per sample, at its time, with its frame sent right
@@ -209,9 +230,9 @@ def run_pipeline(
     # of its own, just before the first sample at or after pir_at, so it
     # follows the deliveries due by then; the samples' steps from there on
     # move up by one. The link checks none of this: the times come from the
-    # Trace, which checked that they rise from 0, and pir_at was checked
-    # above.
-    steps = [*times, times[-1] + link_cfg.latency]
+    # Trace, which checked that they rise from 0, and pir_at and the drain
+    # time were checked above, so every step fits an int64.
+    steps = [*times, last + link_cfg.latency]
     sample_step = np.arange(len(times))
     pir_step = None
     if pir_at is not None and pir_at <= steps[-1]:
@@ -219,56 +240,58 @@ def run_pipeline(
         steps.insert(pir_step, pir_at)
         sample_step[pir_step:] += 1
     sent_step = sample_step[sent]
-    link = sim._stream(steps, sent_step.tolist(), range(len(sent)))  # payload: index in sent
-    arrival, due = np.array(link.step, dtype=np.int64), link.t
+    # payload: the index in sent
+    link = sim._stream(np.array(steps, dtype=np.int64), sent_step, np.arange(len(sent)))
+    arrival, due = link.step, link.t.tolist()
 
     # decoded (x, y, z) of each frame sent, and of each delivered, in order
     sent_xyz = fields[sent, 1:]
     got = sent_xyz[link.frame]
     w = profile.window_size
     # verdict v is that of the window ending at delivery v + w - 1
-    verdicts = classify_windows(got[:, 2], got[:, 1], profile)
+    codes = _verdict_codes(got[:, 2], got[:, 1], profile)
     # the trigger arms the controller, and replaces the debouncer, after the
     # verdicts of the deliveries at or before its step
-    n_unarmed = len(verdicts)
+    n_unarmed = len(codes)
     if pir_step is not None:
-        n_unarmed = max(0, bisect_right(link.step, pir_step) - w + 1)
-    ctrl = HomeController()
-    gate = Debouncer(profile.debounce_n)
-    actions: list[tuple[int, Action]] = []
-    caused = []  # per APPLIANCE line the controller logs, the verdict behind it
-    for v, verdict in enumerate(verdicts):
-        if v == n_unarmed:
-            ctrl.pir_trigger(pir_at)
-            gate = Debouncer(profile.debounce_n)
-        action = gate.push(verdict)
-        if action is not None:
-            t = due[v + w - 1]
-            actions.append((t, action))
-            logged = len(ctrl.log)
-            ctrl.apply_action(action, t)
-            caused += [v] * (len(ctrl.log) - logged)
-    if pir_step is not None and not ctrl.armed:  # the trigger follows every verdict
-        ctrl.pir_trigger(pir_at)
-    # an unarmed controller logs nothing, so the trigger is its first line
-    trigger, appliance = ctrl.log[:1], ctrl.log[1:]
+        n_unarmed = max(0, int(np.searchsorted(arrival, pir_step, "right")) - w + 1)
+    emitted_at, emitted = _emissions(codes, profile.debounce_n, n_unarmed)
+    actions = [
+        (due[v + w - 1], _ACTIONS[code]) for v, code in zip(emitted_at.tolist(), emitted.tolist())
+    ]
+    # The controller, off at the trigger, is on after each armed emission of
+    # ON and off after each of OFF; it logs an APPLIANCE line, at the
+    # verdict behind it, for each armed emission that switches it.
+    armed = int(np.searchsorted(emitted_at, n_unarmed))
+    on = emitted[armed:] == _ON
+    switched = on != np.concatenate(([False], on[:-1]))
+    caused = emitted_at[armed:][switched]  # per APPLIANCE line, its verdict
+    texts = [action.value for action in _ACTIONS]
+    appliance = [
+        _appliance_line(due[v + w - 1], texts[code])
+        for v, code in zip(caused.tolist(), emitted[armed:][switched].tolist())
+    ]
+    powered = bool(len(on) and on[-1])
+    trigger = [_trigger_line(pir_at)] if pir_step is not None else []
 
     # The log after its header, as one table. The line of an event at step
     # s has the key 3 * s + phase: phase 0 for the step's deliveries, 1 for
     # the ACTION lines of the windows they complete, each followed by the
     # APPLIANCE line its action causes, and 2 for the trigger or the
     # sample's own lines. One stable sort by key puts the table in log
-    # order, lines of one key keeping their order here. Steps are sorted,
-    # never times, which are ints of any size.
+    # order, lines of one key keeping their order here.
     details = frame_details(range(link.first_id, link.first_id + len(sent)), *sent_xyz.T.tolist())
-    delivered_rows, delivered = delivery_lines(link, [details[k] for k in link.frame])
-    sent_rows, sent_lines = send_lines(link, [times[i] for i in sent.tolist()], details)
-    # a verdict's text is its member's _value_ attribute: reading it calls
-    # neither the enum's value property nor, as a dict lookup would, its
-    # __hash__
-    action_lines = [f"[t={t}] ACTION {v._value_}" for t, v in zip(due[w - 1 :], verdicts)]
-    after = np.array(caused, dtype=np.intp) + 1  # each APPLIANCE line's place
-    acted_rows = np.insert(np.arange(len(verdicts)), after, caused)  # the verdict of each line
+    delivered_rows, delivered = delivery_lines(
+        due, link.announced, [details[k] for k in link.frame.tolist()]
+    )
+    sent_rows, sent_lines = send_lines(
+        link.first_id, link.lost, [times[i] for i in sent.tolist()], details
+    )
+    action_lines = [
+        f"[t={t}] ACTION {texts[code]}" for t, code in zip(due[w - 1 :], codes.tolist())
+    ]
+    after = caused + 1  # each APPLIANCE line's place
+    acted_rows = np.insert(np.arange(len(codes)), after, caused)  # the verdict of each line
     acted = np.insert(np.array(action_lines, dtype=object), after, appliance)
     corrupt = np.flatnonzero(~ok)
     corrupted = [
@@ -285,12 +308,12 @@ def run_pipeline(
     log = sim.log + table[np.argsort(np.concatenate(keys), kind="stable")].tolist()
 
     return PipelineResult(
-        powered=ctrl.powered,
+        powered=powered,
         log=log,
         frames_sent=sim.sent_count,
         frames_delivered=sim.delivered_count,
         frames_lost=sim.lost_count,
         frames_corrupted=len(times) - len(sent),
-        windows_classified=len(verdicts),
+        windows_classified=len(codes),
         actions=actions,
     )

@@ -11,29 +11,35 @@ Half-duplex rule: the access point transmits control acknowledgments only
 flight, so watch->AP and AP->watch transmissions can never overlap.
 
 The link runs on columns: its private core, `LinkSimulator._stream`, sends a
-block of frames between a block of time steps and returns what happened as
-a LinkBlock. Its FIFO, and the frames it leaves in flight, are columns of
-due times, earliest steps, frame ids and payloads, not a tuple per frame,
-and `frame_details` renders payloads from x, y and z columns, so a block
-builds no per-frame container that outlives its line. It trusts its
+block of frames between a block of time steps, given as int64 columns, and
+returns what happened as NumPy columns (_BlockColumns). Its FIFO, and the
+frames it leaves in flight, are int64 columns of due times and frame ids
+beside a column of payloads, and each frame's arrival step is one
+searchsorted of its due time in the step times, so a block builds no
+per-frame container; `frame_details` renders payloads from x, y and z
+columns. Every time the link takes or logs is an int in 0..TIME_MAX
+(sensor.TIME_MAX), so its columns never overflow. The core trusts its
 callers, each of which checks its own input once: `transmit_sample` and
-`run_until` are its one-frame and one-step uses, which render the
-LinkBlock they return into the log, the link's one history, and
-`controller.run_pipeline` sends a whole trace through it. All three render
-a LinkBlock's lines with `delivery_lines` and `send_lines`, the one place
+`run_until` are its one-frame and one-step uses, which return its columns
+as a LinkBlock of lists and render it into the log, the link's one
+history, and `controller.run_pipeline` sends a whole trace through it.
+A one-frame call pays the core's fixed cost, a few dozen NumPy calls,
+that a whole trace pays once, so a run goes through run_pipeline. All three
+render their lines with `delivery_lines` and `send_lines`, the one place
 that says where ACQUIRE_ANNOUNCED and FRAME_LOST lines go.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import repeat, starmap
 from random import Random
 from typing import NamedTuple
 
+import numpy as np
+
 from .framing import CodecFrame, WatchMode, check_mode
-from .sensor import check_int, check_number, check_seed, check_type
+from .sensor import TIME_MAX, check_int, check_number, check_seed, check_type
 
 AP_STARTED_MESSAGE = "Access point started. Now start watch in ACC, PPT or Synch mode."
 ACQUIRING_MESSAGE = "Acquiring data from accelerometer sensor"
@@ -80,27 +86,28 @@ def frame_details(frame_ids, x=None, y=None, z=None) -> list[str]:
     ]
 
 
-def delivery_lines(block: LinkBlock, details) -> tuple[list[int], list[str]]:
-    """The FRAME_DELIVERED line of each of a block's deliveries, with the
-    given details, the first followed by ACQUIRE_ANNOUNCED and its
-    control-center line when it announced acquisition; and, per line, the
-    index of the delivery it belongs to."""
-    rows = list(range(len(block.t)))
-    lines = log_lines(EventKind.FRAME_DELIVERED, block.t, details)
-    if block.announced:
-        announce = log_lines(EventKind.ACQUIRE_ANNOUNCED, [block.t[0]]) + [ACQUIRING_MESSAGE]
+def delivery_lines(times: list[int], announced: bool, details) -> tuple[list[int], list[str]]:
+    """The FRAME_DELIVERED line of each of a block's deliveries, at the given
+    times and with the given details, the first followed by
+    ACQUIRE_ANNOUNCED and its control-center line when it announced
+    acquisition; and, per line, the index of the delivery it belongs to."""
+    rows = list(range(len(times)))
+    lines = log_lines(EventKind.FRAME_DELIVERED, times, details)
+    if announced:
+        announce = log_lines(EventKind.ACQUIRE_ANNOUNCED, times[:1]) + [ACQUIRING_MESSAGE]
         rows[1:1] = [0] * len(announce)
         lines[1:1] = announce
     return rows, lines
 
 
-def send_lines(block: LinkBlock, times, details) -> tuple[list[int], list[str]]:
-    """The FRAME_SENT line of each of a block's sends, at the given times and
-    with the given details, then the FRAME_LOST line of each that its loss
-    draw dropped; and, per line, the index of the send it belongs to."""
-    dropped = [k for k, lost in enumerate(block.lost) if lost]
+def send_lines(first_id: int, lost, times, details) -> tuple[list[int], list[str]]:
+    """The FRAME_SENT line of each of a block's sends, frame ids from
+    first_id on, at the given times and with the given details, then the
+    FRAME_LOST line of each that its loss draw dropped (per send, lost);
+    and, per line, the index of the send it belongs to."""
+    dropped = np.flatnonzero(lost).tolist()
     lines = log_lines(EventKind.FRAME_SENT, times, details)
-    lost_details = frame_details([block.first_id + k for k in dropped])
+    lost_details = frame_details([first_id + k for k in dropped])
     lines += log_lines(EventKind.FRAME_LOST, [times[k] for k in dropped], lost_details)
     return [*range(len(times)), *dropped], lines
 
@@ -113,7 +120,7 @@ class LinkConfig:
 
     def __post_init__(self):
         check_number("loss_probability", self.loss_probability, 0, 1)
-        check_int("latency", self.latency, 0)  # timestamps are integer ms
+        check_int("latency", self.latency, 0, TIME_MAX)  # timestamps are integer ms
         check_seed(self.seed)
 
 
@@ -130,6 +137,27 @@ class LinkBlock(NamedTuple):
     frame_id: list[int]
     frame: list
     announced: bool  # the first of these deliveries announced acquisition
+
+
+class _BlockColumns(NamedTuple):
+    """A LinkBlock's fields as the block core returns them: each column a
+    NumPy array, the payloads an array of the objects or ints sent."""
+
+    first_id: int
+    lost: np.ndarray  # bool
+    step: np.ndarray  # int64
+    t: np.ndarray  # int64
+    frame_id: np.ndarray  # int64
+    frame: np.ndarray
+    announced: bool
+
+    def listed(self) -> LinkBlock:
+        """The LinkBlock of these columns, as lists of plain values."""
+        columns = (column.tolist() for column in self[1:-1])
+        return LinkBlock(self.first_id, *columns, self.announced)
+
+
+_NO_ITEMS = np.empty(0, dtype=np.int64)
 
 
 class LinkSimulator:
@@ -150,9 +178,10 @@ class LinkSimulator:
         self.delivered_count = 0
         self.lost_count = 0
         self._rng = Random(self.cfg.seed)
-        # frames in flight in send order, as columns: due time, frame id
-        # and payload
-        self._in_flight: tuple[list[int], list[int], list] = ([], [], [])
+        # frames in flight in send order, as columns: due time and frame id
+        # (int64), and payload, whose empty int64 column joined to a column
+        # of objects becomes one of objects
+        self._in_flight: tuple[np.ndarray, np.ndarray, np.ndarray] = (_NO_ITEMS,) * 3
 
     @property
     def frames_in_flight(self) -> int:
@@ -176,7 +205,7 @@ class LinkSimulator:
         mode = check_mode(mode)
         if self.ap_state is AccessPointState.NOT_STARTED:
             raise ProtocolError("access point not started")
-        if self._in_flight[0]:
+        if len(self._in_flight[0]):
             raise ProtocolError(
                 "half-duplex violation: cannot acknowledge a mode change"
                 " while a frame is in flight"
@@ -184,15 +213,18 @@ class LinkSimulator:
         self.watch_mode = mode
         self.log += log_lines(EventKind.MODE_SET, [self.now], [mode.name])
 
-    def _stream(self, steps: list[int], sent_after: list[int], frames) -> LinkBlock:
+    def _stream(
+        self, steps: np.ndarray, sent_after: np.ndarray, frames: np.ndarray
+    ) -> _BlockColumns:
         """Advance virtual time through `steps`, sending `frames` between them.
 
         The caller has checked its arguments, and nothing is checked again:
-        `steps` are int times, non-decreasing and >= now; frame k goes out
-        right after step sent_after[k], at that step's time, or at the
-        current time when sent_after[k] is -1, and sent_after is
-        non-decreasing with one entry per frame; frames are sent only by a
-        started access point in ACC mode.
+        `steps` is an int64 column of times in now..TIME_MAX, non-decreasing;
+        frame k goes out right after step sent_after[k], at that step's
+        time, or at the current time when sent_after[k] is -1, and
+        sent_after is a non-decreasing int64 column with one entry per frame;
+        `frames` is a column of payloads, ints or objects; frames are sent
+        only by a started access point in ACC mode.
         Each frame sent takes the next frame id and one loss draw, in order.
         A kept frame joins the FIFO, due at its send time + latency, and
         arrives at the first step after its send whose time is >= its due
@@ -205,34 +237,35 @@ class LinkSimulator:
         """
         p, latency, draw = self.cfg.loss_probability, self.cfg.latency, self._rng.random
         first_id = self.sent_count
-        lost = [draw() < p for _ in range(len(frames))]
+        # one random() per frame, in order: exact as float64, compared to p
+        lost = np.fromiter(starmap(draw, repeat((), len(frames))), np.float64, len(frames)) < p
+        kept = np.flatnonzero(~lost)
         self.sent_count += len(lost)
-        self.lost_count += sum(lost)
-        # the FIFO as columns: due time, first step it may arrive at, frame
-        # id and payload; a frame sent after step i may arrive from step
-        # i + 1, and one in flight from before at any step
-        kept = [k for k, gone in enumerate(lost) if not gone]
-        due, ids, payload = self._in_flight
-        lo = [sent_after[k] + 1 for k in kept]
+        self.lost_count += len(lost) - len(kept)
         # a frame sent after step i goes out at sent_at[i + 1]: that step's
-        # time, or the current time for i = -1
-        sent_at = [self.now, *steps]
-        due = due + [sent_at[i] + latency for i in lo]
-        lo = [0] * len(ids) + lo
-        ids = ids + [first_id + k for k in kept]
-        payload = payload + [frames[k] for k in kept]
+        # time, or the current time for i = -1; it may arrive from step
+        # i + 1, and a frame in flight from before at any step
+        lo = sent_after[kept] + 1
+        sent_at = np.concatenate(([self.now], steps))
+        due, ids, payload = self._in_flight
+        due = np.concatenate((due, sent_at[lo] + latency))
+        lo = np.concatenate((np.zeros(len(ids), dtype=np.int64), lo))
+        ids = np.concatenate((ids, first_id + kept))
+        payload = np.concatenate((payload, frames[kept]))
         # due times and earliest steps both rise along the FIFO, so arrival
         # steps do too, and the frames delivered are a prefix of it
-        arrival = list(map(bisect_left, repeat(steps), due, lo))
-        n = bisect_left(arrival, len(steps))
+        arrival = np.maximum(np.searchsorted(steps, due), lo)
+        n = int(np.searchsorted(arrival, len(steps)))
         self._in_flight = (due[n:], ids[n:], payload[n:])
         self.delivered_count += n
         announced = n > 0 and self.ap_state is not AccessPointState.ACQUIRING
         if announced:
             self.ap_state = AccessPointState.ACQUIRING
         if len(steps):
-            self.now = steps[-1]
-        return LinkBlock(first_id, lost, arrival[:n], due[:n], ids[:n], payload[:n], announced)
+            self.now = int(steps[-1])
+        return _BlockColumns(
+            first_id, lost, arrival[:n], due[:n], ids[:n], payload[:n], announced
+        )
 
     def transmit_sample(self, frame: CodecFrame) -> LinkBlock:
         """Send one accelerometer sample, as its ACC frame, at the current time.
@@ -251,19 +284,21 @@ class LinkSimulator:
             )
         if frame.mode is not WatchMode.ACC:
             raise ValueError(f"only ACC frames carry samples, got {frame.mode.name}")
-        block = self._stream([], [-1], [frame])
+        sent_after, frames = np.array([-1], dtype=np.int64), np.array([frame], dtype=object)
+        block = self._stream(_NO_ITEMS, sent_after, frames).listed()
         details = frame_details([block.first_id], [frame.x], [frame.y], [frame.z])
-        self.log += send_lines(block, [self.now], details)[1]
+        self.log += send_lines(block.first_id, block.lost, [self.now], details)[1]
         return block
 
     def run_until(self, t: int) -> LinkBlock:
-        """Advance virtual time to t (an int >= now), delivering frames due;
-        returns the step's LinkBlock, whose payloads are the frames sent."""
-        check_int("t", t, self.now)
-        block = self._stream([t], [], [])
+        """Advance virtual time to t (an int in now..TIME_MAX), delivering
+        frames due; returns the step's LinkBlock, whose payloads are the
+        frames sent."""
+        check_int("t", t, self.now, TIME_MAX)
+        block = self._stream(np.array([t], dtype=np.int64), _NO_ITEMS, _NO_ITEMS).listed()
         frames = block.frame
         details = frame_details(
             block.frame_id, [f.x for f in frames], [f.y for f in frames], [f.z for f in frames]
         )
-        self.log += delivery_lines(block, details)[1]
+        self.log += delivery_lines(block.t, block.announced, details)[1]
         return block

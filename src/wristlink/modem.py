@@ -35,8 +35,8 @@ benchmark sweep's seed-0 row at sigma 2 reads 0.303365, and would read
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -155,12 +155,6 @@ class ModemConfig:
         check_seed(self.seed)
 
 
-def noise_sigma_for_snr_db(snr_db: float) -> float:
-    """Noise sigma at which the unit tone's power (1/2) over noise power
-    equals the given SNR."""
-    return math.sqrt(0.5 / 10 ** (snr_db / 10))
-
-
 def modulate(bits, phase=None) -> np.ndarray:
     """Emit a unit-amplitude continuous-phase FSK waveform for bit sequences.
 
@@ -211,17 +205,22 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
     Row i of a 2-D waveform (the whole of a 1-D one, as row 0) draws its
     noise from default_rng((seed + i) % 2**64); the rows' seed words are
     hashed in one pass (_seed_state_words), so no SeedSequence is built per
-    row. Given `rng`, a list with one Generator per row, row i instead
-    continues rng[i]; a waveform sent in pieces then gets exactly the noise
-    of one draw over the whole, as a generator's normals do not depend on
-    how they are split into calls.
+    row. Given `rng`, a list with one Generator per row (any other entry
+    raises ValueError naming it), row i instead continues rng[i]; a
+    waveform sent in pieces then gets exactly the noise of one draw over
+    the whole, as a generator's normals do not depend on how they are split
+    into calls.
     """
     wave = check_rows("waveform", waveform, float)
     check_type("cfg", cfg, ModemConfig)
     n_rows = len(wave) if wave.ndim == 2 else 1
-    if rng is not None and (not isinstance(rng, list) or len(rng) != n_rows):
-        got = len(rng) if isinstance(rng, list) else type(rng).__name__
-        raise ValueError(f"rng must hold one generator per row ({n_rows}), got {got}")
+    if rng is not None:
+        if not isinstance(rng, list) or len(rng) != n_rows:
+            got = len(rng) if isinstance(rng, list) else type(rng).__name__
+            raise ValueError(f"rng must hold one generator per row ({n_rows}), got {got}")
+        if not all(map(isinstance, rng, repeat(np.random.Generator))):
+            for i, gen in enumerate(rng):
+                check_type(f"rng[{i}]", gen, np.random.Generator)
     a = cfg.channel_attenuation
     if cfg.noise_sigma == 0 or wave.size == 0:
         return wave * a

@@ -26,6 +26,10 @@ import numpy as np
 COUNT_MIN = 0
 COUNT_MAX = 1023  # 10-bit ADC
 SAMPLE_PERIOD_MS = 20  # 50 Hz
+# the latest time, in int ms (about 285,000 years), that a run can log: every
+# time fits an int64 column, and a JSON reader holds it exactly (RFC 8259,
+# section 6)
+TIME_MAX = 2**53 - 1
 
 TRACE_HEADER = "t_ms,x,y,z"
 # a data row is four decimal integers: digits only, no sign, space or "_"
@@ -159,7 +163,8 @@ def check_seed(seed) -> None:
 
 @dataclass(frozen=True, slots=True)
 class AccelSample:
-    """One timestamped 3-axis reading in raw counts; t is an int >= 0 (ms)."""
+    """One timestamped 3-axis reading in raw counts; t is an int in
+    0..TIME_MAX (ms)."""
 
     t: int
     x: int
@@ -167,7 +172,7 @@ class AccelSample:
     z: int
 
     def __post_init__(self):
-        check_int("t", self.t, 0)
+        check_int("t", self.t, 0, TIME_MAX)
         check_counts(self.x, self.y, self.z)
 
 
@@ -205,6 +210,7 @@ def _check_columns(t, x, y, z) -> None:
     if t and not (
         {*map(type, t), *map(type, x), *map(type, y), *map(type, z)} == {int}
         and t[0] >= 0
+        and t[-1] <= TIME_MAX
         and all(map(lt, t, t[1:]))
         and all(COUNT_MIN <= min(c) and max(c) <= COUNT_MAX for c in (x, y, z))
     ):
@@ -219,8 +225,8 @@ def _check_columns(t, x, y, z) -> None:
 @dataclass(frozen=True, init=False)
 class Trace:
     """Ordered samples with an optional gesture label, held as four columns
-    of plain ints: the times t (ms >= 0, strictly increasing) and the raw
-    counts x, y and z (COUNT_MIN..COUNT_MAX).
+    of plain ints: the times t (ms in 0..TIME_MAX, strictly increasing) and
+    the raw counts x, y and z (COUNT_MIN..COUNT_MAX).
 
     `Trace.from_columns(t, x, y, z, label)` builds a trace from the
     columns, checking each once as a column. `Trace(samples, label)`

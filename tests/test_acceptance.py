@@ -1,6 +1,7 @@
 """Acceptance gate: one test per release criterion, each printing a
 [PASS]/[FAIL] line (run with `pytest -s -v tests/test_acceptance.py`)."""
 import functools
+import math
 import re
 import time
 from fractions import Fraction
@@ -39,7 +40,6 @@ from wristlink.modem import (
     demodulate,
     measure_ber,
     modulate,
-    noise_sigma_for_snr_db,
 )
 from wristlink.sensor import GestureKind, generate_gesture, load_trace
 
@@ -129,7 +129,8 @@ def test_c3_modem_identity_and_ber():
     bits = [b for f in frames for b in serialize(f)]
     assert demodulate(channel_apply(modulate(bits), clean)) == bits
 
-    sigma_20db = noise_sigma_for_snr_db(20.0)
+    # the unit tone's power (1/2) over the noise power is 20 dB
+    sigma_20db = math.sqrt(0.5 / 10 ** (20.0 / 10))
     assert measure_ber(ModemConfig(noise_sigma=sigma_20db, seed=1), 10_000) < 1e-3
 
     rates = [

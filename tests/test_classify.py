@@ -15,6 +15,7 @@ from wristlink.classify import (
     CalibrationProfile,
     Debouncer,
     ProfileError,
+    _emissions,
     calibrate,
     classify_window,
     classify_windows,
@@ -244,6 +245,18 @@ def test_sliding_windows_take_the_count_range_ends():
     assert classify_windows([1023, 0], [5, 0], profile) == [Action.ON, Action.OFF]
 
 
+@pytest.mark.parametrize("on_band", [(-5, -1), (-5, 0), (1023, 2000), (1024, 2000)])
+@pytest.mark.parametrize("count", [0, 1023])
+def test_band_ends_just_outside_the_count_range(on_band, count):
+    # a window's sum lies in 0..1023 * w, and the band ends are clipped to
+    # -1..1024 before scaling: an end one past the counts still decides a
+    # window of all 0s or all 1023s by the exact rule
+    profile = CalibrationProfile(on_band=on_band, off_band=(3000, 3001), window_size=3)
+    inside = on_band[0] <= count <= on_band[1]
+    verdict = Action.ON if inside else Action.DO_NOTHING
+    assert classify_windows([count] * 4, [0] * 4, profile) == [verdict] * 2
+
+
 def fraction_mean_verdict(window, on_band, off_band):
     """Reference route: band membership of the exact rational axis means."""
     z_mean = Fraction(sum(s.z for s in window), len(window))
@@ -393,9 +406,10 @@ class TestDebounce:
     @pytest.mark.parametrize("verdict", ["garbage", "ON", None, 1])
     def test_non_action_verdict_rejected(self, verdict):
         gate = Debouncer(1)
-        with pytest.raises(ValueError, match=re.escape(repr(verdict))):
+        message = f"^verdict must be an Action, got {type(verdict).__name__}$"
+        with pytest.raises(ValueError, match=message):
             gate.push(verdict)
-        with pytest.raises(ValueError, match="must be an Action"):
+        with pytest.raises(ValueError, match=message):
             debounced_stream([Action.ON, verdict], 1)
         # the rejected value left the run as it was
         assert gate.push(Action.ON) is Action.ON
@@ -410,6 +424,29 @@ class TestDebounce:
         assert Action.DO_NOTHING not in out
         for a, b in zip(out, out[1:]):
             assert a is not b
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 2), max_size=60),
+        n=st.integers(1, 5),
+        split=st.none() | st.integers(0, 60),
+    )
+    def test_run_length_pass_equals_the_streaming_debouncer(self, codes, n, split):
+        # the column pass against Debouncer.push one verdict at a time, a
+        # fresh Debouncer taking over at verdict `split` (as at the PIR
+        # trigger), or none doing so; a code is its Action's place in
+        # definition order
+        fresh_at = len(codes) if split is None else min(split, len(codes))
+        want, gate = [], Debouncer(n)
+        for v, code in enumerate(codes):
+            if v == fresh_at:
+                gate = Debouncer(n)
+            action = gate.push(list(Action)[code])
+            if action is not None:
+                want.append((v, action))
+        at, emitted = _emissions(np.array(codes, dtype=np.int8), n, fresh_at)
+        assert at.dtype.kind == "i" and emitted.dtype == np.int8
+        assert [(v, list(Action)[c]) for v, c in zip(at.tolist(), emitted.tolist())] == want
 
 
 class TestProfile:

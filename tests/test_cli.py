@@ -19,7 +19,14 @@ from wristlink.classify import (
 from wristlink.controller import run_pipeline
 from wristlink.link import LinkConfig
 from wristlink.modem import ModemConfig, measure_ber
-from wristlink.sensor import GestureKind, Trace, generate_gesture, load_trace, save_trace
+from wristlink.sensor import (
+    TIME_MAX,
+    GestureKind,
+    Trace,
+    generate_gesture,
+    load_trace,
+    save_trace,
+)
 
 
 def run(capsys, *argv):
@@ -79,6 +86,40 @@ class TestSimulate:
         assert code == 1
         assert f"{p}: line 2: " in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--latency", "--pir-at"])
+    def test_time_flag_past_the_bound_is_usage_error(self, tmp_path, capsys, flag):
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--demo", "on", "--out", str(out_dir)]
+        code, _, err = run(capsys, *argv, flag, str(TIME_MAX + 1))
+        assert code == 2
+        assert err.startswith(f"error: {flag}: ") and f"got {TIME_MAX + 1}" in err
+        assert not out_dir.exists()
+        # the bound itself: a trigger never reached, or a drain past the bound
+        code, _, err = run(capsys, *argv, flag, str(TIME_MAX))
+        assert code == (0 if flag == "--pir-at" else 2)
+
+    def test_trace_time_past_the_bound_exit_1_naming_its_line(self, tmp_path, capsys):
+        p = tmp_path / "late.csv"
+        p.write_text(f"t_ms,x,y,z\n0,1,2,3\n{TIME_MAX + 1},4,5,6\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "simulate", "--trace", str(p), "--out", str(out_dir))
+        assert code == 1
+        assert f"{p}: line 2: t must be an integer in 0..{TIME_MAX}" in err
+        assert not out_dir.exists()
+
+    def test_drain_past_the_bound_is_usage_error_naming_latency(self, tmp_path, capsys):
+        # the trace's last time is the bound: only latency 0 drains within it
+        p = tmp_path / "last.csv"
+        p.write_text(f"t_ms,x,y,z\n0,1,2,3\n{TIME_MAX},4,5,6\n")
+        argv = ["simulate", "--trace", str(p), "--out", str(tmp_path / "out")]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: --latency: latency must keep the drain time")
+        code, _, _ = run(capsys, *argv, "--latency", "0")
+        assert code == 0
+        log = (tmp_path / "out" / "simulation.log").read_text()
+        assert f"[t={TIME_MAX}] FRAME_DELIVERED frame=1 " in log
 
     def test_trace_and_demo_conflict(self, tmp_path, capsys):
         code, _, err = run(

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wristlink.classify import Action, CalibrationProfile, Debouncer, classify_window
+from wristlink.classify import (
+    Action,
+    CalibrationProfile,
+    Debouncer,
+    classify_window,
+    debounced_stream,
+)
 from wristlink.controller import PHY_BLOCK_FRAMES, HomeController, run_pipeline
 from wristlink.framing import (
     SYNC_BITS,
@@ -23,6 +29,7 @@ from wristlink.framing import (
 from wristlink.link import ACQUIRING_MESSAGE, LinkConfig, LinkSimulator
 from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
 from wristlink.sensor import (
+    TIME_MAX,
     AccelSample,
     GestureKind,
     Trace,
@@ -84,7 +91,8 @@ class TestHomeController:
         if armed:
             ctrl.pir_trigger(0)
         before = list(ctrl.log)
-        with pytest.raises(ValueError, match=f"must be an Action, got {action!r}"):
+        message = f"^action must be an Action, got {type(action).__name__}$"
+        with pytest.raises(ValueError, match=message):
             ctrl.apply_action(action, 5)
         assert ctrl.log == before and ctrl.powered is False
 
@@ -828,14 +836,17 @@ class TestMetamorphicRelations:
         )
 
     @settings(max_examples=60, deadline=None)
-    @given(shift=st.sampled_from([1, 7, 1000, 2**64]), **PIPELINES)
+    @given(shift=st.sampled_from([1, 7, 1000, TIME_MAX]) | st.integers(1, TIME_MAX), **PIPELINES)
     def test_time_translation_raises_every_time_by_the_shift(self, shift, **pipeline):
         # the log is ordered by step, never by time: adding c to every sample
-        # time and to pir_at adds c to every [t=...] after the header, even
-        # where the times pass 2**64, and changes nothing else
+        # time and to pir_at adds c to every [t=...] after the header, up to
+        # the time bound, and changes nothing else
         trace, kwargs = self.pipeline(**pipeline)
         base = run_pipeline(trace, **kwargs)
         pir_at = kwargs["pir_at"]
+        # at most the shift that puts the drain or the trigger on the bound
+        latest = max(trace.t[-1] + kwargs["link_cfg"].latency, pir_at or 0)
+        shift = min(shift, TIME_MAX - latest)
         moved = run_pipeline(
             Trace.from_columns([t + shift for t in trace.t], trace.x, trace.y, trace.z),
             **{**kwargs, "pir_at": None if pir_at is None else pir_at + shift},
@@ -983,45 +994,68 @@ class TestGateModel:
 
 
 class TestIntegerEdges:
-    """Times and band ends are Python ints of any size: nothing wraps at 2**63."""
+    """Times run up to the bound TIME_MAX = 2**53 - 1 and band ends are ints
+    of any size: no time or sum wraps or rounds on the way."""
 
+    # the latency that puts the last delivery exactly on the bound
+    LATENCY = TIME_MAX - 2**52
     TRACE = Trace(
-        (AccelSample(t=2**62 - 20, x=1, y=2, z=3), AccelSample(t=2**62, x=4, y=5, z=6))
+        (AccelSample(t=2**52 - 20, x=1, y=2, z=3), AccelSample(t=2**52, x=4, y=5, z=6))
     )
     ONE = CalibrationProfile(window_size=1, debounce_n=1)
 
-    def test_delivery_past_int64(self):
-        result = run_pipeline(self.TRACE, link_cfg=LinkConfig(latency=2**62), profile=self.ONE)
+    def test_delivery_at_the_time_bound(self):
+        link_cfg = LinkConfig(latency=self.LATENCY)
+        result = run_pipeline(self.TRACE, link_cfg=link_cfg, profile=self.ONE)
         assert result.log[3:] == [
             "[t=0] PIR TRIGGERED",
-            "[t=4611686018427387884] FRAME_SENT frame=0 mode=ACC x=1 y=2 z=3",
-            "[t=4611686018427387904] FRAME_SENT frame=1 mode=ACC x=4 y=5 z=6",
-            "[t=9223372036854775788] FRAME_DELIVERED frame=0 mode=ACC x=1 y=2 z=3",
-            "[t=9223372036854775788] ACQUIRE_ANNOUNCED",
+            "[t=4503599627370476] FRAME_SENT frame=0 mode=ACC x=1 y=2 z=3",
+            "[t=4503599627370496] FRAME_SENT frame=1 mode=ACC x=4 y=5 z=6",
+            "[t=9007199254740971] FRAME_DELIVERED frame=0 mode=ACC x=1 y=2 z=3",
+            "[t=9007199254740971] ACQUIRE_ANNOUNCED",
             "Acquiring data from accelerometer sensor",
-            "[t=9223372036854775808] FRAME_DELIVERED frame=1 mode=ACC x=4 y=5 z=6",
-            "[t=9223372036854775788] ACTION DO_NOTHING",
-            "[t=9223372036854775808] ACTION DO_NOTHING",
+            "[t=9007199254740991] FRAME_DELIVERED frame=1 mode=ACC x=4 y=5 z=6",
+            "[t=9007199254740971] ACTION DO_NOTHING",
+            "[t=9007199254740991] ACTION DO_NOTHING",
         ]
 
-    def test_latency_past_int64_with_a_trigger_between_deliveries(self):
+    def test_trigger_between_deliveries_at_the_time_bound(self):
         result = run_pipeline(
             self.TRACE,
-            link_cfg=LinkConfig(latency=2**70),
+            link_cfg=LinkConfig(latency=self.LATENCY),
             profile=self.ONE,
-            pir_at=2**70 + 2**62 - 10,
+            pir_at=TIME_MAX - 10,
         )
         assert result.log[3:] == [
-            "[t=4611686018427387884] FRAME_SENT frame=0 mode=ACC x=1 y=2 z=3",
-            "[t=4611686018427387904] FRAME_SENT frame=1 mode=ACC x=4 y=5 z=6",
-            "[t=1185203306735838691308] FRAME_DELIVERED frame=0 mode=ACC x=1 y=2 z=3",
-            "[t=1185203306735838691308] ACQUIRE_ANNOUNCED",
+            "[t=4503599627370476] FRAME_SENT frame=0 mode=ACC x=1 y=2 z=3",
+            "[t=4503599627370496] FRAME_SENT frame=1 mode=ACC x=4 y=5 z=6",
+            "[t=9007199254740971] FRAME_DELIVERED frame=0 mode=ACC x=1 y=2 z=3",
+            "[t=9007199254740971] ACQUIRE_ANNOUNCED",
             "Acquiring data from accelerometer sensor",
-            "[t=1185203306735838691308] ACTION DO_NOTHING",
-            "[t=1185203306735838691318] PIR TRIGGERED",
-            "[t=1185203306735838691328] FRAME_DELIVERED frame=1 mode=ACC x=4 y=5 z=6",
-            "[t=1185203306735838691328] ACTION DO_NOTHING",
+            "[t=9007199254740971] ACTION DO_NOTHING",
+            "[t=9007199254740981] PIR TRIGGERED",
+            "[t=9007199254740991] FRAME_DELIVERED frame=1 mode=ACC x=4 y=5 z=6",
+            "[t=9007199254740991] ACTION DO_NOTHING",
         ]
+
+    def test_drain_past_the_time_bound_refused_naming_the_latency(self):
+        message = (
+            "latency must keep the drain time, the last sample time 4503599627370496 + latency,"
+            f" <= {TIME_MAX}, got {self.LATENCY + 1}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_pipeline(self.TRACE, link_cfg=LinkConfig(latency=self.LATENCY + 1))
+
+    @pytest.mark.parametrize("n", [2**63 - 1, 2**63, 2**64])
+    def test_debounce_n_past_int64(self, n):
+        # no run reaches n, so nothing is emitted, and the int64 run columns
+        # never meet n itself
+        profile = CalibrationProfile(window_size=1, debounce_n=n)
+        result = run_pipeline(vertical_trace(6, seed=1), profile=profile)
+        assert result.actions == [] and result.powered is False
+        assert [line.split()[-1] for line in result.log if " ACTION " in line] == ["ON"] * 6
+        assert not any(" APPLIANCE " in line for line in result.log)
+        assert debounced_stream([Action.ON] * 3, n) == []
 
     @pytest.mark.parametrize(
         "on_band, off_band, window, expected",

@@ -30,6 +30,7 @@ from wristlink.link import LinkConfig, LinkSimulator
 from wristlink.modem import ModemConfig, measure_ber
 from wristlink.sensor import (
     COUNT_MAX,
+    TIME_MAX,
     AccelSample,
     check_counts,
     check_int,
@@ -84,7 +85,7 @@ ENTRIES = {
     "AccelSample.x": Entry("x", lambda v: AccelSample(t=0, x=v, y=0, z=0), 0, COUNT_MAX),
     "AccelSample.y": Entry("y", lambda v: AccelSample(t=0, x=0, y=v, z=0), 0, COUNT_MAX),
     "AccelSample.z": Entry("z", lambda v: AccelSample(t=0, x=0, y=0, z=v), 0, COUNT_MAX),
-    "AccelSample.t": Entry("t", lambda v: AccelSample(t=v, x=0, y=0, z=0), 0),
+    "AccelSample.t": Entry("t", lambda v: AccelSample(t=v, x=0, y=0, z=0), 0, TIME_MAX),
     "CodecFrame.mode": Entry("mode", lambda v: CodecFrame(v, 0, 0, 0), 0, 3),
     "LinkSimulator.watch_set_mode": Entry("mode", set_mode, 0, 3),
     "CodecFrame.x": Entry("x", lambda v: CodecFrame(WatchMode.ACC, v, 0, 0), 0, COUNT_MAX),
@@ -97,7 +98,7 @@ ENTRIES = {
         "seed", lambda v: generate_gesture("other", 1, v), 0, SEED_MAX
     ),
     "generate_gesture.n": Entry("n", lambda v: generate_gesture("other", v, 0), 1),
-    "LinkConfig.latency": Entry("latency", lambda v: LinkConfig(latency=v), 0),
+    "LinkConfig.latency": Entry("latency", lambda v: LinkConfig(latency=v), 0, TIME_MAX),
     "CalibrationProfile.on_band[0]": Entry(
         "on_band[0]", lambda v: CalibrationProfile(on_band=(v, 286)), typical=240
     ),
@@ -120,13 +121,15 @@ ENTRIES = {
     "calibrate.margin_hi": Entry("margin_hi", lambda v: calibrate(*TRAINING, 0, v), typical=0),
     "Debouncer": Entry("debounce_n", Debouncer, 1),
     "debounced_stream": Entry("debounce_n", lambda v: debounced_stream([Action.ON], v), 1),
-    "run_pipeline.pir_at": Entry("pir_at", pipeline, 0),
-    "HomeController.pir_trigger": Entry("t", lambda v: HomeController().pir_trigger(v), 0),
+    "run_pipeline.pir_at": Entry("pir_at", pipeline, 0, TIME_MAX),
+    "HomeController.pir_trigger": Entry(
+        "t", lambda v: HomeController().pir_trigger(v), 0, TIME_MAX
+    ),
     # an unarmed controller: t is checked before the armed test
     "HomeController.apply_action": Entry(
-        "t", lambda v: HomeController().apply_action(Action.ON, v), 0
+        "t", lambda v: HomeController().apply_action(Action.ON, v), 0, TIME_MAX
     ),
-    "LinkSimulator.run_until": Entry("t", run_until_after_now, RUN_UNTIL_NOW),
+    "LinkSimulator.run_until": Entry("t", run_until_after_now, RUN_UNTIL_NOW, TIME_MAX),
     "measure_ber": Entry("n_bits", lambda v: measure_ber(ModemConfig(), v), 1),
 }
 

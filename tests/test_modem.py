@@ -26,7 +26,6 @@ from wristlink.modem import (
     demodulate,
     measure_ber,
     modulate,
-    noise_sigma_for_snr_db,
 )
 
 CLEAN = ModemConfig()  # attenuation 1.0, noise 0
@@ -319,6 +318,18 @@ class TestChannel:
         with pytest.raises(ValueError, match=re.escape(message)):
             channel_apply(np.zeros(shape), NOISY, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "entry, kind", [(1, "int"), (np.random.RandomState(0), "RandomState")]
+    )
+    @pytest.mark.parametrize("shape", [(16,), (2, 16)])
+    def test_each_rng_entry_must_be_a_generator(self, entry, kind, shape):
+        # a wrong entry is named at the boundary, not met inside NumPy
+        rows = shape[0] if len(shape) == 2 else 1
+        streams = [np.random.default_rng(i) for i in range(rows - 1)] + [entry]
+        message = f"rng[{rows - 1}] must be a Generator, got {kind}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            channel_apply(np.zeros(shape), ModemConfig(noise_sigma=0.5), streams)
+
 
 class TestDemodulate:
     def test_noiseless_inverse_on_frame(self):
@@ -397,7 +408,9 @@ class TestMeasureBer:
         assert rates == sorted(rates)
 
     def test_20db_snr_under_1e3(self):
-        sigma = noise_sigma_for_snr_db(20.0)
+        # the sigma at which the unit tone's power (1/2) over the noise power
+        # is 20 dB
+        sigma = math.sqrt(0.5 / 10 ** (20.0 / 10))
         assert math.isclose(sigma, math.sqrt(0.005))
         rate = measure_ber(ModemConfig(noise_sigma=sigma, seed=1), 10_000)
         assert rate < 1e-3

@@ -29,6 +29,7 @@ from wristlink.sensor import (
     IDLE_COUNTS,
     IDLE_RANGE,
     SAMPLE_PERIOD_MS,
+    TIME_MAX,
     VERTICAL_Z_COUNTS,
     VERTICAL_Z_RANGE,
     AccelSample,
@@ -130,20 +131,33 @@ class TestColumns:
         "columns, message",
         [
             (((0, 20), (1, 1024), (2, 5), (3, 6)), "x must be an integer in 0..1023, got 1024"),
-            (((-1, 20), (1, 4), (2, 5), (3, 6)), "t must be an integer >= 0, got -1"),
+            (((-1, 20), (1, 4), (2, 5), (3, 6)), f"t must be an integer in 0..{TIME_MAX}, got -1"),
             (((0, 0), (1, 4), (2, 5), (3, 6)), "timestamps must be strictly increasing: 0 after 0"),
             (((0, 20), (1, 4), (2, True), (3, 6)), "y must be an integer in 0..1023, got True"),
             (((0, 20), (1, 4), (2, 5), (3, np.int64(6))), "z must be an integer in 0..1023, got np.int64(6)"),
-            (((0, 20.0), (1, 4), (2, 5), (3, 6)), "t must be an integer >= 0, got 20.0"),
+            (((0, 20.0), (1, 4), (2, 5), (3, 6)), f"t must be an integer in 0..{TIME_MAX}, got 20.0"),
         ],
     )
     def test_column_check_names_the_first_bad_value(self, columns, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Trace.from_columns(*columns)
 
-    def test_times_past_int64_are_plain_ints(self):
-        trace = Trace.from_columns((2**63, 2**70), (1, 4), (2, 5), (3, 6))
-        assert trace.t == (2**63, 2**70) and trace[1].t == 2**70
+    def test_times_up_to_the_bound_are_plain_ints(self):
+        trace = Trace.from_columns((TIME_MAX - 1, TIME_MAX), (1, 4), (2, 5), (3, 6))
+        assert trace.t == (2**53 - 2, 2**53 - 1) and trace[1].t == 2**53 - 1
+        assert type(trace.t[1]) is int
+        message = f"t must be an integer in 0..{TIME_MAX}, got {2**53}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Trace.from_columns((TIME_MAX - 1, TIME_MAX + 1), (1, 4), (2, 5), (3, 6))
+
+    def test_file_time_past_the_bound_names_its_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(f"t_ms,x,y,z\n0,1,2,3\n{TIME_MAX},4,5,6\n")
+        assert load_trace(p).t == (0, TIME_MAX)
+        p.write_text(f"t_ms,x,y,z\n0,1,2,3\n{TIME_MAX + 1},4,5,6\n")
+        message = f"{p}: line 2: t must be an integer in 0..{TIME_MAX}, got {TIME_MAX + 1}"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            load_trace(p)
 
     def test_column_builders_make_no_checked_sample(self, tmp_path, monkeypatch):
         # generate_gesture and the one-pass read fill the columns directly
@@ -170,7 +184,8 @@ _SAMPLE_VALUES = st.one_of(
 def _sample_rows(draw):
     rows, t = [], draw(st.sampled_from([0, 5, -1]))
     for _ in range(draw(st.integers(0, 6))):
-        t += draw(st.sampled_from([20, 20, 20, 1, 0, -1, 2**64]))
+        # two gaps of 2**52 pass the time bound TIME_MAX = 2**53 - 1
+        t += draw(st.sampled_from([20, 20, 20, 1, 0, -1, 2**52]))
         rows.append((draw(st.one_of(st.just(t), _SAMPLE_VALUES)), *draw(st.tuples(*[_SAMPLE_VALUES] * 3))))
     return rows
 
@@ -353,7 +368,7 @@ def _near_valid_trace_texts(draw):
     # a valid file with the line ends of one style, then up to two faults
     t, times, rows = draw(st.integers(0, 3)), [], []
     for _ in range(draw(st.sampled_from([0, 1, 2, 3, 5, 8]))):
-        t += draw(st.sampled_from([20, 20, 1, 10**20]))
+        t += draw(st.sampled_from([20, 20, 1, 2**52]))  # two pass the time bound
         times.append(t)
         rows.append([str(t)] + [str(draw(st.integers(0, 1023))) for _ in range(3)])
     lines = [["t_ms,x,y,z"]] + rows
