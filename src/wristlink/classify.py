@@ -93,7 +93,7 @@ class CalibrationProfile:
 
 def window_mean(samples, axis: str) -> Fraction:
     """Exact arithmetic mean of one axis over a window of samples."""
-    axis = axis.lower()
+    axis = check_type("axis", axis, str).lower()
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     samples = check_samples("window samples", samples)

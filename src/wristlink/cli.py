@@ -294,11 +294,17 @@ def cmd_ber(o) -> int:
     sigmas = np.linspace(o.sigma_min, o.sigma_max, o.points)
     # one sub-seed for the whole sweep: common random numbers across points
     seed = _subseed(o.seed, "modem")
+    # every point is checked before one is measured
+    try:
+        cfgs = [ModemConfig(noise_sigma=float(sigma), seed=seed) for sigma in sigmas]
+    except ValueError as exc:
+        raise _UsageError(
+            f"--sigma-max: {o.sigma_max} puts sweep points past the bound: {exc}"
+        ) from None
     rows = ["noise_sigma,ber"]
-    for sigma in sigmas:
-        cfg = ModemConfig(noise_sigma=float(sigma), seed=seed)
+    for cfg in cfgs:
         rate = _owned(measure_ber, cfg, o.bits)
-        rows.append(f"{sigma:.6g},{rate:.6g}")
+        rows.append(f"{cfg.noise_sigma:.6g},{rate:.6g}")
         print(rows[-1])
     path = _out_dir(o) / "ber.csv"
     path.write_text("\n".join(rows) + "\n", encoding="ascii")

@@ -13,11 +13,12 @@ its row of the checked columns, decoded as one block at sigma 0 and in
 blocks of PHY_BLOCK_FRAMES frames above it, where the rest of a frame is
 sent only if its preamble survived, so the decoded fields of frames
 rejected at the preamble are not computed; the link as one block of
-sends and time steps (LinkSimulator._stream) on int64 columns, every time
-being bounded by TIME_MAX; the classifier's verdict code for every window
-of the delivered sequence at once; then the debouncer as one run-length
-pass over the codes, split at the trigger, and the controller's APPLIANCE
-lines from the armed emissions that switch the appliance. HomeController
+sends and time steps (LinkSimulator._stream) on int64 columns of due times
+and frame ids, every time bounded by TIME_MAX, each delivery read from the
+frames sent by its id; the classifier's verdict code for every window of
+the delivered sequence at once; then the debouncer as one run-length pass
+over the codes, split at the trigger, and the controller's APPLIANCE lines
+from the armed emissions that switch the appliance. HomeController
 is the controller's streaming form, one action at a time. The log is
 rendered by column and put in order by one stable sort of a (step, phase)
 key. A clean run keeps no per-sample container object alive, so it never
@@ -240,13 +241,14 @@ def run_pipeline(
         steps.insert(pir_step, pir_at)
         sample_step[pir_step:] += 1
     sent_step = sample_step[sent]
-    # payload: the index in sent
-    link = sim._stream(np.array(steps, dtype=np.int64), sent_step, np.arange(len(sent)))
-    arrival, due = link.step, link.t.tolist()
+    first_id, lost, arrival, due, ids, announced = sim._stream(np.array(steps, np.int64), sent_step)
+    due = due.tolist()
 
-    # decoded (x, y, z) of each frame sent, and of each delivered, in order
+    # decoded (x, y, z) of each frame sent, and of each delivered, in order;
+    # frame first_id + k is the k-th frame sent
     sent_xyz = fields[sent, 1:]
-    got = sent_xyz[link.frame]
+    got_index = ids - first_id
+    got = sent_xyz[got_index]
     w = profile.window_size
     # verdict v is that of the window ending at delivery v + w - 1
     codes = _verdict_codes(got[:, 2], got[:, 1], profile)
@@ -280,13 +282,11 @@ def run_pipeline(
     # APPLIANCE line its action causes, and 2 for the trigger or the
     # sample's own lines. One stable sort by key puts the table in log
     # order, lines of one key keeping their order here.
-    details = frame_details(range(link.first_id, link.first_id + len(sent)), *sent_xyz.T.tolist())
+    details = frame_details(range(first_id, first_id + len(sent)), *sent_xyz.T.tolist())
     delivered_rows, delivered = delivery_lines(
-        due, link.announced, [details[k] for k in link.frame.tolist()]
+        due, announced, [details[k] for k in got_index.tolist()]
     )
-    sent_rows, sent_lines = send_lines(
-        link.first_id, link.lost, [times[i] for i in sent.tolist()], details
-    )
+    sent_rows, sent_lines = send_lines(first_id, lost, [times[i] for i in sent.tolist()], details)
     action_lines = [
         f"[t={t}] ACTION {texts[code]}" for t, code in zip(due[w - 1 :], codes.tolist())
     ]

@@ -11,22 +11,18 @@ Half-duplex rule: the access point transmits control acknowledgments only
 flight, so watch->AP and AP->watch transmissions can never overlap.
 
 The link runs on columns: its private core, `LinkSimulator._stream`, sends a
-block of frames between a block of time steps, given as int64 columns, and
-returns what happened as NumPy columns (_BlockColumns). Its FIFO, and the
-frames it leaves in flight, are int64 columns of due times and frame ids
-beside a column of payloads, and each frame's arrival step is one
-searchsorted of its due time in the step times, so a block builds no
-per-frame container; `frame_details` renders payloads from x, y and z
-columns. Every time the link takes or logs is an int in 0..TIME_MAX
-(sensor.TIME_MAX), so its columns never overflow. The core trusts its
-callers, each of which checks its own input once: `transmit_sample` and
-`run_until` are its one-frame and one-step uses, which return its columns
-as a LinkBlock of lists and render it into the log, the link's one
-history, and `controller.run_pipeline` sends a whole trace through it.
-A one-frame call pays the core's fixed cost, a few dozen NumPy calls,
-that a whole trace pays once, so a run goes through run_pipeline. All three
-render their lines with `delivery_lines` and `send_lines`, the one place
-that says where ACQUIRE_ANNOUNCED and FRAME_LOST lines go.
+block of frames between a block of time steps, both int64 columns, and moves
+due times and frame ids only. Its FIFO, and the frames it leaves in flight,
+are two int64 columns, and each frame's arrival step is one searchsorted of
+its due time in the step times; every time is an int in 0..TIME_MAX
+(sensor.TIME_MAX), so no column overflows. The core trusts its callers, each
+of which checks its input once and keeps the frames it sent:
+`transmit_sample` and `run_until`, its one-frame and one-step uses, which
+hold each kept frame by id until it is delivered, and
+`controller.run_pipeline`, which sends a whole trace through it at once; a
+one-frame call pays the core's fixed cost, a few dozen NumPy calls, each
+time. All three render their lines with `delivery_lines` and `send_lines`,
+the one place that says where ACQUIRE_ANNOUNCED and FRAME_LOST lines go.
 """
 from __future__ import annotations
 
@@ -139,24 +135,6 @@ class LinkBlock(NamedTuple):
     announced: bool  # the first of these deliveries announced acquisition
 
 
-class _BlockColumns(NamedTuple):
-    """A LinkBlock's fields as the block core returns them: each column a
-    NumPy array, the payloads an array of the objects or ints sent."""
-
-    first_id: int
-    lost: np.ndarray  # bool
-    step: np.ndarray  # int64
-    t: np.ndarray  # int64
-    frame_id: np.ndarray  # int64
-    frame: np.ndarray
-    announced: bool
-
-    def listed(self) -> LinkBlock:
-        """The LinkBlock of these columns, as lists of plain values."""
-        columns = (column.tolist() for column in self[1:-1])
-        return LinkBlock(self.first_id, *columns, self.announced)
-
-
 _NO_ITEMS = np.empty(0, dtype=np.int64)
 
 
@@ -178,10 +156,10 @@ class LinkSimulator:
         self.delivered_count = 0
         self.lost_count = 0
         self._rng = Random(self.cfg.seed)
-        # frames in flight in send order, as columns: due time and frame id
-        # (int64), and payload, whose empty int64 column joined to a column
-        # of objects becomes one of objects
-        self._in_flight: tuple[np.ndarray, np.ndarray, np.ndarray] = (_NO_ITEMS,) * 3
+        # frames in flight in send order, as int64 columns of due times and
+        # frame ids, and those that transmit_sample sent, by frame id
+        self._in_flight: tuple[np.ndarray, np.ndarray] = (_NO_ITEMS, _NO_ITEMS)
+        self._held: dict[int, CodecFrame] = {}
 
     @property
     def frames_in_flight(self) -> int:
@@ -213,18 +191,15 @@ class LinkSimulator:
         self.watch_mode = mode
         self.log += log_lines(EventKind.MODE_SET, [self.now], [mode.name])
 
-    def _stream(
-        self, steps: np.ndarray, sent_after: np.ndarray, frames: np.ndarray
-    ) -> _BlockColumns:
-        """Advance virtual time through `steps`, sending `frames` between them.
+    def _stream(self, steps: np.ndarray, sent_after: np.ndarray) -> tuple:
+        """Advance virtual time through `steps`, sending frames between them.
 
         The caller has checked its arguments, and nothing is checked again:
         `steps` is an int64 column of times in now..TIME_MAX, non-decreasing;
         frame k goes out right after step sent_after[k], at that step's
         time, or at the current time when sent_after[k] is -1, and
         sent_after is a non-decreasing int64 column with one entry per frame;
-        `frames` is a column of payloads, ints or objects; frames are sent
-        only by a started access point in ACC mode.
+        frames are sent only by a started access point in ACC mode.
         Each frame sent takes the next frame id and one loss draw, in order.
         A kept frame joins the FIFO, due at its send time + latency, and
         arrives at the first step after its send whose time is >= its due
@@ -232,47 +207,48 @@ class LinkSimulator:
         arrive in send order. Frames due after the last step stay in flight.
         The first delivery of a session announces acquisition.
 
-        No log line is written: the caller renders the returned columns with
-        delivery_lines and send_lines.
+        Returns (first_id, lost, arrival, due, frame_id, announced): the
+        first frame's id; per frame sent, its loss (bool); per delivery, in
+        order, its arrival step, due time and frame id (int64); and whether
+        the first delivery announced acquisition. Frame first_id + k is the
+        caller's k-th. No line is logged: the caller renders these columns.
         """
         p, latency, draw = self.cfg.loss_probability, self.cfg.latency, self._rng.random
-        first_id = self.sent_count
+        first_id, n_sent = self.sent_count, len(sent_after)
         # one random() per frame, in order: exact as float64, compared to p
-        lost = np.fromiter(starmap(draw, repeat((), len(frames))), np.float64, len(frames)) < p
+        lost = np.fromiter(starmap(draw, repeat((), n_sent)), np.float64, n_sent) < p
         kept = np.flatnonzero(~lost)
-        self.sent_count += len(lost)
-        self.lost_count += len(lost) - len(kept)
+        self.sent_count += n_sent
+        self.lost_count += n_sent - len(kept)
         # a frame sent after step i goes out at sent_at[i + 1]: that step's
         # time, or the current time for i = -1; it may arrive from step
         # i + 1, and a frame in flight from before at any step
         lo = sent_after[kept] + 1
         sent_at = np.concatenate(([self.now], steps))
-        due, ids, payload = self._in_flight
+        due, ids = self._in_flight
         due = np.concatenate((due, sent_at[lo] + latency))
         lo = np.concatenate((np.zeros(len(ids), dtype=np.int64), lo))
         ids = np.concatenate((ids, first_id + kept))
-        payload = np.concatenate((payload, frames[kept]))
         # due times and earliest steps both rise along the FIFO, so arrival
         # steps do too, and the frames delivered are a prefix of it
         arrival = np.maximum(np.searchsorted(steps, due), lo)
         n = int(np.searchsorted(arrival, len(steps)))
-        self._in_flight = (due[n:], ids[n:], payload[n:])
+        self._in_flight = (due[n:], ids[n:])
         self.delivered_count += n
         announced = n > 0 and self.ap_state is not AccessPointState.ACQUIRING
         if announced:
             self.ap_state = AccessPointState.ACQUIRING
         if len(steps):
             self.now = int(steps[-1])
-        return _BlockColumns(
-            first_id, lost, arrival[:n], due[:n], ids[:n], payload[:n], announced
-        )
+        return first_id, lost, arrival[:n], due[:n], ids[:n], announced
 
     def transmit_sample(self, frame: CodecFrame) -> LinkBlock:
         """Send one accelerometer sample, as its ACC frame, at the current time.
 
         Requires a started access point and ACC mode. The frame is delivered
         after the configured latency, or lost with the configured
-        probability, as lost[0] of the returned LinkBlock says.
+        probability, as lost[0] of the returned LinkBlock says. A send has
+        no time step, so it delivers nothing.
         """
         check_type("frame", frame, CodecFrame)
         if self.ap_state is AccessPointState.NOT_STARTED:
@@ -284,21 +260,24 @@ class LinkSimulator:
             )
         if frame.mode is not WatchMode.ACC:
             raise ValueError(f"only ACC frames carry samples, got {frame.mode.name}")
-        sent_after, frames = np.array([-1], dtype=np.int64), np.array([frame], dtype=object)
-        block = self._stream(_NO_ITEMS, sent_after, frames).listed()
-        details = frame_details([block.first_id], [frame.x], [frame.y], [frame.z])
-        self.log += send_lines(block.first_id, block.lost, [self.now], details)[1]
-        return block
+        first_id, lost, *_ = self._stream(_NO_ITEMS, np.array([-1], dtype=np.int64))
+        lost = lost.tolist()
+        if not lost[0]:
+            self._held[first_id] = frame
+        details = frame_details([first_id], [frame.x], [frame.y], [frame.z])
+        self.log += send_lines(first_id, lost, [self.now], details)[1]
+        return LinkBlock(first_id, lost, [], [], [], [], False)
 
     def run_until(self, t: int) -> LinkBlock:
         """Advance virtual time to t (an int in now..TIME_MAX), delivering
         frames due; returns the step's LinkBlock, whose payloads are the
         frames sent."""
         check_int("t", t, self.now, TIME_MAX)
-        block = self._stream(np.array([t], dtype=np.int64), _NO_ITEMS, _NO_ITEMS).listed()
-        frames = block.frame
+        first_id, lost, step, due, ids, announced = self._stream(np.array([t], np.int64), _NO_ITEMS)
+        due, ids = due.tolist(), ids.tolist()
+        frames = [self._held.pop(frame_id) for frame_id in ids]
         details = frame_details(
-            block.frame_id, [f.x for f in frames], [f.y for f in frames], [f.z for f in frames]
+            ids, [f.x for f in frames], [f.y for f in frames], [f.z for f in frames]
         )
-        self.log += delivery_lines(block.t, block.announced, details)[1]
-        return block
+        self.log += delivery_lines(due, announced, details)[1]
+        return LinkBlock(first_id, lost.tolist(), step.tolist(), due, ids, frames, announced)

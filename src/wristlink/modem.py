@@ -143,6 +143,15 @@ def _state_words_type():
     return StateWords
 
 
+# The largest noise sigma. NumPy's ziggurat standard_normal returns |n| <
+# 13.8 (its tail draw is 3.654 - ln(u) / 3.654 with u >= 2**-53: 13.71), so
+# a received sample, unit tone plus noise, has |w| < 14 sigma once sigma >=
+# 5, demodulate's probe correlations over 16 samples |c| <= 224 sigma, and
+# its sum of two tone energies 2 c**2 <= 100352 sigma**2: at most 0.39 of
+# the float range at sqrt(float max) / 2**9, leaving room for rounding.
+NOISE_SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max)) / 2**9
+
+
 @dataclass(frozen=True)
 class ModemConfig:
     channel_attenuation: float = 1.0
@@ -151,7 +160,7 @@ class ModemConfig:
 
     def __post_init__(self):
         check_number("channel_attenuation", self.channel_attenuation, 0, 1, above=True)
-        check_number("noise_sigma", self.noise_sigma, 0)
+        check_number("noise_sigma", self.noise_sigma, 0, NOISE_SIGMA_MAX)
         check_seed(self.seed)
 
 

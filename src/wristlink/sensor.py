@@ -110,12 +110,16 @@ def check_type(name: str, value, cls):
 
 def check_rows(name: str, values, dtype=None) -> np.ndarray:
     """values as an array holding one row (1-D) or a block of rows (2-D),
-    an iterable other than an array being read whole first. This is the one
-    rank rule of the radio path: any other rank raises ValueError naming the
-    parameter and the shape."""
+    an iterable other than an array being read whole first, and cast to
+    dtype (float) when given. This is the one rank rule of the radio path:
+    any other rank, or given a dtype a non-real one (complex, string,
+    object), raises ValueError naming the parameter and the shape or dtype."""
     if not isinstance(values, np.ndarray) and np.iterable(values):
         values = list(values)
-    rows = np.asarray(values, dtype=dtype)
+    rows = np.asarray(values)
+    if dtype is not None and rows.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {rows.dtype}")
+    rows = np.asarray(rows, dtype=dtype)
     if rows.ndim not in (1, 2):
         raise ValueError(f"{name} must be a 1-D row or a 2-D block, got shape {rows.shape}")
     return rows

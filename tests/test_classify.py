@@ -73,6 +73,12 @@ class TestWindowMean:
         with pytest.raises(ValueError):
             window_mean(ON_WINDOW, "w")
 
+    @pytest.mark.parametrize("axis", [1, None, b"z"])
+    def test_non_string_axis_rejected_naming_it(self, axis):
+        message = f"^axis must be a str, got {type(axis).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            window_mean(ON_WINDOW, axis)
+
     def test_non_sample_rejected_naming_its_type(self):
         with pytest.raises(ValueError, match="^window samples item must be an AccelSample, got int$"):
             window_mean([1, 2], "z")

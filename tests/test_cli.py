@@ -18,7 +18,7 @@ from wristlink.classify import (
 )
 from wristlink.controller import run_pipeline
 from wristlink.link import LinkConfig
-from wristlink.modem import ModemConfig, measure_ber
+from wristlink.modem import NOISE_SIGMA_MAX, ModemConfig, measure_ber
 from wristlink.sensor import (
     TIME_MAX,
     GestureKind,
@@ -98,6 +98,18 @@ class TestSimulate:
         # the bound itself: a trigger never reached, or a drain past the bound
         code, _, err = run(capsys, *argv, flag, str(TIME_MAX))
         assert code == (0 if flag == "--pir-at" else 2)
+
+    @pytest.mark.parametrize("noise", ["1e200", "1e308"])
+    def test_noise_past_the_bound_is_usage_error(self, tmp_path, capsys, noise):
+        # past the modem's noise bound: refused before the trace is run
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--demo", "on", "--noise", noise, "--out", str(out_dir)
+        )
+        assert code == 2
+        assert err.startswith("error: --noise: noise_sigma must be a finite number")
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_trace_time_past_the_bound_exit_1_naming_its_line(self, tmp_path, capsys):
         p = tmp_path / "late.csv"
@@ -355,6 +367,31 @@ class TestBer:
         assert "sweep" in err
         assert out == ""
         assert not (tmp_path / "ber.csv").exists()
+
+    @pytest.mark.parametrize("sigma_max", ["1e200", "1e308"])
+    def test_sweep_past_the_noise_bound_refused_before_any_point(
+        self, tmp_path, capsys, sigma_max
+    ):
+        # every point is checked first: no row is printed, no file written
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "ber", "--sigma-max", sigma_max, "--points", "2", "--bits", "100",
+            "--out", str(out_dir),
+        )
+        assert code == 2
+        assert err.startswith(f"error: --sigma-max: {float(sigma_max)} puts sweep points past")
+        assert "noise_sigma must be a finite number" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_sweep_up_to_the_noise_bound_runs(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, "ber", "--sigma-max", repr(NOISE_SIGMA_MAX), "--points", "2",
+            "--bits", "100", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "0,0"
+        assert out.splitlines()[1].startswith(f"{NOISE_SIGMA_MAX:.6g},")
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_memory_does_not_grow_with_bits(self, tmp_path):

@@ -481,6 +481,17 @@ class LinkMachine(RuleBasedStateMachine):
         assert sim.watch_mode is self.mode
 
     @invariant()
+    def holds_exactly_the_frames_in_flight(self):
+        # counters_match sees how many frames are in flight, not which: a
+        # lost or delivered frame still held would pass it
+        due, ids = self.sim._in_flight
+        assert due.tolist() == [send_t + self.cfg.latency for send_t, _, _ in self.in_flight]
+        assert ids.tolist() == [frame_id for _, frame_id, _ in self.in_flight]
+        held = self.sim._held
+        assert list(held) == ids.tolist()
+        assert all(held[frame_id] is frame for _, frame_id, frame in self.in_flight)
+
+    @invariant()
     def state_and_log_match(self):
         if self.announced:
             state = AccessPointState.ACQUIRING

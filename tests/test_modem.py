@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wristlink
+from wristlink.controller import run_pipeline
 from wristlink.framing import CodecFrame, WatchMode, deserialize, serialize
 from wristlink.modem import (
     BER_BLOCK_BITS,
     F0,
     F1,
+    NOISE_SIGMA_MAX,
     SAMPLE_RATE,
     SAMPLES_PER_BIT,
     ModemConfig,
@@ -27,6 +30,7 @@ from wristlink.modem import (
     measure_ber,
     modulate,
 )
+from wristlink.sensor import generate_gesture
 
 CLEAN = ModemConfig()  # attenuation 1.0, noise 0
 NOISY = ModemConfig(noise_sigma=0.6, seed=3)
@@ -105,6 +109,33 @@ class TestConfig:
         # and so would np.True_; a string or None is no channel quantity
         with pytest.raises(ValueError, match=name):
             ModemConfig(**{name: value})
+
+
+class TestNoiseBound:
+    def test_next_float_up_refused(self):
+        assert ModemConfig(noise_sigma=NOISE_SIGMA_MAX).noise_sigma == NOISE_SIGMA_MAX
+        with pytest.raises(ValueError, match="^noise_sigma must be a finite number in"):
+            ModemConfig(noise_sigma=math.nextafter(NOISE_SIGMA_MAX, math.inf))
+
+    def test_largest_sigma_runs_without_warning(self):
+        # demodulate's tone energies stay finite: no overflow warning, and
+        # bits decided by the noise, not all 0
+        cfg = ModemConfig(noise_sigma=NOISE_SIGMA_MAX, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate = measure_ber(cfg, 4 * BER_BLOCK_BITS // 3)
+            result = run_pipeline(generate_gesture("vertical", 512, 1), modem_cfg=cfg)
+        assert 0.45 < rate < 0.55
+        assert result.frames_sent + result.frames_corrupted == 512
+
+    @pytest.mark.parametrize("probe", range(4))
+    def test_worst_case_samples_at_the_bound_stay_finite(self, probe):
+        # every sample at the derivation's ceiling, 14 sigma, signed to add
+        # up in one probe: the largest correlation any channel output gives
+        wave = 14 * NOISE_SIGMA_MAX * np.sign(_PROBES[:, probe])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(demodulate(np.tile(wave, 3))) == 3
 
 
 class TestModulate:
@@ -568,3 +599,29 @@ def test_rank_rule(stage, value, shape):
     message = f"{name} must be a 1-D row or a 2-D block, got shape {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("stage", ["channel_apply", "demodulate"])
+@pytest.mark.parametrize(
+    "value, dtype",
+    [
+        (np.zeros(16, complex), "complex128"),
+        (np.zeros((2, 16), np.complex64), "complex64"),
+        (["0.5"] * 16, "<U3"),
+        (np.full(16, 0.5, dtype=object), "object"),
+    ],
+    ids=["complex", "complex_block", "string", "object"],
+)
+def test_waveform_must_be_real(stage, value, dtype):
+    # a waveform is cast to float only from a real dtype: never by dropping
+    # an imaginary part or parsing strings or objects
+    name, call = RADIO_STAGES[stage]
+    message = f"{name} must hold real numbers, got dtype {dtype}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [[0] * 16, [False] * 16, np.zeros(16, np.float32)])
+def test_real_waveform_dtypes_read_as_float64(value):
+    assert channel_apply(value, CLEAN).dtype == np.float64
+    assert demodulate(value) == [0]
