@@ -3,13 +3,14 @@
 Samples carry 10-bit ADC counts (0..1023) at a default 50 Hz rate. A Trace
 holds its samples as four columns of plain ints (t, x, y, z), checked once
 as columns; an AccelSample is one row. Traces round-trip through a plain
-CSV format, which load_trace reads in one pass over the whole file, falling
-back to a row-by-row read only to name the line of a bad row, with the
-column check's error. The check_* functions are the library's value rules,
-check_int_array the one for NumPy integer columns. A seeded
-generator synthesizes the three wrist gestures the classifier
-distinguishes, with per-axis statistics matched to the reference captures
-below.
+CSV format, which load_trace reads in one pass over the whole file (one
+grammar match, one NumPy parse into an int64 block, one check of its
+columns), falling back to a row-by-row read with one int() per field only
+to name the line of a bad row, with the column check's error. The check_*
+functions are the library's value rules, check_int_array the one for
+NumPy integer columns. A seeded generator synthesizes the three wrist
+gestures the classifier distinguishes, with per-axis statistics matched
+to the reference captures below.
 """
 from __future__ import annotations
 
@@ -34,11 +35,10 @@ TIME_MAX = 2**53 - 1
 TRACE_HEADER = "t_ms,x,y,z"
 # a data row is four decimal integers: digits only, no sign, space or "_"
 _TRACE_ROW = re.compile(r"([0-9]+),([0-9]+),([0-9]+),([0-9]+)")
-# the rows after the header, each ending in \n, all in one match
+# the rows after the header, each ending in \n, all in one match: the
+# grammar check, as NumPy's parse of the fields would also take a sign or
+# a space
 _TRACE_BODY = re.compile(r"(?:[0-9]+,[0-9]+,[0-9]+,[0-9]+\n)*")
-# characters of rows whose fields are split and parsed at a time: all of a
-# trace's field strings at once would take ~50 bytes per field
-_READ_CHUNK_CHARS = 1 << 15
 
 # Reference captures from the wrist-worn sensor: raw counts seen on the active
 # axis during vertical wrist motion (z axis), horizontal wrist motion (y axis),
@@ -205,6 +205,12 @@ def _sample_view(t: int, x: int, y: int, z: int) -> AccelSample:
     return sample
 
 
+def _check_label(label) -> None:
+    """Raise ValueError naming the type unless label is a GestureKind or None."""
+    if label is not None and not isinstance(label, GestureKind):
+        raise ValueError(f"trace label must be a GestureKind or None, got {type(label).__name__}")
+
+
 def _check_columns(t, x, y, z) -> None:
     """Raise ValueError unless each row (t, x, y, z) of the equal-length
     columns passes AccelSample's checks and t is strictly increasing. The
@@ -262,10 +268,7 @@ class Trace:
         return trace
 
     def _fill(self, t, x, y, z, label, samples) -> None:
-        if label is not None and not isinstance(label, GestureKind):
-            raise ValueError(
-                f"trace label must be a GestureKind or None, got {type(label).__name__}"
-            )
+        _check_label(label)
         columns = tuple(map(tuple, (t, x, y, z)))
         lengths = [len(column) for column in columns]
         if len(set(lengths)) > 1:
@@ -273,7 +276,11 @@ class Trace:
         _check_columns(*columns)
         if label is not None and not lengths[0]:
             raise ValueError("a labeled trace must be non-empty")
-        for name, value in zip(("t", "x", "y", "z", "label", "_samples"), (*columns, label, samples)):
+        self._set(*columns, label, samples)
+
+    def _set(self, t, x, y, z, label, samples) -> None:
+        names = ("t", "x", "y", "z", "label", "_samples")
+        for name, value in zip(names, (t, x, y, z, label, samples)):
             object.__setattr__(self, name, value)
 
     @property
@@ -301,8 +308,11 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
     naming the file instead. Empty lines at the end of the file are
     ignored; any other line, whitespace-only ones included, must be a data
     row. Errors report the offending data row as a 1-based line number.
-    The optional label is attached in memory; the file carries none.
+    The optional label is attached in memory; the file carries none, so a
+    label other than a GestureKind or None raises ValueError before the
+    file is read.
     """
+    _check_label(label)
     path = Path(path)
     # a non-ASCII byte decodes to U+FFFD, which no row or header matches;
     # read_text has turned \r\n and \r into \n, and splitting on \n alone
@@ -322,20 +332,31 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
 
 def _read_columns(body: str, label: GestureKind | None) -> Trace | None:
     """The trace of body, its data rows each ending in \\n, read in one
-    pass: one match over all rows, one int() per field, a chunk of whole
-    rows at a time, then the column check. None when any of them fails;
-    _read_rows then names the line."""
+    pass: one match over all rows, one NumPy parse of every field into an
+    (n, 4) int64 block, then one check of its columns. None when any of
+    them fails; _read_rows then names the line. label is already checked."""
     if _TRACE_BODY.fullmatch(body) is None:
         return None
-    values, start = [], 0
+    # int() refuses a field of more digits than its limit (none before
+    # Python 3.10.7), which NumPy reads; such a field within the bounds
+    # opens with limit - 15 zeros
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and "0" * (limit - 15) in body and re.search(f"[0-9]{{{limit + 1}}}", body):
+        return None
+    # a field past the int64 range reads as 2**63 - 1, past both bounds
+    block = np.fromstring(body[:-1].replace("\n", ","), np.int64, sep=",").reshape(-1, 4)
+    t = block[:, 0]
     try:
-        while start < len(body):
-            end = body.find("\n", start + _READ_CHUNK_CHARS) + 1 or len(body)
-            values += map(int, body[start : end - 1].replace("\n", ",").split(","))
-            start = end
-        return Trace.from_columns(values[0::4], values[1::4], values[2::4], values[3::4], label)
+        check_int_array("t", t, TIME_MAX)
+        check_int_array("counts", block[:, 1:], COUNT_MAX)
     except ValueError:
         return None
+    if not (t[1:] > t[:-1]).all():
+        return None
+    # the checked block's columns as plain ints, not checked again
+    trace = object.__new__(Trace)
+    trace._set(*map(tuple, block.T.tolist()), label, None)
+    return trace
 
 
 def _read_rows(path: Path, body: str, label: GestureKind | None) -> Trace:

@@ -3,6 +3,7 @@ import pickle
 import re
 from dataclasses import FrozenInstanceError, replace
 from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -247,6 +248,29 @@ class TestLoadTrace:
         with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
             load_trace(p, label=GestureKind.VERTICAL_UP_DOWN)
 
+    @pytest.mark.parametrize("text", ["t_ms,x,y,z\n", "t_ms,x,y,z\n0,1,2,3\n"])
+    def test_label_type_checked_before_the_file_is_read(self, tmp_path, text):
+        # a string label names its type at once, not an empty trace or a
+        # row-by-row read as the cause
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        message = "trace label must be a GestureKind or None, got str"
+        with mock.patch.object(Path, "read_text", side_effect=AssertionError("file read")):
+            with pytest.raises(ValueError, match=f"^{message}$") as info:
+                load_trace(p, label="vertical")
+        assert type(info.value) is ValueError
+
+    def test_valid_file_is_read_in_one_pass_as_plain_ints(self, tmp_path):
+        # the row-by-row read only names a bad line: a valid file never
+        # reaches it, and its columns hold plain ints, never np.int64
+        p = tmp_path / "t.csv"
+        save_trace(generate_gesture(GestureKind.HORIZONTAL, 300, seed=8), p)
+        with mock.patch.object(sensor, "_read_rows", side_effect=AssertionError("row-by-row read")):
+            trace = load_trace(p, label=GestureKind.HORIZONTAL)
+        assert trace == generate_gesture(GestureKind.HORIZONTAL, 300, seed=8)
+        for column in (trace.t, trace.x, trace.y, trace.z):
+            assert type(column) is tuple and {type(v) for v in column} == {int}
+
     def test_out_of_range_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("t_ms,x,y,z\n0,100,200,2000\n")
@@ -305,6 +329,23 @@ class TestLoadTrace:
         with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(p))}: line 3: "):
             load_trace(p)
 
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("zeros", [4299, 4300])
+    def test_zero_padded_field_at_the_int_digit_limit(self, tmp_path, column, zeros):
+        # NumPy reads a field of zeros then 9 as 9 at any length; int()
+        # refuses one of more than 4300 digits on its length alone, and the
+        # one-pass read keeps to int()'s rule
+        fields = ["40", "1", "2", "3"]
+        fields[column] = "0" * zeros + "9"
+        p = tmp_path / "padded.csv"
+        p.write_text("t_ms,x,y,z\n0,1,2,3\n1,1,2,3\n" + ",".join(fields) + "\n")
+        if zeros == 4300:
+            with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(p))}: line 3: Exceeds"):
+                load_trace(p)
+        else:
+            with mock.patch.object(sensor, "_read_rows", side_effect=AssertionError("row-by-row read")):
+                assert load_trace(p)[2] == AccelSample(*(int(field) for field in fields))
+
     @pytest.mark.parametrize(
         "row", ["20,1_0,2,3", "20,+20,2,3", "20, 30,2,3", "20,1,2,3 ", "1_0,+20, 30,4"]
     )
@@ -354,11 +395,13 @@ class TestLoadTrace:
 
 
 # field texts that break a row, or hold at its edges: signs, "_", spaces,
-# line-like characters, a non-ASCII letter, counts of 1024, leading zeros and
-# long digit runs, one past the default int() limit of 4300 digits
+# line-like characters, a non-ASCII letter, counts of 1024, leading zeros,
+# one past the time bound, one past int64 and long digit runs, one past the
+# default int() limit of 4300 digits with or without leading zeros
 _ODD_FIELDS = st.sampled_from(
     ["", "-1", "+5", "1_0", " 5", "5 ", "5\r", "\x0c5", "5\x0b", "\u00e9", "1024", "1024",
-     "99999", "0007", "0" * 30 + "9", "9" * 25, "9" * 4400]
+     "99999", "0007", "0" * 30 + "9", "9007199254740992", "9223372036854775808", "9" * 25,
+     "9" * 4400, "0" * 4400 + "9"]
 )
 _BAD_LINE_ENDS = st.sampled_from(["\n\n", "\n \n", "\x0c\n", "\n\t\n"])
 
@@ -406,20 +449,26 @@ def _load_outcome(path):
 
 def _with_int_oddities(test):
     """test with explicit examples of fields that int() alone would take,
-    at either end of a row."""
+    at either end of a row, and of fields at the edges of int64: the time
+    bound and one past it, the int64 maximum and one past it, 2**64, a
+    20-digit count and a count with 30 leading zeros."""
     for odd in [b" 5", b"5 ", b"+5", b"-0", b"1_0", b"\t5", b"\x0c5"]:
-        test = example(data=b"t_ms,x,y,z\n" + odd + b",1,2,3\n", chunk=1 << 15)(test)
-        test = example(data=b"t_ms,x,y,z\n5,1,2," + odd + b"\n", chunk=1 << 15)(test)
+        test = example(data=b"t_ms,x,y,z\n" + odd + b",1,2,3\n")(test)
+        test = example(data=b"t_ms,x,y,z\n5,1,2," + odd + b"\n")(test)
+    for t in [TIME_MAX, TIME_MAX + 1, 2**63 - 1, 2**63, 2**64]:
+        test = example(data=b"t_ms,x,y,z\n0,1,2,3\n%d,1,2,3\n" % t)(test)
+    for count in [b"9" * 20, b"0" * 30 + b"1023"]:
+        test = example(data=b"t_ms,x,y,z\n0,1,2,3\n20,1," + count + b",3\n")(test)
     return test
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=_near_valid_trace_texts(), chunk=st.sampled_from([1, 7, 30, 1 << 15]))
+@given(data=_near_valid_trace_texts())
 @_with_int_oddities
-def test_one_pass_read_matches_the_row_by_row_read(tmp_path_factory, data, chunk):
+def test_one_pass_read_matches_the_row_by_row_read(tmp_path_factory, data):
     # the one-pass read accepts exactly the files the per-row read accepts,
-    # with equal columns, however its rows are chunked; on the others,
-    # load_trace raises what the per-row read raises, naming the same line
+    # with equal columns; on the others, load_trace raises what the per-row
+    # read raises, naming the same line
     p = tmp_path_factory.getbasetemp() / "near_valid.csv"
     p.write_bytes(data)
     one_pass = []
@@ -429,9 +478,7 @@ def test_one_pass_read_matches_the_row_by_row_read(tmp_path_factory, data, chunk
         one_pass.append(read_columns(body, label))
         return one_pass[-1]
 
-    with mock.patch.object(sensor, "_read_columns", recording), mock.patch.object(
-        sensor, "_READ_CHUNK_CHARS", chunk
-    ):
+    with mock.patch.object(sensor, "_read_columns", recording):
         got = _load_outcome(p)
     with mock.patch.object(sensor, "_read_columns", lambda body, label: None):
         want = _load_outcome(p)
