@@ -16,7 +16,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .sensor import GestureKind, Trace, load_trace
+from .sensor import GestureKind, Trace, check_type, load_trace
 
 DEMO_LABELS = {
     "on": GestureKind.VERTICAL_UP_DOWN,
@@ -28,7 +28,7 @@ DEMO_NAMES = tuple(DEMO_LABELS)
 
 def demo_csv_path(name: str) -> Path:
     """Filesystem path of a bundled fixture CSV."""
-    if name not in DEMO_LABELS:
+    if check_type("name", name, str) not in DEMO_LABELS:
         raise ValueError(f"unknown demo trace {name!r}; choose from {DEMO_NAMES}")
     return Path(str(resources.files("wristlink").joinpath("data", f"demo_{name}.csv")))
 

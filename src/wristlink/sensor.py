@@ -3,14 +3,15 @@
 Samples carry 10-bit ADC counts (0..1023) at a default 50 Hz rate. A Trace
 holds its samples as four columns of plain ints (t, x, y, z), checked once
 as columns; an AccelSample is one row. Traces round-trip through a plain
-CSV format, which load_trace reads in one pass over the whole file (one
-grammar match, one NumPy parse into an int64 block, one check of its
-columns), falling back to a row-by-row read with one int() per field only
-to name the line of a bad row, with the column check's error. The check_*
-functions are the library's value rules, check_int_array the one for
-NumPy integer columns. A seeded generator synthesizes the three wrist
-gestures the classifier distinguishes, with per-axis statistics matched
-to the reference captures below.
+CSV format of fields of 1 to 18 digits, which load_trace reads in one
+pass over the whole file: one grammar match, one NumPy parse into an
+int64 block of the rows before the first line that breaks it, and one
+mask of the rows out of range or out of order; the first bad line is
+named, a bad row with the column check's error. The check_* functions
+are the library's value rules, check_int_array the one for NumPy integer
+columns. A seeded generator synthesizes the three wrist gestures the
+classifier distinguishes, with per-axis statistics matched to the
+reference captures below.
 """
 from __future__ import annotations
 
@@ -33,12 +34,11 @@ SAMPLE_PERIOD_MS = 20  # 50 Hz
 TIME_MAX = 2**53 - 1
 
 TRACE_HEADER = "t_ms,x,y,z"
-# a data row is four decimal integers: digits only, no sign, space or "_"
-_TRACE_ROW = re.compile(r"([0-9]+),([0-9]+),([0-9]+),([0-9]+)")
-# the rows after the header, each ending in \n, all in one match: the
-# grammar check, as NumPy's parse of the fields would also take a sign or
-# a space
-_TRACE_BODY = re.compile(r"(?:[0-9]+,[0-9]+,[0-9]+,[0-9]+\n)*")
+# the data rows after the header, each ending in \n, as far as they keep
+# the grammar: four fields of 1 to 18 decimal digits, no sign, space or "_"
+# (NumPy's parse would take those). A field below 10**18 parses exactly as
+# an int64, whatever int()'s digit limit, and save_trace writes no wider one
+_TRACE_ROWS = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}\n)*")
 
 # Reference captures from the wrist-worn sensor: raw counts seen on the active
 # axis during vertical wrist motion (z axis), horizontal wrist motion (y axis),
@@ -303,14 +303,16 @@ class Trace:
 def load_trace(path, label: GestureKind | None = None) -> Trace:
     """Parse a CSV trace file (`t_ms,x,y,z` header, one sample per row).
 
-    Each field is ASCII decimal digits only. An empty file, or a header
+    Each field is 1 to 18 ASCII decimal digits. An empty file, or a header
     alone, yields an empty trace; given a label, it raises TraceFormatError
     naming the file instead. Empty lines at the end of the file are
     ignored; any other line, whitespace-only ones included, must be a data
-    row. Errors report the offending data row as a 1-based line number.
-    The optional label is attached in memory; the file carries none, so a
-    label other than a GestureKind or None raises ValueError before the
-    file is read.
+    row. The first bad row raises TraceFormatError naming it by its 1-based
+    line number: a row with a bad value or time, with the error
+    Trace.from_columns gives for it, or else the first line that breaks the
+    grammar. The optional label is attached in memory; the file carries
+    none, so a label other than a GestureKind or None raises ValueError
+    before the file is read.
     """
     _check_label(label)
     path = Path(path)
@@ -326,57 +328,31 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
         if label is not None:
             raise TraceFormatError(f"{path}: a labeled trace must be non-empty")
         return Trace(())
-    trace = _read_columns(body, label)
-    return trace if trace is not None else _read_rows(path, body, label)
-
-
-def _read_columns(body: str, label: GestureKind | None) -> Trace | None:
-    """The trace of body, its data rows each ending in \\n, read in one
-    pass: one match over all rows, one NumPy parse of every field into an
-    (n, 4) int64 block, then one check of its columns. None when any of
-    them fails; _read_rows then names the line. label is already checked."""
-    if _TRACE_BODY.fullmatch(body) is None:
-        return None
-    # int() refuses a field of more digits than its limit (none before
-    # Python 3.10.7), which NumPy reads; such a field within the bounds
-    # opens with limit - 15 zeros
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and "0" * (limit - 15) in body and re.search(f"[0-9]{{{limit + 1}}}", body):
-        return None
-    # a field past the int64 range reads as 2**63 - 1, past both bounds
-    block = np.fromstring(body[:-1].replace("\n", ","), np.int64, sep=",").reshape(-1, 4)
+    end = _TRACE_ROWS.match(body).end()
+    # the whole rows before the first line that breaks the grammar, as an
+    # (n, 4) block, parsed without the last row's separator
+    fields = body[: max(end - 1, 0)].replace("\n", ",")
+    block = np.fromstring(fields, np.int64, sep=",").reshape(-1, 4)
     t = block[:, 0]
-    try:
-        check_int_array("t", t, TIME_MAX)
-        check_int_array("counts", block[:, 1:], COUNT_MAX)
-    except ValueError:
-        return None
-    if not (t[1:] > t[:-1]).all():
-        return None
+    bad = (t > TIME_MAX) | (block[:, 1:] > COUNT_MAX).any(axis=1)
+    bad[1:] |= t[1:] <= t[:-1]
+    if bad.any():
+        row = int(bad.argmax())
+        # the row before passed, so the check of the two fails on this one
+        try:
+            _check_columns(*block[max(row - 1, 0) : row + 1].T.tolist())
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}: line {row + 1}: {exc}") from None
+    if end < len(body):
+        line = body[end : body.index("\n", end)]
+        raise TraceFormatError(
+            f"{path}: line {len(block) + 1}: "
+            f"expected 4 comma-separated integers of 1 to 18 digits, got {line!r}"
+        )
     # the checked block's columns as plain ints, not checked again
     trace = object.__new__(Trace)
     trace._set(*map(tuple, block.T.tolist()), label, None)
     return trace
-
-
-def _read_rows(path: Path, body: str, label: GestureKind | None) -> Trace:
-    """The trace of body, its data rows each ending in \\n, read row by row:
-    the first bad row raises TraceFormatError naming its line."""
-    rows = []
-    for row, line in enumerate(body.split("\n")[:-1], start=1):
-        match = _TRACE_ROW.fullmatch(line)
-        if match is None:
-            raise TraceFormatError(
-                f"{path}: line {row}: expected 4 comma-separated integers, got {line!r}"
-            )
-        # int() raises ValueError on a field past sys.get_int_max_str_digits()
-        try:
-            rows.append(tuple(map(int, match.groups())))
-            # the row before passed, so only this row can fail
-            _check_columns(*zip(*rows[-2:]))
-        except ValueError as exc:
-            raise TraceFormatError(f"{path}: line {row}: {exc}") from None
-    return Trace([AccelSample(*row) for row in rows], label)
 
 
 def save_trace(trace: Trace, path) -> None:

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+import sys
 from dataclasses import FrozenInstanceError, replace
 from itertools import accumulate
 from pathlib import Path
@@ -261,11 +262,12 @@ class TestLoadTrace:
         assert type(info.value) is ValueError
 
     def test_valid_file_is_read_in_one_pass_as_plain_ints(self, tmp_path):
-        # the row-by-row read only names a bad line: a valid file never
-        # reaches it, and its columns hold plain ints, never np.int64
+        # the check of a row's columns only words the error of a bad row: a
+        # valid file never reaches it, and its columns hold plain ints, never
+        # np.int64
         p = tmp_path / "t.csv"
         save_trace(generate_gesture(GestureKind.HORIZONTAL, 300, seed=8), p)
-        with mock.patch.object(sensor, "_read_rows", side_effect=AssertionError("row-by-row read")):
+        with mock.patch.object(sensor, "_check_columns", side_effect=AssertionError("row check")):
             trace = load_trace(p, label=GestureKind.HORIZONTAL)
         assert trace == generate_gesture(GestureKind.HORIZONTAL, 300, seed=8)
         for column in (trace.t, trace.x, trace.y, trace.z):
@@ -320,31 +322,48 @@ class TestLoadTrace:
         assert str(info.value) == f"{p}: line {line}: {message}"
 
     @pytest.mark.parametrize("column", range(4))
-    def test_field_past_the_int_digit_limit_reports_line_number(self, tmp_path, column):
-        # int() refuses a field of more than 4300 digits, its default limit
-        fields = ["40", "1", "2", "3"]
-        fields[column] = "9" * 4400
-        p = tmp_path / "bad.csv"
-        p.write_text("t_ms,x,y,z\n0,1,2,3\n20,1,2,3\n" + ",".join(fields) + "\n")
-        with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(p))}: line 3: "):
-            load_trace(p)
+    def test_field_holds_1_to_18_digits(self, tmp_path, column):
+        # 18 characters, zero-padded or not, parse exactly and meet the
+        # value rules; a 19th breaks the grammar, whatever the value
+        name = "txyz"[column]
+        bound = TIME_MAX if column == 0 else 1023
+        p = tmp_path / "t.csv"
+        for wide, error in [
+            ("0" * 16 + "40", None),
+            ("9" * 18, f"{name} must be an integer in 0..{bound}, got {10**18 - 1}"),
+            ("0" * 17 + "40", "expected 4 comma-separated integers of 1 to 18 digits, got '{}'"),
+            ("9" * 19, "expected 4 comma-separated integers of 1 to 18 digits, got '{}'"),
+        ]:
+            fields = ["40", "1", "2", "3"]
+            fields[column] = wide
+            p.write_text("t_ms,x,y,z\n0,1,2,3\n20,1,2,3\n" + ",".join(fields) + "\n")
+            if error is None:
+                assert load_trace(p)[2] == AccelSample(*map(int, fields))
+            else:
+                message = f"{p}: line 3: " + error.format(",".join(fields))
+                with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+                    load_trace(p)
 
     @pytest.mark.parametrize("column", range(4))
-    @pytest.mark.parametrize("zeros", [4299, 4300])
-    def test_zero_padded_field_at_the_int_digit_limit(self, tmp_path, column, zeros):
-        # NumPy reads a field of zeros then 9 as 9 at any length; int()
-        # refuses one of more than 4300 digits on its length alone, and the
-        # one-pass read keeps to int()'s rule
+    @pytest.mark.parametrize("wide", ["0" * 4400 + "9", "9" * 4400], ids=["zero-padded", "nines"])
+    def test_outcome_does_not_depend_on_the_int_digit_limit(self, tmp_path, column, wide):
+        # a zero-padded field of 4401 characters and a field of 4400 digits
+        # break the rule of 1 to 18 digits whatever int()'s digit limit: off
+        # (0), its floor (640) or its default
         fields = ["40", "1", "2", "3"]
-        fields[column] = "0" * zeros + "9"
-        p = tmp_path / "padded.csv"
-        p.write_text("t_ms,x,y,z\n0,1,2,3\n1,1,2,3\n" + ",".join(fields) + "\n")
-        if zeros == 4300:
-            with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(p))}: line 3: Exceeds"):
-                load_trace(p)
-        else:
-            with mock.patch.object(sensor, "_read_rows", side_effect=AssertionError("row-by-row read")):
-                assert load_trace(p)[2] == AccelSample(*(int(field) for field in fields))
+        fields[column] = wide
+        p = tmp_path / "wide.csv"
+        p.write_text("t_ms,x,y,z\n0,1,2,3\n20,1,2,3\n" + ",".join(fields) + "\n")
+        default = sys.get_int_max_str_digits()
+        outcomes = []
+        try:
+            for limit in (0, 640, default):
+                sys.set_int_max_str_digits(limit)
+                outcomes.append(_load_outcome(p))
+        finally:
+            sys.set_int_max_str_digits(default)
+        message = f"{p}: line 3: expected 4 comma-separated integers of 1 to 18 digits, got {','.join(fields)!r}"
+        assert outcomes == [("rejected", "TraceFormatError", message)] * 3
 
     @pytest.mark.parametrize(
         "row", ["20,1_0,2,3", "20,+20,2,3", "20, 30,2,3", "20,1,2,3 ", "1_0,+20, 30,4"]
@@ -447,17 +466,45 @@ def _load_outcome(path):
     return "accepted", trace
 
 
+_MODEL_ROW = re.compile(r"([0-9]{1,18}),([0-9]{1,18}),([0-9]{1,18}),([0-9]{1,18})")
+
+
+def _row_by_row_outcome(path):
+    """_load_outcome(path) by a plain model of the format: the file's lines
+    one at a time, each matched whole by the row grammar of fields of 1 to
+    18 digits, read with one int() per field, and the rows so far built
+    with Trace.from_columns."""
+    text = path.read_text(encoding="ascii", errors="replace").rstrip("\n")
+    lines = text.split("\n")
+    if text and lines[0] != "t_ms,x,y,z":
+        return "rejected", "TraceFormatError", f"{path}: missing 't_ms,x,y,z' header line"
+    rows = []
+    for number, line in enumerate(lines[1:], start=1):
+        match = _MODEL_ROW.fullmatch(line)
+        if match is None:
+            message = f"expected 4 comma-separated integers of 1 to 18 digits, got {line!r}"
+            return "rejected", "TraceFormatError", f"{path}: line {number}: {message}"
+        rows.append(tuple(map(int, match.groups())))
+        try:
+            Trace.from_columns(*zip(*rows))
+        except ValueError as exc:
+            return "rejected", "TraceFormatError", f"{path}: line {number}: {exc}"
+    return "accepted", Trace.from_columns(*zip(*rows)) if rows else Trace(())
+
+
 def _with_int_oddities(test):
     """test with explicit examples of fields that int() alone would take,
-    at either end of a row, and of fields at the edges of int64: the time
+    at either end of a row, of fields at the edges of int64: the time
     bound and one past it, the int64 maximum and one past it, 2**64, a
-    20-digit count and a count with 30 leading zeros."""
+    20-digit count and a count with 30 leading zeros, and of fields at the
+    edge of the 18-digit rule: 18 digits, 19 digits, and 19 characters of
+    zero padding."""
     for odd in [b" 5", b"5 ", b"+5", b"-0", b"1_0", b"\t5", b"\x0c5"]:
         test = example(data=b"t_ms,x,y,z\n" + odd + b",1,2,3\n")(test)
         test = example(data=b"t_ms,x,y,z\n5,1,2," + odd + b"\n")(test)
-    for t in [TIME_MAX, TIME_MAX + 1, 2**63 - 1, 2**63, 2**64]:
+    for t in [TIME_MAX, TIME_MAX + 1, 2**63 - 1, 2**63, 2**64, 10**18 - 1, 10**18]:
         test = example(data=b"t_ms,x,y,z\n0,1,2,3\n%d,1,2,3\n" % t)(test)
-    for count in [b"9" * 20, b"0" * 30 + b"1023"]:
+    for count in [b"9" * 20, b"0" * 30 + b"1023", b"9" * 18, b"9" * 19, b"0" * 15 + b"1023", b"0" * 14 + b"1023"]:
         test = example(data=b"t_ms,x,y,z\n0,1,2,3\n20,1," + count + b",3\n")(test)
     return test
 
@@ -466,29 +513,18 @@ def _with_int_oddities(test):
 @given(data=_near_valid_trace_texts())
 @_with_int_oddities
 def test_one_pass_read_matches_the_row_by_row_read(tmp_path_factory, data):
-    # the one-pass read accepts exactly the files the per-row read accepts,
-    # with equal columns; on the others, load_trace raises what the per-row
-    # read raises, naming the same line
+    # load_trace accepts exactly the files the plain row-by-row model
+    # accepts, with equal columns of plain ints; on the others, it raises
+    # what the model raises, naming the same line
     p = tmp_path_factory.getbasetemp() / "near_valid.csv"
     p.write_bytes(data)
-    one_pass = []
-    read_columns = sensor._read_columns
-
-    def recording(body, label):
-        one_pass.append(read_columns(body, label))
-        return one_pass[-1]
-
-    with mock.patch.object(sensor, "_read_columns", recording):
-        got = _load_outcome(p)
-    with mock.patch.object(sensor, "_read_columns", lambda body, label: None):
-        want = _load_outcome(p)
-    assert got == want
-    if one_pass:
-        assert (one_pass[0] is not None) == (want[0] == "accepted")
-    if want[0] == "accepted":
-        trace = want[1]
-        assert Trace(trace.samples) == trace == Trace.from_columns(trace.t, trace.x, trace.y, trace.z)
-        assert Trace(trace.samples).samples == trace.samples
+    got = _load_outcome(p)
+    assert got == _row_by_row_outcome(p)
+    if got[0] == "accepted":
+        trace = got[1]
+        for column in (trace.t, trace.x, trace.y, trace.z):
+            assert type(column) is tuple and {type(v) for v in column} <= {int}
+        assert Trace(trace.samples) == trace
         assert trace.samples == tuple(map(AccelSample, trace.t, trace.x, trace.y, trace.z))
 
 
@@ -656,6 +692,14 @@ def test_demo_trace_is_the_labeled_csv(name, label):
 def test_unknown_demo_name_rejected():
     with pytest.raises(ValueError, match="unknown demo trace"):
         demo_trace("sideways")
+
+
+@pytest.mark.parametrize("load", [demo_csv_path, demo_trace])
+def test_demo_name_of_another_type_rejected_naming_it(load):
+    # a list is no name, and fails with a ValueError, not a TypeError from
+    # the lookup of an unhashable key
+    with pytest.raises(ValueError, match="^name must be a str, got list$"):
+        load(["on"])
 
 
 _CFG, _PROFILE = "cfg must be a ModemConfig", "profile must be a CalibrationProfile"
