@@ -9,10 +9,11 @@ and gated appliance switching. Nothing downstream feeds back into the
 stages before it, so each runs over the whole trace in turn, reading the
 Trace's t, x, y and z columns and never its AccelSample rows: the radio
 path, each sample encoded on its own from an unchecked CodecFrame view of
-its row of the checked columns, decoded as one block at sigma 0 and in
-blocks of PHY_BLOCK_FRAMES frames above it, where the rest of a frame is
-sent only if its preamble survived, so the decoded fields of frames
-rejected at the preamble are not computed; the link as one block of
+its row of the checked columns, the frames' bytes joined into one wire
+buffer, decoded as one block at sigma 0 and in blocks of PHY_BLOCK_FRAMES
+frames above it, where the rest of a frame is sent only if its preamble
+survived, so the decoded fields of frames rejected at the preamble are not
+computed; the link as one block of
 sends and time steps (LinkSimulator._stream) on int64 columns of due times
 and frame ids, every time bounded by TIME_MAX, each delivery read from the
 frames sent by its id; the classifier's verdict code for every window of
@@ -121,7 +122,8 @@ class PipelineResult:
 def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Radio path: each sample is serialized as an ACC frame, a view of its
     row of the trace's x, y and z columns that the Trace already checked
-    (framing._acc_frame_view), and the bits are sent through the channel
+    (framing._acc_frame_view), and the frames' bytes are joined as they
+    come into one (n, 48) wire block; the bits are sent through the channel
     and decoded, re-verifying sync and CRC per frame. Returns, per sample,
     whether its frame passed both checks, and the (n, 4) frame block decoded
     from its bits; the rows of frames rejected at the preamble are not
@@ -144,7 +146,7 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarr
     channel gives the decision for each value, and the whole trace is
     decoded at once."""
     frames = map(_acc_frame_view, trace.x, trace.y, trace.z)
-    wire = b"".join(map(bytes, map(serialize, frames)))
+    wire = b"".join(map(serialize, frames))
     tx = np.frombuffer(wire, np.uint8).reshape(len(trace), -1)
     if modem_cfg.noise_sigma == 0:
         decide = demodulate(channel_apply(modulate([[0], [1]]), modem_cfg))[:, 0]

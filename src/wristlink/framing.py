@@ -11,12 +11,12 @@ Wire layout, most significant bit first:
 
 The codec works on one frame or on a block of frames. A frame block is an
 (n, 4) integer array whose rows are (mode, x, y, z); its wire form is an
-(n, 48) array of 0/1 bits, one frame per row; each of its columns passes
-`sensor.check_int_array` within its wire range. One frame is the same
-computation on plain ints: `serialize` of a CodecFrame gives a list of 48
-ints, and `deserialize` of one 48-bit sequence gives a CodecFrame or
-raises. The CRC detects every single-bit corruption of the protected
-region.
+(n, 48) uint8 array of 0/1 bits, one frame per row; each of its columns
+passes `sensor.check_int_array` within its wire range. One frame is the
+same computation on plain ints: `serialize` of a CodecFrame gives 48 bytes
+of 0/1 values, the `.tobytes()` of its block row, and `deserialize` of one
+48-bit sequence of any kind gives a CodecFrame or raises. The CRC detects
+every single-bit corruption of the protected region.
 
 Encoding is a few field-table lookups. With zero init and no final xor the
 CRC is linear over GF(2): the CRC of an xor of words is the xor of their
@@ -148,7 +148,7 @@ def _field_crcs() -> list[list[int]]:
 # alike) is the CRC of value v alone in its column, and _FIELD_CRC holds the
 # four as uint8 arrays. The wire bits are the 10-bit head of each mode, the
 # 10 bits of each axis value and the 8 of each CRC byte. Blocks read arrays,
-# one frame lists and bytes.
+# one frame the same rows as bytes.
 _MODE_CRC, _X_CRC, _Y_CRC, _Z_CRC = _field_crcs()
 _FIELD_CRC = tuple(
     np.array(table, dtype=np.uint8) for table in (_MODE_CRC, _X_CRC, _Y_CRC, _Z_CRC)
@@ -173,15 +173,17 @@ def _block_crc(fields: np.ndarray) -> np.ndarray:
 def serialize(frames):
     """Encode frames into their 48-bit wire sequences.
 
-    A CodecFrame gives one list of 48 ints. An (n, 4) integer frame block of
-    (mode, x, y, z) rows gives an (n, 48) uint8 array, one frame per row;
-    each column passes sensor.check_int_array within its wire range.
+    A CodecFrame gives its 48 bits as bytes of 0/1 values, the five table
+    pieces of its head, axes and CRC joined once. An (n, 4) integer frame
+    block of (mode, x, y, z) rows gives an (n, 48) uint8 array, one frame per
+    row, whose row.tobytes() is that frame's bytes; each column passes
+    sensor.check_int_array within its wire range.
     """
     if isinstance(frames, CodecFrame):
         mode, x, y, z = frames.mode, frames.x, frames.y, frames.z
         crc = _MODE_CRC[mode] ^ _X_CRC[x] ^ _Y_CRC[y] ^ _Z_CRC[z]
-        wire = _HEAD_WIRE[mode] + _AXIS_WIRE[x] + _AXIS_WIRE[y] + _AXIS_WIRE[z] + _BYTE_WIRE[crc]
-        return list(wire)
+        pieces = _HEAD_WIRE[mode], _AXIS_WIRE[x], _AXIS_WIRE[y], _AXIS_WIRE[z], _BYTE_WIRE[crc]
+        return b"".join(pieces)
     fields = np.asarray(frames)
     if fields.ndim != 2 or fields.shape[1] != 4:
         raise ValueError(f"frame block must have shape (n, 4), got {fields.shape}")

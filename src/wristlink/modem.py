@@ -250,8 +250,9 @@ def demodulate(waveform):
 
     The last axis of the waveform must be a multiple of SAMPLES_PER_BIT, and
     every sample finite. A tie in energy (including an all-zero window)
-    decodes as 0. A 1-D waveform gives a list of ints; a 2-D one gives a
-    uint8 array with one row of bits per waveform row.
+    decodes as 0. A 2-D waveform gives a uint8 array with one row of bits
+    per waveform row; a 1-D one gives its one row's .tobytes(), bytes of 0/1
+    values, the form framing.serialize gives one frame in.
     """
     wave = check_rows("waveform", waveform, float)
     if wave.shape[-1] % SAMPLES_PER_BIT:
@@ -264,7 +265,7 @@ def demodulate(waveform):
     energy = np.square(wave.reshape(-1, SAMPLES_PER_BIT) @ _PROBES)
     bits = (energy[:, 2] + energy[:, 3] > energy[:, 0] + energy[:, 1]).view(np.uint8)
     bits = bits.reshape(*wave.shape[:-1], wave.shape[-1] // SAMPLES_PER_BIT)
-    return bits if wave.ndim == 2 else bits.tolist()
+    return bits if wave.ndim == 2 else bits.tobytes()
 
 
 def measure_ber(cfg: ModemConfig, n_bits: int) -> float:

@@ -39,6 +39,9 @@ TRACE_HEADER = "t_ms,x,y,z"
 # (NumPy's parse would take those). A field below 10**18 parses exactly as
 # an int64, whatever int()'s digit limit, and save_trace writes no wider one
 _TRACE_ROWS = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}\n)*")
+# the most characters of a line that breaks the grammar that its error
+# quotes; a longer line is quoted up to there, and its length given
+_QUOTED_CHARS = 80
 
 # Reference captures from the wrist-worn sensor: raw counts seen on the active
 # axis during vertical wrist motion (z axis), horizontal wrist motion (y axis),
@@ -310,9 +313,10 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
     row. The first bad row raises TraceFormatError naming it by its 1-based
     line number: a row with a bad value or time, with the error
     Trace.from_columns gives for it, or else the first line that breaks the
-    grammar. The optional label is attached in memory; the file carries
-    none, so a label other than a GestureKind or None raises ValueError
-    before the file is read.
+    grammar, quoted whole up to _QUOTED_CHARS characters and, if longer, up
+    to there with its length. The optional label is attached in memory; the
+    file carries none, so a label other than a GestureKind or None raises
+    ValueError before the file is read.
     """
     _check_label(label)
     path = Path(path)
@@ -345,9 +349,12 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
             raise TraceFormatError(f"{path}: line {row + 1}: {exc}") from None
     if end < len(body):
         line = body[end : body.index("\n", end)]
+        got = repr(line)
+        if len(line) > _QUOTED_CHARS:
+            got = f"{line[:_QUOTED_CHARS]!r}... (a line of {len(line)} characters)"
         raise TraceFormatError(
             f"{path}: line {len(block) + 1}: "
-            f"expected 4 comma-separated integers of 1 to 18 digits, got {line!r}"
+            f"expected 4 comma-separated integers of 1 to 18 digits, got {got}"
         )
     # the checked block's columns as plain ints, not checked again
     trace = object.__new__(Trace)

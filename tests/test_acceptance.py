@@ -126,7 +126,7 @@ def test_c3_modem_identity_and_ber():
             rng.integers(0, 1024, n_frames),
         )
     ]
-    bits = [b for f in frames for b in serialize(f)]
+    bits = b"".join(map(serialize, frames))
     assert demodulate(channel_apply(modulate(bits), clean)) == bits
 
     # the unit tone's power (1/2) over the noise power is 20 dB

@@ -119,30 +119,35 @@ class TestFieldTables:
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(WatchMode)), EDGE_COUNTS, EDGE_COUNTS, EDGE_COUNTS)
 def test_serialize_matches_the_word_numeral_and_the_block_row(mode, x, y, z):
-    bits = serialize(CodecFrame(mode, x, y, z))
-    assert type(bits) is list and {type(b) for b in bits} == {int}
-    assert bits == reference_wire_bits(mode, x, y, z)
-    assert serialize(np.array([(mode, x, y, z)])).tolist() == [bits]
+    # one frame's bits are the bytes of its block row, and they survive the
+    # codec and the noiseless modem unchanged
+    frame = CodecFrame(mode, x, y, z)
+    bits = serialize(frame)
+    assert type(bits) is bytes
+    assert bits == bytes(reference_wire_bits(mode, x, y, z))
+    assert bits == serialize(np.array([(mode, x, y, z)])).tobytes()
+    assert deserialize(bits) == frame
+    assert demodulate(channel_apply(modulate(bits), ModemConfig())) == bits
 
 
 def test_serialize_is_48_bits_and_starts_with_sync():
     bits = serialize(CodecFrame(WatchMode.ACC, 1, 2, 3))
     assert len(bits) == FRAME_BITS == 48
-    assert bits[:8] == [1, 0, 1, 0, 0, 1, 0, 1]
+    assert bits[:8] == bytes([1, 0, 1, 0, 0, 1, 0, 1])
     assert int("".join(map(str, bits[:8])), 2) == SYNC_PATTERN
 
 
 def test_serialize_zero_payload_has_zero_payload_bits():
     bits = serialize(CodecFrame(WatchMode.ACC, 0, 0, 0))
-    assert bits[10:40] == [0] * 30
-    assert bits[8:10] == [0, 1]  # acc mode tag
+    assert bits[10:40] == bytes(30)
+    assert bits[8:10] == bytes([0, 1])  # acc mode tag
     # crc over mode+payload bytes 40 45 00.. computed independently: 0x9B
     assert int("".join(map(str, bits[40:])), 2) == 0x9B
 
 
 def test_serialize_matches_hand_computed_layout():
     frame = CodecFrame(WatchMode.ACC, x=100, y=360, z=277)
-    assert serialize(frame) == EXAMPLE_FRAME_BITS
+    assert serialize(frame) == bytes(EXAMPLE_FRAME_BITS)
 
 
 def test_deserialize_inverts_example():
@@ -180,7 +185,7 @@ def test_wrong_length_rejected():
 
 
 def test_non_bit_values_rejected():
-    bits = serialize(CodecFrame(WatchMode.ACC, 1, 2, 3))
+    bits = bytearray(serialize(CodecFrame(WatchMode.ACC, 1, 2, 3)))
     bits[20] = 2
     with pytest.raises(DecodeError):
         deserialize(bits)
@@ -209,7 +214,7 @@ def test_every_protected_bit_corruption_detected():
 @settings(max_examples=100, deadline=None)
 @given(frames, st.integers(8, 47))
 def test_single_bit_corruption_detected_for_random_frames(frame, pos):
-    bad = serialize(frame)
+    bad = bytearray(serialize(frame))
     bad[pos] ^= 1
     with pytest.raises(CrcMismatchError):
         deserialize(bad)
@@ -257,7 +262,7 @@ class TestFrameBlocks:
         frames = self.random_frames(50)
         block = serialize(np.array([(f.mode, f.x, f.y, f.z) for f in frames]))
         assert block.shape == (50, FRAME_BITS)
-        assert block.tolist() == [serialize(f) for f in frames]
+        assert list(map(bytes, block)) == [serialize(f) for f in frames]
 
     def test_block_round_trip(self):
         frames = self.random_frames(50)
@@ -271,7 +276,7 @@ class TestFrameBlocks:
         bits = serialize(np.array([(f.mode, f.x, f.y, f.z) for f in frames]))
         for row in range(48):
             bits[row, row] ^= 1  # row i flips bit i: sync, mode, payload, crc
-        bits[5] = serialize(frames[5])  # one clean row
+        bits[5] = np.frombuffer(serialize(frames[5]), np.uint8)  # one clean row
         ok, _ = deserialize(bits)
         for row, frame_ok in enumerate(ok.tolist()):
             assert frame_ok == (row == 5)

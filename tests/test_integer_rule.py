@@ -327,7 +327,7 @@ def test_block_serialize_applies_the_array_rule(block):
     if want is None:
         bits = serialize(block)
         assert bits.shape == (len(block), FRAME_BITS) and bits.dtype == np.uint8
-        assert bits.tolist() == [serialize(CodecFrame(*row)) for row in block.tolist()]
+        assert list(map(bytes, bits)) == [serialize(CodecFrame(*row)) for row in block.tolist()]
 
 
 @settings(max_examples=300, deadline=None)

@@ -362,8 +362,25 @@ class TestLoadTrace:
                 outcomes.append(_load_outcome(p))
         finally:
             sys.set_int_max_str_digits(default)
-        message = f"{p}: line 3: expected 4 comma-separated integers of 1 to 18 digits, got {','.join(fields)!r}"
+        message = f"{p}: line 3: expected 4 comma-separated integers of 1 to 18 digits, got {_quoted(','.join(fields))}"
         assert outcomes == [("rejected", "TraceFormatError", message)] * 3
+
+    @pytest.mark.parametrize("width", [19, 80 - len("8000,1,,3"), 81 - len("8000,1,,3"), 4401])
+    def test_long_bad_line_is_quoted_up_to_80_characters(self, tmp_path, width):
+        # a line that breaks the grammar is quoted whole up to 80
+        # characters; past that, its first 80 and its length, so that a
+        # 4,401-character field does not put the whole line in the error
+        rows = "".join(f"{20 * i},1,2,3\n" for i in range(400))
+        line = f"8000,1,{9:0{width}d},3"  # a zero-padded field of `width` characters
+        p = tmp_path / "wide.csv"
+        p.write_text(f"t_ms,x,y,z\n{rows}{line}\n")
+        with pytest.raises(TraceFormatError) as info:
+            load_trace(p)
+        prefix = f"{p}: line 401: expected 4 comma-separated integers of 1 to 18 digits, got "
+        assert str(info.value) == prefix + _quoted(line)
+        if len(line) > 80:
+            assert str(info.value).endswith(f"... (a line of {len(line)} characters)")
+        assert len(str(info.value)) <= len(prefix) + 80 + 40
 
     @pytest.mark.parametrize(
         "row", ["20,1_0,2,3", "20,+20,2,3", "20, 30,2,3", "20,1,2,3 ", "1_0,+20, 30,4"]
@@ -466,6 +483,14 @@ def _load_outcome(path):
     return "accepted", trace
 
 
+def _quoted(line: str) -> str:
+    """How a trace error quotes a line that breaks the grammar: whole, up
+    to 80 characters, and past that its first 80 and its length."""
+    if len(line) <= 80:
+        return repr(line)
+    return f"{line[:80]!r}... (a line of {len(line)} characters)"
+
+
 _MODEL_ROW = re.compile(r"([0-9]{1,18}),([0-9]{1,18}),([0-9]{1,18}),([0-9]{1,18})")
 
 
@@ -482,7 +507,7 @@ def _row_by_row_outcome(path):
     for number, line in enumerate(lines[1:], start=1):
         match = _MODEL_ROW.fullmatch(line)
         if match is None:
-            message = f"expected 4 comma-separated integers of 1 to 18 digits, got {line!r}"
+            message = f"expected 4 comma-separated integers of 1 to 18 digits, got {_quoted(line)}"
             return "rejected", "TraceFormatError", f"{path}: line {number}: {message}"
         rows.append(tuple(map(int, match.groups())))
         try:
