@@ -188,12 +188,12 @@ def calibrate(
                 raise CalibrationError(
                     f"expected a trace labeled {want.value}, got {trace.label}"
                 )
-    z_values = [z for trace in on_traces for z in trace.z]
-    y_values = [y for trace in off_traces for y in trace.y]
+    z = np.concatenate([trace.z for trace in on_traces])
+    y = np.concatenate([trace.y for trace in off_traces])
     try:
         return CalibrationProfile(
-            on_band=(min(z_values) - margin_lo, max(z_values) + margin_hi),
-            off_band=(min(y_values) - margin_lo, max(y_values) + margin_hi),
+            on_band=(int(z.min()) - margin_lo, int(z.max()) + margin_hi),
+            off_band=(int(y.min()) - margin_lo, int(y.max()) + margin_hi),
         )
     except ValueError as exc:
         raise CalibrationError(str(exc)) from None

@@ -67,6 +67,25 @@ def _owned(owner, *args, **kwargs):
         raise
 
 
+def _number(kind):
+    """The argparse type of an int or float flag: kind's parse of an ASCII
+    text with no "_" and no leading or trailing whitespace, all of which
+    kind would take. argparse reports any other text, as any text kind
+    refuses, with exit 2 naming the flag; the value's bounds are its
+    owner's to check."""
+
+    def parse(text: str):
+        if text.isascii() and "_" not in text and text == text.strip():
+            return kind(text)
+        raise ValueError(text)
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
 def _subseed(seed: int, stage: str) -> int:
     """Fixed derivation of a per-stage 64-bit sub-seed from the --seed knob."""
     digest = hashlib.sha256(f"wristlink:{stage}:{seed}".encode("ascii")).digest()
@@ -90,7 +109,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         config(p)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master random seed (default %(default)s)")
+        p.add_argument("--seed", type=_INT, default=0, help="master random seed (default %(default)s)")
         output(p)
 
     def trace_input(p):
@@ -101,37 +120,37 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("gen", help="generate a synthetic gesture trace")
     kinds = [k.value for k in GestureKind]
     p.add_argument("--kind", choices=kinds, default="vertical", help="gesture kind (default %(default)s)")
-    p.add_argument("--n", type=int, default=64, help="sample count (default %(default)s)")
+    p.add_argument("--n", type=_INT, default=64, help="sample count (default %(default)s)")
     common(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("simulate", help="run the full pipeline on a trace")
     trace_input(p)
-    p.add_argument("--loss", type=float, default=LinkConfig.loss_probability,
+    p.add_argument("--loss", type=_FLOAT, default=LinkConfig.loss_probability,
                    help="frame loss probability (default %(default)s)")
-    p.add_argument("--latency", type=int, default=LinkConfig.latency,
+    p.add_argument("--latency", type=_INT, default=LinkConfig.latency,
                    help="per-frame latency in ms (default %(default)s)")
-    p.add_argument("--noise", type=float, default=ModemConfig.noise_sigma,
+    p.add_argument("--noise", type=_FLOAT, default=ModemConfig.noise_sigma,
                    help="channel noise sigma (default %(default)s)")
-    p.add_argument("--attenuation", type=float, default=ModemConfig.channel_attenuation,
+    p.add_argument("--attenuation", type=_FLOAT, default=ModemConfig.channel_attenuation,
                    help="channel gain in (0,1] (default %(default)s)")
-    p.add_argument("--pir-at", dest="pir_at", type=int, default=0,
+    p.add_argument("--pir-at", dest="pir_at", type=_INT, default=0,
                    help="presence trigger time ms (default %(default)s)")
     p.add_argument("--no-pir", dest="no_pir", action="store_true", help="never trigger presence")
     common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ber", help="sweep channel noise and report bit error rates")
-    p.add_argument("--sigma-min", dest="sigma_min", type=float, default=0.0, help="(default %(default)s)")
-    p.add_argument("--sigma-max", dest="sigma_max", type=float, default=2.0, help="(default %(default)s)")
-    p.add_argument("--points", type=int, default=5, help="sweep points (default %(default)s)")
-    p.add_argument("--bits", type=int, default=10000, help="bits per point (default %(default)s)")
+    p.add_argument("--sigma-min", dest="sigma_min", type=_FLOAT, default=0.0, help="(default %(default)s)")
+    p.add_argument("--sigma-max", dest="sigma_max", type=_FLOAT, default=2.0, help="(default %(default)s)")
+    p.add_argument("--points", type=_INT, default=5, help="sweep points (default %(default)s)")
+    p.add_argument("--bits", type=_INT, default=10000, help="bits per point (default %(default)s)")
     common(p)
     p.set_defaults(func=cmd_ber)
 
     p = sub.add_parser("classify", help="print the verdict for each trace window")
     trace_input(p)
-    p.add_argument("--window", type=int, default=0,
+    p.add_argument("--window", type=_INT, default=0,
                    help="window length override, 0 = profile value (default %(default)s)")
     config(p)
     p.set_defaults(func=cmd_classify)
@@ -139,8 +158,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("calibrate", help="fit decision bands from labeled trace directories")
     p.add_argument("--on-dir", dest="on_dir", help="directory of vertical-motion traces")
     p.add_argument("--off-dir", dest="off_dir", help="directory of horizontal-motion traces")
-    p.add_argument("--margin-lo", dest="margin_lo", type=int, default=0, help="(default %(default)s)")
-    p.add_argument("--margin-hi", dest="margin_hi", type=int, default=0, help="(default %(default)s)")
+    p.add_argument("--margin-lo", dest="margin_lo", type=_INT, default=0, help="(default %(default)s)")
+    p.add_argument("--margin-hi", dest="margin_hi", type=_INT, default=0, help="(default %(default)s)")
     output(p)  # calibration draws no random numbers: no --seed
     p.set_defaults(func=cmd_calibrate)
 
@@ -321,10 +340,12 @@ def cmd_classify(o) -> int:
         raise _UsageError(
             f"trace has {len(trace)} samples, shorter than one window of {w}"
         )
-    # sliding verdict k covers samples k..k+w-1; a mean is one correctly rounded division
+    # sliding verdict k covers samples k..k+w-1; a mean is one correctly
+    # rounded division of a plain int sum
+    z, y = trace.z.tolist(), trace.y.tolist()
     for i, verdict in enumerate(classify_windows(trace.z, trace.y, profile)[::w]):
         window = slice(i * w, (i + 1) * w)
-        z_mean, y_mean = sum(trace.z[window]) / w, sum(trace.y[window]) / w
+        z_mean, y_mean = sum(z[window]) / w, sum(y[window]) / w
         print(f"window {i}: z_mean={z_mean:.2f} y_mean={y_mean:.2f} action={verdict.value}")
     return EXIT_OK
 

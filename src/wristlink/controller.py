@@ -1,34 +1,33 @@
 """PIR-gated home-automation controller and the end-to-end pipeline.
 
 The controller arms when a presence sensor fires and from then on honors
-debounced classifier actions against one appliance. `run_pipeline` wires
-the whole chain over virtual time: access-point start, ACC-mode streaming of
+debounced classifier actions against one appliance. `run_pipeline` wires the
+whole chain over virtual time: access-point start, ACC-mode streaming of
 each trace sample through the frame codec and FSK channel, Bernoulli-loss
 delivery, a sliding window over delivered samples, classification, debounce,
-and gated appliance switching. Nothing downstream feeds back into the
-stages before it, so each runs over the whole trace in turn, reading the
-Trace's t, x, y and z columns and never its AccelSample rows: the radio
-path, each sample encoded on its own from an unchecked CodecFrame view of
-its row of the checked columns, the frames' bytes joined into one wire
-buffer, decoded as one block at sigma 0 and in blocks of PHY_BLOCK_FRAMES
-frames above it, where the rest of a frame is sent only if its preamble
-survived, so the decoded fields of frames rejected at the preamble are not
-computed; the link as one block of
-sends and time steps (LinkSimulator._stream) on int64 columns of due times
-and frame ids, every time bounded by TIME_MAX, each delivery read from the
-frames sent by its id; the classifier's verdict code for every window of
-the delivered sequence at once; then the debouncer as one run-length pass
-over the codes, split at the trigger, and the controller's APPLIANCE lines
-from the armed emissions that switch the appliance. HomeController
-is the controller's streaming form, one action at a time. The log is
-rendered by column and put in order by one stable sort of a (step, phase)
-key. A clean run keeps no per-sample container object alive, so it never
-wakes the cyclic garbage collector. Everything is seeded, so identical
-inputs produce byte-identical logs.
+and gated appliance switching. Nothing downstream feeds back into the stages
+before it, so each runs over the whole trace in turn, reading the Trace's
+read-only int64 t, x, y and z columns and never its AccelSample rows: the
+radio path, each sample encoded on its own from an unchecked CodecFrame view
+of its row of the columns' plain ints, the frames' bytes joined into one
+wire buffer, decoded as one block at sigma 0 and in blocks of
+PHY_BLOCK_FRAMES frames above it, where the rest of a frame is sent only if
+its preamble survived, so the decoded fields of frames rejected at the
+preamble are not computed; the link as one block of sends and time steps
+(LinkSimulator._stream), the trace's times with the trigger and the drain
+put in, on int64 columns of due times and frame ids, every time bounded by
+TIME_MAX, each delivery read from the frames sent by its id; the
+classifier's verdict code for every window of the delivered sequence at
+once; then the debouncer as one run-length pass over the codes, split at the
+trigger, and the controller's APPLIANCE lines from the armed emissions that
+switch the appliance. HomeController is the controller's streaming form, one
+action at a time. The log is rendered by column and put in order by one
+stable sort of a (step, phase) key. A clean run keeps no per-sample
+container object alive, so it never wakes the cyclic garbage collector.
+Everything is seeded, so identical inputs produce byte-identical logs.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +120,9 @@ class PipelineResult:
 
 def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Radio path: each sample is serialized as an ACC frame, a view of its
-    row of the trace's x, y and z columns that the Trace already checked
-    (framing._acc_frame_view), and the frames' bytes are joined as they
-    come into one (n, 48) wire block; the bits are sent through the channel
+    row of the plain ints of the trace's x, y and z columns, which the
+    Trace already checked (framing._acc_frame_view), and the frames' bytes
+    are joined as they come into one (n, 48) wire block; the bits are sent through the channel
     and decoded, re-verifying sync and CRC per frame. Returns, per sample,
     whether its frame passed both checks, and the (n, 4) frame block decoded
     from its bits; the rows of frames rejected at the preamble are not
@@ -145,7 +144,7 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarr
     the same samples, so one run of the two one-bit rows through the
     channel gives the decision for each value, and the whole trace is
     decoded at once."""
-    frames = map(_acc_frame_view, trace.x, trace.y, trace.z)
+    frames = map(_acc_frame_view, trace.x.tolist(), trace.y.tolist(), trace.z.tolist())
     wire = b"".join(map(serialize, frames))
     tx = np.frombuffer(wire, np.uint8).reshape(len(trace), -1)
     if modem_cfg.noise_sigma == 0:
@@ -215,7 +214,7 @@ def run_pipeline(
     modem_cfg = _given_or_default("modem_cfg", modem_cfg, ModemConfig)
 
     times = trace.t
-    last = times[-1]
+    last = int(times[-1])
     if link_cfg.latency > TIME_MAX - last:
         raise ValueError(
             f"latency must keep the drain time, the last sample time {last} + latency,"
@@ -235,15 +234,15 @@ def run_pipeline(
     # move up by one. The link checks none of this: the times come from the
     # Trace, which checked that they rise from 0, and pir_at and the drain
     # time were checked above, so every step fits an int64.
-    steps = [*times, last + link_cfg.latency]
+    steps = np.append(times, last + link_cfg.latency)
     sample_step = np.arange(len(times))
     pir_step = None
     if pir_at is not None and pir_at <= steps[-1]:
-        pir_step = bisect_left(times, pir_at)
-        steps.insert(pir_step, pir_at)
+        pir_step = int(np.searchsorted(times, pir_at))
+        steps = np.insert(steps, pir_step, pir_at)
         sample_step[pir_step:] += 1
     sent_step = sample_step[sent]
-    first_id, lost, arrival, due, ids, announced = sim._stream(np.array(steps, np.int64), sent_step)
+    first_id, lost, arrival, due, ids, announced = sim._stream(steps, sent_step)
     due = due.tolist()
 
     # decoded (x, y, z) of each frame sent, and of each delivered, in order;
@@ -288,7 +287,7 @@ def run_pipeline(
     delivered_rows, delivered = delivery_lines(
         due, announced, [details[k] for k in got_index.tolist()]
     )
-    sent_rows, sent_lines = send_lines(first_id, lost, [times[i] for i in sent.tolist()], details)
+    sent_rows, sent_lines = send_lines(first_id, lost, times[sent].tolist(), details)
     action_lines = [
         f"[t={t}] ACTION {texts[code]}" for t, code in zip(due[w - 1 :], codes.tolist())
     ]
@@ -297,7 +296,7 @@ def run_pipeline(
     acted = np.insert(np.array(action_lines, dtype=object), after, appliance)
     corrupt = np.flatnonzero(~ok)
     corrupted = [
-        f"[t={times[i]}] FRAME_CORRUPTED codec integrity check failed" for i in corrupt.tolist()
+        f"[t={t}] FRAME_CORRUPTED codec integrity check failed" for t in times[corrupt].tolist()
     ]
     keys, lines = zip(
         (3 * arrival[delivered_rows], delivered),

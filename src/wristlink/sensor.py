@@ -1,17 +1,19 @@
 """Wearable accelerometer model: timestamped 3-axis raw-count sample streams.
 
 Samples carry 10-bit ADC counts (0..1023) at a default 50 Hz rate. A Trace
-holds its samples as four columns of plain ints (t, x, y, z), checked once
-as columns; an AccelSample is one row. Traces round-trip through a plain
-CSV format of fields of 1 to 18 digits, which load_trace reads in one
-pass over the whole file: one grammar match, one NumPy parse into an
-int64 block of the rows before the first line that breaks it, and one
-mask of the rows out of range or out of order; the first bad line is
-named, a bad row with the column check's error. The check_* functions
-are the library's value rules, check_int_array the one for NumPy integer
-columns. A seeded generator synthesizes the three wrist gestures the
-classifier distinguishes, with per-axis statistics matched to the
-reference captures below.
+holds its samples as four read-only int64 arrays (t, x, y, z); an
+AccelSample is one row, of plain ints. The row rule (times in 0..TIME_MAX
+and rising, counts in 0..1023) is one int64 check of the four columns as
+one block, which every Trace constructor and load_trace run and which
+names the first bad row with the error AccelSample or the time order
+gives. Traces round-trip through a plain CSV format of fields of 1 to 18
+digits, which load_trace reads in one pass over the whole file: one
+grammar match and one NumPy parse into an int64 block of the rows before
+the first line that breaks it, then the row check; the first bad line is
+named. The check_* functions are the library's value rules,
+check_int_array the one for NumPy integer columns. A seeded generator
+synthesizes the three wrist gestures the classifier distinguishes, with
+per-axis statistics matched to the reference captures below.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import lt
 from pathlib import Path
 from random import Random
 
@@ -214,83 +215,131 @@ def _check_label(label) -> None:
         raise ValueError(f"trace label must be a GestureKind or None, got {type(label).__name__}")
 
 
-def _check_columns(t, x, y, z) -> None:
-    """Raise ValueError unless each row (t, x, y, z) of the equal-length
-    columns passes AccelSample's checks and t is strictly increasing. The
-    whole columns are checked at once; only on failure does a loop over
-    the rows find the first bad value, with the error AccelSample or the
-    time order gives for it."""
-    if t and not (
-        {*map(type, t), *map(type, x), *map(type, y), *map(type, z)} == {int}
-        and t[0] >= 0
-        and t[-1] <= TIME_MAX
-        and all(map(lt, t, t[1:]))
-        and all(COUNT_MIN <= min(c) and max(c) <= COUNT_MAX for c in (x, y, z))
-    ):
-        prev = -1
-        for row in zip(t, x, y, z):
-            AccelSample(*row)
-            if row[0] <= prev:
-                raise ValueError(f"timestamps must be strictly increasing: {row[0]} after {prev}")
-            prev = row[0]
+def _row_fault(columns: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a (4, n) int64 block of columns t, x, y and z that
+    breaks the row rule, and its error, or None: each row must make an
+    AccelSample, and t strictly increase. The whole block is checked at
+    once; the error is the one AccelSample, or the time order, gives."""
+    t, counts = columns[0], columns[1:]
+    bad = (t < 0) | (t > TIME_MAX) | ((counts < COUNT_MIN) | (counts > COUNT_MAX)).any(axis=0)
+    bad[1:] |= t[1:] <= t[:-1]
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    values = columns[:, row].tolist()
+    try:
+        AccelSample(*values)
+    except ValueError as exc:
+        return row, str(exc)
+    # the row before passed, so the time order fails on this one
+    return row, f"timestamps must be strictly increasing: {values[0]} after {int(t[row - 1])}"
 
 
-@dataclass(frozen=True, init=False)
+def _int64_column(name: str, values):
+    """Column `name` as a new int64 array: a copy of a 1-D integer ndarray
+    (any other ndarray, or a uint64 one past int64, raises ValueError
+    naming the column), or an iterable of plain ints of int64 width read
+    whole. An iterable holding any other value comes back as a list, whose
+    rows give the error."""
+    if isinstance(values, np.ndarray):
+        wide = values.dtype.kind == "u" and values.size and int(values.max()) >= 2**63
+        if values.ndim != 1 or values.dtype.kind not in "iu" or wide:
+            shape = f"{values.dtype} of shape {values.shape}"
+            raise ValueError(f"column {name} must be a 1-D array of int64 values, got {shape}")
+        return values.astype(np.int64)
+    values = list(values)
+    try:
+        return np.array(values, np.int64) if {*map(type, values)} <= {int} else values
+    except OverflowError:  # an int past int64
+        return values
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Trace:
-    """Ordered samples with an optional gesture label, held as four columns
-    of plain ints: the times t (ms in 0..TIME_MAX, strictly increasing) and
-    the raw counts x, y and z (COUNT_MIN..COUNT_MAX).
+    """Ordered samples with an optional gesture label, held as four
+    read-only int64 arrays: the times t (ms in 0..TIME_MAX, strictly
+    increasing) and the raw counts x, y and z (COUNT_MIN..COUNT_MAX).
 
-    `Trace.from_columns(t, x, y, z, label)` builds a trace from the
-    columns, checking each once as a column. `Trace(samples, label)`
-    unpacks AccelSamples into the columns. `samples` holds the rows as
-    AccelSamples: the ones a trace was built from, or else views of the
-    columns built on first use. Iteration, indexing and len() go by
-    sample. The label is an in-memory annotation; the CSV file format
-    persists samples only.
+    `Trace.from_columns(t, x, y, z, label)` builds a trace from copies of
+    the columns, checked as one block. `Trace(samples, label)` unpacks
+    AccelSamples into the columns. `samples` holds the rows as
+    AccelSamples of plain ints: the ones a trace was built from, or else
+    views of the columns built on first use. Iteration, indexing and len()
+    go by sample; two traces are equal when their columns and labels are.
+    The label is an in-memory annotation; the CSV file format persists
+    samples only.
     """
 
-    t: tuple[int, ...]
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    z: tuple[int, ...]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
     label: GestureKind | None
-    _samples: tuple[AccelSample, ...] | None = field(compare=False, repr=False)
+    _samples: tuple[AccelSample, ...] | None = field(repr=False)
 
     def __init__(self, samples, label: GestureKind | None = None):
         samples = check_samples("trace samples", samples)
-        columns = zip(*[(s.t, s.x, s.y, s.z) for s in samples]) if samples else ((),) * 4
-        self._fill(*columns, label, samples)
+        rows = np.array([(s.t, s.x, s.y, s.z) for s in samples], np.int64).reshape(-1, 4)
+        self._fill(rows.T.copy(), label, samples)
 
     @classmethod
     def from_columns(cls, t, x, y, z, label: GestureKind | None = None) -> Trace:
-        """The trace of the equal-length columns t, x, y and z, iterables of
-        plain ints that must hold valid samples in time order."""
-        trace = cls.__new__(cls)
-        trace._fill(t, x, y, z, label, None)
-        return trace
-
-    def _fill(self, t, x, y, z, label, samples) -> None:
-        _check_label(label)
-        columns = tuple(map(tuple, (t, x, y, z)))
+        """The trace of the equal-length columns t, x, y and z, integer
+        ndarrays or iterables of plain ints, that must hold valid samples
+        in time order."""
+        columns = [_int64_column(name, c) for name, c in zip("txyz", (t, x, y, z))]
         lengths = [len(column) for column in columns]
         if len(set(lengths)) > 1:
             raise ValueError(f"columns t, x, y, z must be of one length, got {lengths}")
-        _check_columns(*columns)
-        if label is not None and not lengths[0]:
-            raise ValueError("a labeled trace must be non-empty")
-        self._set(*columns, label, samples)
+        if any(type(column) is list for column in columns):
+            # a value that is no plain int of int64 width makes no
+            # AccelSample; its row raises, unless a row before it does
+            samples = []
+            try:
+                for row in zip(*(c if type(c) is list else c.tolist() for c in columns)):
+                    samples.append(AccelSample(*row))
+            except ValueError as exc:
+                fault = exc
+            cls(samples)
+            raise fault
+        trace = cls.__new__(cls)
+        trace._fill(np.stack(columns), label, None)
+        return trace
 
-    def _set(self, t, x, y, z, label, samples) -> None:
+    def _fill(self, columns, label, samples) -> None:
+        _check_label(label)
+        fault = _row_fault(columns)
+        if fault:
+            raise ValueError(fault[1])
+        if label is not None and not columns.shape[1]:
+            raise ValueError("a labeled trace must be non-empty")
+        self._set(columns, label, samples)
+
+    def _set(self, columns, label, samples) -> None:
+        """Hold columns, a new (4, n) int64 block that passed the row rule,
+        as the read-only t, x, y and z."""
+        columns.flags.writeable = False
         names = ("t", "x", "y", "z", "label", "_samples")
-        for name, value in zip(names, (t, x, y, z, label, samples)):
+        for name, value in zip(names, (*columns, label, samples)):
             object.__setattr__(self, name, value)
+
+    def _key(self):
+        return self.label, self.t.tobytes(), self.x.tobytes(), self.y.tobytes(), self.z.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # rebuilt by from_columns, so a copy is read-only too
+        return type(self).from_columns, (self.t, self.x, self.y, self.z, self.label)
 
     @property
     def samples(self) -> tuple[AccelSample, ...]:
         if self._samples is None:
-            views = tuple(map(_sample_view, self.t, self.x, self.y, self.z))
-            object.__setattr__(self, "_samples", views)
+            columns = (self.t.tolist(), self.x.tolist(), self.y.tolist(), self.z.tolist())
+            object.__setattr__(self, "_samples", tuple(map(_sample_view, *columns)))
         return self._samples
 
     def __len__(self):
@@ -333,40 +382,34 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
             raise TraceFormatError(f"{path}: a labeled trace must be non-empty")
         return Trace(())
     end = _TRACE_ROWS.match(body).end()
-    # the whole rows before the first line that breaks the grammar, as an
-    # (n, 4) block, parsed without the last row's separator
+    # the whole rows before the first line that breaks the grammar, as a
+    # (4, n) block of columns, parsed without the last row's separator
     fields = body[: max(end - 1, 0)].replace("\n", ",")
-    block = np.fromstring(fields, np.int64, sep=",").reshape(-1, 4)
-    t = block[:, 0]
-    bad = (t > TIME_MAX) | (block[:, 1:] > COUNT_MAX).any(axis=1)
-    bad[1:] |= t[1:] <= t[:-1]
-    if bad.any():
-        row = int(bad.argmax())
-        # the row before passed, so the check of the two fails on this one
-        try:
-            _check_columns(*block[max(row - 1, 0) : row + 1].T.tolist())
-        except ValueError as exc:
-            raise TraceFormatError(f"{path}: line {row + 1}: {exc}") from None
+    columns = np.fromstring(fields, np.int64, sep=",").reshape(-1, 4).T.copy()
+    fault = _row_fault(columns)
+    if fault:
+        raise TraceFormatError(f"{path}: line {fault[0] + 1}: {fault[1]}")
     if end < len(body):
         line = body[end : body.index("\n", end)]
         got = repr(line)
         if len(line) > _QUOTED_CHARS:
             got = f"{line[:_QUOTED_CHARS]!r}... (a line of {len(line)} characters)"
         raise TraceFormatError(
-            f"{path}: line {len(block) + 1}: "
+            f"{path}: line {columns.shape[1] + 1}: "
             f"expected 4 comma-separated integers of 1 to 18 digits, got {got}"
         )
-    # the checked block's columns as plain ints, not checked again
+    # the checked block's columns, not checked again
     trace = object.__new__(Trace)
-    trace._set(*map(tuple, block.T.tolist()), label, None)
+    trace._set(columns, label, None)
     return trace
 
 
 def save_trace(trace: Trace, path) -> None:
-    """Write a trace as CSV; reloading reproduces the samples exactly."""
+    """Write a trace as CSV, a row per sample of plain ints; reloading
+    reproduces the samples exactly."""
     check_type("trace", trace, Trace)
     path = Path(path)
-    rows = [TRACE_HEADER, *map("{},{},{},{}".format, trace.t, trace.x, trace.y, trace.z)]
+    rows = [TRACE_HEADER, *map("{0.t},{0.x},{0.y},{0.z}".format, trace.samples)]
     path.write_text("\n".join(rows) + "\n", encoding="ascii")
 
 

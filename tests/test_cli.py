@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wristlink
@@ -450,7 +451,7 @@ class TestClassify:
         # straddling two gestures: each line gives its window's exact means
         # and verdict, as the one-window calls give them
         parts = [generate_gesture(kind, 20, seed) for seed, kind in enumerate(GestureKind)]
-        columns = [sum((getattr(part, axis) for part in parts), ()) for axis in "xyz"]
+        columns = [np.concatenate([getattr(part, axis) for part in parts]) for axis in "xyz"]
         trace = Trace.from_columns(range(0, 60 * 20, 20), *columns)
         p = tmp_path / "t.csv"
         save_trace(trace, p)
@@ -665,6 +666,27 @@ class TestOwnedFlags:
         code, _, err = run(capsys, "classify", "--demo", "on", "--profile", str(profile))
         assert code == 1
         assert str(profile) in err and "on_band" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--demo", "on", "--loss", "0_1"], "--loss"),
+        (["gen", "--n", "\u0661\u0662"], "--n"),
+        (["gen", "--seed", "1_0"], "--seed"),
+        (["simulate", "--demo", "on", "--latency", " 10"], "--latency"),
+    ],
+    ids=["loss-underscore", "n-arabic-indic", "seed-underscore", "latency-space"],
+)
+def test_number_flag_refuses_other_spellings(tmp_path, capsys, argv, flag):
+    # int() and float() take "_" between digits, surrounding whitespace and
+    # non-ASCII digits: --loss 0_1 would run at loss 1.0, not 0.1
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert f"argument {flag}: invalid" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 class TestConfigTypes:

@@ -33,7 +33,7 @@ from wristlink.sensor import (
     AccelSample,
     GestureKind,
     Trace,
-    _check_columns,
+    _row_fault,
     check_counts,
     check_int,
     generate_gesture,
@@ -187,27 +187,28 @@ class TestRunPipeline:
         ]
 
     def test_each_frame_range_checked_once(self, monkeypatch):
-        # the Trace checks its count columns once; the frame of each sample
-        # is a view of a row of them, and the decoded fields go on the link
+        # the Trace checks its columns once, as one int64 block; the frame
+        # of each sample is a view of a row of them, and the decoded fields go on the link
         # as columns, already bounded by their width, so no frame's counts
         # are checked again
         column_checks, count_checks = [], []
 
-        def counting_columns(*columns):
+        def counting_columns(columns):
             column_checks.append(columns)
-            return _check_columns(*columns)
+            return _row_fault(columns)
 
         def counting_counts(x, y, z):
             count_checks.append((x, y, z))
             return check_counts(x, y, z)
 
-        monkeypatch.setattr("wristlink.sensor._check_columns", counting_columns)
+        monkeypatch.setattr("wristlink.sensor._row_fault", counting_columns)
         monkeypatch.setattr("wristlink.framing.check_counts", counting_counts)
         monkeypatch.setattr("wristlink.sensor.check_counts", counting_counts)
         trace = vertical_trace(200, seed=9)
         result = run_pipeline(trace, pir_at=0)
         assert result.frames_sent == 200
-        assert [columns[1:] for columns in column_checks] == [(trace.x, trace.y, trace.z)]
+        assert len(column_checks) == 1
+        assert np.array_equal(column_checks[0][1:], [trace.x, trace.y, trace.z])
         assert count_checks == []
 
     def test_clean_run_wakes_no_garbage_collector(self):
@@ -845,10 +846,10 @@ class TestMetamorphicRelations:
         base = run_pipeline(trace, **kwargs)
         pir_at = kwargs["pir_at"]
         # at most the shift that puts the drain or the trigger on the bound
-        latest = max(trace.t[-1] + kwargs["link_cfg"].latency, pir_at or 0)
+        latest = max(trace[-1].t + kwargs["link_cfg"].latency, pir_at or 0)
         shift = min(shift, TIME_MAX - latest)
         moved = run_pipeline(
-            Trace.from_columns([t + shift for t in trace.t], trace.x, trace.y, trace.z),
+            Trace.from_columns(trace.t + shift, trace.x, trace.y, trace.z),
             **{**kwargs, "pir_at": None if pir_at is None else pir_at + shift},
         )
 
@@ -922,7 +923,7 @@ class TestGateModel:
             if fires and not armed and d == before:
                 armed, run, run_len, last = True, None, 0, None  # a fresh debouncer
                 lines.append(f"[t={pir_at}] PIR TRIGGERED")
-            window.append(AccelSample(t=due, x=trace.x[i], y=trace.y[i], z=trace.z[i]))
+            window.append(replace(trace[i], t=due))
             if len(window) < profile.window_size:
                 continue
             verdict = classify_window(window, profile)

@@ -98,9 +98,12 @@ def test_labeled_trace_must_be_non_empty():
 class TestColumns:
     SAMPLES = (AccelSample(0, 1, 2, 3), AccelSample(20, 4, 5, 6))
 
-    def test_trace_holds_four_columns_of_plain_ints(self):
+    def test_trace_holds_four_read_only_int64_columns(self):
         trace = Trace(self.SAMPLES, label=GestureKind.OTHER)
-        assert (trace.t, trace.x, trace.y, trace.z) == ((0, 20), (1, 4), (2, 5), (3, 6))
+        columns = (trace.t, trace.x, trace.y, trace.z)
+        assert [column.tolist() for column in columns] == [[0, 20], [1, 4], [2, 5], [3, 6]]
+        for column in columns:
+            assert column.dtype == np.int64 and not column.flags.writeable
         assert trace.samples is not None and trace.samples == self.SAMPLES
 
     def test_column_constructor_equals_the_sample_constructor(self):
@@ -108,7 +111,7 @@ class TestColumns:
         assert built == Trace(self.SAMPLES, label=GestureKind.OTHER)
         assert hash(built) == hash(Trace(self.SAMPLES, label=GestureKind.OTHER))
         assert built != Trace(self.SAMPLES)
-        assert type(built.t) is tuple and type(built.z) is tuple
+        assert type(built.t) is np.ndarray and built.z.dtype == np.int64
 
     def test_samples_are_cached_views_of_the_columns(self):
         trace = Trace.from_columns((0, 20), (1, 4), (2, 5), (3, 6))
@@ -146,16 +149,42 @@ class TestColumns:
 
     def test_times_up_to_the_bound_are_plain_ints(self):
         trace = Trace.from_columns((TIME_MAX - 1, TIME_MAX), (1, 4), (2, 5), (3, 6))
-        assert trace.t == (2**53 - 2, 2**53 - 1) and trace[1].t == 2**53 - 1
-        assert type(trace.t[1]) is int
+        assert trace.t.tolist() == [2**53 - 2, 2**53 - 1] and trace[1].t == 2**53 - 1
+        assert type(trace[1].t) is int
         message = f"t must be an integer in 0..{TIME_MAX}, got {2**53}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Trace.from_columns((TIME_MAX - 1, TIME_MAX + 1), (1, 4), (2, 5), (3, 6))
 
+    @pytest.mark.parametrize(
+        "column, got",
+        [
+            (np.array([True, False]), "bool of shape (2,)"),
+            (np.array([2.0, 5.0]), "float64 of shape (2,)"),
+            (np.array([[2, 5]]), "int64 of shape (1, 2)"),
+            (np.array([2, 2**63], np.uint64), "uint64 of shape (2,)"),
+        ],
+        ids=["bool", "float", "2-D", "uint64-past-int64"],
+    )
+    def test_array_column_of_another_kind_is_refused_naming_it(self, column, got):
+        message = f"column y must be a 1-D array of int64 values, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Trace.from_columns(np.array([0, 20]), np.array([1, 4]), column, np.array([3, 6]))
+
+    def test_columns_are_copies_and_read_only(self):
+        t, x = np.array([0, 20]), np.array([1, 4], np.uint16)
+        trace = Trace.from_columns(t, x, [2, 5], (3, 6))
+        t[0], x[1] = 7, 9
+        assert trace.t.tolist() == [0, 20] and trace.x.tolist() == [1, 4]
+        for column in (trace.t, trace.x, trace.y, trace.z):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        for copied in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+            assert copied == trace and not copied.t.flags.writeable
+
     def test_file_time_past_the_bound_names_its_line(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text(f"t_ms,x,y,z\n0,1,2,3\n{TIME_MAX},4,5,6\n")
-        assert load_trace(p).t == (0, TIME_MAX)
+        assert load_trace(p).t.tolist() == [0, TIME_MAX]
         p.write_text(f"t_ms,x,y,z\n0,1,2,3\n{TIME_MAX + 1},4,5,6\n")
         message = f"{p}: line 2: t must be an integer in 0..{TIME_MAX}, got {TIME_MAX + 1}"
         with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
@@ -219,6 +248,9 @@ def test_column_check_raises_what_the_rows_give(rows):
     assert got == want
     if got[0] == "accepted":
         assert got[1].samples == want[1].samples == tuple(AccelSample(*row) for row in rows)
+        # the accepted rows build the same trace from int64 ndarray columns
+        arrays = Trace.from_columns(*(np.array(column, np.int64) for column in columns))
+        assert arrays == got[1] and hash(arrays) == hash(got[1])
 
 
 class TestLoadTrace:
@@ -261,17 +293,17 @@ class TestLoadTrace:
                 load_trace(p, label="vertical")
         assert type(info.value) is ValueError
 
-    def test_valid_file_is_read_in_one_pass_as_plain_ints(self, tmp_path):
-        # the check of a row's columns only words the error of a bad row: a
-        # valid file never reaches it, and its columns hold plain ints, never
-        # np.int64
+    def test_valid_file_is_read_in_one_pass_as_int64_columns(self, tmp_path):
+        # the parsed block is checked once, as one block, and its columns
+        # are held as read-only int64 arrays, never turned into Python ints
         p = tmp_path / "t.csv"
         save_trace(generate_gesture(GestureKind.HORIZONTAL, 300, seed=8), p)
-        with mock.patch.object(sensor, "_check_columns", side_effect=AssertionError("row check")):
+        with mock.patch.object(sensor, "_row_fault", wraps=sensor._row_fault) as check:
             trace = load_trace(p, label=GestureKind.HORIZONTAL)
+        assert check.call_count == 1
         assert trace == generate_gesture(GestureKind.HORIZONTAL, 300, seed=8)
         for column in (trace.t, trace.x, trace.y, trace.z):
-            assert type(column) is tuple and {type(v) for v in column} == {int}
+            assert column.dtype == np.int64 and not column.flags.writeable
 
     def test_out_of_range_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -548,9 +580,10 @@ def test_one_pass_read_matches_the_row_by_row_read(tmp_path_factory, data):
     if got[0] == "accepted":
         trace = got[1]
         for column in (trace.t, trace.x, trace.y, trace.z):
-            assert type(column) is tuple and {type(v) for v in column} <= {int}
+            assert column.dtype == np.int64 and not column.flags.writeable
         assert Trace(trace.samples) == trace
-        assert trace.samples == tuple(map(AccelSample, trace.t, trace.x, trace.y, trace.z))
+        columns = (trace.t.tolist(), trace.x.tolist(), trace.y.tolist(), trace.z.tolist())
+        assert trace.samples == tuple(map(AccelSample, *columns))
 
 
 class TestSaveTrace:
