@@ -26,7 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .sensor import COUNT_MAX, GestureKind, Trace, check_int, check_int_array, check_samples, check_type
+from .sensor import (COUNT_MAX, GestureKind, Trace, check_int, check_int_array, check_samples,
+                     check_type, read_json_object)
 
 # Factory default decision bands (raw z / y window means), window length,
 # and consecutive-verdict count.
@@ -271,25 +272,12 @@ def save_profile(profile: CalibrationProfile, path) -> None:
 
 
 def load_profile(path) -> CalibrationProfile:
-    """Load a JSON profile document: an object holding exactly the fields of
-    CalibrationProfile, which checks the values."""
+    """Load a JSON profile document: an ASCII object holding exactly the
+    fields of CalibrationProfile, which checks the values. Every fault
+    raises ProfileError naming the file."""
     path = Path(path)
+    keys = [f.name for f in fields(CalibrationProfile)]
     try:
-        doc = json.loads(path.read_text(encoding="ascii"))
-    except UnicodeDecodeError as exc:
-        raise ProfileError(f"{path}: not ASCII: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ProfileError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ProfileError(f"{path}: profile document must be a JSON object")
-    keys = {f.name for f in fields(CalibrationProfile)}
-    unknown = sorted(set(doc) - keys)
-    if unknown:
-        raise ProfileError(f"{path}: unknown profile keys: {', '.join(unknown)}")
-    missing = sorted(keys - set(doc))
-    if missing:
-        raise ProfileError(f"{path}: missing profile keys: {', '.join(missing)}")
-    try:
-        return CalibrationProfile(**doc)
+        return CalibrationProfile(**read_json_object(path, keys, keys, "ASCII"))
     except ValueError as exc:
         raise ProfileError(f"{path}: {exc}") from None

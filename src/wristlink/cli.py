@@ -29,7 +29,8 @@ from .controller import run_pipeline
 from .demo import DEMO_NAMES, demo_trace
 from .link import LinkConfig, ProtocolError
 from .modem import ModemConfig, measure_ber
-from .sensor import GestureKind, generate_gesture, load_trace, save_trace
+from .sensor import (INT_DIGITS_MAX, GestureKind, generate_gesture, load_trace, quoted,
+                     read_json_object, save_trace)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -68,22 +69,33 @@ def _owned(owner, *args, **kwargs):
 
 
 def _number(kind):
-    """The argparse type of an int or float flag: kind's parse of an ASCII
-    text with no "_" and no leading or trailing whitespace, all of which
-    kind would take. argparse reports any other text, as any text kind
-    refuses, with exit 2 naming the flag; the value's bounds are its
-    owner's to check."""
+    """The argparse type of an int or float flag, and of its config value's
+    JSON text: kind's parse of an ASCII text with no "_", no surrounding
+    whitespace and at most INT_DIGITS_MAX characters after its sign, all of
+    which kind would take. argparse reports any other text, as any kind
+    refuses, with exit 2 naming the flag; the bounds are the owner's."""
 
     def parse(text: str):
-        if text.isascii() and "_" not in text and text == text.strip():
-            return kind(text)
-        raise ValueError(text)
+        plain = text.isascii() and "_" not in text and text == text.strip()
+        try:
+            if plain and len(text.lstrip("+-")) <= INT_DIGITS_MAX:
+                return kind(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {quoted(text, 'a value')}")
 
-    parse.__name__ = kind.__name__  # argparse names the type in its errors
     return parse
 
 
 _INT, _FLOAT = _number(int), _number(float)
+
+
+def _input_file(text: str) -> Path:
+    """The argparse type of --trace, --profile and --config: a file's path."""
+    path = Path(text)
+    if not path.is_file():
+        raise argparse.ArgumentTypeError(f"file not found: {quoted(text, 'a path')}")
+    return path
 
 
 def _subseed(seed: int, stage: str) -> int:
@@ -102,7 +114,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def config(p):
-        p.add_argument("--config", help="JSON config file keyed by dest names; flags win over its keys")
+        p.add_argument("--config", type=_input_file,
+                       help="JSON config file keyed by dest names; flags win over its keys")
 
     def output(p):
         p.add_argument("--out", default="out", help="output directory (default %(default)s)")
@@ -113,9 +126,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         output(p)
 
     def trace_input(p):
-        p.add_argument("--trace", help="input trace CSV")
+        p.add_argument("--trace", type=_input_file, help="input trace CSV")
         p.add_argument("--demo", choices=DEMO_NAMES, help="use a bundled demo trace")
-        p.add_argument("--profile", help="calibration profile JSON (default: built-in)")
+        p.add_argument("--profile", type=_input_file, help="calibration profile JSON (default: built-in)")
 
     p = sub.add_parser("gen", help="generate a synthetic gesture trace")
     kinds = [k.value for k in GestureKind]
@@ -169,53 +182,38 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def _config_defaults(ns: argparse.Namespace, sub: argparse.ArgumentParser) -> dict:
     """The defaults that the --config file of a parsed command line sets for
     its subcommand: a JSON object keyed by the subcommand's dests (other
-    than config), each value held to the type of the default it replaces."""
-    path = Path(ns.config)
-    if not path.is_file():
-        raise _UsageError(f"config file not found: {path}")
+    than config), each value read as its flag would read it."""
+    # argparse's public API does not list a parser's actions, so _actions is read
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     try:
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise _UsageError(f"config file {path} is not UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(loaded, dict):
-        raise _UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(loaded) - (set(vars(ns)) - {"command", "func", "config"}))
-    if unknown:
-        raise _UsageError(
-            f"config file {path} has unknown keys: {', '.join(unknown)}"
-        )
-    values = {
-        key: _config_value(path, key, value, sub.get_default(key))
-        for key, value in loaded.items()
-    }
-    # argparse checks choices on flags, not on the defaults they replace;
-    # its public API does not list a parser's actions, so _actions is read
-    for action in sub._actions:
-        choices = action.choices
-        if action.dest in values and choices is not None and values[action.dest] not in choices:
-            raise _UsageError(
-                f"config file {path}: key {action.dest!r} must be one of "
-                f"{', '.join(choices)}, got {json.dumps(values[action.dest])}"
-            )
+        loaded = read_json_object(ns.config, actions)
+    except ValueError as exc:
+        raise _UsageError(f"config file {ns.config}: {exc}") from None
+    values = {}
+    for key, value in loaded.items():
+        try:
+            values[key] = _config_value(actions[key], value)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"config file {ns.config}: key {key!r}: {exc}") from None
     return values
 
 
-def _config_value(path: Path, key: str, value, default):
-    """A config-file value, held to the type of the flag it stands for: the
-    type of the flag's default (str where that is None). An int is accepted
-    as a float; a bool is never read as a number."""
-    want = str if default is None else type(default)
-    if want is float and type(value) is int:
-        try:
-            value = float(value)
-        except OverflowError:  # too large for a float: reported as a mismatch
-            pass
-    if type(value) is not want:
-        raise _UsageError(
-            f"config file {path}: key {key!r} must be {want.__name__}, "
-            f"got {json.dumps(value)}"
+def _config_value(action: argparse.Action, value):
+    """A config value as its flag reads it: a number flag's type applied to
+    the value's JSON text, true or false for a switch, and for any other
+    flag a string, given to its type if it has one; held to its choices. An
+    array or object, which no flag takes, is quoted by its brackets."""
+    text = {list: "[...]", dict: "{...}"}.get(type(value)) or json.dumps(value)
+    if action.type in (_INT, _FLOAT):
+        value = action.type(text)
+    elif type(value) is not (bool if action.nargs == 0 else str):
+        want = "true or false" if action.nargs == 0 else "a string"
+        raise argparse.ArgumentTypeError(f"expected {want}, got {quoted(text, 'a value')}")
+    elif action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {quoted(text, 'a value')} (choose from {', '.join(action.choices)})"
         )
     return value
 
@@ -227,25 +225,13 @@ def _out_dir(o) -> Path:
 
 
 def _input_trace(o):
-    if o.trace is not None and o.demo is not None:
-        raise _UsageError("give either --trace or --demo, not both")
-    if o.demo is not None:
-        return demo_trace(o.demo)
-    if o.trace is None:
-        raise _UsageError("an input trace is required: pass --trace or --demo")
-    path = Path(o.trace)
-    if not path.is_file():
-        raise _UsageError(f"trace file not found: {path}")
-    return load_trace(path)
+    if (o.trace is None) == (o.demo is None):
+        raise _UsageError("give one input trace: --trace or --demo")
+    return load_trace(o.trace) if o.demo is None else demo_trace(o.demo)
 
 
 def _input_profile(o) -> CalibrationProfile:
-    if o.profile is None:
-        return CalibrationProfile()
-    path = Path(o.profile)
-    if not path.is_file():
-        raise _UsageError(f"profile file not found: {path}")
-    return load_profile(path)
+    return CalibrationProfile() if o.profile is None else load_profile(o.profile)
 
 
 def cmd_gen(o) -> int:
@@ -272,9 +258,12 @@ def cmd_simulate(o) -> int:
         seed=_subseed(o.seed, "modem"),
     )
     pir_at = None if o.no_pir else o.pir_at
-    result = _owned(
-        run_pipeline, trace, profile=profile, link_cfg=link_cfg, modem_cfg=modem_cfg, pir_at=pir_at
-    )
+    try:
+        result = _owned(
+            run_pipeline, trace, profile=profile, link_cfg=link_cfg, modem_cfg=modem_cfg, pir_at=pir_at
+        )
+    except ValueError as exc:  # no flag's: the fault of a trace file, which is empty
+        raise ValueError(f"{o.trace}: {exc}") from None
 
     out = _out_dir(o)
     log_path = out / "simulation.log"
@@ -308,7 +297,7 @@ def cmd_ber(o) -> int:
         raise _UsageError(f"--points must be >= 1, got {o.points}")
     if not 0.0 <= o.sigma_min <= o.sigma_max < math.inf:
         raise _UsageError(
-            f"invalid sweep range [{o.sigma_min}, {o.sigma_max}]"
+            f"--sigma-min, --sigma-max: invalid sweep range [{o.sigma_min}, {o.sigma_max}]"
         )
     sigmas = np.linspace(o.sigma_min, o.sigma_max, o.points)
     # one sub-seed for the whole sweep: common random numbers across points
@@ -338,7 +327,7 @@ def cmd_classify(o) -> int:
     w = profile.window_size
     if len(trace) < w:
         raise _UsageError(
-            f"trace has {len(trace)} samples, shorter than one window of {w}"
+            f"--window: trace has {len(trace)} samples, shorter than one window of {w}"
         )
     # sliding verdict k covers samples k..k+w-1; a mean is one correctly
     # rounded division of a plain int sum
@@ -356,7 +345,7 @@ def _load_labeled_dir(dir_path: str, label: GestureKind, flag: str):
         raise _UsageError(f"{flag} is not a directory: {path}")
     files = sorted(path.glob("*.csv"))
     if not files:
-        raise _UsageError(f"no .csv traces in {path}")
+        raise _UsageError(f"{flag}: no .csv traces in {path}")
     return [load_trace(f, label=label) for f in files]
 
 

@@ -11,12 +11,14 @@ digits, which load_trace reads in one pass over the whole file: one
 grammar match and one NumPy parse into an int64 block of the rows before
 the first line that breaks it, then the row check; the first bad line is
 named. The check_* functions are the library's value rules,
-check_int_array the one for NumPy integer columns. A seeded generator
-synthesizes the three wrist gestures the classifier distinguishes, with
-per-axis statistics matched to the reference captures below.
+check_int_array the one for NumPy integer columns; read_json_object reads
+every JSON document. A seeded generator synthesizes the three wrist
+gestures the classifier distinguishes, with per-axis statistics matched to
+the reference captures below.
 """
 from __future__ import annotations
 
+import json
 import re
 import sys
 from dataclasses import dataclass, field
@@ -40,9 +42,12 @@ TRACE_HEADER = "t_ms,x,y,z"
 # (NumPy's parse would take those). A field below 10**18 parses exactly as
 # an int64, whatever int()'s digit limit, and save_trace writes no wider one
 _TRACE_ROWS = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}\n)*")
-# the most characters of a line that breaks the grammar that its error
-# quotes; a longer line is quoted up to there, and its length given
+# the most characters of a refused text that its error quotes (see quoted)
 _QUOTED_CHARS = 80
+# the most digits of an integer in a JSON document or a number flag: int()
+# reads that many under any digit limit (sys.int_info's
+# str_digits_check_threshold), so no input's reading depends on that limit
+INT_DIGITS_MAX = 640
 
 # Reference captures from the wrist-worn sensor: raw counts seen on the active
 # axis during vertical wrist motion (z axis), horizontal wrist motion (y axis),
@@ -76,6 +81,15 @@ class GestureKind(Enum):
 
 class TraceFormatError(ValueError):
     """A trace file violates the CSV trace format."""
+
+
+def quoted(text: str, noun: str) -> str:
+    """How an error quotes a text it refuses: its repr, whole up to
+    _QUOTED_CHARS characters, or else that of its first _QUOTED_CHARS and
+    its length, as "(noun of N characters)", noun with its article."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({noun} of {len(text)} characters)"
 
 
 def check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
@@ -362,10 +376,9 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
     row. The first bad row raises TraceFormatError naming it by its 1-based
     line number: a row with a bad value or time, with the error
     Trace.from_columns gives for it, or else the first line that breaks the
-    grammar, quoted whole up to _QUOTED_CHARS characters and, if longer, up
-    to there with its length. The optional label is attached in memory; the
-    file carries none, so a label other than a GestureKind or None raises
-    ValueError before the file is read.
+    grammar, as quoted() quotes it. The optional label is attached in
+    memory; the file carries none, so a label other than a GestureKind or
+    None raises ValueError before the file is read.
     """
     _check_label(label)
     path = Path(path)
@@ -391,12 +404,9 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
         raise TraceFormatError(f"{path}: line {fault[0] + 1}: {fault[1]}")
     if end < len(body):
         line = body[end : body.index("\n", end)]
-        got = repr(line)
-        if len(line) > _QUOTED_CHARS:
-            got = f"{line[:_QUOTED_CHARS]!r}... (a line of {len(line)} characters)"
         raise TraceFormatError(
             f"{path}: line {columns.shape[1] + 1}: "
-            f"expected 4 comma-separated integers of 1 to 18 digits, got {got}"
+            f"expected 4 comma-separated integers of 1 to 18 digits, got {quoted(line, 'a line')}"
         )
     # the checked block's columns, not checked again
     trace = object.__new__(Trace)
@@ -411,6 +421,43 @@ def save_trace(trace: Trace, path) -> None:
     path = Path(path)
     rows = [TRACE_HEADER, *map("{0.t},{0.x},{0.y},{0.z}".format, trace.samples)]
     path.write_text("\n".join(rows) + "\n", encoding="ascii")
+
+
+class _LongInt(str):
+    """The text of a JSON integer of more than INT_DIGITS_MAX digits."""
+
+
+def _json_int(text: str):
+    """A JSON integer's value, or its text past INT_DIGITS_MAX digits."""
+    return int(text) if len(text.lstrip("-")) <= INT_DIGITS_MAX else _LongInt(text)
+
+
+def read_json_object(path, keys, required=(), encoding="UTF-8") -> dict:
+    """The JSON object in the file at path, after a ValueError naming the
+    fault, but not the file, unless the file decodes as `encoding`, parses
+    as JSON (nested past the parser's recursion limit, it does not), holds
+    an object with only keys in `keys` and every key in `required`, and
+    holds no integer of more than INT_DIGITS_MAX digits, which is named by
+    its key. Each caller names the file in an error of its own."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding=encoding), parse_int=_json_int)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not {encoding}: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+    if type(doc) is not dict:
+        raise ValueError("not a JSON object")
+    for key, value in doc.items():
+        held = [value]
+        for item in held:  # grown as it is walked, to every value nested in value
+            held.extend(item.values() if type(item) is dict else item if type(item) is list else ())
+            if type(item) is _LongInt:
+                text = quoted(item, "an integer")
+                raise ValueError(f"key {key!r}: integer of more than {INT_DIGITS_MAX} digits: {text}")
+    for fault, names in ("unknown", set(doc) - set(keys)), ("missing", set(required) - set(doc)):
+        if names:
+            raise ValueError(f"{fault} keys: {', '.join(sorted(names))}")
+    return doc
 
 
 _GESTURE_AXIS_RANGES = {

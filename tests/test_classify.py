@@ -561,3 +561,30 @@ class TestProfile:
         with pytest.raises(ProfileError, match="not ASCII") as info:
             load_profile(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("[240, 286]", "not a JSON object"),
+            ("16", "not a JSON object"),
+            ("[" * 2000 + "]" * 2000, "not valid JSON"),
+        ],
+        ids=["array", "number", "deep"],
+    )
+    def test_document_fault_names_the_path(self, tmp_path, text, words):
+        path = tmp_path / "profile.json"
+        path.write_text(text)
+        with pytest.raises(ProfileError) as info:
+            load_profile(path)
+        assert str(info.value).startswith(f"{path}: {words}")
+
+    def test_integer_past_the_digit_bound_names_its_key(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text(
+            '{"on_band": [240, 286], "off_band": [323, ' + "3" * 641 + "],"
+            ' "window_size": 16, "debounce_n": 2}'
+        )
+        with pytest.raises(ProfileError, match=r"key 'off_band': integer of more than 640 digits") as info:
+            load_profile(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert "3" * 81 not in str(info.value)

@@ -760,3 +760,159 @@ class TestConfigTypes:
         code, out, _ = run(capsys, "classify", "--config", str(cfg))
         assert code == 0
         assert "action=OFF" in out
+
+
+def check_refused(capsys, tmp_path, argv, code, *names):
+    """Run argv, which writes below tmp_path/out if anywhere: it exits with
+    code, prints one error line naming each of names, and writes nothing."""
+    out = tmp_path / "out"
+    if argv[0] != "classify":
+        argv = [*argv, "--out", str(out)]
+    got, stdout, err = run(capsys, *argv)
+    assert got == code, err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    for name in names:
+        assert name in line
+    assert "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists()
+    return line
+
+
+# a JSON document nested past the parser's recursion limit
+DEEP = "[" * 2000 + "]" * 2000
+
+
+class TestInputFiles:
+    """Each input file at the command line has one reader: the one JSON
+    reader for --config (exit 2) and --profile (exit 1), one existing-file
+    rule for --trace, --profile and --config."""
+
+    @pytest.mark.parametrize("flag", ["--trace", "--profile", "--config"])
+    def test_missing_file_exit_2_naming_flag_and_file(self, tmp_path, capsys, flag):
+        missing = tmp_path / "nope.json"
+        argv = ["simulate", "--demo", "on", flag, str(missing)]
+        if flag == "--trace":
+            argv = ["simulate", flag, str(missing)]
+        check_refused(capsys, tmp_path, argv, 2, flag, str(missing))
+
+    def test_config_key_naming_a_missing_file_exit_2_naming_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"trace": str(tmp_path / "nope.csv")}))
+        check_refused(capsys, tmp_path, ["simulate", "--config", str(cfg)], 2, str(cfg), "'trace'")
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("{nope", "not valid JSON"),
+            (DEEP, "not valid JSON"),
+            ("[1, 2]", "not a JSON object"),
+            ('"on"', "not a JSON object"),
+        ],
+        ids=["invalid", "deep", "array", "string"],
+    )
+    def test_config_document_fault_exit_2_naming_the_file(self, tmp_path, capsys, text, words):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        line = check_refused(capsys, tmp_path, ["gen", "--config", str(cfg)], 2)
+        assert line.startswith(f"error: config file {cfg}: {words}")
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("{nope", "not valid JSON"),
+            (DEEP, "not valid JSON"),
+            ("[240, 286]", "not a JSON object"),
+        ],
+        ids=["invalid", "deep", "array"],
+    )
+    def test_profile_document_fault_exit_1_naming_the_file(self, tmp_path, capsys, text, words):
+        profile = tmp_path / "profile.json"
+        profile.write_text(text)
+        argv = ["classify", "--demo", "on", "--profile", str(profile)]
+        assert check_refused(capsys, tmp_path, argv, 1).startswith(f"error: {profile}: {words}")
+
+    def test_points_zero_exit_2_naming_the_flag(self, tmp_path, capsys):
+        check_refused(capsys, tmp_path, ["ber", "--points", "0"], 2, "--points")
+
+    def test_calibrate_dir_that_is_a_file_exit_2_naming_the_flag(self, tmp_path, capsys):
+        not_dir = tmp_path / "on.csv"
+        not_dir.write_text("t_ms,x,y,z\n")
+        argv = ["calibrate", "--on-dir", str(not_dir), "--off-dir", str(tmp_path)]
+        check_refused(capsys, tmp_path, argv, 2, "--on-dir", str(not_dir))
+
+    def test_config_matches_its_flags_byte_for_byte(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"demo": "on", "loss": 0.2, "seed": 3}))
+        assert run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "a"))[0] == 0
+        argv = ["simulate", "--demo", "on", "--loss", "0.2", "--seed", "3", "--out", str(tmp_path / "b")]
+        assert run(capsys, *argv)[0] == 0
+        for name in ("simulation.log", "summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_first_bad_key_in_file_order_is_named(self, tmp_path, capsys):
+        # a value outside a flag's choices is checked with its type, in one step
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"kind": "sideways", "n": "8"}')
+        check_refused(capsys, tmp_path, ["gen", "--config", str(cfg)], 2, "'kind'", "sideways")
+        cfg.write_text('{"n": "8", "kind": "sideways"}')
+        check_refused(capsys, tmp_path, ["gen", "--config", str(cfg)], 2, "'n'", "invalid int value")
+
+    @pytest.mark.parametrize(
+        "value, flag",
+        [("1e400", "--loss"), ("1" + "0" * 400, "--loss"), ("NaN", "--noise")],
+    )
+    def test_float_past_the_range_is_refused_by_the_owner(self, tmp_path, capsys, value, flag):
+        # an integer past the float range reads as inf, as its flag's text would
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"demo": "on", "{flag[2:]}": {value}}}')
+        line = check_refused(capsys, tmp_path, ["simulate", "--config", str(cfg)], 2, flag)
+        assert line.startswith(f"error: {flag}: ")
+
+
+@pytest.fixture(params=["default", "off"])
+def digit_limit(request):
+    """int()'s digit limit, as the interpreter sets it or switched off."""
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(default if request.param == "default" else 0)
+    yield
+    sys.set_int_max_str_digits(default)
+
+
+class TestIntegerDigitBound:
+    """An integer of more than 640 digits is refused wherever it comes
+    from, whatever int()'s digit limit; its error quotes at most 80 of its
+    characters."""
+
+    LONG = "9" * 5000
+
+    def test_seed_flag(self, tmp_path, capsys, digit_limit):
+        line = check_refused(capsys, tmp_path, ["gen", "--seed", self.LONG], 2, "--seed")
+        assert "9" * 81 not in line and "5000 characters" in line
+
+    def test_config_value(self, tmp_path, capsys, digit_limit):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"seed": {self.LONG}}}')
+        line = check_refused(capsys, tmp_path, ["gen", "--config", str(cfg)], 2, str(cfg), "'seed'")
+        assert "9" * 81 not in line and "5000 characters" in line
+
+    @pytest.mark.parametrize("band", [False, True])
+    def test_profile_value(self, tmp_path, capsys, digit_limit, band):
+        profile = tmp_path / "profile.json"
+        doc = {"on_band": "[240, 286]", "off_band": "[323, 384]", "window_size": "16", "debounce_n": "2"}
+        doc["on_band" if band else "window_size"] = f"[1, {self.LONG}]" if band else self.LONG
+        profile.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}")
+        argv = ["classify", "--demo", "on", "--profile", str(profile)]
+        line = check_refused(capsys, tmp_path, argv, 1, "on_band" if band else "window_size")
+        assert line.startswith(f"error: {profile}: ")
+        assert "9" * 81 not in line
+
+    @pytest.mark.parametrize("digits, code", [(640, 0), (641, 2)])
+    def test_bound_is_640_digits(self, tmp_path, capsys, digit_limit, digits, code):
+        # any seed is hashed into the sub-seeds, so 640 digits run
+        seed = "1" + "0" * (digits - 1)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"seed": {seed}}}')
+        for argv in (["gen", "--seed", seed], ["gen", "--config", str(cfg)]):
+            got, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+            assert got == code, err

@@ -40,6 +40,7 @@ from wristlink.sensor import (
     TraceFormatError,
     generate_gesture,
     load_trace,
+    read_json_object,
     save_trace,
 )
 
@@ -781,3 +782,38 @@ def test_typed_parameter_rejects_another_type_naming_it(call, message, tmp_path)
     with pytest.raises(ValueError, match=f"^{message}, got dict$"):
         call({"noise_sigma": 0.5, "window_size": 1}, path)
     assert not path.exists()
+
+
+class TestReadJsonObject:
+    """read_json_object is the one reader of JSON documents: its errors name
+    the fault but not the file, and what it reads does not depend on int()'s
+    digit limit."""
+
+    def read(self, tmp_path, text, keys=("a", "b"), required=()):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        return read_json_object(path, keys, required)
+
+    @pytest.mark.parametrize("limit", [0, 640, None])
+    def test_integer_of_640_digits_is_read_under_any_limit(self, tmp_path, limit):
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(default if limit is None else limit)
+            assert self.read(tmp_path, '{"a": -' + "7" * 640 + "}") == {"a": -int("7" * 640)}
+        finally:
+            sys.set_int_max_str_digits(default)
+
+    def test_nested_long_integer_is_named_by_its_top_level_key(self, tmp_path):
+        message = r"^key 'b': integer of more than 640 digits: '-1+'\.\.\. \(an integer of 642 characters\)$"
+        with pytest.raises(ValueError, match=message):
+            self.read(tmp_path, '{"a": [1], "b": [{"c": [-' + "1" * 641 + "]}]}")
+
+    def test_unknown_keys_come_before_missing_ones(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^unknown keys: c, d$"):
+            self.read(tmp_path, '{"d": 1, "c": 2}', required=("a",))
+        with pytest.raises(ValueError, match=r"^missing keys: a, b$"):
+            self.read(tmp_path, "{}", required=("b", "a"))
+
+    def test_a_value_too_deep_for_the_parser_is_not_valid_json(self, tmp_path):
+        with pytest.raises(ValueError, match="^not valid JSON: maximum recursion depth"):
+            self.read(tmp_path, '{"a": ' + "[" * 5000 + "]" * 5000 + "}")
