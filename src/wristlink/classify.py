@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .sensor import (COUNT_MAX, GestureKind, Trace, check_int, check_int_array, check_samples,
-                     check_type, read_json_object)
+                     check_type, read_json_object, shown)
 
 # Factory default decision bands (raw z / y window means), window length,
 # and consecutive-verdict count.
@@ -76,13 +76,13 @@ class CalibrationProfile:
         for name in ("on_band", "off_band"):
             band = getattr(self, name)
             if not isinstance(band, (list, tuple)):
-                raise ValueError(f"{name} must be an interval [lo, hi], got {band!r}")
+                raise ValueError(f"{name} must be an interval [lo, hi], got {shown(band)}")
             band = tuple(band)
             object.__setattr__(self, name, band)
             for i, end in enumerate(band):
                 check_int(f"{name}[{i}]", end)
             if len(band) != 2 or band[0] > band[1]:
-                raise ValueError(f"{name} must be an interval [lo, hi], got {band}")
+                raise ValueError(f"{name} must be an interval [lo, hi], got {shown(band)}")
         check_int("window_size", self.window_size, 1)
         check_int("debounce_n", self.debounce_n, 1)
         if _bands_overlap(self.on_band, self.off_band):

@@ -299,7 +299,10 @@ def cmd_ber(o) -> int:
         raise _UsageError(
             f"--sigma-min, --sigma-max: invalid sweep range [{o.sigma_min}, {o.sigma_max}]"
         )
-    sigmas = np.linspace(o.sigma_min, o.sigma_max, o.points)
+    try:
+        sigmas = np.linspace(o.sigma_min, o.sigma_max, o.points)
+    except MemoryError:
+        raise _UsageError(f"--points: {o.points} sweep points do not fit in memory") from None
     # one sub-seed for the whole sweep: common random numbers across points
     seed = _subseed(o.seed, "modem")
     # every point is checked before one is measured
@@ -383,6 +386,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

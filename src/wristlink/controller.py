@@ -10,17 +10,17 @@ before it, so each runs over the whole trace in turn, reading the Trace's
 read-only int64 t, x, y and z columns and never its AccelSample rows: the
 radio path, each sample encoded on its own from an unchecked CodecFrame view
 of its row of the columns' plain ints, the frames' bytes joined into one
-wire buffer, decoded as one block at sigma 0 and in blocks of
-PHY_BLOCK_FRAMES frames above it, where the rest of a frame is sent only if
-its preamble survived, so the decoded fields of frames rejected at the
-preamble are not computed; the link as one block of sends and time steps
-(LinkSimulator._stream), the trace's times with the trigger and the drain
-put in, on int64 columns of due times and frame ids, every time bounded by
-TIME_MAX, each delivery read from the frames sent by its id; the
-classifier's verdict code for every window of the delivered sequence at
-once; then the debouncer as one run-length pass over the codes, split at the
-trigger, and the controller's APPLIANCE lines from the armed emissions that
-switch the appliance. HomeController is the controller's streaming form, one
+wire buffer, sent by modem.send_gated above sigma 0, where the rest of a
+frame is sent only if its preamble survived, and decoded as one block, so
+the decoded fields of frames rejected at the preamble are not computed;
+the link as one block of sends and time steps (LinkSimulator._stream),
+the trace's times with the trigger and the drain put in, on int64 columns
+of due times and frame ids, every time bounded by TIME_MAX, each delivery
+read from the frames sent by its id; the classifier's verdict code for
+every window of the delivered sequence at once; then the debouncer as one
+run-length pass over the codes, split at the trigger, and the controller's
+APPLIANCE lines from the armed emissions that switch the appliance.
+HomeController is the controller's streaming form, one
 action at a time. The log is rendered by column and put in order by one
 stable sort of a (step, phase) key. A clean run keeps no per-sample
 container object alive, so it never wakes the cyclic garbage collector.
@@ -38,21 +38,8 @@ from .classify import _ACTIONS, _ON, Action, CalibrationProfile, _emissions, _ve
 from .classify import classify_window  # noqa: F401
 from .framing import SYNC_BITS, WatchMode, _acc_frame_view, deserialize, serialize
 from .link import LinkConfig, LinkSimulator, delivery_lines, frame_details, send_lines
-from .modem import (
-    ModemConfig,
-    _row_generators,
-    _row_seed_words,
-    channel_apply,
-    demodulate,
-    modulate,
-)
+from .modem import ModemConfig, channel_apply, demodulate, modulate, send_gated
 from .sensor import TIME_MAX, Trace, check_int, check_type
-
-# Frames per radio-path block above sigma 0. Outputs do not depend on it, but
-# peak memory grows with it (a frame is 768 float64 waveform samples, held in
-# a few copies), so it stays small. At sigma 0 no waveform is built, and the
-# whole trace is one block.
-PHY_BLOCK_FRAMES = 64
 
 # the one appliance the controller switches, as the log names it
 APPLIANCE = "light"
@@ -122,53 +109,35 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarr
     """Radio path: each sample is serialized as an ACC frame, a view of its
     row of the plain ints of the trace's x, y and z columns, which the
     Trace already checked (framing._acc_frame_view), and the frames' bytes
-    are joined as they come into one (n, 48) wire block; the bits are sent through the channel
-    and decoded, re-verifying sync and CRC per frame. Returns, per sample,
-    whether its frame passed both checks, and the (n, 4) frame block decoded
-    from its bits; the rows of frames rejected at the preamble are not
-    decoded, and read 0.
+    are joined as they come into one (n, 48) wire block; the bits are sent
+    through the channel and decoded, re-verifying sync and CRC per frame.
+    Returns, per sample, whether its frame passed both checks, and the
+    (n, 4) frame block decoded from its bits; the rows of frames rejected
+    at the preamble are not decoded, and read 0.
 
-    Above sigma 0 the frames go as FSK waveforms in blocks of
-    PHY_BLOCK_FRAMES, frame i of the trace drawing its noise from the
-    stream seeded with modem_cfg.seed + i. Each block goes in two steps: the
-    SYNC_BITS preamble bits of every frame, then the rest of each frame
-    whose preamble decoded as sent, its noise continuing the frame's own
-    stream. Every frame is sent with the sync byte, and deserialize rejects
-    any other, so a frame whose preamble did not survive fails whatever its
-    other bits are; demodulate decides each bit window alone, and a
-    generator's normals do not depend on how they are split into calls, so
-    the frames that survive are decoded from exactly the noise one
-    whole-frame call would draw.
+    Above sigma 0 modem.send_gated sends the frames as FSK waveforms, frame
+    i of the trace drawing its noise from the stream seeded with
+    modem_cfg.seed + i, with SYNC_BITS as its gate: the rest of a frame goes
+    only if its preamble decoded as sent. Every frame is sent with the sync
+    byte, and deserialize rejects any other, so a frame whose preamble did
+    not survive fails whatever its other bits are.
 
     At sigma 0 no waveform is built: every bit of one value then receives
     the same samples, so one run of the two one-bit rows through the
-    channel gives the decision for each value, and the whole trace is
-    decoded at once."""
+    channel gives the decision for each value.
+
+    Either way the received frames are decoded in one deserialize call."""
     frames = map(_acc_frame_view, trace.x.tolist(), trace.y.tolist(), trace.z.tolist())
     wire = b"".join(map(serialize, frames))
     tx = np.frombuffer(wire, np.uint8).reshape(len(trace), -1)
     if modem_cfg.noise_sigma == 0:
         decide = demodulate(channel_apply(modulate([[0], [1]]), modem_cfg))[:, 0]
-        ok, fields = deserialize(decide[tx])
-        return ok, fields
+        rows, rx = slice(None), decide[tx]
+    else:
+        rows, rx = send_gated(tx, modem_cfg, SYNC_BITS)
     ok = np.zeros(len(tx), dtype=bool)
     fields = np.zeros((len(tx), 4), dtype=np.int64)
-    words = _row_seed_words(modem_cfg.seed, len(tx))
-    for start in range(0, len(tx), PHY_BLOCK_FRAMES):
-        tx_bits = tx[start : start + PHY_BLOCK_FRAMES]
-        streams = _row_generators(words[start : start + len(tx_bits)])
-        head = tx_bits[:, :SYNC_BITS]
-        rx_head = demodulate(channel_apply(modulate(head), modem_cfg, streams))
-        kept = np.flatnonzero((rx_head == head).all(axis=1))
-        if kept.size == 0:
-            continue
-        rx_rest = demodulate(
-            channel_apply(
-                modulate(tx_bits[kept, SYNC_BITS:]), modem_cfg, [streams[i] for i in kept]
-            )
-        )
-        rows = start + kept
-        ok[rows], fields[rows] = deserialize(np.concatenate([rx_head[kept], rx_rest], axis=1))
+    ok[rows], fields[rows] = deserialize(rx)
     return ok, fields
 
 

@@ -52,7 +52,9 @@ CRC8_POLY = 0x07
 _FIELD_NAMES = ("mode", "x", "y", "z")
 _FIELD_SHIFTS = np.array([3 * AXIS_BITS, 2 * AXIS_BITS, AXIS_BITS, 0], dtype=np.int64)
 _FIELD_MAX = np.array([(1 << MODE_BITS) - 1, COUNT_MAX, COUNT_MAX, COUNT_MAX], dtype=np.int64)
-_BIT_SHIFTS = np.arange(FRAME_BITS - 1, -1, -1)  # wire bit i is word bit 47 - i
+# the weight of each of a frame's six packed wire bytes in its 48-bit word,
+# the first byte the highest
+_BYTE_WEIGHTS = 1 << np.arange(FRAME_BITS - 8, -1, -8)
 
 
 class WatchMode(IntEnum):
@@ -208,7 +210,9 @@ def deserialize(bits):
     bad = rows[(rows != 0) & (rows != 1)]
     if bad.size:
         raise DecodeError(f"bit sequence contains non-bit value {bad[0].item()!r}")
-    word = rows.astype(np.uint8, copy=False) @ (1 << _BIT_SHIFTS)
+    # weighed as six packed bytes, 6 B a frame where int64 bits take 384;
+    # only after the non-bit check, as packbits reads any nonzero value as 1
+    word = np.packbits(rows.astype(np.uint8, copy=False), axis=-1) @ _BYTE_WEIGHTS
     fields = (word[..., None] >> (_FIELD_SHIFTS + CRC_BITS)) & _FIELD_MAX
     sync, crc_rx, crc_want = word >> 40, word & 0xFF, _block_crc(fields)
     if rows.ndim == 2:

@@ -25,12 +25,12 @@ numpy/random/bit_generator.pyx to run over an array of seeds.
 `modulate(phase=)` and `channel_apply(rng=)` instead carry a transmission's
 phase and noise stream across calls. The rng is a list of one generator per
 row, which row i continues: that is how measure_ber sends one long row in
-fixed-size blocks, and how the pipeline sends a frame's preamble and then,
-only if that survived, the rest of it. The phase carry keeps a running
-phase sum instead of the table, only for measure_ber: ber.csv's bytes
-depend on its rounding drift (up to ~5e-5 rad over a 200k-bit row); the
-benchmark sweep's seed-0 row at sigma 2 reads 0.303365, and would read
-0.30337 from the table.
+blocks, and how send_gated sends each row's first bits and then, only if
+those survived, the rest of it; both bound a block by BLOCK_SAMPLES
+waveform samples. The phase carry keeps a running phase sum instead of
+the table, only for measure_ber: ber.csv's bytes depend on its rounding
+drift (up to ~5e-5 rad over a 200k-bit row); the benchmark sweep's seed-0
+row at sigma 2 reads 0.303365, and would read 0.30337 from the table.
 """
 from __future__ import annotations
 
@@ -60,9 +60,11 @@ _F0_PROBE, _F1_PROBE = np.exp(
 )
 _PROBES = np.stack([_F0_PROBE.real, _F0_PROBE.imag, _F1_PROBE.real, _F1_PROBE.imag], axis=1)
 
-# bits per block of a measure_ber transmission: 65,536 samples (512 KiB of
-# float64)
-BER_BLOCK_BITS = 4096
+# float64 waveform samples per block (512 KiB) of a transmission sent in
+# blocks, from which measure_ber derives its bits and send_gated its rows
+# per block. Outputs do not depend on it, but peak memory grows with it (a
+# block is held in a few copies).
+BLOCK_SAMPLES = 65536
 
 
 def _seed_state_words(seeds: np.ndarray) -> np.ndarray:
@@ -273,9 +275,10 @@ def measure_ber(cfg: ModemConfig, n_bits: int) -> float:
 
     Deterministic in cfg.seed: the bit stream and the channel noise use
     independent substreams derived from it. The bits are one transmission,
-    sent in blocks of BER_BLOCK_BITS that carry the phase sum and the noise
-    generator from block to block, so the rate is exactly that of one call
-    over the whole row while memory stays bounded by the block size.
+    sent in blocks of BLOCK_SAMPLES waveform samples that carry the phase
+    sum and the noise generator from block to block, so the rate is exactly
+    that of one call over the whole row while memory stays bounded by the
+    block size.
     """
     check_type("cfg", cfg, ModemConfig)
     check_int("n_bits", n_bits, 1)
@@ -285,8 +288,47 @@ def measure_ber(cfg: ModemConfig, n_bits: int) -> float:
     noise_rng = np.random.default_rng(int(noise_ss.generate_state(1, np.uint64)[0]))
     phase = np.zeros(1)
     errors = 0
-    for start in range(0, n_bits, BER_BLOCK_BITS):
-        bits = bit_rng.integers(0, 2, (1, min(BER_BLOCK_BITS, n_bits - start)))
+    step = BLOCK_SAMPLES // SAMPLES_PER_BIT
+    for start in range(0, n_bits, step):
+        bits = bit_rng.integers(0, 2, (1, min(step, n_bits - start)))
         rx = channel_apply(modulate(bits, phase), cfg, [noise_rng])
         errors += int(np.count_nonzero(demodulate(rx) != bits))
     return errors / n_bits
+
+
+def send_gated(bits, cfg: ModemConfig, gate: int) -> tuple[np.ndarray, np.ndarray]:
+    """Send each row of an (n, m) bit block (a 1-D sequence is one row) as
+    its own transmission, its first `gate` bits (an int in 0..m) first and
+    the rest only if those decoded as sent.
+
+    Row i draws its noise from the stream seeded (cfg.seed + i) mod 2**64,
+    as in a channel_apply call over the whole block. The rows go in blocks
+    of at most BLOCK_SAMPLES waveform samples (at least one row): the gate
+    bits of every row of a block in one modulate -> channel_apply ->
+    demodulate call, then the rest of each row whose gate bits decoded as
+    sent, its noise continuing the row's own stream. demodulate decides
+    each bit window alone, and a generator's normals do not depend on how
+    they are split into calls, so a kept row decodes to exactly the bits a
+    whole-row call gives it. Returns the kept rows' indices, ascending, and
+    their (k, m) uint8 decoded bits.
+    """
+    bits = np.atleast_2d(check_rows("bits", bits))
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("bit sequence must contain only 0 and 1")
+    n, width = bits.shape
+    check_int("gate", gate, 0, width)
+    check_type("cfg", cfg, ModemConfig)
+    words = _row_seed_words(cfg.seed, n)
+    step = max(1, BLOCK_SAMPLES // (SAMPLES_PER_BIT * max(width, 1)))
+    rows, received = [np.zeros(0, np.intp)], [np.zeros((0, width), np.uint8)]
+    for start in range(0, n, step):
+        block = bits[start : start + step]
+        streams = _row_generators(words[start : start + len(block)])
+        head = demodulate(channel_apply(modulate(block[:, :gate]), cfg, streams))
+        kept = np.flatnonzero((head == block[:, :gate]).all(axis=1))
+        if kept.size:
+            rest = modulate(block[kept, gate:])
+            rest = demodulate(channel_apply(rest, cfg, [streams[i] for i in kept]))
+            rows.append(start + kept)
+            received.append(np.concatenate([head[kept], rest], axis=1))
+    return np.concatenate(rows), np.concatenate(received)

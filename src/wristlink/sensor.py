@@ -37,11 +37,14 @@ SAMPLE_PERIOD_MS = 20  # 50 Hz
 TIME_MAX = 2**53 - 1
 
 TRACE_HEADER = "t_ms,x,y,z"
-# the data rows after the header, each ending in \n, as far as they keep
-# the grammar: four fields of 1 to 18 decimal digits, no sign, space or "_"
-# (NumPy's parse would take those). A field below 10**18 parses exactly as
-# an int64, whatever int()'s digit limit, and save_trace writes no wider one
-_TRACE_ROWS = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}\n)*")
+# 1 to 1,024 data rows, each ending in \n, that keep the grammar: four
+# fields of 1 to 18 decimal digits, no sign, space or "_" (NumPy's parse
+# would take those). A field below 10**18 parses exactly as an int64,
+# whatever int()'s digit limit, and save_trace writes no wider one. The
+# good prefix of a body is matched a chunk at a time, as the regex engine
+# keeps backtracking state for every row a repeat has taken: an unbounded
+# one holds about 17 times the file
+_TRACE_ROWS = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}\n){1,1024}")
 # the most characters of a refused text that its error quotes (see quoted)
 _QUOTED_CHARS = 80
 # the most digits of an integer in a JSON document or a number flag: int()
@@ -92,6 +95,16 @@ def quoted(text: str, noun: str) -> str:
     return f"{text[:_QUOTED_CHARS]!r}... ({noun} of {len(text)} characters)"
 
 
+def shown(value) -> str:
+    """How an error shows a value it refuses: its repr, whole up to
+    _QUOTED_CHARS characters, or else the first _QUOTED_CHARS characters of
+    it and its length, as "(a value of N characters)"."""
+    text = repr(value)
+    if len(text) <= _QUOTED_CHARS:
+        return text
+    return f"{text[:_QUOTED_CHARS]}... (a value of {len(text)} characters)"
+
+
 def check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
     """Raise ValueError naming the parameter and the value unless value is a
     plain int in lo..hi, an end given as None being open. This is the one
@@ -101,7 +114,7 @@ def check_int(name: str, value, lo: int | None = None, hi: int | None = None) ->
             span = "" if hi is None else f" <= {hi}"
         else:
             span = f" >= {lo}" if hi is None else f" in {lo}..{hi}"
-        raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+        raise ValueError(f"{name} must be an integer{span}, got {shown(value)}")
 
 
 def check_number(name: str, value, lo: float, hi: float | None = None, above: bool = False) -> None:
@@ -114,7 +127,7 @@ def check_number(name: str, value, lo: float, hi: float | None = None, above: bo
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number and (lo < value if above else lo <= value) and value <= top):
         span = f"{'(' if above else '['}{lo}, {'inf)' if hi is None else f'{hi}]'}"
-        raise ValueError(f"{name} must be a finite number in {span}, got {value!r}")
+        raise ValueError(f"{name} must be a finite number in {span}, got {shown(value)}")
 
 
 def check_type(name: str, value, cls):
@@ -394,7 +407,9 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
         if label is not None:
             raise TraceFormatError(f"{path}: a labeled trace must be non-empty")
         return Trace(())
-    end = _TRACE_ROWS.match(body).end()
+    end = 0
+    while chunk := _TRACE_ROWS.match(body, end):
+        end = chunk.end()
     # the whole rows before the first line that breaks the grammar, as a
     # (4, n) block of columns, parsed without the last row's separator
     fields = body[: max(end - 1, 0)].replace("\n", ",")
@@ -432,15 +447,28 @@ def _json_int(text: str):
     return int(text) if len(text.lstrip("-")) <= INT_DIGITS_MAX else _LongInt(text)
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object's dict of its (key, value) pairs, after a ValueError
+    naming the first key that repeats an earlier one."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {quoted(key, 'a key')}")
+        doc[key] = value
+    return doc
+
+
 def read_json_object(path, keys, required=(), encoding="UTF-8") -> dict:
     """The JSON object in the file at path, after a ValueError naming the
     fault, but not the file, unless the file decodes as `encoding`, parses
     as JSON (nested past the parser's recursion limit, it does not), holds
-    an object with only keys in `keys` and every key in `required`, and
-    holds no integer of more than INT_DIGITS_MAX digits, which is named by
-    its key. Each caller names the file in an error of its own."""
+    an object with only keys in `keys` and every key in `required`, holds
+    no object, at any depth, that repeats a key, which is named, and holds
+    no integer of more than INT_DIGITS_MAX digits, which is named by its
+    key. Each caller names the file in an error of its own."""
     try:
-        doc = json.loads(Path(path).read_text(encoding=encoding), parse_int=_json_int)
+        text = Path(path).read_text(encoding=encoding)
+        doc = json.loads(text, parse_int=_json_int, object_pairs_hook=_json_object)
     except UnicodeDecodeError as exc:
         raise ValueError(f"not {encoding}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -491,6 +491,26 @@ class TestProfile:
         with pytest.raises(ValueError, match=r"^on_band must be an interval \[lo, hi\], got "):
             CalibrationProfile(on_band=band)
 
+    @pytest.mark.parametrize(
+        "band, shown",
+        [
+            ("x" * 78, repr("x" * 78)),
+            ("x" * 79, f"'{'x' * 79}... (a value of 81 characters)"),
+            ((1,) * 26, repr((1,) * 26)),
+            ((1,) * 27, f"({'1, ' * 26}1... (a value of 81 characters)"),
+            (list(range(100_000)), None),
+        ],
+    )
+    def test_refused_band_shown_up_to_80_characters(self, band, shown):
+        # a band is shown whole up to 80 characters, past that by its first
+        # 80 and its length; a 100,000-item band gives a short error
+        with pytest.raises(ValueError) as info:
+            CalibrationProfile(on_band=band)
+        message = str(info.value)
+        if shown is not None:
+            assert message == f"on_band must be an interval [lo, hi], got {shown}"
+        assert len(message) < 200
+
     @pytest.mark.parametrize("band", ["5", "[240]", "[240, 286, 300]", '"240-286"'])
     def test_document_band_rejected_by_the_profile(self, tmp_path, band):
         path = tmp_path / "profile.json"

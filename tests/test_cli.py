@@ -835,6 +835,36 @@ class TestInputFiles:
     def test_points_zero_exit_2_naming_the_flag(self, tmp_path, capsys):
         check_refused(capsys, tmp_path, ["ber", "--points", "0"], 2, "--points")
 
+    def test_sweep_past_memory_exit_2_naming_the_flag(self, tmp_path, capsys):
+        # 10**11 sweep points need 745 GiB, which NumPy fails to allocate
+        argv = ["ber", "--points", "100000000000", "--bits", "1"]
+        check_refused(capsys, tmp_path, argv, 2, "--points", "100000000000")
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [(MemoryError(), "error: out of memory"), (MemoryError("no room"), "error: no room")],
+    )
+    def test_memory_error_exit_1_with_one_line(self, tmp_path, capsys, monkeypatch, error, line):
+        def no_room(*args):
+            raise error
+
+        monkeypatch.setattr("wristlink.cli.generate_gesture", no_room)
+        assert check_refused(capsys, tmp_path, ["gen"], 1) == line
+
+    @pytest.mark.parametrize("command, code", [("gen", 2), ("classify", 1)])
+    def test_duplicate_key_named(self, tmp_path, capsys, command, code):
+        # a config file's fault is a usage error, a profile's a domain one
+        doc = tmp_path / "doc.json"
+        if command == "gen":
+            doc.write_text('{"n": 0, "n": 5}')
+            argv = ["gen", "--config", str(doc)]
+        else:
+            doc.write_text('{"on_band": [240, 286], "off_band": [323, 384], '
+                           '"window_size": 4, "debounce_n": 2, "window_size": 4}')
+            argv = ["classify", "--demo", "on", "--profile", str(doc)]
+        line = check_refused(capsys, tmp_path, argv, code, str(doc))
+        assert line.endswith(f"duplicate key {'n' if command == 'gen' else 'window_size'!r}")
+
     def test_calibrate_dir_that_is_a_file_exit_2_naming_the_flag(self, tmp_path, capsys):
         not_dir = tmp_path / "on.csv"
         not_dir.write_text("t_ms,x,y,z\n")

@@ -17,8 +17,9 @@ from wristlink.classify import (
     classify_window,
     debounced_stream,
 )
-from wristlink.controller import PHY_BLOCK_FRAMES, HomeController, run_pipeline
+from wristlink.controller import HomeController, run_pipeline
 from wristlink.framing import (
+    FRAME_BITS,
     SYNC_BITS,
     CodecFrame,
     DecodeError,
@@ -27,7 +28,14 @@ from wristlink.framing import (
     serialize,
 )
 from wristlink.link import ACQUIRING_MESSAGE, LinkConfig, LinkSimulator
-from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
+from wristlink.modem import (
+    BLOCK_SAMPLES,
+    SAMPLES_PER_BIT,
+    ModemConfig,
+    channel_apply,
+    demodulate,
+    modulate,
+)
 from wristlink.sensor import (
     TIME_MAX,
     AccelSample,
@@ -104,6 +112,10 @@ class TestHomeController:
         assert ctrl.powered is True
 
 
+# frames per block of the radio path above sigma 0 (modem.send_gated)
+BLOCK_FRAMES = BLOCK_SAMPLES // (FRAME_BITS * SAMPLES_PER_BIT)
+
+
 def vertical_trace(n=32, seed=1):
     return generate_gesture(GestureKind.VERTICAL_UP_DOWN, n, seed)
 
@@ -122,8 +134,8 @@ def preamble_survivors(trace, modem_cfg):
         for i in range(len(trace))
     ]
     return [
-        (start, [i for i in range(start, min(start + PHY_BLOCK_FRAMES, len(trace))) if survives[i]])
-        for start in range(0, len(trace), PHY_BLOCK_FRAMES)
+        (start, [i for i in range(start, min(start + BLOCK_FRAMES, len(trace))) if survives[i]])
+        for start in range(0, len(trace), BLOCK_FRAMES)
     ]
 
 
@@ -255,9 +267,9 @@ class TestRunPipeline:
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.5])
     def test_waveforms_only_above_sigma_zero(self, monkeypatch, sigma):
         # at sigma 0 one 2-bit call decides every bit of the run; above it,
-        # each block of PHY_BLOCK_FRAMES frames sends every frame's preamble
-        # as waveforms, then the other bits of only the frames whose
-        # preamble survived
+        # modem.send_gated sends every frame's preamble of each block of
+        # BLOCK_FRAMES frames as waveforms, then the other bits of only the
+        # frames whose preamble survived
         trace = vertical_trace(200, seed=9)
         modem_cfg = ModemConfig(noise_sigma=sigma)
         calls = []
@@ -267,6 +279,7 @@ class TestRunPipeline:
             return modulate(bits)
 
         monkeypatch.setattr("wristlink.controller.modulate", recording_modulate)
+        monkeypatch.setattr("wristlink.modem.modulate", recording_modulate)
         run_pipeline(trace, modem_cfg=modem_cfg, pir_at=0)
         if sigma == 0:
             assert [bits.size for bits in calls] == [2]
@@ -275,7 +288,7 @@ class TestRunPipeline:
         wire = serialize(np.column_stack([acc, trace.x, trace.y, trace.z]))
         expected = []
         for start, kept in preamble_survivors(trace, modem_cfg):
-            expected.append(wire[start : start + PHY_BLOCK_FRAMES, :SYNC_BITS])
+            expected.append(wire[start : start + BLOCK_FRAMES, :SYNC_BITS])
             if kept:
                 expected.append(wire[kept, SYNC_BITS:])
         assert len(calls) == len(expected)
@@ -332,10 +345,9 @@ class TestRunPipeline:
         assert run_pipeline(trace, pir_at=0) == want
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.5])
-    def test_noiseless_trace_decoded_in_one_block(self, monkeypatch, sigma):
-        # at sigma 0 no waveform bounds the block, so one deserialize call
-        # decodes the whole trace; above it, each block decodes only the
-        # frames whose preamble survived, and none when none did
+    def test_received_frames_decoded_in_one_call(self, monkeypatch, sigma):
+        # one deserialize call decodes the received frames: at sigma 0 the
+        # whole trace, above it only the frames whose preamble survived
         trace = vertical_trace(200, seed=9)
         modem_cfg = ModemConfig(noise_sigma=sigma)
         calls = []
@@ -350,7 +362,7 @@ class TestRunPipeline:
             assert calls == [len(trace)]
         else:
             survivors = preamble_survivors(trace, modem_cfg)
-            assert calls == [len(kept) for _, kept in survivors if kept]
+            assert calls == [sum(len(kept) for _, kept in survivors)]
 
     def test_negative_pir_rejected(self):
         with pytest.raises(ValueError):
@@ -543,7 +555,7 @@ class TestBlockPhyMatchesPerFrameReference:
     most preambles fail and at 4.0 nearly all (99%), so blocks with few and
     with no surviving frames both occur."""
 
-    LENGTHS = (1, PHY_BLOCK_FRAMES, PHY_BLOCK_FRAMES + 1, 2 * PHY_BLOCK_FRAMES + 22)
+    LENGTHS = (1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 22)
     SEEDS = (0, 1, 7, 2**64 - 2)
 
     @pytest.mark.parametrize("loss", [0.0, 0.2])

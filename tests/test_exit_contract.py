@@ -7,7 +7,8 @@ the input file at fault (a trace by its line, where it has one), and
 nothing written. No run prints a traceback. The argvs are drawn per
 subcommand from its flags and near-valid values, and the trace, profile
 and config files from near-valid texts, under int()'s default digit limit
-and with the limit off.
+and with the limit off; a few fixed examples that the draws do not reach
+go through the same checks.
 """
 import contextlib
 import io
@@ -17,6 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -208,18 +210,14 @@ def run_in(root: Path, argv: list[str], digit_limit: int):
     return code, out.getvalue(), err.getvalue(), written
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_every_run_keeps_the_exit_contract(data):
-    command = data.draw(st.sampled_from(sorted(FLAGS)), label="command")
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        argv, inputs = write_inputs(data.draw, command, root)
-        code, out, err, written = run_in(root, argv, sys.get_int_max_str_digits())
-        # what a run reads and writes does not depend on int()'s digit limit
-        assert run_in(root, argv, 0) == (code, out, err, written)
-        keys = config_keys(root)
-    event(f"{command} exit {code}")
+def check_contract(root: Path, argv: list[str], inputs: dict) -> int:
+    """Run argv in root, under the default digit limit and with none, and
+    check that it keeps the exit contract; return its exit code."""
+    command = argv[0]
+    code, out, err, written = run_in(root, argv, sys.get_int_max_str_digits())
+    # what a run reads and writes does not depend on int()'s digit limit
+    assert run_in(root, argv, 0) == (code, out, err, written)
+    keys = config_keys(root)
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
@@ -227,7 +225,7 @@ def test_every_run_keeps_the_exit_contract(data):
             assert [p.name[:6] for p in written if p.suffix == ".csv"] == ["trace_"]
         for name in OUTPUTS.get(command, []):
             assert written.get(Path("out", name)), name
-        return
+        return code
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1, err
     assert written == {}, written
@@ -245,3 +243,39 @@ def test_every_run_keeps_the_exit_contract(data):
         ), line
         if ".csv: " in line:  # a trace names its line, unless it has no row
             assert ": line " in line or "header line" in line or "empty" in line, line
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_run_keeps_the_exit_contract(data):
+    command = data.draw(st.sampled_from(sorted(FLAGS)), label="command")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, inputs = write_inputs(data.draw, command, Path(tmp))
+        code = check_contract(Path(tmp), argv, inputs)
+    event(f"{command} exit {code}")
+
+
+# runs that the drawn argvs do not reach, with their input files and exit
+# codes: a sweep whose points do not fit in memory (NumPy fails to allocate
+# them at once, where a large --bits or --n would run), and a config and a
+# profile document that repeat a key
+EXAMPLES = [
+    (["ber", "--points", "100000000000", "--bits", "1", "--out", "out"], {}, 2),
+    (["gen", "--config", "config.json", "--out", "out"], {"config": '{"n": 0, "n": 5}'}, 2),
+    (
+        ["classify", "--demo", "on", "--profile", "profile.json"],
+        {"profile": '{"on_band": [240, 286], "off_band": [323, 384], "window_size": 4,'
+                    ' "debounce_n": 2, "debounce_n": 3}'},
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, documents, code", EXAMPLES, ids=["points", "config", "profile"])
+def test_examples_keep_the_exit_contract(tmp_path, argv, documents, code):
+    inputs = {}
+    for name, text in documents.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        inputs[name] = f"{name}.json"
+    assert check_contract(tmp_path, argv, inputs) == code

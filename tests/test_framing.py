@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 from random import Random
 
@@ -313,6 +314,41 @@ class TestFrameBlocks:
     def test_every_integer_dtype_encodes_alike(self, dtype):
         fields = np.array([(1, 100, 200, 255)])
         assert serialize(fields.astype(dtype)).tolist() == serialize(fields).tolist()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, bool])
+    def test_fields_equal_the_word_numeral(self, dtype):
+        # every row, valid or not, decodes from the 48-digit binary numeral
+        # of its bits, whatever the bits' dtype
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2, (300, FRAME_BITS))
+        bits[:100] = serialize(rng.integers(0, [4, 1024, 1024, 1024], (100, 4)))
+        bits[100:200, :SYNC_BITS] = EXAMPLE_FRAME_BITS[:SYNC_BITS]
+        bits = bits.astype(dtype)
+        ok, fields = deserialize(bits)
+        assert ok[:100].all() and not ok[100:].all()
+        fields_at = ((38, 3), (28, 1023), (18, 1023), (8, 1023))  # (shift, mask)
+        for row, row_ok, row_fields in zip(bits.astype(int), ok.tolist(), fields.tolist()):
+            word = int("".join(map(str, row)), 2)
+            assert row_fields == [word >> shift & mask for shift, mask in fields_at]
+            crc_ok = bitwise_crc8((word >> 8 & 0xFFFFFFFF).to_bytes(4, "big")) == word & 0xFF
+            assert row_ok == (word >> 40 == SYNC_PATTERN and crc_ok)
+
+    def test_block_decode_holds_no_int64_copy_of_the_bits(self):
+        # the words are weighed from six packed bytes a frame; an int64 copy
+        # of the bits alone would take 384 bytes a frame, and the decoded
+        # mask and block take 33
+        n = 10_200
+        fields = np.column_stack([np.ones(n, int), np.arange(3 * n).reshape(n, 3) % 1024])
+        bits = serialize(fields)
+        tracemalloc.start()
+        try:
+            ok, decoded = deserialize(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok.all()
+        np.testing.assert_array_equal(decoded, fields)
+        assert peak < 128 * n
 
     def test_block_bits_validated(self):
         with pytest.raises(DecodeError, match="47"):

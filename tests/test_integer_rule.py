@@ -224,6 +224,11 @@ def test_once_accepted_values_rejected(name):
         (0, 10, False, "k must be an integer in 0..10, got False"),
         (0, 10, np.int64(3), f"k must be an integer in 0..10, got {np.int64(3)!r}"),
         (0, 10, "3", "k must be an integer in 0..10, got '3'"),
+        # a value's repr is shown whole up to 80 characters, past that its
+        # first 80 and its length
+        (0, 10, "7" * 78, f"k must be an integer in 0..10, got '{'7' * 78}'"),
+        (0, 10, "7" * 79, f"k must be an integer in 0..10, got '{'7' * 79}... (a value of 81 characters)"),
+        (1, None, [0] * 10**5, f"k must be an integer >= 1, got [{'0, ' * 26}0... (a value of 300000 characters)"),
     ],
 )
 def test_check_int_message(lo, hi, value, message):

@@ -16,7 +16,7 @@ import wristlink
 from wristlink.controller import run_pipeline
 from wristlink.framing import CodecFrame, WatchMode, deserialize, serialize
 from wristlink.modem import (
-    BER_BLOCK_BITS,
+    BLOCK_SAMPLES,
     F0,
     F1,
     NOISE_SIGMA_MAX,
@@ -29,10 +29,13 @@ from wristlink.modem import (
     demodulate,
     measure_ber,
     modulate,
+    send_gated,
 )
 from wristlink.sensor import generate_gesture
 
 CLEAN = ModemConfig()  # attenuation 1.0, noise 0
+# bits per block of a measure_ber transmission
+BER_BLOCK_BITS = BLOCK_SAMPLES // SAMPLES_PER_BIT
 NOISY = ModemConfig(noise_sigma=0.6, seed=3)
 
 # sweep pinned by a pre-build Monte Carlo run: these sigmas give error rates
@@ -500,6 +503,72 @@ class TestFrameBlocks:
             np.testing.assert_array_equal(out[i], expected)
 
 
+def whole_row_sends(bits, cfg, gate):
+    """send_gated's result from one whole-row call per row, row i with
+    noise seed cfg.seed + i, kept when its first `gate` bits decode as sent."""
+    rows, received = [], []
+    for i, row in enumerate(bits):
+        hop = replace(cfg, seed=(cfg.seed + i) % 2**64)
+        rx = np.frombuffer(demodulate(channel_apply(modulate(row), hop)), np.uint8)
+        if (rx[:gate] == row[:gate]).all():
+            rows.append(i)
+            received.append(rx)
+    return rows, received
+
+
+class TestGatedSend:
+    """send_gated keeps exactly the rows whose gate bits survive one
+    whole-row call, with that call's bits, however the rows are blocked."""
+
+    @pytest.mark.parametrize("gate", [0, 8, 47, 48])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 100])
+    @pytest.mark.parametrize("sigma", [0.0, 0.8, 1.5])
+    def test_kept_rows_equal_whole_row_calls(self, gate, seed, sigma):
+        # 200 rows span three blocks, and at sigma 1.5 most gates fail
+        cfg = ModemConfig(noise_sigma=sigma, channel_attenuation=0.8, seed=seed)
+        bits = np.random.default_rng(seed % 97).integers(0, 2, (200, 48), dtype=np.uint8)
+        rows, received = send_gated(bits, cfg, gate)
+        want_rows, want_received = whole_row_sends(bits, cfg, gate)
+        assert rows.tolist() == want_rows
+        assert received.dtype == np.uint8 and received.shape == (len(want_rows), 48)
+        np.testing.assert_array_equal(received, np.reshape(want_received, (-1, 48)))
+
+    @pytest.mark.parametrize("samples", [SAMPLES_PER_BIT, 768, 3 * 768 - 1, 10**7])
+    def test_outputs_do_not_depend_on_the_block_budget(self, monkeypatch, samples):
+        # from one row (or one bit) per block to the whole send in one block
+        bits = np.random.default_rng(3).integers(0, 2, (150, 48))
+        cfg = ModemConfig(noise_sigma=1.0, seed=11)
+        want = send_gated(bits, cfg, 8), measure_ber(cfg, 2 * 4096 + 5)
+        monkeypatch.setattr("wristlink.modem.BLOCK_SAMPLES", samples)
+        (rows, received), rate = send_gated(bits, cfg, 8), measure_ber(cfg, 2 * 4096 + 5)
+        np.testing.assert_array_equal(rows, want[0][0])
+        np.testing.assert_array_equal(received, want[0][1])
+        assert rate == want[1]
+
+    def test_one_row_and_no_rows(self):
+        row = np.random.default_rng(4).integers(0, 2, 48)
+        rows, received = send_gated(row, NOISY, 8)
+        want_rows, want_received = whole_row_sends(row[None], NOISY, 8)
+        assert rows.tolist() == want_rows
+        np.testing.assert_array_equal(received, np.reshape(want_received, (-1, 48)))
+        rows, received = send_gated(np.zeros((0, 48), np.uint8), NOISY, 8)
+        assert rows.shape == (0,) and received.shape == (0, 48)
+
+    @pytest.mark.parametrize(
+        "bits, cfg, gate, message",
+        [
+            (np.zeros((2, 48)), NOISY, -1, "gate must be an integer in 0..48, got -1"),
+            (np.zeros((2, 48)), NOISY, 49, "gate must be an integer in 0..48, got 49"),
+            (np.zeros((2, 48)), NOISY, True, "gate must be an integer in 0..48, got True"),
+            ([[0, 2, 1]], NOISY, 1, "bit sequence must contain only 0 and 1"),
+            (np.zeros((2, 48)), {}, 8, "cfg must be a ModemConfig, got dict"),
+        ],
+    )
+    def test_bad_arguments_refused(self, bits, cfg, gate, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            send_gated(bits, cfg, gate)
+
+
 class TestNoiselessTable:
     """At sigma 0 every bit of one value receives the same samples and each
     window is decided alone, so the decisions for the two one-bit rows
@@ -577,6 +646,7 @@ RADIO_STAGES = {
     "channel_apply": ("waveform", lambda v: channel_apply(v, NOISY)),
     "demodulate": ("waveform", demodulate),
     "deserialize": ("bits", deserialize),
+    "send_gated": ("bits", lambda v: send_gated(v, NOISY, 0)),
 }
 
 

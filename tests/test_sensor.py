@@ -2,6 +2,7 @@ import copy
 import pickle
 import re
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from itertools import accumulate
 from pathlib import Path
@@ -415,6 +416,42 @@ class TestLoadTrace:
             assert str(info.value).endswith(f"... (a line of {len(line)} characters)")
         assert len(str(info.value)) <= len(prefix) + 80 + 40
 
+    @pytest.mark.parametrize("bad_row", [1023, 1024, 1025, 2048, None])
+    def test_rows_around_a_chunk_edge(self, tmp_path, bad_row):
+        # the good prefix is matched 1,024 rows at a time: a bad line just
+        # before, at or just after a chunk's edge is named by its line, and
+        # a file of whole chunks loads whole
+        rows = [f"{20 * i},1,2,3" for i in range(2048 if bad_row is None else 2100)]
+        if bad_row is not None:
+            rows[bad_row - 1] = f"{20 * (bad_row - 1)},1,2,x"
+        p = tmp_path / "t.csv"
+        p.write_text("t_ms,x,y,z\n" + "\n".join(rows) + "\n")
+        if bad_row is None:
+            assert len(load_trace(p)) == 2048
+            return
+        message = (
+            f"{p}: line {bad_row}: expected 4 comma-separated integers of 1 to 18 digits,"
+            f" got {rows[bad_row - 1]!r}"
+        )
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            load_trace(p)
+
+    def test_peak_memory_is_a_few_times_the_file(self, tmp_path):
+        # the text, its body, the fields and two int64 blocks of the
+        # columns: about 6.3 times a 100,000-row file, where a regex repeat
+        # over every row at once held about 18 times it
+        p = tmp_path / "long.csv"
+        rows = (f"{20 * i},{200 + i % 30},{300 + i % 70},{250 + i % 40}\n" for i in range(100_000))
+        p.write_text("t_ms,x,y,z\n" + "".join(rows))
+        tracemalloc.start()
+        try:
+            trace = load_trace(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 100_000
+        assert peak < 8 * p.stat().st_size
+
     @pytest.mark.parametrize(
         "row", ["20,1_0,2,3", "20,+20,2,3", "20, 30,2,3", "20,1,2,3 ", "1_0,+20, 30,4"]
     )
@@ -807,6 +844,21 @@ class TestReadJsonObject:
         message = r"^key 'b': integer of more than 640 digits: '-1+'\.\.\. \(an integer of 642 characters\)$"
         with pytest.raises(ValueError, match=message):
             self.read(tmp_path, '{"a": [1], "b": [{"c": [-' + "1" * 641 + "]}]}")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"a": 0, "a": 5}', "'a'"),
+            ('{"a": 1, "b": [{"c": 1, "d": 2, "c": 1}]}', "'c'"),
+            ('{"a": {"' + "k" * 100 + '": 1, "' + "k" * 100 + '": 2}}',
+             f"'{'k' * 80}'... (a key of 100 characters)"),
+        ],
+        ids=["top", "nested", "long"],
+    )
+    def test_duplicate_key_refused_at_any_depth(self, tmp_path, text, key):
+        # json.loads would keep a repeated key's last value
+        with pytest.raises(ValueError, match=f"^duplicate key {re.escape(key)}$"):
+            self.read(tmp_path, text)
 
     def test_unknown_keys_come_before_missing_ones(self, tmp_path):
         with pytest.raises(ValueError, match=r"^unknown keys: c, d$"):
