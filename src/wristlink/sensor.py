@@ -173,17 +173,8 @@ def check_int_array(name: str, values, hi: int) -> np.ndarray:
 
 
 def check_counts(x: int, y: int, z: int) -> None:
-    """Raise ValueError unless every axis is a raw count in COUNT_MIN..COUNT_MAX.
-
-    The test is one predicate over all three; check_int, run on each axis in
-    turn only when it fails, names the first bad one."""
-    if (
-        type(x) is type(y) is type(z) is int
-        and COUNT_MIN <= x <= COUNT_MAX
-        and COUNT_MIN <= y <= COUNT_MAX
-        and COUNT_MIN <= z <= COUNT_MAX
-    ):
-        return
+    """Raise ValueError, naming the first bad axis, unless every axis is a
+    raw count in COUNT_MIN..COUNT_MAX."""
     check_int("x", x, COUNT_MIN, COUNT_MAX)
     check_int("y", y, COUNT_MIN, COUNT_MAX)
     check_int("z", z, COUNT_MIN, COUNT_MAX)

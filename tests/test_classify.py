@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import models
 from wristlink.classify import (
     DEFAULT_OFF_BAND,
     DEFAULT_ON_BAND,
@@ -438,21 +439,21 @@ class TestDebounce:
         split=st.none() | st.integers(0, 60),
     )
     def test_run_length_pass_equals_the_streaming_debouncer(self, codes, n, split):
-        # the column pass against Debouncer.push one verdict at a time, a
-        # fresh Debouncer taking over at verdict `split` (as at the PIR
-        # trigger), or none doing so; a code is its Action's place in
-        # definition order
+        # the column pass against tests/models.py's plain Debouncer, one
+        # verdict at a time, a fresh one taking over at verdict `split` (as
+        # at the PIR trigger), or none doing so; a code is its Action's place
+        # in definition order, the model's verdicts' order
         fresh_at = len(codes) if split is None else min(split, len(codes))
-        want, gate = [], Debouncer(n)
+        want, gate = [], models.Debouncer(n)
         for v, code in enumerate(codes):
             if v == fresh_at:
-                gate = Debouncer(n)
-            action = gate.push(list(Action)[code])
+                gate = models.Debouncer(n)
+            action = gate.push(models.VERDICTS[code])
             if action is not None:
                 want.append((v, action))
         at, emitted = _emissions(np.array(codes, dtype=np.int8), n, fresh_at)
         assert at.dtype.kind == "i" and emitted.dtype == np.int8
-        assert [(v, list(Action)[c]) for v, c in zip(at.tolist(), emitted.tolist())] == want
+        assert [(v, list(Action)[c].value) for v, c in zip(at.tolist(), emitted.tolist())] == want
 
 
 class TestProfile:

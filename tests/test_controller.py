@@ -1,7 +1,6 @@
 import gc
 import math
 import re
-from collections import deque
 from dataclasses import replace
 from random import Random
 
@@ -10,24 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wristlink.classify import (
-    Action,
-    CalibrationProfile,
-    Debouncer,
-    classify_window,
-    debounced_stream,
-)
+import models
+from wristlink.classify import Action, CalibrationProfile, debounced_stream
 from wristlink.controller import HomeController, run_pipeline
 from wristlink.framing import (
     FRAME_BITS,
     SYNC_BITS,
     CodecFrame,
-    DecodeError,
     WatchMode,
     deserialize,
     serialize,
 )
-from wristlink.link import ACQUIRING_MESSAGE, LinkConfig, LinkSimulator
+from wristlink.link import ACQUIRING_MESSAGE, LinkConfig
 from wristlink.modem import (
     BLOCK_SAMPLES,
     SAMPLES_PER_BIT,
@@ -477,6 +470,37 @@ class TestRunPipeline:
             if pir_at is None:
                 assert result.powered is False
 
+    def test_controller_stage_is_the_class(self, monkeypatch):
+        # the pipeline's controller is a HomeController, patched here on the
+        # class as perfbench's tracer patches it: one apply_action call per
+        # armed emission, in order, whether it switches the light or not;
+        # the ON emitted before the late trigger is never applied
+        parts = [
+            generate_gesture(kind, 40, seed)
+            for kind, seed in ((GestureKind.VERTICAL_UP_DOWN, 1), (GestureKind.HORIZONTAL, 2))
+            * 2
+        ]
+        trace = Trace.from_columns(
+            np.arange(160) * 20, *(np.concatenate([getattr(p, a) for p in parts]) for a in "xyz")
+        )
+        calls = []
+        apply_action = HomeController.apply_action
+
+        def counting_apply(self, action, t):
+            calls.append((t, action))
+            return apply_action(self, action, t)
+
+        monkeypatch.setattr(HomeController, "apply_action", counting_apply)
+        result = run_pipeline(trace, pir_at=1005)
+        assert result.actions == [
+            (330, Action.ON), (1070, Action.OFF), (1790, Action.ON), (2670, Action.OFF)
+        ]
+        assert calls == result.actions[1:]
+        assert [line for line in result.log if " APPLIANCE " in line] == [
+            "[t=1790] APPLIANCE light -> ON",
+            "[t=2670] APPLIANCE light -> OFF",
+        ]
+
     def test_transitions_subsequence_of_debounced_actions(self):
         result = run_pipeline(vertical_trace(64, seed=10), pir_at=0)
         transitions = [l for l in result.log if "APPLIANCE" in l]
@@ -486,67 +510,80 @@ class TestRunPipeline:
 
 
 def per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=0, profile=None):
-    """Reference pipeline: one frame at a time through the scalar PHY calls,
-    frame i with noise seed modem_cfg.seed + i, then a per-sample event loop
-    over the scalar link calls: advance to the sample's time, consuming the
-    deliveries due, then send its frame."""
-    profile = profile if profile is not None else CalibrationProfile()
-    sim, ctrl = LinkSimulator(link_cfg), HomeController()
-    # one chronological log: the controller appends to the link's list
-    log = ctrl.log = sim.log
-    gate = Debouncer(profile.debounce_n)
-    window = deque(maxlen=profile.window_size)
-    actions = []
-    counts = {"corrupted": 0, "windows": 0}
-    pir_pending = pir_at is not None
+    """Reference pipeline on the plain models of tests/models.py, which
+    share no code with the package: of it, only modulate, channel_apply and
+    demodulate run here. Frame i is encoded by the bitwise codec model and
+    sent whole, alone, its noise drawn from a Generator built here from
+    seed modem_cfg.seed + i, then decoded by the model. A per-sample event loop over the link model steps to each
+    sample's time, delivering the frames due by then, and then sends the
+    sample's frame if it decoded. The trigger is a step of its own, before
+    the first sample at or after pir_at, or before the drain when pir_at
+    is at most the drain time; the drain is a last step at the last
+    sample's time + latency. The default profile is README's."""
+    log = []
+    link = models.Link(link_cfg.loss_probability, link_cfg.latency, link_cfg.seed, log)
+    ctrl = models.Controller(models.DEFAULT if profile is None else profile, log)
+    corrupted = 0
+    times = trace.t.tolist()
+    drain = times[-1] + link_cfg.latency
+    pir_pending = pir_at is not None and pir_at <= drain
 
-    def consume(block):
-        for t, frame in zip(block.t, block.frame):
-            window.append(AccelSample(t=t, x=frame.x, y=frame.y, z=frame.z))
-            if len(window) < profile.window_size:
-                continue
-            verdict = classify_window(window, profile)
-            counts["windows"] += 1
-            log.append(f"[t={t}] ACTION {verdict.value}")
-            emitted = gate.push(verdict)
-            if emitted is not None:
-                actions.append((t, emitted))
-                ctrl.apply_action(emitted, t)
+    def step(t):
+        for due, (_, y, z) in link.step(t):
+            ctrl.deliver(due, y, z)
 
-    def advance(t):
-        nonlocal gate, pir_pending
+    def trigger_by(t):
+        nonlocal pir_pending
         if pir_pending and pir_at <= t:
-            consume(sim.run_until(max(pir_at, sim.now)))
-            ctrl.pir_trigger(pir_at)
-            gate = Debouncer(profile.debounce_n)
+            step(pir_at)
+            ctrl.trigger(pir_at)
             pir_pending = False
-        consume(sim.run_until(t))
 
-    sim.ap_start()
-    sim.watch_set_mode(WatchMode.ACC)
-    for i, sample in enumerate(trace):
-        advance(sample.t)
-        bits = serialize(CodecFrame(WatchMode.ACC, sample.x, sample.y, sample.z))
-        hop_cfg = replace(modem_cfg, seed=(modem_cfg.seed + i) % 2**64)
-        rx_bits = demodulate(channel_apply(modulate(bits), hop_cfg))
-        try:
-            decoded = deserialize(rx_bits)
-        except DecodeError:
-            counts["corrupted"] += 1
-            log.append(f"[t={sample.t}] FRAME_CORRUPTED codec integrity check failed")
-            continue
-        sim.transmit_sample(decoded)
-    advance(trace.samples[-1].t + link_cfg.latency)
+    rows = zip(times, trace.x.tolist(), trace.y.tolist(), trace.z.tolist())
+    for i, (t, *xyz) in enumerate(rows):
+        trigger_by(t)
+        step(t)
+        # README's noise contract: frame i draws from default_rng(seed + i)
+        noise = [np.random.default_rng((modem_cfg.seed + i) % 2**64)]
+        waveform = channel_apply(modulate(models.encode(models.ACC, *xyz)), modem_cfg, noise)
+        decoded = models.decode(demodulate(waveform))
+        if decoded is None:
+            corrupted += 1
+            log.append(f"[t={t}] FRAME_CORRUPTED codec integrity check failed")
+        else:
+            link.send(t, decoded[1:])
+    trigger_by(drain)
+    step(drain)
     return {
         "log": log,
-        "actions": actions,
+        "actions": ctrl.actions,
         "powered": ctrl.powered,
-        "frames_sent": sim.sent_count,
-        "frames_delivered": sim.delivered_count,
-        "frames_lost": sim.lost_count,
-        "frames_corrupted": counts["corrupted"],
-        "windows_classified": counts["windows"],
+        "frames_sent": link.sent,
+        "frames_delivered": link.delivered,
+        "frames_lost": link.lost,
+        "frames_corrupted": corrupted,
+        "windows_classified": ctrl.windows,
     }
+
+
+def assert_matches_reference(trace, link_cfg, modem_cfg, pir_at=0, profile=None):
+    """run_pipeline's log, actions, power state and counters are those of
+    per_frame_pipeline; an action is compared by its ACTION line's text."""
+    result = run_pipeline(
+        trace, profile=profile, link_cfg=link_cfg, modem_cfg=modem_cfg, pir_at=pir_at
+    )
+    expected = per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=pir_at, profile=profile)
+    assert result.log == expected["log"]
+    assert [(t, action.value) for t, action in result.actions] == expected["actions"]
+    assert result.powered == expected["powered"]
+    for name in (
+        "frames_sent",
+        "frames_delivered",
+        "frames_lost",
+        "frames_corrupted",
+        "windows_classified",
+    ):
+        assert getattr(result, name) == expected[name], name
 
 
 class TestBlockPhyMatchesPerFrameReference:
@@ -575,37 +612,7 @@ class TestBlockPhyMatchesPerFrameReference:
         link_cfg = LinkConfig(loss_probability=loss, seed=seed)
         for n in self.LENGTHS:
             trace = generate_gesture(GestureKind.VERTICAL_UP_DOWN, n, seed=seed % 100)
-            result = run_pipeline(trace, link_cfg=link_cfg, modem_cfg=modem_cfg)
-            expected = per_frame_pipeline(trace, link_cfg, modem_cfg)
-            assert result.log == expected["log"], n
-            assert result.actions == expected["actions"]
-            assert result.powered == expected["powered"]
-            for name in (
-                "frames_sent",
-                "frames_delivered",
-                "frames_lost",
-                "frames_corrupted",
-                "windows_classified",
-            ):
-                assert getattr(result, name) == expected[name], (n, name)
-
-
-def assert_matches_reference(trace, link_cfg, modem_cfg, pir_at, profile):
-    result = run_pipeline(
-        trace, profile=profile, link_cfg=link_cfg, modem_cfg=modem_cfg, pir_at=pir_at
-    )
-    expected = per_frame_pipeline(trace, link_cfg, modem_cfg, pir_at=pir_at, profile=profile)
-    assert result.log == expected["log"]
-    assert result.actions == expected["actions"]
-    assert result.powered == expected["powered"]
-    for name in (
-        "frames_sent",
-        "frames_delivered",
-        "frames_lost",
-        "frames_corrupted",
-        "windows_classified",
-    ):
-        assert getattr(result, name) == expected[name], name
+            assert_matches_reference(trace, link_cfg, modem_cfg)
 
 
 def gesture_trace(times, split, seed):
@@ -914,46 +921,29 @@ class TestMetamorphicRelations:
 
 
 class TestGateModel:
-    """run_pipeline's PIR gate and debouncer against a plain model: the
+    """run_pipeline's PIR gate and debouncer against the plain models: the
     model reads only which frames the log delivers, and when, and replays
-    the gate rules one delivery at a time."""
+    the gate rules one delivery at a time (tests/models.py's Controller)."""
 
     @staticmethod
     def model(trace, delivered, profile, latency, pir_at):
         """The ACTION, PIR TRIGGERED and APPLIANCE lines in log order, the
-        emitted actions and the final power state, for deliveries given as
-        (due time, sample index) in delivery order."""
+        emitted actions, each as its ACTION line's text, and the final
+        power state, for deliveries given as (due time, sample index) in
+        delivery order."""
         fires = pir_at is not None and pir_at <= trace.t[-1] + latency
         # the same-tick rule: a delivery due by pir_at of a frame sent before
         # it is consumed before the trigger
         before = sum(due <= pir_at and trace.t[i] < pir_at for due, i in delivered) if fires else 0
-        lines, actions = [], []
-        armed = powered = False
-        run, run_len, last = None, 0, None
-        window = deque(maxlen=profile.window_size)
+        lines = []
+        ctrl = models.Controller(profile, lines)
         for d, (due, i) in enumerate(delivered):
-            if fires and not armed and d == before:
-                armed, run, run_len, last = True, None, 0, None  # a fresh debouncer
-                lines.append(f"[t={pir_at}] PIR TRIGGERED")
-            window.append(replace(trace[i], t=due))
-            if len(window) < profile.window_size:
-                continue
-            verdict = classify_window(window, profile)
-            lines.append(f"[t={due}] ACTION {verdict.value}")
-            if verdict is Action.DO_NOTHING:
-                run, run_len = None, 0
-                continue
-            run, run_len = verdict, run_len + 1 if verdict is run else 1
-            if run_len < profile.debounce_n or verdict is last:
-                continue
-            last = verdict
-            actions.append((due, verdict))  # recorded armed or not
-            if armed and powered is not (verdict is Action.ON):
-                powered = verdict is Action.ON
-                lines.append(f"[t={due}] APPLIANCE light -> {verdict.value}")
-        if fires and not armed:  # the trigger follows every verdict
-            lines.append(f"[t={pir_at}] PIR TRIGGERED")
-        return lines, actions, powered
+            if fires and not ctrl.armed and d == before:
+                ctrl.trigger(pir_at)
+            ctrl.deliver(due, int(trace.y[i]), int(trace.z[i]))
+        if fires and not ctrl.armed:  # the trigger follows every verdict
+            ctrl.trigger(pir_at)
+        return lines, ctrl.actions, ctrl.powered
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1002,7 +992,7 @@ class TestGateModel:
         lines, actions, powered = self.model(trace, delivered, profile, latency, pir_at)
         gated = re.compile(r"\[t=\d+\] (ACTION|PIR|APPLIANCE) ")
         assert [line for line in result.log if gated.match(line)] == lines
-        assert result.actions == actions
+        assert [(t, action.value) for t, action in result.actions] == actions
         assert result.powered is powered
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import models
 from wristlink.framing import (
     FRAME_BITS,
     SYNC_BITS,
@@ -63,6 +64,18 @@ def test_crc8_known_vector():
     # standard check value for this polynomial over ascii "123456789": it
     # pins the reference that the codec's field tables are held to
     assert bitwise_crc8(b"123456789") == 0xF4
+
+
+def test_codec_model_known_vectors():
+    # the bitwise codec of tests/models.py, which the end-to-end reference
+    # encodes and decodes with, gives the standard check value and the
+    # example frame, and refuses that frame with one bit flipped
+    assert models.crc8(models.digits(int.from_bytes(b"123456789", "big"), 72)) == 0xF4
+    assert models.encode(int(WatchMode.ACC), 100, 360, 277) == EXAMPLE_FRAME_BITS
+    assert models.decode(EXAMPLE_FRAME_BITS) == (1, 100, 360, 277)
+    for k in range(FRAME_BITS):
+        flipped = EXAMPLE_FRAME_BITS[:k] + [1 - EXAMPLE_FRAME_BITS[k]] + EXAMPLE_FRAME_BITS[k + 1 :]
+        assert models.decode(flipped) is None, k
 
 
 def test_field_tables_give_each_word_s_crc():
