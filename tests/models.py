@@ -10,6 +10,8 @@ at a time, in plain Python ints and strings.
   announcement per session.
 - The window classifier: integer axis sums against the bands times w.
 - The debouncer and the PIR-gated controller.
+- The gesture generator: per sample, `Random(seed).randint` for x, then y,
+  then z.
 
 A verdict is its ACTION line's text, one of VERDICTS; the log lines are
 those of README's "Event log".
@@ -184,3 +186,23 @@ class Controller:
         if self.armed and self.powered != (action == "ON"):
             self.powered = action == "ON"
             self.log.append(f"[t={t}] APPLIANCE light -> {action}")
+
+
+# each gesture kind's (x, y, z) draw ranges: the active axis spans the
+# lowest to the highest count of its reference capture, any other axis
+# that of idle wear
+IDLE_RANGE = (169, 230)
+GESTURE_RANGES = {
+    "vertical": (IDLE_RANGE, IDLE_RANGE, (261, 284)),
+    "horizontal": (IDLE_RANGE, (323, 381), IDLE_RANGE),
+    "other": (IDLE_RANGE, IDLE_RANGE, IDLE_RANGE),
+}
+
+
+def gesture_rows(kind: str, n: int, seed: int) -> list[tuple[int, int, int, int]]:
+    """The (t, x, y, z) rows of a generated gesture of n samples 20 ms
+    apart from t=0, each axis one randint over its range, in x, y, z order,
+    sample after sample."""
+    rng = Random(seed)
+    ranges = GESTURE_RANGES[kind]
+    return [(20 * i, *(rng.randint(lo, hi) for lo, hi in ranges)) for i in range(n)]

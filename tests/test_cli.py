@@ -57,6 +57,24 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--kind", "sideways", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("vertical", "427f515a5854e92a00d636ad4e45be93a8c2b86723d28653e57cc35745316188"),
+            ("horizontal", "899aa0b475b306f65cd5125384cb8766bd23d66bdaad64066c21c6d34f4a6141"),
+            ("other", "f5e5a229a7a41720f027a03986f9a3abe27e10da55ac755917f1c766c73c2396"),
+        ],
+    )
+    def test_trace_matches_recorded_digest(self, tmp_path, capsys, kind, digest):
+        # the sub-seed, the gesture draws and the CSV format, end to end: a
+        # change here is an output change, to be declared as one
+        code, _, _ = run(
+            capsys, "gen", "--kind", kind, "--n", "150", "--seed", "0", "--out", str(tmp_path),
+        )
+        assert code == 0
+        data = (tmp_path / f"trace_{kind}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 class TestSimulate:
     def test_demo_on_trace_ends_powered(self, tmp_path, capsys):

@@ -267,6 +267,41 @@ def test_check_counts_raises_what_three_check_int_calls_raise(x, y, z):
     assert raised(lambda: check_counts(x, y, z)) == raised(three_checks)
 
 
+# sample rows with a bad field or two: each raises check_int's error for its
+# first bad field, in t, x, y, z order
+BAD_ROWS = {
+    "t and x bad": ("t", -1, lambda: AccelSample(t=-1, x=1024, y=0, z=0)),
+    "x and z bad": ("x", 1.5, lambda: AccelSample(t=0, x=1.5, y=0, z=True)),
+    "y and z bad": ("y", "5", lambda: AccelSample(t=0, x=0, y="5", z=-1)),
+    "z and t bad": ("t", 2.0, lambda: AccelSample(t=2.0, x=0, y=0, z=2**70)),
+    "t is np.int64": ("t", np.int64(0), lambda: AccelSample(t=np.int64(0), x=0, y=0, z=0)),
+    "x is np.int64": ("x", np.int64(1), lambda: AccelSample(t=0, x=np.int64(1), y=0, z=0)),
+    "y is np.int64": ("y", np.int64(2), lambda: AccelSample(t=0, x=0, y=np.int64(2), z=0)),
+    "z is np.int64": ("z", np.int64(3), lambda: AccelSample(t=0, x=0, y=0, z=np.int64(3))),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ROWS)
+def test_sample_row_names_its_first_bad_field(name):
+    param, value, call = BAD_ROWS[name]
+    hi = TIME_MAX if param == "t" else COUNT_MAX
+    assert raised(call) == raised(lambda: check_int(param, value, 0, hi))
+
+
+TIME_VALUES = st.one_of(st.integers(0, TIME_MAX), st.sampled_from([*ODD_COUNTS, -1, TIME_MAX + 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TIME_VALUES, COUNT_VALUES, COUNT_VALUES, COUNT_VALUES)
+def test_sample_raises_what_four_check_int_calls_raise(t, x, y, z):
+    def four_checks():
+        check_int("t", t, 0, TIME_MAX)
+        for name, value in zip("xyz", (x, y, z)):
+            check_int(name, value, 0, COUNT_MAX)
+
+    assert raised(lambda: AccelSample(t, x, y, z)) == raised(four_checks)
+
+
 ARRAY_DTYPES = [np.bool_, np.int8, np.uint8, np.int64, np.uint64, np.float64, object]
 FIELD_MAX = {"mode": 3, "x": COUNT_MAX, "y": COUNT_MAX, "z": COUNT_MAX}
 

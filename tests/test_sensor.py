@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import re
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import models
 from wristlink import sensor
 
 from wristlink.classify import (
@@ -752,15 +754,50 @@ class TestGenerateGesture:
 
     @pytest.mark.parametrize("kind", list(GestureKind))
     def test_draws_pinned(self, kind):
-        # Python promises that random() repeats for a seed, but not
-        # randint(), which the generator draws with
+        # Python promises that random() repeats for a seed, but not the
+        # getrandbits() words, taken under randint()'s rule, that the
+        # generator draws with
         rows = [(s.t, s.x, s.y, s.z) for s in generate_gesture(kind, 8, seed=2017)]
         assert rows == self.PINNED_ROWS[kind], (
-            "random.Random(seed).randint gives another stream on this Python: every"
-            " generated trace (wristlink gen) and the perfbench goldens change with it."
-            " Such a change is an output change, to be declared as one, never silently"
-            " re-recorded"
+            "random.Random(seed).getrandbits, taken under randint's rule, gives another"
+            " stream on this Python: every generated trace (wristlink gen) and the"
+            " perfbench goldens change with it. Such a change is an output change, to be"
+            " declared as one, never silently re-recorded"
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(GestureKind)), st.integers(1, 300), st.integers(0, 2**64 - 1))
+    def test_draws_equal_the_randint_model(self, kind, n, seed):
+        # the plain generator of tests/models.py: per sample, randint for
+        # x, then y, then z
+        rows = [(s.t, s.x, s.y, s.z) for s in generate_gesture(kind, n, seed)]
+        assert rows == models.gesture_rows(kind.value, n, seed)
+
+    # spans of 64 (k = 7, about half the words refused), of 1 (k = 1: a
+    # word of 1 is refused too) and past 2**32 (each value two words)
+    EDGE_RANGES = [(0, 63), (-5, 58), (7, 7), (0, 0), (3, 2**32 + 3), (-(2**40), 2**40)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(EDGE_RANGES),
+                st.tuples(st.integers(-1000, 1000), st.integers(0, 2**70)).map(
+                    lambda r: (r[0], r[0] + r[1])
+                ),
+            ),
+            max_size=40,
+        ),
+        st.integers(0, 2**64 - 1),
+    )
+    @example([(0, 63)] * 40, 0)
+    @example([(7, 7)] * 40, 1)
+    @example([(3, 2**32 + 3)] * 40, 2)
+    def test_uniform_draws_take_randint_values_and_words(self, ranges, seed):
+        drawn, rng = random.Random(seed), random.Random(seed)
+        assert sensor._uniform_draws(drawn, ranges) == [rng.randint(lo, hi) for lo, hi in ranges]
+        # the same words of the stream used up, so the next draw agrees too
+        assert drawn.getstate() == rng.getstate()
 
 
 _EXPECTED_ACTION = {
