@@ -22,10 +22,9 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from random import Random
@@ -202,17 +201,8 @@ class AccelSample:
     z: int
 
     def __post_init__(self):
-        # the whole row in one chain; the named checks run only on a fault,
-        # to raise their error for its first bad field
-        t, x, y, z = self.t, self.x, self.y, self.z
-        if not (
-            type(t) is int and 0 <= t <= TIME_MAX
-            and type(x) is int and COUNT_MIN <= x <= COUNT_MAX
-            and type(y) is int and COUNT_MIN <= y <= COUNT_MAX
-            and type(z) is int and COUNT_MIN <= z <= COUNT_MAX
-        ):
-            check_int("t", t, 0, TIME_MAX)
-            check_counts(x, y, z)
+        check_int("t", self.t, 0, TIME_MAX)
+        check_counts(self.x, self.y, self.z)
 
 
 def check_samples(name: str, samples) -> tuple[AccelSample, ...]:
@@ -220,23 +210,24 @@ def check_samples(name: str, samples) -> tuple[AccelSample, ...]:
     the type of the first item that is not an AccelSample, in check_type's
     words."""
     samples = tuple(samples)
-    if not all(map(isinstance, samples, repeat(AccelSample))):
-        for s in samples:
+    for s in samples:
+        if not isinstance(s, AccelSample):
             check_type(f"{name} item", s, AccelSample)
     return samples
 
 
 # the slot setters of AccelSample, which build a view without a second check
-_SLOT_SETTERS = tuple(AccelSample.__dict__[axis].__set__ for axis in "txyz")
+_SET_T, _SET_X, _SET_Y, _SET_Z = (AccelSample.__dict__[axis].__set__ for axis in "txyz")
 
 
-def _sample_views(*columns: list) -> tuple[AccelSample, ...]:
-    """The AccelSamples of the rows of checked columns t, x, y and z, lists
-    of plain ints, not checked again: each slot filled a column at a time."""
-    samples = list(map(object.__new__, repeat(AccelSample, len(columns[0]))))
-    for setter, column in zip(_SLOT_SETTERS, columns):
-        deque(map(setter, samples, column), maxlen=0)
-    return tuple(samples)
+def _sample_view(t: int, x: int, y: int, z: int) -> AccelSample:
+    """The AccelSample of one row of checked columns, not checked again."""
+    sample = object.__new__(AccelSample)
+    _SET_T(sample, t)
+    _SET_X(sample, x)
+    _SET_Y(sample, y)
+    _SET_Z(sample, z)
+    return sample
 
 
 def _check_label(label) -> None:
@@ -371,7 +362,7 @@ class Trace:
     def samples(self) -> tuple[AccelSample, ...]:
         if self._samples is None:
             columns = (self.t.tolist(), self.x.tolist(), self.y.tolist(), self.z.tolist())
-            object.__setattr__(self, "_samples", _sample_views(*columns))
+            object.__setattr__(self, "_samples", tuple(map(_sample_view, *columns)))
         return self._samples
 
     def __len__(self):
@@ -499,26 +490,6 @@ _GESTURE_AXIS_RANGES = {
 }
 
 
-def _uniform_draws(rng: Random, ranges) -> list[int]:
-    """One draw from each (lo, hi) range in turn, each the int
-    rng.randint(lo, hi) would give, from the same words of rng's stream:
-    CPython's rule for a span = hi - lo + 1 takes getrandbits(k), k being
-    span.bit_length(), until a value below the span comes, and adds lo.
-    Python promises a repeatable stream only for random(), so
-    tests/test_sensor.py pins this rule against randint. Each range must
-    hold a value, lo <= hi: an empty one never ends the loop."""
-    getrandbits = rng.getrandbits
-    draws = []
-    for lo, hi in ranges:
-        span = hi - lo + 1
-        k = span.bit_length()
-        r = getrandbits(k)
-        while r >= span:
-            r = getrandbits(k)
-        draws.append(lo + r)
-    return draws
-
-
 def generate_gesture(kind: GestureKind | str, n: int, seed: int) -> Trace:
     """Synthesize a labeled gesture trace, deterministic in (kind, n, seed).
 
@@ -530,8 +501,20 @@ def generate_gesture(kind: GestureKind | str, n: int, seed: int) -> Trace:
     check_int("n", n, 1)
     check_seed(seed)
     kind = GestureKind(kind)
-    # one sample's x, y and z draws, then the next sample's
-    draws = _uniform_draws(Random(seed), _GESTURE_AXIS_RANGES[kind] * n)
+    # one sample's x, y and z draws, then the next sample's, each the value
+    # Random.randint(lo, hi) gives, from the same words: CPython's rule takes
+    # getrandbits(k), k the bit length of span = hi - lo + 1, until a value
+    # below the span comes, and adds lo. Python promises a repeatable stream
+    # only for random(), so tests/test_sensor.py pins this against randint.
+    getrandbits = Random(seed).getrandbits
+    spans = [(lo, hi - lo + 1, (hi - lo + 1).bit_length())
+             for lo, hi in _GESTURE_AXIS_RANGES[kind]]
+    draws = []
+    for lo, span, k in spans * n:
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
+        draws.append(lo + r)
     x, y, z = np.array(draws, np.int64).reshape(n, 3).T
     t = np.arange(0, n * SAMPLE_PERIOD_MS, SAMPLE_PERIOD_MS, np.int64)
     return Trace.from_columns(t, x, y, z, label=kind)

@@ -288,20 +288,6 @@ def test_sample_row_names_its_first_bad_field(name):
     assert raised(call) == raised(lambda: check_int(param, value, 0, hi))
 
 
-TIME_VALUES = st.one_of(st.integers(0, TIME_MAX), st.sampled_from([*ODD_COUNTS, -1, TIME_MAX + 1]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(TIME_VALUES, COUNT_VALUES, COUNT_VALUES, COUNT_VALUES)
-def test_sample_raises_what_four_check_int_calls_raise(t, x, y, z):
-    def four_checks():
-        check_int("t", t, 0, TIME_MAX)
-        for name, value in zip("xyz", (x, y, z)):
-            check_int(name, value, 0, COUNT_MAX)
-
-    assert raised(lambda: AccelSample(t, x, y, z)) == raised(four_checks)
-
-
 ARRAY_DTYPES = [np.bool_, np.int8, np.uint8, np.int64, np.uint64, np.float64, object]
 FIELD_MAX = {"mode": 3, "x": COUNT_MAX, "y": COUNT_MAX, "z": COUNT_MAX}
 

@@ -1,6 +1,5 @@
 import copy
 import pickle
-import random
 import re
 import sys
 import tracemalloc
@@ -772,32 +771,6 @@ class TestGenerateGesture:
         # x, then y, then z
         rows = [(s.t, s.x, s.y, s.z) for s in generate_gesture(kind, n, seed)]
         assert rows == models.gesture_rows(kind.value, n, seed)
-
-    # spans of 64 (k = 7, about half the words refused), of 1 (k = 1: a
-    # word of 1 is refused too) and past 2**32 (each value two words)
-    EDGE_RANGES = [(0, 63), (-5, 58), (7, 7), (0, 0), (3, 2**32 + 3), (-(2**40), 2**40)]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.sampled_from(EDGE_RANGES),
-                st.tuples(st.integers(-1000, 1000), st.integers(0, 2**70)).map(
-                    lambda r: (r[0], r[0] + r[1])
-                ),
-            ),
-            max_size=40,
-        ),
-        st.integers(0, 2**64 - 1),
-    )
-    @example([(0, 63)] * 40, 0)
-    @example([(7, 7)] * 40, 1)
-    @example([(3, 2**32 + 3)] * 40, 2)
-    def test_uniform_draws_take_randint_values_and_words(self, ranges, seed):
-        drawn, rng = random.Random(seed), random.Random(seed)
-        assert sensor._uniform_draws(drawn, ranges) == [rng.randint(lo, hi) for lo, hi in ranges]
-        # the same words of the stream used up, so the next draw agrees too
-        assert drawn.getstate() == rng.getstate()
 
 
 _EXPECTED_ACTION = {
