@@ -6,104 +6,72 @@ with an FSK waveform channel, a half-duplex access-point protocol with
 Bernoulli loss, a windowed-mean gesture classifier with debounce, and a
 PIR-gated appliance controller. Every stage is seeded and pure, so runs are
 reproducible byte for byte.
+
+Importing the package loads none of its submodules: each public name loads
+the submodule that defines it on first use (PEP 562).
 """
-from .classify import (
-    Action,
-    CalibrationError,
-    CalibrationProfile,
-    Debouncer,
-    ProfileError,
-    calibrate,
-    classify_window,
-    classify_windows,
-    debounced_stream,
-    load_profile,
-    save_profile,
-    window_mean,
-)
-from .controller import HomeController, PipelineResult, run_pipeline
-from .demo import demo_csv_path, demo_trace
-from .framing import (
-    CodecFrame,
-    CrcMismatchError,
-    DecodeError,
-    SyncMismatchError,
-    WatchMode,
-    deserialize,
-    serialize,
-)
-from .link import (
-    ACQUIRING_MESSAGE,
-    AP_STARTED_MESSAGE,
-    AccessPointState,
-    EventKind,
-    LinkBlock,
-    LinkConfig,
-    LinkSimulator,
-    ProtocolError,
-)
-from .modem import (
-    ModemConfig,
-    channel_apply,
-    demodulate,
-    measure_ber,
-    modulate,
-)
-from .sensor import (
-    AccelSample,
-    GestureKind,
-    Trace,
-    TraceFormatError,
-    generate_gesture,
-    load_trace,
-    save_trace,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccelSample",
-    "AccessPointState",
-    "Action",
-    "ACQUIRING_MESSAGE",
-    "AP_STARTED_MESSAGE",
-    "CalibrationError",
-    "CalibrationProfile",
-    "CodecFrame",
-    "CrcMismatchError",
-    "Debouncer",
-    "DecodeError",
-    "EventKind",
-    "GestureKind",
-    "HomeController",
-    "LinkBlock",
-    "LinkConfig",
-    "LinkSimulator",
-    "ModemConfig",
-    "PipelineResult",
-    "ProfileError",
-    "ProtocolError",
-    "SyncMismatchError",
-    "Trace",
-    "TraceFormatError",
-    "WatchMode",
-    "calibrate",
-    "channel_apply",
-    "classify_window",
-    "classify_windows",
-    "debounced_stream",
-    "demo_csv_path",
-    "demo_trace",
-    "demodulate",
-    "deserialize",
-    "generate_gesture",
-    "load_profile",
-    "load_trace",
-    "measure_ber",
-    "modulate",
-    "run_pipeline",
-    "save_profile",
-    "save_trace",
-    "serialize",
-    "window_mean",
-]
+# each public name, and the submodule that defines it
+_OWNER = {
+    "Action": "classify",
+    "CalibrationError": "classify",
+    "CalibrationProfile": "classify",
+    "Debouncer": "classify",
+    "ProfileError": "classify",
+    "calibrate": "classify",
+    "classify_window": "classify",
+    "classify_windows": "classify",
+    "debounced_stream": "classify",
+    "load_profile": "classify",
+    "save_profile": "classify",
+    "window_mean": "classify",
+    "HomeController": "controller",
+    "PipelineResult": "controller",
+    "run_pipeline": "controller",
+    "demo_csv_path": "demo",
+    "demo_trace": "demo",
+    "CodecFrame": "framing",
+    "CrcMismatchError": "framing",
+    "DecodeError": "framing",
+    "SyncMismatchError": "framing",
+    "WatchMode": "framing",
+    "deserialize": "framing",
+    "serialize": "framing",
+    "ACQUIRING_MESSAGE": "link",
+    "AP_STARTED_MESSAGE": "link",
+    "AccessPointState": "link",
+    "EventKind": "link",
+    "LinkBlock": "link",
+    "LinkConfig": "link",
+    "LinkSimulator": "link",
+    "ProtocolError": "link",
+    "ModemConfig": "modem",
+    "channel_apply": "modem",
+    "demodulate": "modem",
+    "measure_ber": "modem",
+    "modulate": "modem",
+    "AccelSample": "sensor",
+    "GestureKind": "sensor",
+    "Trace": "sensor",
+    "TraceFormatError": "sensor",
+    "generate_gesture": "sensor",
+    "load_trace": "sensor",
+    "save_trace": "sensor",
+}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,6 +1,7 @@
 import math
 import re
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,6 +148,13 @@ class TestTransmit:
         assert sim.run_until(100).frame_id == []
         assert sim.delivered_count == 0
         assert sim.lost_count == 1
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 1e-300])
+    def test_frame_lost_exactly_when_its_draw_is_below_p(self, p):
+        for value, lost in [(p, False), (math.nextafter(p, 0), True)]:
+            sim = started_sim(loss_probability=p)
+            sim._rng = SimpleNamespace(random=lambda: value)
+            assert sim.transmit_sample(sample()).lost == [lost], value
 
     def test_delivered_count_reproducible_and_near_expectation(self):
         def run():

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import os
 import shutil
 import subprocess
 import sys
@@ -30,8 +31,34 @@ def test_all_has_no_duplicates():
 
 
 def test_every_name_in_all_resolves():
-    missing = [name for name in wristlink.__all__ if not hasattr(wristlink, name)]
-    assert missing == []
+    # each name is its defining submodule's own object, loaded on first use
+    for name in wristlink.__all__:
+        owner = importlib.import_module(f"wristlink.{wristlink._OWNER[name]}")
+        assert getattr(wristlink, name) is getattr(owner, name), name
+    namespace = {}
+    exec("from wristlink import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(wristlink.__all__)
+    assert set(wristlink.__all__) <= set(dir(wristlink))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        wristlink.no_such_name
+
+
+def test_import_loads_only_the_submodules_used():
+    # a fresh interpreter, so nothing another test imported is counted
+    probe = (
+        "import sys\n"
+        "import wristlink\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('wristlink.')))\n"
+        "from wristlink import Trace, generate_gesture, save_trace\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wristlink.')))\n"
+    )
+    src = str(Path(wristlink.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines() == ["[]", "['wristlink.sensor']"]
 
 
 def test_every_tracer_patch_point_resolves():
