@@ -242,6 +242,20 @@ def cmd_gen(o) -> int:
     return EXIT_OK
 
 
+# lines per write of _write_lines: ~100 KiB of a simulation log
+_LINES_PER_WRITE = 1024
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write ASCII lines to path, each ended by a newline, _LINES_PER_WRITE
+    at a time, so that the text in memory at once is one chunk of them,
+    never the whole file. An empty list writes one newline, as
+    "\\n".join(lines) + "\\n" does."""
+    with path.open("w", encoding="ascii") as f:
+        for start in range(0, max(len(lines), 1), _LINES_PER_WRITE):
+            f.write("\n".join(lines[start : start + _LINES_PER_WRITE]) + "\n")
+
+
 def cmd_simulate(o) -> int:
     trace = _input_trace(o)
     profile = _input_profile(o)
@@ -267,10 +281,7 @@ def cmd_simulate(o) -> int:
 
     out = _out_dir(o)
     log_path = out / "simulation.log"
-    with log_path.open("w", encoding="ascii") as f:
-        # the newline on its own: joined on, it would copy the whole log again
-        f.write("\n".join(result.log))
-        f.write("\n")
+    _write_lines(log_path, result.log)
     final_state = "ON" if result.powered else "OFF"
     # fifo_dropped (there is no transmit queue) and sensor_resets (ACC mode is
     # set once per run) are always 0; dropping the columns would change the

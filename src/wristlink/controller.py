@@ -9,31 +9,45 @@ and gated appliance switching. Nothing downstream feeds back into the stages
 before it, so each runs over the whole trace in turn, reading the Trace's
 read-only int64 t, x, y and z columns and never its AccelSample rows: the
 radio path, each sample encoded on its own from an unchecked CodecFrame view
-of its row of the columns' plain ints, the frames' bytes joined into one
-wire buffer, sent by modem.send_gated above sigma 0, where the rest of a
-frame is sent only if its preamble survived, and decoded as one block, so
-the decoded fields of frames rejected at the preamble are not computed;
-the link as one block of sends and time steps (LinkSimulator._stream),
-the trace's times with the trigger and the drain put in, on int64 columns
-of due times and frame ids, every time bounded by TIME_MAX, each delivery
-read from the frames sent by its id; the classifier's verdict code for
-every window of the delivered sequence at once; then the debouncer as one
-run-length pass over the codes, split at the trigger; then the controller
-stage, one HomeController, armed by the trigger and given each armed
-emission in turn, which writes the PIR TRIGGERED and APPLIANCE lines and
-holds the final power state. A stage takes one call per item where its
-traffic is per event (the AP start, the mode set, the trigger, the
-switches) and is a column pass where it is per sample or per window: a
-seed-0 benchmark run hands the controller 34 emissions of 10,185 window
-verdicts on the clean stream, and 1 of 261 on the noisy one. The log is
-rendered by column and put in order by one
-stable sort of a (step, phase) key. A clean run keeps no per-sample
-container object alive, so it never wakes the cyclic garbage collector.
-Everything is seeded, so identical inputs produce byte-identical logs.
+of its row of the columns' plain ints, the frames' bytes written into one
+wire buffer as they come, sent by modem.send_gated above sigma 0, where the
+rest of a frame is sent only if its preamble survived, and decoded as one
+block, so the decoded fields of frames rejected at the preamble are not
+computed; the link as one block of sends and time steps
+(LinkSimulator._stream), the trace's times with the trigger and the drain
+put in, on int64 columns of due times and frame ids, every time bounded by
+TIME_MAX, each delivery read from the frames sent by its id; the
+classifier's verdict code for every window of the delivered sequence at
+once; then the debouncer as one run-length pass over the codes, split at
+the trigger; then the controller stage, one HomeController, armed by the
+trigger and given each armed emission in turn, which writes the PIR
+TRIGGERED and APPLIANCE lines and holds the final power state. A stage
+takes one call per item where its traffic is per event (the AP start, the
+mode set, the trigger, the switches) and is a column pass where it is per
+sample or per window: a seed-0 benchmark run hands the controller 34
+emissions of 10,185 window verdicts on the clean stream, and 1 of 261 on
+the noisy one. The log is rendered by column, each kind of line once, and
+put in order through one object table by one stable sort of a (step,
+phase) key. A clean run keeps no per-sample container object alive, so it
+never wakes the cyclic garbage collector. Everything is seeded, so
+identical inputs produce byte-identical logs.
+
+Memory contract: on top of its log (the list and its strings), a run holds
+the trace's columns and a few per-sample columns, each dropped once the
+lines that read it exist. The frame lines are rendered _RENDER_FRAMES
+frames at a time, so the details that a frame's FRAME_SENT and
+FRAME_DELIVERED lines share, and the Python ints they are rendered from,
+live for one chunk; the table is put in log order and listed with three
+or four columns of 8 bytes a line (keys, sort order, line pointers) alive
+besides the log. A noiseless run of `wristlink simulate` peaks, as
+tracemalloc counts, at about 1.45 times its log at 4,000 samples and 1.4
+times at 102,000; tests/test_cli.py and the CI workflow hold it to 1.7
+times at those sizes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from io import BytesIO
 
 import numpy as np
 
@@ -48,6 +62,8 @@ from .sensor import TIME_MAX, Trace, check_int, check_type
 
 # the one appliance the controller switches, as the log names it
 APPLIANCE = "light"
+# frames sent per chunk of run_pipeline's frame-line render
+_RENDER_FRAMES = 256
 
 
 class HomeController:
@@ -106,8 +122,10 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarr
     """Radio path: each sample is serialized as an ACC frame, a view of its
     row of the plain ints of the trace's x, y and z columns, which the
     Trace already checked (framing._acc_frame_view), and the frames' bytes
-    are joined as they come into one (n, 48) wire block; the bits are sent
-    through the channel and decoded, re-verifying sync and CRC per frame.
+    are written as they come into one buffer, read as the (n, 48) wire
+    block: no list of them is built, and the columns' int lists die once
+    encoded. The bits are sent through the channel and decoded,
+    re-verifying sync and CRC per frame.
     Returns, per sample, whether its frame passed both checks, and the
     (n, 4) frame block decoded from its bits; the rows of frames rejected
     at the preamble are not decoded, and read 0.
@@ -124,9 +142,11 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarr
     channel gives the decision for each value.
 
     Either way the received frames are decoded in one deserialize call."""
-    frames = map(_acc_frame_view, trace.x.tolist(), trace.y.tolist(), trace.z.tolist())
-    wire = b"".join(map(serialize, frames))
-    tx = np.frombuffer(wire, np.uint8).reshape(len(trace), -1)
+    wire = BytesIO()
+    wire.writelines(
+        map(serialize, map(_acc_frame_view, trace.x.tolist(), trace.y.tolist(), trace.z.tolist()))
+    )
+    tx = np.frombuffer(wire.getbuffer(), np.uint8).reshape(len(trace), -1)
     if modem_cfg.noise_sigma == 0:
         decide = demodulate(channel_apply(modulate([[0], [1]]), modem_cfg))[:, 0]
         rows, rx = slice(None), decide[tx]
@@ -209,25 +229,23 @@ def run_pipeline(
         sample_step[pir_step:] += 1
     sent_step = sample_step[sent]
     first_id, lost, arrival, due, ids, announced = sim._stream(steps, sent_step)
-    due = due.tolist()
 
-    # decoded (x, y, z) of each frame sent, and of each delivered, in order;
-    # frame first_id + k is the k-th frame sent
+    # decoded (x, y, z) of each frame sent; frame first_id + k is the k-th
+    # frame sent, and delivery j is of sent frame got_index[j]
     sent_xyz = fields[sent, 1:]
     got_index = ids - first_id
-    got = sent_xyz[got_index]
+    del fields, steps, ids
     w = profile.window_size
     # verdict v is that of the window ending at delivery v + w - 1
-    codes = _verdict_codes(got[:, 2], got[:, 1], profile)
+    codes = _verdict_codes(sent_xyz[got_index, 2], sent_xyz[got_index, 1], profile)
     # the trigger arms the controller, and replaces the debouncer, after the
     # verdicts of the deliveries at or before its step
     n_unarmed = len(codes)
     if pir_step is not None:
         n_unarmed = max(0, int(np.searchsorted(arrival, pir_step, "right")) - w + 1)
     emitted_at, emitted = _emissions(codes, profile.debounce_n, n_unarmed)
-    actions = [
-        (due[v + w - 1], _ACTIONS[code]) for v, code in zip(emitted_at.tolist(), emitted.tolist())
-    ]
+    emitted_t = due[emitted_at + w - 1].tolist()
+    actions = [(t, _ACTIONS[code]) for t, code in zip(emitted_t, emitted.tolist())]
     # The controller, armed by the trigger, takes each armed emission in
     # order; each line it logs after the trigger is keyed by the verdict
     # whose action caused it.
@@ -237,43 +255,65 @@ def run_pipeline(
     trigger = ctrl.log[:]
     caused = []  # per APPLIANCE line, its verdict
     armed = int(np.searchsorted(emitted_at, n_unarmed))
-    for v, code in zip(emitted_at[armed:].tolist(), emitted[armed:].tolist()):
+    for (t, action), v in zip(actions[armed:], emitted_at[armed:].tolist()):
         logged = len(ctrl.log)
-        ctrl.apply_action(_ACTIONS[code], due[v + w - 1])
+        ctrl.apply_action(action, t)
         caused += [v] * (len(ctrl.log) - logged)
     appliance = ctrl.log[len(trigger) :]
-    texts = [action.value for action in _ACTIONS]
 
-    # The log after its header, as one table. The line of an event at step
-    # s has the key 3 * s + phase: phase 0 for the step's deliveries, 1 for
-    # the ACTION lines of the windows they complete, each followed by the
-    # APPLIANCE line its action causes, and 2 for the trigger or the
-    # sample's own lines. One stable sort by key puts the table in log
-    # order, lines of one key keeping their order here.
-    details = frame_details(range(first_id, first_id + len(sent)), *sent_xyz.T.tolist())
-    delivered_rows, delivered = delivery_lines(
-        due, announced, [details[k] for k in got_index.tolist()]
-    )
-    sent_rows, sent_lines = send_lines(first_id, lost, times[sent].tolist(), details)
-    action_lines = [
-        f"[t={t}] ACTION {texts[code]}" for t, code in zip(due[w - 1 :], codes.tolist())
-    ]
-    after = np.array(caused, dtype=np.int64) + 1  # each APPLIANCE line's place
-    acted_rows = np.insert(np.arange(len(codes)), after, caused)  # the verdict of each line
-    acted = np.insert(np.array(action_lines, dtype=object), after, appliance)
+    # The log, as one table. Each kind of line is rendered once and goes
+    # onto the end of `lines`, with an int64 column of its keys in `keys`.
+    # The header has key -1, and the line of an event at step s the key
+    # 3 * s + phase: phase 0 for the step's deliveries, 1 for the ACTION
+    # lines of the windows they complete, each followed by the APPLIANCE
+    # line its action causes, and 2 for the trigger or the sample's own
+    # lines. One stable sort by key puts the table in log order, lines of
+    # one key keeping their order here. Each column is dropped once its
+    # lines exist, so that what the render holds on top of the log is a
+    # few columns and one chunk of frames.
+    lines = sim.log[:]
+    keys = [np.full(len(lines), -1)]
+    lines += trigger
+    keys.append(np.full(len(trigger), 3 * (pir_step or 0) + 2))
     corrupt = np.flatnonzero(~ok)
-    corrupted = [
+    lines += [
         f"[t={t}] FRAME_CORRUPTED codec integrity check failed" for t in times[corrupt].tolist()
     ]
-    keys, lines = zip(
-        (3 * arrival[delivered_rows], delivered),
-        (3 * arrival[acted_rows + w - 1] + 1, acted),
-        (3 * sent_step[sent_rows] + 2, sent_lines),
-        (3 * sample_step[corrupt] + 2, corrupted),
-        (np.full(len(trigger), 3 * (pir_step or 0) + 2), trigger),
-    )
-    table = np.concatenate([np.array(column, dtype=object) for column in lines])
-    log = sim.log + table[np.argsort(np.concatenate(keys), kind="stable")].tolist()
+    keys.append(3 * sample_step[corrupt] + 2)
+    del corrupt, sample_step
+    # the frames sent a..b-1 and their deliveries, j..k-1 (frames arrive
+    # in send order), whose lines share the frames' details, one chunk at
+    # a time; delivery 0 is the one that may announce acquisition
+    for a in range(0, len(sent), _RENDER_FRAMES):
+        b = min(a + _RENDER_FRAMES, len(sent))
+        j, k = np.searchsorted(got_index, (a, b)).tolist()
+        details = frame_details(range(first_id + a, first_id + b), *sent_xyz[a:b].T.tolist())
+        picked = [details[i] for i in (got_index[j:k] - a).tolist()]
+        rows, chunk = delivery_lines(due[j:k].tolist(), announced and j == 0 < k, picked)
+        lines += chunk
+        keys.append(3 * arrival[j:k][rows])
+        rows, chunk = send_lines(first_id + a, lost[a:b], times[sent[a:b]].tolist(), details)
+        lines += chunk
+        keys.append(3 * sent_step[a:b][rows] + 2)
+    del sent_xyz, got_index, sent, sent_step, lost
+    texts = [action.value for action in _ACTIONS]
+    acted = [
+        f"[t={t}] ACTION {texts[code]}" for t, code in zip(due[w - 1 :].tolist(), codes.tolist())
+    ]
+    after = np.array(caused, dtype=np.int64) + 1  # each APPLIANCE line's place
+    lines.extend(np.insert(np.array(acted, dtype=object), after, appliance))
+    del acted
+    verdict = np.insert(np.arange(len(codes)), after, caused)  # of each line
+    keys.append(3 * arrival[verdict + w - 1] + 1)
+    del due, arrival
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    del keys
+    table = np.array(lines, dtype=object)
+    del lines
+    table = table[order]
+    del order
+    log = table.tolist()
 
     return PipelineResult(
         powered=ctrl.powered,
@@ -281,7 +321,7 @@ def run_pipeline(
         frames_sent=sim.sent_count,
         frames_delivered=sim.delivered_count,
         frames_lost=sim.lost_count,
-        frames_corrupted=len(times) - len(sent),
+        frames_corrupted=len(times) - sim.sent_count,
         windows_classified=len(codes),
         actions=actions,
     )

@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wristlink
-from wristlink.cli import _FIELD_FLAGS, main
+from wristlink.cli import _FIELD_FLAGS, _LINES_PER_WRITE, _write_lines, main
 from wristlink.classify import (
     CalibrationProfile,
     classify_window,
@@ -336,6 +339,43 @@ class TestSimulate:
             (tmp_path / name).read_bytes() for name in ("simulation.log", "summary.csv")
         )
         assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_peak_memory_is_at_most_1_7_times_the_log(self, tmp_path, capsys):
+        # the log, the trace, a few columns and a chunk of lines come to
+        # about 1.45 times the log's own size (the list and its strings);
+        # whole-log copies of the lines, or a whole-file join, exceed 1.7
+        assert main(["gen", "--kind", "vertical", "--n", "4000", "--out", str(tmp_path)]) == 0
+        trace_path = tmp_path / "trace_vertical.csv"
+        argv = ["simulate", "--trace", str(trace_path), "--noise", "0", "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        summary = (tmp_path / "summary.csv").read_text().splitlines()[1]
+        assert summary.startswith("4000,4000,4000,0,0,")  # every frame delivered
+        lines = (tmp_path / "simulation.log").read_text(encoding="ascii").splitlines()
+        log_size = sys.getsizeof([*lines]) + sum(map(sys.getsizeof, lines))
+        assert peak <= 1.7 * log_size
+
+
+class TestLogWriter:
+    """cli._write_lines writes _LINES_PER_WRITE lines at a time: the file
+    is the lines joined and ended by newlines, whatever their count."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, *(_LINES_PER_WRITE + d for d in (-1, 0, 1)), 2 * _LINES_PER_WRITE + 3]
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(pool=st.lists(st.text(st.characters(max_codepoint=127)), min_size=1, max_size=7))
+    def test_file_is_the_joined_lines(self, tmp_path_factory, n, pool):
+        lines = [f"{i}:{pool[i % len(pool)]}" for i in range(n)]
+        path = tmp_path_factory.mktemp("log") / "simulation.log"
+        _write_lines(path, lines)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
 class TestBer:

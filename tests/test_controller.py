@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import models
 from wristlink.classify import Action, CalibrationProfile, debounced_stream
-from wristlink.controller import HomeController, run_pipeline
+from wristlink.controller import _RENDER_FRAMES, HomeController, run_pipeline
 from wristlink.framing import (
     FRAME_BITS,
     SYNC_BITS,
@@ -776,6 +776,63 @@ class TestEventCoreMatchesPerSampleLoop:
             "[t=1020] ACTION ON",
             "[t=1040] ACTION ON",
         ]
+
+
+def switching_trace(n, every, seed):
+    """n samples 20 ms apart whose gesture switches between vertical and
+    horizontal every `every` samples."""
+    up = generate_gesture(GestureKind.VERTICAL_UP_DOWN, n, seed).samples
+    side = generate_gesture(GestureKind.HORIZONTAL, n, seed + 1).samples
+    return Trace(
+        tuple(
+            replace((up if i // every % 2 == 0 else side)[i], t=20 * i) for i in range(n)
+        )
+    )
+
+
+class TestRenderChunksMatchPerSampleLoop:
+    """The frame lines are rendered _RENDER_FRAMES frames sent at a time,
+    with the deliveries of those frames. Runs of just below, at and just
+    above one and two chunks match the per-sample reference. A latency past
+    the trace has the drain deliver every frame, so its deliveries span
+    every chunk edge, and the gesture switching every 64 samples puts
+    ACTION and APPLIANCE lines among them."""
+
+    @pytest.mark.parametrize(
+        "n", [_RENDER_FRAMES - 1, _RENDER_FRAMES, _RENDER_FRAMES + 1, 2 * _RENDER_FRAMES + 7]
+    )
+    @pytest.mark.parametrize("latency", [0, 45, "beyond"])
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    @pytest.mark.parametrize("window, debounce", [(1, 1), (3, 2)])
+    def test_chunk_edges(self, n, latency, loss, window, debounce):
+        if latency == "beyond":
+            latency = 20 * n + 5
+        assert_matches_reference(
+            switching_trace(n, 64, seed=n),
+            LinkConfig(loss_probability=loss, latency=latency, seed=n),
+            ModemConfig(noise_sigma=0.0),
+            pir_at=0,
+            profile=CalibrationProfile(window_size=window, debounce_n=debounce),
+        )
+
+    @pytest.mark.parametrize("latency", [10, "beyond"])
+    def test_first_delivery_in_a_later_chunk_announces(self, latency):
+        # every frame of the first chunk is lost, so delivery 0, and the
+        # announcement after it, come from the second chunk's frames; the
+        # link draws one random() per frame, in send order
+        n, p = _RENDER_FRAMES + 60, 0.995
+
+        def first_kept(seed):
+            draws = Random(seed)
+            return next((i for i in range(n) if draws.random() >= p), n)
+
+        seed = next(seed for seed in range(10_000) if _RENDER_FRAMES <= first_kept(seed) < n)
+        if latency == "beyond":
+            latency = 20 * n + 5
+        link_cfg = LinkConfig(loss_probability=p, latency=latency, seed=seed)
+        result = run_pipeline(vertical_trace(n, seed=3), link_cfg=link_cfg)
+        assert result.log.count(ACQUIRING_MESSAGE) == 1
+        assert_matches_reference(vertical_trace(n, seed=3), link_cfg, ModemConfig())
 
 
 class TestMetamorphicRelations:
