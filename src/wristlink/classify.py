@@ -7,11 +7,11 @@ on its integer axis sum, lo*w <= sum <= hi*w, which is the band test on the
 exact mean, so boundary values are unambiguous. The core works on int8
 columns of verdict codes, each an Action's place in definition order:
 `_verdict_codes` gives the code of every window sliding over a sequence at
-once, from differences of the cumsums of its z and y columns
-(sensor.check_int_array), and `_emissions` is the debounce stage as one
-run-length pass over a code column. `classify_windows` and
-`debounced_stream` are their list-of-Action wrappers; `classify_window` is
-the one-window use, and `wristlink classify` prints every w-th verdict,
+once, from differences of the cumsums of its z and y columns, and
+`_emissions` is the debounce stage as one run-length pass over a code
+column. Both check nothing; `classify_windows`, which checks the columns,
+and `debounced_stream` are their list-of-Action wrappers. `classify_window`
+is the one-window use, and `wristlink classify` prints every w-th verdict,
 that of each back-to-back window. A debounce stage requires N consecutive
 identical verdicts before acting; `Debouncer` is its streaming form, one
 verdict at a time.
@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .sensor import (COUNT_MAX, GestureKind, Trace, check_int, check_int_array, check_samples,
-                     check_type, read_json_object, shown)
+from .sensor import (COUNT_MAX, GestureKind, Trace, _write_lines, check_int, check_int_array,
+                     check_samples, check_type, read_json_object, shown)
 
 # Factory default decision bands (raw z / y window means), window length,
 # and consecutive-verdict count.
@@ -103,28 +103,18 @@ def window_mean(samples, axis: str) -> Fraction:
     return Fraction(sum(getattr(s, axis) for s in samples), len(samples))
 
 
-def _verdict_codes(z, y, profile: CalibrationProfile) -> np.ndarray:
+def _verdict_codes(z: np.ndarray, y: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     """The int8 verdict code of every full window sliding over equal-length
-    integer z and y count sequences: code k is that of items k..k+w-1, for
-    the profile's window size w. Each column passes sensor.check_int_array
-    as raw counts in 0..COUNT_MAX, so the int64 running sums cannot wrap."""
-    check_type("profile", profile, CalibrationProfile)
+    integer z and y count columns: code k is that of items k..k+w-1, for
+    the profile's window size w. It checks nothing: counts in 0..COUNT_MAX,
+    as classify_windows checks, keep the int64 running sums from wrapping."""
     w = profile.window_size
-    columns = []
-    for name, values in zip("zy", (z, y)):
-        column = np.asarray(values)
-        if column.ndim != 1:
-            shape = f"{column.dtype} of shape {column.shape}"
-            raise ValueError(f"{name} must be a 1-D integer sequence, got {shape}")
-        columns.append(check_int_array(f"{name} counts", column, COUNT_MAX))
-    n = len(columns[0])
-    if len(columns[1]) != n:
-        raise ValueError(f"z has {n} counts but y has {len(columns[1])}")
+    n = len(z)
     if n < w:
         return np.empty(0, dtype=np.int8)
     # each window's axis sums are differences of two running sums
     running = np.zeros((2, n + 1), dtype=np.int64)
-    np.cumsum(columns, axis=1, out=running[:, 1:])
+    np.cumsum([z, y], axis=1, out=running[:, 1:])
     z_sums, y_sums = running[:, w:] - running[:, :-w]
     # A window's sum lies in 0..COUNT_MAX * w, so a band end, an int of any
     # size, tests the same clipped to -1..COUNT_MAX + 1, and that times w
@@ -140,8 +130,19 @@ def _verdict_codes(z, y, profile: CalibrationProfile) -> np.ndarray:
 def classify_windows(z, y, profile: CalibrationProfile) -> list[Action]:
     """Verdict of every full window sliding over equal-length integer z and
     y count sequences: verdict k is that of items k..k+w-1, for the
-    profile's window size w (see _verdict_codes)."""
-    return [_ACTIONS[code] for code in _verdict_codes(z, y, profile).tolist()]
+    profile's window size w. Each sequence must be 1-D and pass
+    sensor.check_int_array as raw counts in 0..COUNT_MAX."""
+    check_type("profile", profile, CalibrationProfile)
+    columns = []
+    for name, values in zip("zy", (z, y)):
+        column = np.asarray(values)
+        if column.ndim != 1:
+            shape = f"{column.dtype} of shape {column.shape}"
+            raise ValueError(f"{name} must be a 1-D integer sequence, got {shape}")
+        columns.append(check_int_array(f"{name} counts", column, COUNT_MAX))
+    if len(columns[1]) != len(columns[0]):
+        raise ValueError(f"z has {len(columns[0])} counts but y has {len(columns[1])}")
+    return [_ACTIONS[code] for code in _verdict_codes(*columns, profile).tolist()]
 
 
 def classify_window(samples, profile: CalibrationProfile) -> Action:
@@ -268,7 +269,7 @@ def debounced_stream(verdicts, debounce_n: int) -> list[Action]:
 def save_profile(profile: CalibrationProfile, path) -> None:
     """Persist a profile as the JSON profile document."""
     check_type("profile", profile, CalibrationProfile)
-    Path(path).write_text(json.dumps(asdict(profile), indent=2) + "\n", encoding="ascii")
+    _write_lines(path, json.dumps(asdict(profile), indent=2).split("\n"))
 
 
 def load_profile(path) -> CalibrationProfile:

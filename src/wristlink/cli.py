@@ -29,8 +29,8 @@ from .controller import run_pipeline
 from .demo import DEMO_NAMES, demo_trace
 from .link import LinkConfig, ProtocolError
 from .modem import ModemConfig, measure_ber
-from .sensor import (INT_DIGITS_MAX, GestureKind, generate_gesture, load_trace, quoted,
-                     read_json_object, save_trace)
+from .sensor import (INT_DIGITS_MAX, GestureKind, _write_lines, generate_gesture, load_trace,
+                     quoted, read_json_object, save_trace)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -242,20 +242,6 @@ def cmd_gen(o) -> int:
     return EXIT_OK
 
 
-# lines per write of _write_lines: ~100 KiB of a simulation log
-_LINES_PER_WRITE = 1024
-
-
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """Write ASCII lines to path, each ended by a newline, _LINES_PER_WRITE
-    at a time, so that the text in memory at once is one chunk of them,
-    never the whole file. An empty list writes one newline, as
-    "\\n".join(lines) + "\\n" does."""
-    with path.open("w", encoding="ascii") as f:
-        for start in range(0, max(len(lines), 1), _LINES_PER_WRITE):
-            f.write("\n".join(lines[start : start + _LINES_PER_WRITE]) + "\n")
-
-
 def cmd_simulate(o) -> int:
     trace = _input_trace(o)
     profile = _input_profile(o)
@@ -295,7 +281,7 @@ def cmd_simulate(o) -> int:
         f"{result.frames_lost},{result.frames_corrupted},0,"
         f"{result.windows_classified},{len(result.actions)},{final_state},0"
     )
-    (out / "summary.csv").write_text(header + "\n" + row + "\n", encoding="ascii")
+    _write_lines(out / "summary.csv", [header, row])
     print(
         f"final_state={final_state} delivered={result.frames_delivered}/"
         f"{result.frames_sent} actions={len(result.actions)} log={log_path}"
@@ -328,8 +314,7 @@ def cmd_ber(o) -> int:
         rate = _owned(measure_ber, cfg, o.bits)
         rows.append(f"{cfg.noise_sigma:.6g},{rate:.6g}")
         print(rows[-1])
-    path = _out_dir(o) / "ber.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="ascii")
+    _write_lines(_out_dir(o) / "ber.csv", rows)
     return EXIT_OK
 
 

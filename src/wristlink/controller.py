@@ -10,7 +10,7 @@ before it, so each runs over the whole trace in turn, reading the Trace's
 read-only int64 t, x, y and z columns and never its AccelSample rows: the
 radio path, each sample encoded on its own from an unchecked CodecFrame view
 of its row of the columns' plain ints, the frames' bytes written into one
-wire buffer as they come, sent by modem.send_gated above sigma 0, where the
+wire buffer as they come, sent by modem._send_gated above sigma 0, where the
 rest of a frame is sent only if its preamble survived, and decoded as one
 block, so the decoded fields of frames rejected at the preamble are not
 computed; the link as one block of sends and time steps
@@ -28,9 +28,11 @@ sample or per window: a seed-0 benchmark run hands the controller 34
 emissions of 10,185 window verdicts on the clean stream, and 1 of 261 on
 the noisy one. The log is rendered by column, each kind of line once, and
 put in order through one object table by one stable sort of a (step,
-phase) key. A clean run keeps no per-sample container object alive, so it
-never wakes the cyclic garbage collector. Everything is seeded, so
-identical inputs produce byte-identical logs.
+phase) key. run_pipeline checks its arguments once; the private cores it
+drives (modem._send_gated, LinkSimulator._stream, classify._verdict_codes
+and _emissions) check nothing. A clean run keeps no per-sample container
+object alive, so it never wakes the cyclic garbage collector. Everything
+is seeded, so identical inputs produce byte-identical logs.
 
 Memory contract: on top of its log (the list and its strings), a run holds
 the trace's columns and a few per-sample columns, each dropped once the
@@ -57,7 +59,7 @@ from .classify import _ACTIONS, Action, CalibrationProfile, _emissions, _verdict
 from .classify import classify_window  # noqa: F401
 from .framing import SYNC_BITS, WatchMode, _acc_frame_view, deserialize, serialize
 from .link import LinkConfig, LinkSimulator, delivery_lines, frame_details, send_lines
-from .modem import ModemConfig, channel_apply, demodulate, modulate, send_gated
+from .modem import ModemConfig, _send_gated, channel_apply, demodulate, modulate
 from .sensor import TIME_MAX, Trace, check_int, check_type
 
 # the one appliance the controller switches, as the log names it
@@ -72,7 +74,8 @@ class HomeController:
     Arming is sticky: once triggered, the controller stays armed. It is
     run_pipeline's controller stage, one debounced action at a time, and
     the one place that writes PIR TRIGGERED and APPLIANCE lines and decides
-    the power state.
+    the power state. Its calls are public, so they check what run_pipeline
+    checked too (~1 us per emission; perfbench times apply_action).
     """
 
     def __init__(self):
@@ -130,7 +133,7 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarr
     (n, 4) frame block decoded from its bits; the rows of frames rejected
     at the preamble are not decoded, and read 0.
 
-    Above sigma 0 modem.send_gated sends the frames as FSK waveforms, frame
+    Above sigma 0 modem._send_gated sends the frames as FSK waveforms, frame
     i of the trace drawing its noise from the stream seeded with
     modem_cfg.seed + i, with SYNC_BITS as its gate: the rest of a frame goes
     only if its preamble decoded as sent. Every frame is sent with the sync
@@ -151,7 +154,7 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarr
         decide = demodulate(channel_apply(modulate([[0], [1]]), modem_cfg))[:, 0]
         rows, rx = slice(None), decide[tx]
     else:
-        rows, rx = send_gated(tx, modem_cfg, SYNC_BITS)
+        rows, rx = _send_gated(tx, modem_cfg, SYNC_BITS)
     ok = np.zeros(len(tx), dtype=bool)
     fields = np.zeros((len(tx), 4), dtype=np.int64)
     ok[rows], fields[rows] = deserialize(rx)

@@ -25,7 +25,7 @@ numpy/random/bit_generator.pyx to run over an array of seeds.
 `modulate(phase=)` and `channel_apply(rng=)` instead carry a transmission's
 phase and noise stream across calls. The rng is a list of one generator per
 row, which row i continues: that is how measure_ber sends one long row in
-blocks, and how send_gated sends each row's first bits and then, only if
+blocks, and how _send_gated sends each row's first bits and then, only if
 those survived, the rest of it; both bound a block by BLOCK_SAMPLES
 waveform samples. The phase carry keeps a running phase sum instead of
 the table, only for measure_ber: ber.csv's bytes depend on its rounding
@@ -61,7 +61,7 @@ _F0_PROBE, _F1_PROBE = np.exp(
 _PROBES = np.stack([_F0_PROBE.real, _F0_PROBE.imag, _F1_PROBE.real, _F1_PROBE.imag], axis=1)
 
 # float64 waveform samples per block (512 KiB) of a transmission sent in
-# blocks, from which measure_ber derives its bits and send_gated its rows
+# blocks, from which measure_ber derives its bits and _send_gated its rows
 # per block. Outputs do not depend on it, but peak memory grows with it (a
 # block is held in a few copies).
 BLOCK_SAMPLES = 65536
@@ -296,10 +296,12 @@ def measure_ber(cfg: ModemConfig, n_bits: int) -> float:
     return errors / n_bits
 
 
-def send_gated(bits, cfg: ModemConfig, gate: int) -> tuple[np.ndarray, np.ndarray]:
-    """Send each row of an (n, m) bit block (a 1-D sequence is one row) as
-    its own transmission, its first `gate` bits (an int in 0..m) first and
-    the rest only if those decoded as sent.
+def _send_gated(bits: np.ndarray, cfg: ModemConfig, gate: int) -> tuple[np.ndarray, np.ndarray]:
+    """Send each row of an (n, m) block of 0/1 bits as its own transmission,
+    its first `gate` bits (0..m) first and the rest only if those decoded
+    as sent. It checks nothing: its one caller, controller._receive, hands
+    it serialize's uint8 block, SYNC_BITS and run_pipeline's ModemConfig,
+    and each modulate, channel_apply and demodulate call checks its input.
 
     Row i draws its noise from the stream seeded (cfg.seed + i) mod 2**64,
     as in a channel_apply call over the whole block. The rows go in blocks
@@ -312,12 +314,7 @@ def send_gated(bits, cfg: ModemConfig, gate: int) -> tuple[np.ndarray, np.ndarra
     whole-row call gives it. Returns the kept rows' indices, ascending, and
     their (k, m) uint8 decoded bits.
     """
-    bits = np.atleast_2d(check_rows("bits", bits))
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bit sequence must contain only 0 and 1")
     n, width = bits.shape
-    check_int("gate", gate, 0, width)
-    check_type("cfg", cfg, ModemConfig)
     words = _row_seed_words(cfg.seed, n)
     step = max(1, BLOCK_SAMPLES // (SAMPLES_PER_BIT * max(width, 1)))
     rows, received = [np.zeros(0, np.intp)], [np.zeros((0, width), np.uint8)]

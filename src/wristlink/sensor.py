@@ -12,9 +12,10 @@ grammar match and one NumPy parse into an int64 block of the rows before
 the first line that breaks it, then the row check; the first bad line is
 named. The check_* functions are the library's value rules,
 check_int_array the one for NumPy integer columns; read_json_object reads
-every JSON document. A seeded generator synthesizes the three wrist
-gestures the classifier distinguishes, with per-axis statistics matched to
-the reference captures below, each count the value Random.randint gives,
+every JSON document, and _write_lines writes every output file as ASCII
+lines. A seeded generator synthesizes the three wrist gestures the
+classifier distinguishes, with per-axis statistics matched to the
+reference captures below, each count the value Random.randint gives,
 drawn from getrandbits words.
 """
 from __future__ import annotations
@@ -54,6 +55,8 @@ _QUOTED_CHARS = 80
 # reads that many under any digit limit (sys.int_info's
 # str_digits_check_threshold), so no input's reading depends on that limit
 INT_DIGITS_MAX = 640
+# lines per write of _write_lines: ~100 KiB of a simulation log
+_LINES_PER_WRITE = 1024
 
 # Reference captures from the wrist-worn sensor: raw counts seen on the active
 # axis during vertical wrist motion (z axis), horizontal wrist motion (y axis),
@@ -425,12 +428,21 @@ def load_trace(path, label: GestureKind | None = None) -> Trace:
     return trace
 
 
+def _write_lines(path, lines: list[str]) -> None:
+    """Write ASCII lines to path, each ended by a newline, _LINES_PER_WRITE
+    at a time, so that the text in memory at once is one chunk of them,
+    never the whole file. An empty list writes one newline, as
+    "\\n".join(lines) + "\\n" does. It writes every output file."""
+    with open(path, "w", encoding="ascii") as f:
+        for start in range(0, max(len(lines), 1), _LINES_PER_WRITE):
+            f.write("\n".join(lines[start : start + _LINES_PER_WRITE]) + "\n")
+
+
 def save_trace(trace: Trace, path) -> None:
     """Write a trace as CSV, a row per sample of plain ints; reloading
     reproduces the samples exactly."""
     check_type("trace", trace, Trace)
-    rows = [f"{s.t},{s.x},{s.y},{s.z}\n" for s in trace.samples]
-    Path(path).write_text(f"{TRACE_HEADER}\n{''.join(rows)}", encoding="ascii")
+    _write_lines(path, [TRACE_HEADER, *(f"{s.t},{s.x},{s.y},{s.z}" for s in trace.samples)])
 
 
 class _LongInt(str):

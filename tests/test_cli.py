@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wristlink
-from wristlink.cli import _FIELD_FLAGS, _LINES_PER_WRITE, _write_lines, main
+from wristlink.cli import _FIELD_FLAGS, main
 from wristlink.classify import (
     CalibrationProfile,
     classify_window,
@@ -24,9 +24,11 @@ from wristlink.controller import run_pipeline
 from wristlink.link import LinkConfig
 from wristlink.modem import NOISE_SIGMA_MAX, ModemConfig, measure_ber
 from wristlink.sensor import (
+    _LINES_PER_WRITE,
     TIME_MAX,
     GestureKind,
     Trace,
+    _write_lines,
     generate_gesture,
     load_trace,
     save_trace,
@@ -363,7 +365,7 @@ class TestSimulate:
 
 
 class TestLogWriter:
-    """cli._write_lines writes _LINES_PER_WRITE lines at a time: the file
+    """sensor._write_lines writes _LINES_PER_WRITE lines at a time: the file
     is the lines joined and ended by newlines, whatever their count."""
 
     @pytest.mark.parametrize(

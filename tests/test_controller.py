@@ -37,6 +37,7 @@ from wristlink.sensor import (
     _row_fault,
     check_counts,
     check_int,
+    check_int_array,
     generate_gesture,
 )
 
@@ -105,7 +106,7 @@ class TestHomeController:
         assert ctrl.powered is True
 
 
-# frames per block of the radio path above sigma 0 (modem.send_gated)
+# frames per block of the radio path above sigma 0 (modem._send_gated)
 BLOCK_FRAMES = BLOCK_SAMPLES // (FRAME_BITS * SAMPLES_PER_BIT)
 
 
@@ -195,8 +196,9 @@ class TestRunPipeline:
         # the Trace checks its columns once, as one int64 block; the frame
         # of each sample is a view of a row of them, and the decoded fields go on the link
         # as columns, already bounded by their width, so no frame's counts
-        # are checked again
-        column_checks, count_checks = [], []
+        # are checked again, nor are the delivered counts the classifier
+        # reads, clean or noisy
+        column_checks, count_checks, array_checks = [], [], []
 
         def counting_columns(columns):
             column_checks.append(columns)
@@ -206,15 +208,24 @@ class TestRunPipeline:
             count_checks.append((x, y, z))
             return check_counts(x, y, z)
 
+        def counting_arrays(name, values, hi):
+            array_checks.append(name)
+            return check_int_array(name, values, hi)
+
         monkeypatch.setattr("wristlink.sensor._row_fault", counting_columns)
         monkeypatch.setattr("wristlink.framing.check_counts", counting_counts)
         monkeypatch.setattr("wristlink.sensor.check_counts", counting_counts)
+        for module in ("sensor", "framing", "classify"):
+            monkeypatch.setattr(f"wristlink.{module}.check_int_array", counting_arrays)
         trace = vertical_trace(200, seed=9)
         result = run_pipeline(trace, pir_at=0)
         assert result.frames_sent == 200
+        noisy = run_pipeline(trace, modem_cfg=ModemConfig(noise_sigma=0.5), pir_at=0)
+        assert noisy.windows_classified > 0
         assert len(column_checks) == 1
         assert np.array_equal(column_checks[0][1:], [trace.x, trace.y, trace.z])
         assert count_checks == []
+        assert array_checks == []
 
     def test_clean_run_wakes_no_garbage_collector(self):
         # every per-sample object of a noiseless run dies on the line that
@@ -260,7 +271,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.5])
     def test_waveforms_only_above_sigma_zero(self, monkeypatch, sigma):
         # at sigma 0 one 2-bit call decides every bit of the run; above it,
-        # modem.send_gated sends every frame's preamble of each block of
+        # modem._send_gated sends every frame's preamble of each block of
         # BLOCK_FRAMES frames as waveforms, then the other bits of only the
         # frames whose preamble survived
         trace = vertical_trace(200, seed=9)

@@ -25,11 +25,11 @@ from wristlink.modem import (
     ModemConfig,
     _PROBES,
     _seed_state_words,
+    _send_gated,
     channel_apply,
     demodulate,
     measure_ber,
     modulate,
-    send_gated,
 )
 from wristlink.sensor import generate_gesture
 
@@ -504,7 +504,7 @@ class TestFrameBlocks:
 
 
 def whole_row_sends(bits, cfg, gate):
-    """send_gated's result from one whole-row call per row, row i with
+    """_send_gated's result from one whole-row call per row, row i with
     noise seed cfg.seed + i, kept when its first `gate` bits decode as sent."""
     rows, received = [], []
     for i, row in enumerate(bits):
@@ -517,7 +517,7 @@ def whole_row_sends(bits, cfg, gate):
 
 
 class TestGatedSend:
-    """send_gated keeps exactly the rows whose gate bits survive one
+    """_send_gated keeps exactly the rows whose gate bits survive one
     whole-row call, with that call's bits, however the rows are blocked."""
 
     @pytest.mark.parametrize("gate", [0, 8, 47, 48])
@@ -527,7 +527,7 @@ class TestGatedSend:
         # 200 rows span three blocks, and at sigma 1.5 most gates fail
         cfg = ModemConfig(noise_sigma=sigma, channel_attenuation=0.8, seed=seed)
         bits = np.random.default_rng(seed % 97).integers(0, 2, (200, 48), dtype=np.uint8)
-        rows, received = send_gated(bits, cfg, gate)
+        rows, received = _send_gated(bits, cfg, gate)
         want_rows, want_received = whole_row_sends(bits, cfg, gate)
         assert rows.tolist() == want_rows
         assert received.dtype == np.uint8 and received.shape == (len(want_rows), 48)
@@ -538,35 +538,16 @@ class TestGatedSend:
         # from one row (or one bit) per block to the whole send in one block
         bits = np.random.default_rng(3).integers(0, 2, (150, 48))
         cfg = ModemConfig(noise_sigma=1.0, seed=11)
-        want = send_gated(bits, cfg, 8), measure_ber(cfg, 2 * 4096 + 5)
+        want = _send_gated(bits, cfg, 8), measure_ber(cfg, 2 * 4096 + 5)
         monkeypatch.setattr("wristlink.modem.BLOCK_SAMPLES", samples)
-        (rows, received), rate = send_gated(bits, cfg, 8), measure_ber(cfg, 2 * 4096 + 5)
+        (rows, received), rate = _send_gated(bits, cfg, 8), measure_ber(cfg, 2 * 4096 + 5)
         np.testing.assert_array_equal(rows, want[0][0])
         np.testing.assert_array_equal(received, want[0][1])
         assert rate == want[1]
 
     def test_one_row_and_no_rows(self):
-        row = np.random.default_rng(4).integers(0, 2, 48)
-        rows, received = send_gated(row, NOISY, 8)
-        want_rows, want_received = whole_row_sends(row[None], NOISY, 8)
-        assert rows.tolist() == want_rows
-        np.testing.assert_array_equal(received, np.reshape(want_received, (-1, 48)))
-        rows, received = send_gated(np.zeros((0, 48), np.uint8), NOISY, 8)
+        rows, received = _send_gated(np.zeros((0, 48), np.uint8), NOISY, 8)
         assert rows.shape == (0,) and received.shape == (0, 48)
-
-    @pytest.mark.parametrize(
-        "bits, cfg, gate, message",
-        [
-            (np.zeros((2, 48)), NOISY, -1, "gate must be an integer in 0..48, got -1"),
-            (np.zeros((2, 48)), NOISY, 49, "gate must be an integer in 0..48, got 49"),
-            (np.zeros((2, 48)), NOISY, True, "gate must be an integer in 0..48, got True"),
-            ([[0, 2, 1]], NOISY, 1, "bit sequence must contain only 0 and 1"),
-            (np.zeros((2, 48)), {}, 8, "cfg must be a ModemConfig, got dict"),
-        ],
-    )
-    def test_bad_arguments_refused(self, bits, cfg, gate, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            send_gated(bits, cfg, gate)
 
 
 class TestNoiselessTable:
@@ -646,7 +627,6 @@ RADIO_STAGES = {
     "channel_apply": ("waveform", lambda v: channel_apply(v, NOISY)),
     "demodulate": ("waveform", demodulate),
     "deserialize": ("bits", deserialize),
-    "send_gated": ("bits", lambda v: send_gated(v, NOISY, 0)),
 }
 
 

@@ -84,6 +84,44 @@ def test_every_tracer_patch_point_resolves():
     assert missing == []
 
 
+class _FileWrites(ast.NodeVisitor):
+    """The function around each write_text or write_bytes call of a module,
+    and around each open() call whose mode may write: one given and not a
+    constant, or a constant holding w, a, x or +."""
+
+    def __init__(self):
+        self.function, self.found = "<module>", []
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        # the mode is open(path, mode)'s second argument, Path.open(mode)'s first
+        first = 1 if isinstance(node.func, ast.Name) else 0
+        modes = node.args[first : first + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+        writes = any(
+            not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+")
+            for mode in modes
+        )
+        if name in ("write_text", "write_bytes") or name == "open" and writes:
+            self.found.append(self.function)
+        self.generic_visit(node)
+
+
+def test_one_writer_opens_output_files():
+    # every output file is ASCII lines that sensor._write_lines writes, so a
+    # second writer of the line format cannot creep back
+    writers = set()
+    for path in sorted((REPO_ROOT / "src" / "wristlink").glob("*.py")):
+        scan = _FileWrites()
+        scan.visit(ast.parse(path.read_text(encoding="utf-8")))
+        writers |= {(path.name, function) for function in scan.found}
+    assert writers == {("sensor.py", "_write_lines")}
+
+
 def test_failing_property_is_reported_under_the_warning_filters(tmp_path):
     # Hypothesis imports libcst to report a failing example; under this
     # project's filterwarnings that must fail the test, not abort the session
