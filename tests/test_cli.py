@@ -379,6 +379,38 @@ class TestLogWriter:
         _write_lines(path, lines)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["gen", "--n", "10"], "trace_vertical.csv"),
+            (["simulate", "--demo", "on", "--noise", "0.5"], "simulation.log"),
+            (["simulate", "--demo", "on", "--noise", "0.5"], "summary.csv"),
+            (["ber", "--points", "2", "--bits", "200"], "ber.csv"),
+            (["calibrate", "--on-dir", "on", "--off-dir", "off"], "profile.json"),
+        ],
+        ids=["trace", "simulation.log", "summary.csv", "ber.csv", "profile"],
+    )
+    def test_every_output_is_written_by_it(self, tmp_path, capsys, monkeypatch, argv, name):
+        # the five outputs are the one line format, so each file a command
+        # leaves is exactly the lines it handed the writer
+        for kind, folder in ((GestureKind.VERTICAL_UP_DOWN, "on"), (GestureKind.HORIZONTAL, "off")):
+            (tmp_path / folder).mkdir()
+            save_trace(generate_gesture(kind, 40, 3), tmp_path / folder / "t.csv")
+        written = {}
+
+        def recording(path, lines):
+            written[Path(path).name] = list(lines)
+            _write_lines(path, lines)
+
+        for module in ("sensor", "classify", "cli"):
+            monkeypatch.setattr(f"wristlink.{module}._write_lines", recording)
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(written)
+        want = ("\n".join(written[name]) + "\n").encode("ascii")
+        assert (tmp_path / "out" / name).read_bytes() == want
+
 
 class TestBer:
     def test_noise_zero_point_is_zero(self, tmp_path, capsys):

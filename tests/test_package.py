@@ -1,9 +1,11 @@
 import ast
 import importlib
+import inspect
 import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -120,6 +122,31 @@ def test_one_writer_opens_output_files():
         scan.visit(ast.parse(path.read_text(encoding="utf-8")))
         writers |= {(path.name, function) for function in scan.found}
     assert writers == {("sensor.py", "_write_lines")}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("modem", "_send_gated"),
+        ("classify", "_verdict_codes"),
+        ("classify", "_emissions"),
+        ("link", "LinkSimulator._stream"),
+    ],
+)
+def test_unchecked_core_makes_no_check_call(module, name):
+    # run_pipeline checks its arguments once; the cores it drives trust
+    # that and call no check_* of their own (the modem stages _send_gated
+    # calls still check what they are handed)
+    core = importlib.import_module(f"wristlink.{module}")
+    for part in name.split("."):
+        core = getattr(core, part)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(core)))
+    calls = {
+        getattr(node.func, "attr", getattr(node.func, "id", ""))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert sorted(call for call in calls if call.startswith("check_")) == []
 
 
 def test_failing_property_is_reported_under_the_warning_filters(tmp_path):
