@@ -4,17 +4,20 @@ A window of samples maps to one of three verdicts: a z-axis window mean
 inside the on band turns the appliance ON, else a y-axis mean inside the
 off band turns it OFF, else DO NOTHING. A window of w samples is compared
 on its integer axis sum, lo*w <= sum <= hi*w, which is the band test on the
-exact mean, so boundary values are unambiguous. The core works on int8
-columns of verdict codes, each an Action's place in definition order:
-`_verdict_codes` gives the code of every window sliding over a sequence at
-once, from differences of the cumsums of its z and y columns, and
-`_emissions` is the debounce stage as one run-length pass over a code
-column. Both check nothing; `classify_windows`, which checks the columns,
-and `debounced_stream` are their list-of-Action wrappers. `classify_window`
-is the one-window use, and `wristlink classify` prints every w-th verdict,
-that of each back-to-back window. A debounce stage requires N consecutive
-identical verdicts before acting; `Debouncer` is its streaming form, one
-verdict at a time.
+exact mean, so boundary values are unambiguous. A debounce stage requires N
+consecutive identical verdicts before acting. The classifier is two cores
+over int8 columns of verdict codes, each an Action's place in definition
+order: `_verdict_codes` gives the code of every window sliding over a
+sequence at once, from differences of the cumsums of its z and y columns,
+and `_emissions` is the debounce stage as one run-length pass over a code
+column. Both check nothing, and each other verdict form wraps one.
+`classify_windows`, which checks the count columns, and `debounced_stream`
+are their list-of-Action wrappers. `classify_window` checks its samples,
+whose counts each AccelSample checked, and `wristlink classify` prints
+every w-th code of the columns its Trace checked, that of each
+back-to-back window; neither checks a count again. `Debouncer` is the
+streaming wrapper of the pass: each push reruns it over every verdict so
+far, for stepping by hand, not for throughput.
 """
 from __future__ import annotations
 
@@ -154,8 +157,9 @@ def classify_window(samples, profile: CalibrationProfile) -> Action:
         raise ValueError(
             f"window has {len(samples)} samples, profile expects {profile.window_size}"
         )
-    (verdict,) = classify_windows([s.z for s in samples], [s.y for s in samples], profile)
-    return verdict
+    # each AccelSample checked its own counts
+    z, y = np.array([(s.z, s.y) for s in samples], dtype=np.int64).T
+    return _ACTIONS[_verdict_codes(z, y, profile)[0]]
 
 
 def calibrate(
@@ -202,48 +206,39 @@ def calibrate(
 
 
 class Debouncer:
-    """Run-length gate over a verdict stream.
-
-    An action comes out once it has held for `n` consecutive windows and
-    differs from the last action emitted. DO_NOTHING only breaks runs; it is
-    never emitted.
-    """
+    """The debounce pass streamed, one verdict at a time: push returns the
+    action that _emissions emits at the newest of the verdicts pushed so
+    far, or None. Each push reruns the pass over every verdict so far, so
+    it is for stepping by hand, not for throughput."""
 
     def __init__(self, n: int):
         check_int("debounce_n", n, 1)
         self.n = n
-        self._run_action: Action | None = None
-        self._run_len = 0
-        self._last_emitted: Action | None = None
+        self._codes = bytearray()
 
     def push(self, action: Action) -> Action | None:
-        check_type("verdict", action, Action)
-        if action is Action.DO_NOTHING:
-            self._run_action = None
-            self._run_len = 0
-            return None
-        if action is self._run_action:
-            self._run_len += 1
-        else:
-            self._run_action = action
-            self._run_len = 1
-        if self._run_len >= self.n and action is not self._last_emitted:
-            self._last_emitted = action
-            return action
+        self._codes.append(_ACTIONS.index(check_type("verdict", action, Action)))
+        codes = np.frombuffer(self._codes, dtype=np.int8)
+        at, code = _emissions(codes, self.n, len(codes))
+        if len(at) and at[-1] == len(codes) - 1:
+            return _ACTIONS[code[-1]]
         return None
 
 
 def _emissions(codes: np.ndarray, n: int, fresh_at: int) -> tuple[np.ndarray, np.ndarray]:
-    """What a Debouncer(n) emits when pushed a column of verdict codes in
-    order, a fresh Debouncer taking over at verdict fresh_at (len(codes)
-    for none): the index of the verdict each action comes out at, and its
-    code.
+    """What the debounce rule emits, with count n, over a column of verdict
+    codes in order, a fresh debouncer taking over at verdict fresh_at
+    (len(codes) for none): the index of the verdict each action comes out
+    at, and its code. An action comes out once it has held for n
+    consecutive verdicts and differs from the last action emitted;
+    DO_NOTHING only breaks runs and is never emitted.
 
-    One run-length pass. A run is a stretch of one code, and a fresh
-    debouncer starts one too. A run of ON or OFF at least n long emits at
-    its n-th verdict, unless its debouncer emitted that action last. That
-    is the code of the full run before it, which emitted it or held it back
-    as emitted already, or none for a fresh debouncer."""
+    One run-length pass, the rule's only implementation. A run is a stretch
+    of one code, and a fresh debouncer starts one too. A run of ON or OFF
+    at least n long emits at its n-th verdict, unless its debouncer emitted
+    that action last. That is the code of the full run before it, which
+    emitted it or held it back as emitted already, or none for a fresh
+    debouncer."""
     # no run is longer than the column, so n, an int of any size, emits the
     # same clipped to len(codes) + 1, which an int64 sum can take
     n = min(n, len(codes) + 1)

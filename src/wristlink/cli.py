@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
+    _ACTIONS,
     CalibrationProfile,
+    _verdict_codes,
     calibrate,
-    classify_windows,
     load_profile,
     save_profile,
 )
@@ -328,13 +329,13 @@ def cmd_classify(o) -> int:
         raise _UsageError(
             f"--window: trace has {len(trace)} samples, shorter than one window of {w}"
         )
-    # sliding verdict k covers samples k..k+w-1; a mean is one correctly
-    # rounded division of a plain int sum
+    # sliding verdict k covers samples k..k+w-1, on the columns the Trace
+    # checked; a mean is one correctly rounded division of a plain int sum
     z, y = trace.z.tolist(), trace.y.tolist()
-    for i, verdict in enumerate(classify_windows(trace.z, trace.y, profile)[::w]):
+    for i, code in enumerate(_verdict_codes(trace.z, trace.y, profile)[::w].tolist()):
         window = slice(i * w, (i + 1) * w)
         z_mean, y_mean = sum(z[window]) / w, sum(y[window]) / w
-        print(f"window {i}: z_mean={z_mean:.2f} y_mean={y_mean:.2f} action={verdict.value}")
+        print(f"window {i}: z_mean={z_mean:.2f} y_mean={y_mean:.2f} action={_ACTIONS[code].value}")
     return EXIT_OK
 
 

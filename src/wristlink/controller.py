@@ -44,7 +44,15 @@ or four columns of 8 bytes a line (keys, sort order, line pointers) alive
 besides the log. A noiseless run of `wristlink simulate` peaks, as
 tracemalloc counts, at about 1.45 times its log at 4,000 samples and 1.4
 times at 102,000; tests/test_cli.py and the CI workflow hold it to 1.7
-times at those sizes.
+times at those sizes. A noisy run also holds the block modem._send_gated
+has in flight, a few waveform copies that one block's send peaks at 0.65
+MiB above its entry whatever the trace length, and the noise seed words
+of every frame, hashed 4,096 seeds at a time (modem._row_seed_words).
+Its bound is 1.7 times the log plus a fixed allowance of 1 MiB, two
+BLOCK_SAMPLES float64 arrays, once numpy.random, which the first noisy
+call of a process imports, is loaded: at sigma 1.0 and loss 0.2 it peaks
+1.3 MiB on a 0.45 MiB log at 4,000 samples and 1.69 times its log at
+102,000; tests/test_cli.py and the CI workflow hold it there too.
 """
 from __future__ import annotations
 

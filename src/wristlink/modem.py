@@ -19,8 +19,9 @@ row, and any other rank raises ValueError (sensor.check_rows). Each row is
 its own transmission: its phase starts at 0, and row i draws its noise from
 the generator seeded with (seed + i) mod 2**64, so a block of n frames
 gives exactly what n single-frame calls with those seeds give. The rows'
-seeds are hashed at once by NumPy's SeedSequence hash, transliterated from
-numpy/random/bit_generator.pyx to run over an array of seeds.
+seeds are hashed _HASH_SEEDS at a time by NumPy's SeedSequence hash,
+transliterated from numpy/random/bit_generator.pyx to run over an array of
+seeds.
 
 `modulate(phase=)` and `channel_apply(rng=)` instead carry a transmission's
 phase and noise stream across calls. The rng is a list of one generator per
@@ -65,6 +66,9 @@ _PROBES = np.stack([_F0_PROBE.real, _F0_PROBE.imag, _F1_PROBE.real, _F1_PROBE.im
 # per block. Outputs do not depend on it, but peak memory grows with it (a
 # block is held in a few copies).
 BLOCK_SAMPLES = 65536
+# seeds per _seed_state_words call: its temporaries take ~130 bytes a seed,
+# so this bounds them to about one block, whatever the number of rows
+_HASH_SEEDS = 4096
 
 
 def _seed_state_words(seeds: np.ndarray) -> np.ndarray:
@@ -111,8 +115,13 @@ def _seed_state_words(seeds: np.ndarray) -> np.ndarray:
 
 def _row_seed_words(seed: int, n: int) -> np.ndarray:
     """The seed words of rows 0..n - 1 of a channel_apply call under `seed`:
-    row i's are those of (seed + i) mod 2**64."""
-    return _seed_state_words(np.uint64(seed) + np.arange(n, dtype=np.uint64))
+    row i's are those of (seed + i) mod 2**64, hashed _HASH_SEEDS rows at a
+    time."""
+    words = np.empty((n, 4), dtype=np.uint64)
+    for start in range(0, n, _HASH_SEEDS):
+        seeds = np.uint64(seed) + np.arange(start, min(start + _HASH_SEEDS, n), dtype=np.uint64)
+        words[start : start + len(seeds)] = _seed_state_words(seeds)
+    return words
 
 
 def _row_generators(words: np.ndarray) -> list:
@@ -215,12 +224,12 @@ def channel_apply(waveform, cfg: ModemConfig, rng=None) -> np.ndarray:
 
     Row i of a 2-D waveform (the whole of a 1-D one, as row 0) draws its
     noise from default_rng((seed + i) % 2**64); the rows' seed words are
-    hashed in one pass (_seed_state_words), so no SeedSequence is built per
-    row. Given `rng`, a list with one Generator per row (any other entry
-    raises ValueError naming it), row i instead continues rng[i]; a
-    waveform sent in pieces then gets exactly the noise of one draw over
-    the whole, as a generator's normals do not depend on how they are split
-    into calls.
+    hashed in passes over arrays of seeds (_row_seed_words), so no
+    SeedSequence is built per row. Given `rng`, a list with one Generator
+    per row (any other entry raises ValueError naming it), row i instead
+    continues rng[i]; a waveform sent in pieces then gets exactly the noise
+    of one draw over the whole, as a generator's normals do not depend on
+    how they are split into calls.
     """
     wave = check_rows("waveform", waveform, float)
     check_type("cfg", cfg, ModemConfig)

@@ -423,6 +423,26 @@ class TestDebounce:
 
     @settings(max_examples=300, deadline=None)
     @given(
+        verdicts=st.lists(st.sampled_from(list(Action)), max_size=60),
+        n=st.none() | st.integers(1, 5),
+        rejected_at=st.none() | st.integers(0, 60),
+    )
+    def test_push_equals_the_model_debouncer(self, verdicts, n, rejected_at):
+        # Debouncer.push against tests/models.py's plain Debouncer, verdict
+        # by verdict; n None is one past the list's length, so nothing comes
+        # out, and a verdict refused before verdict `rejected_at` changes
+        # none of the results after it
+        n = len(verdicts) + 1 if n is None else n
+        gate, model = Debouncer(n), models.Debouncer(n)
+        for v, verdict in enumerate(verdicts):
+            if v == rejected_at:
+                with pytest.raises(ValueError, match="^verdict must be an Action, got str$"):
+                    gate.push(verdict.value)
+            want = model.push(verdict.value)
+            assert gate.push(verdict) is (None if want is None else Action(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
         st.lists(st.sampled_from(list(Action)), max_size=60),
         st.integers(1, 5),
     )

@@ -14,21 +14,24 @@ from hypothesis import strategies as st
 import wristlink
 from wristlink.cli import _FIELD_FLAGS, main
 from wristlink.classify import (
+    Action,
     CalibrationProfile,
     classify_window,
+    classify_windows,
     load_profile,
     save_profile,
     window_mean,
 )
 from wristlink.controller import run_pipeline
 from wristlink.link import LinkConfig
-from wristlink.modem import NOISE_SIGMA_MAX, ModemConfig, measure_ber
+from wristlink.modem import BLOCK_SAMPLES, NOISE_SIGMA_MAX, ModemConfig, measure_ber
 from wristlink.sensor import (
     _LINES_PER_WRITE,
     TIME_MAX,
     GestureKind,
     Trace,
     _write_lines,
+    check_int_array,
     generate_gesture,
     load_trace,
     save_trace,
@@ -342,13 +345,13 @@ class TestSimulate:
         )
         assert hashlib.sha256(data).hexdigest() == digest
 
-    def test_peak_memory_is_at_most_1_7_times_the_log(self, tmp_path, capsys):
-        # the log, the trace, a few columns and a chunk of lines come to
-        # about 1.45 times the log's own size (the list and its strings);
-        # whole-log copies of the lines, or a whole-file join, exceed 1.7
+    @staticmethod
+    def traced_simulate(tmp_path, capsys, *flags):
+        """The summary row, traced peak and log size (the list and its
+        strings) of a simulate of a 4,000-sample vertical trace."""
         assert main(["gen", "--kind", "vertical", "--n", "4000", "--out", str(tmp_path)]) == 0
         trace_path = tmp_path / "trace_vertical.csv"
-        argv = ["simulate", "--trace", str(trace_path), "--noise", "0", "--out", str(tmp_path)]
+        argv = ["simulate", "--trace", str(trace_path), *flags, "--out", str(tmp_path)]
         tracemalloc.start()
         try:
             code = main(argv)
@@ -358,10 +361,27 @@ class TestSimulate:
         capsys.readouterr()
         assert code == 0
         summary = (tmp_path / "summary.csv").read_text().splitlines()[1]
-        assert summary.startswith("4000,4000,4000,0,0,")  # every frame delivered
         lines = (tmp_path / "simulation.log").read_text(encoding="ascii").splitlines()
-        log_size = sys.getsizeof([*lines]) + sum(map(sys.getsizeof, lines))
+        return summary, peak, sys.getsizeof([*lines]) + sum(map(sys.getsizeof, lines))
+
+    def test_peak_memory_is_at_most_1_7_times_the_log(self, tmp_path, capsys):
+        # the log, the trace, a few columns and a chunk of lines come to
+        # about 1.45 times the log's own size (the list and its strings);
+        # whole-log copies of the lines, or a whole-file join, exceed 1.7
+        summary, peak, log_size = self.traced_simulate(tmp_path, capsys, "--noise", "0")
+        assert summary.startswith("4000,4000,4000,0,0,")  # every frame delivered
         assert peak <= 1.7 * log_size
+
+    def test_noisy_peak_memory_is_1_7_times_the_log_plus_two_blocks(self, tmp_path, capsys):
+        # a noisy run also holds the block of waveforms in flight, whatever
+        # the trace length: about 1.3 MiB on a 0.45 MiB log here. numpy.random,
+        # which the first noisy call of a process imports, is no part of it
+        import numpy.random  # noqa: F401
+
+        flags = ("--noise", "1.0", "--loss", "0.2")
+        summary, peak, log_size = self.traced_simulate(tmp_path, capsys, *flags)
+        assert int(summary.split(",")[3]) > 0  # some frames lost
+        assert peak <= 1.7 * log_size + 2 * BLOCK_SAMPLES * 8
 
 
 class TestLogWriter:
@@ -558,6 +578,27 @@ class TestClassify:
         assert code == 0
         assert out.splitlines() == want
         assert {line.rsplit("=", 1)[1] for line in want} == {"ON", "OFF", "DO_NOTHING"}
+
+    def test_counts_are_checked_once(self, monkeypatch, capsys):
+        # the command's Trace checked its count columns, and each
+        # AccelSample of a window its own counts, so neither path checks a
+        # count column again; classify_windows, the check of plain count
+        # columns, still checks z and y
+        checked = []
+
+        def counting(name, values, hi):
+            checked.append(name)
+            return check_int_array(name, values, hi)
+
+        monkeypatch.setattr("wristlink.classify.check_int_array", counting)
+        code, out, _ = run(capsys, "classify", "--demo", "on", "--window", "17")
+        assert (code, out.count("action=ON")) == (0, 1)
+        window = generate_gesture(GestureKind.VERTICAL_UP_DOWN, 16, seed=3).samples
+        assert classify_window(window, CalibrationProfile()) is Action.ON
+        assert checked == []
+        z, y = [[getattr(s, axis) for s in window] for axis in "zy"]
+        assert classify_windows(z, y, CalibrationProfile()) == [Action.ON]
+        assert checked == ["z counts", "y counts"]
 
 
 class TestCalibrate:

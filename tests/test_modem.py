@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -23,7 +24,9 @@ from wristlink.modem import (
     SAMPLE_RATE,
     SAMPLES_PER_BIT,
     ModemConfig,
+    _HASH_SEEDS,
     _PROBES,
+    _row_seed_words,
     _seed_state_words,
     _send_gated,
     channel_apply,
@@ -579,7 +582,8 @@ BOUNDARY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1
 
 
 class TestBlockSeeding:
-    """The rows' seed words are hashed in one pass, as SeedSequence would."""
+    """The rows' seed words are hashed in passes over arrays of seeds, as
+    SeedSequence would hash each."""
 
     def test_seed_words_equal_seed_sequence(self):
         rng = np.random.default_rng(2017)
@@ -594,6 +598,29 @@ class TestBlockSeeding:
             expected = np.random.SeedSequence(s).generate_state(4, np.uint64)
             np.testing.assert_array_equal(row, expected, err_msg=f"seed {s}")
 
+    def test_row_words_are_hashed_in_passes_of_fixed_size(self):
+        # the rows' words, hashed _HASH_SEEDS seeds at a time, are those of
+        # one pass, seed + i wrapping past 2**64 inside the second pass; the
+        # hash's temporaries (~130 bytes a seed in one pass) stay those of
+        # one pass, whatever the number of rows
+        n, seed = 2 * _HASH_SEEDS + 3, 2**64 - _HASH_SEEDS - 5
+        words = _row_seed_words(seed, n)
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        whole = _seed_state_words(np.uint64(seed) + np.arange(n, dtype=np.uint64))
+        np.testing.assert_array_equal(words, whole)
+        for i in (0, _HASH_SEEDS - 1, _HASH_SEEDS, _HASH_SEEDS + 4, _HASH_SEEDS + 5, n - 1):
+            expected = np.random.SeedSequence((seed + i) % 2**64).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(words[i], expected, err_msg=f"row {i}")
+        assert _row_seed_words(seed, 0).shape == (0, 4)
+        n = 40_000
+        tracemalloc.start()
+        try:
+            words = _row_seed_words(0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - words.nbytes < 200 * _HASH_SEEDS < 40 * n
+
     @pytest.mark.parametrize("seed", [2**32 - 3, 2**64 - 3])
     def test_rows_equal_default_rng_across_word_boundaries(self, seed):
         # rows 0..5 cross 2**32 (one entropy word to two) or wrap past 2**64
@@ -605,8 +632,10 @@ class TestBlockSeeding:
 
     def test_import_does_not_load_numpy_random(self):
         # numpy.random is imported on the first noisy channel_apply, so the
-        # package import costs no more than numpy's own; numpy releases
-        # before 2.0 load numpy.random with numpy itself
+        # import of the command line, which loads modem, controller,
+        # classify and link (`import wristlink` loads no submodule), costs
+        # no more than numpy's own; numpy releases before 2.0 load
+        # numpy.random with numpy itself
         src = str(Path(wristlink.__file__).resolve().parents[1])
         paths = [src, os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
@@ -619,7 +648,7 @@ class TestBlockSeeding:
             )
             return proc.stdout.strip() == "True"
 
-        assert loads_numpy_random("wristlink") == loads_numpy_random("numpy")
+        assert loads_numpy_random("wristlink.cli") == loads_numpy_random("numpy")
 
 
 RADIO_STAGES = {
