@@ -324,11 +324,11 @@ def cmd_classify(o) -> int:
     profile = _input_profile(o)
     if o.window:
         profile = _owned(replace, profile, window_size=o.window)
+        if len(trace) < o.window:
+            raise _UsageError(
+                f"--window: trace has {len(trace)} samples, shorter than one window of {o.window}"
+            )
     w = profile.window_size
-    if len(trace) < w:
-        raise _UsageError(
-            f"--window: trace has {len(trace)} samples, shorter than one window of {w}"
-        )
     # sliding verdict k covers samples k..k+w-1, on the columns the Trace
     # checked; a mean is one correctly rounded division of a plain int sum
     z, y = trace.z.tolist(), trace.y.tolist()

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from io import BytesIO
+from itertools import repeat
 
 import numpy as np
 
@@ -65,7 +66,7 @@ from .classify import _ACTIONS, Action, CalibrationProfile, _emissions, _verdict
 # not called here, but perfbench's tracer patches the pipeline's classifier
 # under this name
 from .classify import classify_window  # noqa: F401
-from .framing import SYNC_BITS, WatchMode, _acc_frame_view, deserialize, serialize
+from .framing import SYNC_BITS, WatchMode, _frame_view, deserialize, serialize
 from .link import LinkConfig, LinkSimulator, delivery_lines, frame_details, send_lines
 from .modem import ModemConfig, _send_gated, channel_apply, demodulate, modulate
 from .sensor import TIME_MAX, Trace, check_int, check_type
@@ -132,7 +133,7 @@ class PipelineResult:
 def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Radio path: each sample is serialized as an ACC frame, a view of its
     row of the plain ints of the trace's x, y and z columns, which the
-    Trace already checked (framing._acc_frame_view), and the frames' bytes
+    Trace already checked (framing._frame_view), and the frames' bytes
     are written as they come into one buffer, read as the (n, 48) wire
     block: no list of them is built, and the columns' int lists die once
     encoded. The bits are sent through the channel and decoded,
@@ -154,8 +155,9 @@ def _receive(trace: Trace, modem_cfg: ModemConfig) -> tuple[np.ndarray, np.ndarr
 
     Either way the received frames are decoded in one deserialize call."""
     wire = BytesIO()
+    modes = repeat(WatchMode.ACC)
     wire.writelines(
-        map(serialize, map(_acc_frame_view, trace.x.tolist(), trace.y.tolist(), trace.z.tolist()))
+        map(serialize, map(_frame_view, modes, trace.x.tolist(), trace.y.tolist(), trace.z.tolist()))
     )
     tx = np.frombuffer(wire.getbuffer(), np.uint8).reshape(len(trace), -1)
     if modem_cfg.noise_sigma == 0:

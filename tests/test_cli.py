@@ -558,6 +558,18 @@ class TestClassify:
         assert code == 2
         assert "shorter" in err
 
+    @pytest.mark.parametrize("rows", [0, 1, 15])
+    def test_trace_shorter_than_profile_window_prints_no_window(self, tmp_path, capsys, rows):
+        # with no --window given, a trace shorter than the profile's window
+        # of 16 has no verdict, as classify_windows gives none; only a
+        # --window longer than the trace is a usage error
+        p = tmp_path / "short.csv"
+        p.write_text("t_ms,x,y,z\n" + "".join(f"{i * 20},0,0,0\n" for i in range(rows)))
+        assert run(capsys, "classify", "--trace", str(p)) == (0, "", "")
+        code, out, err = run(capsys, "classify", "--trace", str(p), "--window", str(rows + 1))
+        assert (code, out) == (2, "")
+        assert f"--window: trace has {rows} samples, shorter than one window of {rows + 1}" in err
+
     def test_multiple_windows_one_line_each(self, tmp_path, capsys):
         # three 20-sample gestures read in back-to-back windows of 7, some
         # straddling two gestures: each line gives its window's exact means

@@ -431,6 +431,17 @@ class TestRunPipeline:
         z = (result.frames_lost - n * p) / math.sqrt(n * p * (1 - p))
         assert abs(z) < 3, f"{result.frames_lost} of {n} vs {n * p:.1f}: z={z:.2f}"
 
+    def test_draw_equal_to_p_keeps_the_frame(self):
+        # frame 0's loss draw is Random(seed).random() of the link's seed,
+        # and a frame is lost only when its draw is below p
+        seed = 12345
+        p = Random(seed).random()
+        result = run_pipeline(
+            vertical_trace(1), link_cfg=LinkConfig(loss_probability=p, seed=seed), pir_at=None
+        )
+        assert (result.frames_sent, result.frames_lost, result.frames_delivered) == (1, 0, 1)
+        assert any("FRAME_DELIVERED frame=0 " in line for line in result.log)
+
     @pytest.mark.parametrize("n, seed", [(64, 8), (200, 1)])
     def test_pir_after_debounced_emission_rearms_the_debouncer(self, n, seed):
         # the gesture's debounced ON fires at t=330, before the presence

@@ -29,11 +29,12 @@ from wristlink.framing import (
     _X_CRC,
     _Y_CRC,
     _Z_CRC,
-    _acc_frame_view,
+    _frame_view,
     deserialize,
     serialize,
 )
 from wristlink.modem import ModemConfig, channel_apply, demodulate, modulate
+from wristlink.sensor import AccelSample, _sample_view
 
 # expected wire image for mode=ACC, x=100, y=360, z=277, computed by an
 # independent bit-level polynomial division (crc byte 0xCF)
@@ -246,7 +247,7 @@ def test_frame_rejects_out_of_range_payload():
 @pytest.mark.parametrize("count", [0, 1023])
 def test_frame_view_is_the_checked_frame(count):
     # the pipeline's unchecked view of one row of a Trace's columns
-    view = _acc_frame_view(count, 1023 - count, count)
+    view = _frame_view(WatchMode.ACC, count, 1023 - count, count)
     frame = CodecFrame(WatchMode.ACC, count, 1023 - count, count)
     assert type(view) is CodecFrame
     assert view == frame and hash(view) == hash(frame) and repr(view) == repr(frame)
@@ -255,6 +256,13 @@ def test_frame_view_is_the_checked_frame(count):
     assert view.x == count
     assert serialize(view) == serialize(frame)
     assert len(serialize(view)) == FRAME_BITS
+    # the same builder's unchecked view of one row of a Trace
+    row = _sample_view(count, count, 1023 - count, count)
+    sample = AccelSample(count, count, 1023 - count, count)
+    assert type(row) is AccelSample
+    assert row == sample and hash(row) == hash(sample) and repr(row) == repr(sample)
+    with pytest.raises(AttributeError):  # frozen, as a checked sample is
+        row.t = 1
 
 
 class TestFrameBlocks:

@@ -156,6 +156,16 @@ class TestTransmit:
             sim._rng = SimpleNamespace(random=lambda: value)
             assert sim.transmit_sample(sample()).lost == [lost], value
 
+    def test_draw_equal_to_p_keeps_the_frame(self):
+        # the link's own seeded stream, unpatched: frame 0's draw is
+        # Random(seed).random(), and a frame is lost only below p
+        seed = 12345
+        p = Random(seed).random()
+        sim = started_sim(loss_probability=p, latency=10, seed=seed)
+        assert sim.transmit_sample(sample()).lost == [False]
+        assert sim.run_until(10).frame_id == [0]
+        assert sim.lost_count == 0
+
     def test_delivered_count_reproducible_and_near_expectation(self):
         def run():
             sim = started_sim(loss_probability=0.2, latency=1, seed=77)

@@ -86,10 +86,9 @@ def test_every_tracer_patch_point_resolves():
     assert missing == []
 
 
-class _FileWrites(ast.NodeVisitor):
-    """The function around each write_text or write_bytes call of a module,
-    and around each open() call whose mode may write: one given and not a
-    constant, or a constant holding w, a, x or +."""
+class _PerFunction(ast.NodeVisitor):
+    """Collects in `found` the name of the innermost function around each
+    node a subclass picks, or "<module>"."""
 
     def __init__(self):
         self.function, self.found = "<module>", []
@@ -98,6 +97,12 @@ class _FileWrites(ast.NodeVisitor):
         outer, self.function = self.function, node.name
         self.generic_visit(node)
         self.function = outer
+
+
+class _FileWrites(_PerFunction):
+    """The function around each write_text or write_bytes call of a module,
+    and around each open() call whose mode may write: one given and not a
+    constant, or a constant holding w, a, x or +."""
 
     def visit_Call(self, node):
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
@@ -113,15 +118,37 @@ class _FileWrites(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def found_in_package(scanner) -> set:
+    """(module file, function) of each node a _PerFunction scanner picks
+    in the package's source."""
+    found = set()
+    for path in sorted((REPO_ROOT / "src" / "wristlink").glob("*.py")):
+        scan = scanner()
+        scan.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= {(path.name, function) for function in scan.found}
+    return found
+
+
 def test_one_writer_opens_output_files():
     # every output file is ASCII lines that sensor._write_lines writes, so a
     # second writer of the line format cannot creep back
-    writers = set()
-    for path in sorted((REPO_ROOT / "src" / "wristlink").glob("*.py")):
-        scan = _FileWrites()
-        scan.visit(ast.parse(path.read_text(encoding="utf-8")))
-        writers |= {(path.name, function) for function in scan.found}
-    assert writers == {("sensor.py", "_write_lines")}
+    assert found_in_package(_FileWrites) == {("sensor.py", "_write_lines")}
+
+
+class _SlotSetters(_PerFunction):
+    """The function around each read of a descriptor's __set__ in a module."""
+
+    def visit_Attribute(self, node):
+        if node.attr == "__set__":
+            self.found.append(self.function)
+        self.generic_visit(node)
+
+
+def test_one_builder_fills_slots_unchecked():
+    # an unchecked record view (a trace row's AccelSample, a radio frame's
+    # CodecFrame) is made only by sensor._view_builder's function, so a
+    # second copy of the slot-setter trick cannot creep back
+    assert found_in_package(_SlotSetters) == {("sensor.py", "_view_builder")}
 
 
 @pytest.mark.parametrize(
